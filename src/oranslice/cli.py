@@ -16,7 +16,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -65,19 +64,6 @@ def _sha12(path: str) -> str:
     with open(path, "rb") as fh:
         h.update(fh.read())
     return h.hexdigest()[:12]
-
-
-def _pool_size() -> int:
-    raw = os.environ.get("ORAN_SLICE_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise CliError(2, f"ORAN_SLICE_THREADS must be an int, got {raw!r}")
-        if n < 1:
-            raise CliError(2, "ORAN_SLICE_THREADS must be >= 1")
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 def _parse_weights(text: str) -> PlacementWeights:
@@ -232,13 +218,15 @@ def _mapping_from_file(path: str, sc: Scenario) -> SliceMapping:
     data = _load_json(path)
     if "a" not in data:
         raise CliError(2, f"{path}: missing mapping matrix under key 'a'")
-    a = np.asarray(data["a"], dtype=np.int8)
-    if a.shape != (sc.n_services, sc.n_slices):
-        raise CliError(2, f"mapping shape {a.shape} does not match scenario "
+    rows = data["a"]
+    if (not isinstance(rows, list) or len(rows) != sc.n_services
+            or any(not isinstance(row, list) or len(row) != sc.n_slices
+                   for row in rows)):
+        raise CliError(2, f"{path}: mapping shape does not match scenario "
                           f"({sc.n_services} services x {sc.n_slices} slices)")
-    if not np.isin(a, (0, 1)).all():
+    if any(type(x) is not int or x not in (0, 1) for row in rows for x in row):
         raise CliError(2, f"{path}: mapping entries must be 0 or 1")
-    return SliceMapping(a=a)
+    return SliceMapping(a=np.array(rows, dtype=np.int8))
 
 
 def cmd_place(args) -> int:
@@ -394,11 +382,6 @@ def _emit_plot_script(csv_path: str, x_col: int, y_col: int,
     return path
 
 
-def _run_points(worker, points):
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(worker, points))
-
-
 def cmd_experiment(args) -> int:
     spec = _load_json(args.spec)
     kind = spec.get("kind")
@@ -419,8 +402,7 @@ def cmd_experiment(args) -> int:
         if not xs or not series:
             raise CliError(2, "empty sweep")
         points = [(v, x, s) for v in series for x in xs for s in seeds]
-        values = _run_points(
-            lambda p: _ee_point(p[0], p[1], p[2], overrides), points)
+        values = [_ee_point(v, x, s, overrides) for v, x, s in points]
         rows = sorted((v, x, s, val)
                       for (v, x, s), val in zip(points, values))
         agg = _aggregate(rows, group_cols=2)
@@ -443,9 +425,8 @@ def cmd_experiment(args) -> int:
             raise CliError(2, "empty sweep")
         nu = spec.get("nu", 1e6 if kind == "admitted_vs_slices" else 0.0)
         points = [(d, x, s) for d in series for x in xs for s in seeds]
-        triples = _run_points(
-            lambda p: _place_point(kind, p[1], p[0], p[2], nu, overrides),
-            points)
+        triples = [_place_point(kind, x, d, s, nu, overrides)
+                   for d, x, s in points]
         raw = sorted((x, d, s, m, phi, psi)
                      for (d, x, s), (m, phi, psi) in zip(points, triples))
         with open(out + ".raw.csv", "w") as fh:

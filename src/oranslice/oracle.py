@@ -72,13 +72,9 @@ def _cross_gain(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
 
 
 def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-                        bf: BeamformerSet,
-                        powers: PowerAllocation | None = None) -> np.ndarray:
-    """Per-UE interference by literal (slice, PRB, interferer) loops.
-
-    With `powers` omitted every interfering stream is charged the per-RU
-    cap (the worst-case bound); otherwise actual powers are used.
-    """
+                        bf: BeamformerSet) -> np.ndarray:
+    """Per-UE worst-case interference by literal (slice, PRB, interferer)
+    loops, every interfering stream charged the per-RU cap."""
     zeta = sc.prb_assignment.zeta
     n_prbs = sc.prb_assignment.n_prbs
     out = np.zeros(sc.n_ues)
@@ -97,9 +93,7 @@ def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                         if pos_l == pos_i:
                             continue
                         if zeta[u_i, n, s] and zeta[u_l, n, s]:
-                            p_l = (sc.params.p_max if powers is None
-                                   else powers.p[u_l])
-                            total += p_l * _cross_gain(
+                            total += sc.params.p_max * _cross_gain(
                                 sc, ch, bf, s, u_i, v, pos_l)
             # other-service leakage
             for sy in sc.services:
@@ -114,9 +108,7 @@ def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                     for n in range(n_prbs):
                         for pos_l, u_l in enumerate(idx_y):
                             if zeta[u_i, n, s] and zeta[u_l, n, s]:
-                                p_l = (sc.params.p_max if powers is None
-                                       else powers.p[u_l])
-                                total += p_l * _cross_gain(
+                                total += sc.params.p_max * _cross_gain(
                                     sc, ch, bf, s, u_i, y, pos_l)
             # quantization noise of serving slices
             for sl in sc.slices:

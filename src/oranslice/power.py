@@ -25,7 +25,7 @@ from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
                     beam_gains, build_beamformers, build_channels,
                     interference_upper_bound, ru_powers_all, slot_sigma,
                     slot_weight_matrix, ue_rates)
-from .queueing import UnstableQueueError, layer_delays, slice_arrival_rate
+from .queueing import layer_delays, slice_arrival_rate
 from .slicing import MappingResult, check_feasibility, map_slices_to_services
 
 
@@ -67,24 +67,6 @@ class Multipliers:
         return Multipliers(self.rate_ue.copy(), self.delay_ue.copy(),
                            self.ru_cap_slot.copy(), self.fronthaul_slot.copy())
 
-    def max_delta(self, other: "Multipliers") -> float:
-        """Largest relative movement between two multiplier states."""
-        out = 0.0
-        for a, b in ((self.rate_ue, other.rate_ue),
-                     (self.delay_ue, other.delay_ue),
-                     (self.ru_cap_slot, other.ru_cap_slot),
-                     (self.fronthaul_slot, other.fronthaul_slot)):
-            if a.size:
-                out = max(out, float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))))
-        return out
-
-
-@dataclass
-class SolverState:
-    eta: float
-    mults: Multipliers
-    iteration: int = 0
-
 
 @dataclass
 class SolverOptions:
@@ -94,8 +76,6 @@ class SolverOptions:
     eps_eta: float = 1e-6         # outer stop: |F| <= eps_eta * R_tot
     i_max: int = 50               # outer iteration cap
     constraint_rtol: float = 1e-6  # feasibility slack, relative
-    x_gated: bool = False         # price term restricted to mapped slices
-    clamp_to_pmax: bool = True    # project per-UE power into [0, p_max]
 
 
 def delay_linearization(sc: Scenario, mapping: SliceMapping,
@@ -123,88 +103,39 @@ def delay_linearization(sc: Scenario, mapping: SliceMapping,
     return out
 
 
-def _slot_weights_ungated(sc: Scenario, bf: BeamformerSet) -> np.ndarray:
-    """|w|^2 per (slot, UE) over every pair with a precoder, mapped or not."""
-    slots = sc.ru_slots()
-    out = np.zeros((len(slots), sc.n_ues))
-    slot_of = {(s, j): k for k, (s, j, _r) in enumerate(slots)}
-    for sl in sc.slices:
-        for sv in sc.services:
-            if not bf.has(sl.id, sv.id):
-                continue
-            w2 = np.abs(bf.w[(sl.id, sv.id)]) ** 2
-            cols = sc.service_ue_indices(sv.id)
-            for j in range(sl.n_rus):
-                out[slot_of[(sl.id, j)], cols] += w2[j, :]
-    return out
-
-
-def active_ue_mask(sc: Scenario, mapping: SliceMapping) -> np.ndarray:
-    """Boolean mask of UEs whose service is mapped to some slice."""
-    covered = mapping.covered()
-    mask = np.zeros(sc.n_ues, dtype=bool)
-    for v in range(sc.n_services):
-        if covered[v]:
-            mask[list(sc.service_ue_indices(v))] = True
-    return mask
-
-
-def closed_form_power(state: SolverState, sc: Scenario,
-                      mapping: SliceMapping, ch: ChannelSet,
-                      bf: BeamformerSet, ibar: np.ndarray,
-                      x_gated: bool = False,
-                      p_cap: float | None = None,
-                      gains: np.ndarray | None = None,
-                      weights: np.ndarray | None = None,
-                      act: np.ndarray | None = None) -> PowerAllocation:
+def closed_form_power(sc: Scenario, eta: float, mults: Multipliers,
+                      gains: np.ndarray, price_weights: np.ndarray,
+                      denom: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Stationary-point power per UE given multipliers and eta.
 
     For each UE the Lagrangian is concave in its own power with a
     water-filling maximizer: with rate weight y = (1 + rate and delay
-    multipliers) * B/ln2, beam gain g, noise-plus-interference z, and
-    power price x = sum over (slice, RU) slots of (cap multiplier +
-    fronthaul multiplier + eta) * |w|^2, the maximizer is
-    max(0, (y*g - x*z) / (x*g)), optionally clipped at p_cap.
+    multipliers) * B/ln2, beam gain g, noise-plus-interference z
+    (`denom`), and power price x = sum over (slice, RU) slots of (cap
+    multiplier + fronthaul multiplier + eta) * |w|^2 (`price_weights`
+    holds |w|^2 per slot and UE), the maximizer is
+    max(0, (y*g - x*z) / (x*g)), clipped at p_max.
 
-    UEs of uncovered services get zero power.  A covered UE with zero
-    beam gain, or zero price when no cap is supplied, has no finite
-    maximizer and raises DegenerateCoefficientError.  Callers looping
-    over multiplier states may pass precomputed gains and slot weights.
+    UEs outside `active` (those of uncovered services) get zero power,
+    and an active UE with zero price rides the cap.  An active UE with
+    zero beam gain has no finite maximizer and raises
+    DegenerateCoefficientError.
     """
     params = sc.params
-    if gains is None:
-        gains = beam_gains(sc, mapping, ch, bf)
-    if weights is None:
-        weights = (slot_weight_matrix(sc, mapping, bf) if x_gated
-                   else _slot_weights_ungated(sc, bf))
-    noise = params.bandwidth_hz * params.noise_psd
-    price = weights.T @ (state.mults.ru_cap_slot + state.mults.fronthaul_slot
-                         + state.eta)
-    if act is None:
-        act = active_ue_mask(sc, mapping)
-    if np.any(act & (gains <= 0)):
-        u = int(np.flatnonzero(act & (gains <= 0))[0])
+    if np.any(active & (gains <= 0)):
+        u = int(np.flatnonzero(active & (gains <= 0))[0])
         raise DegenerateCoefficientError(
             f"UE index {u} has no beam gain; the UE is effectively unmapped")
-    degenerate = act & (price <= 0)
-    if degenerate.any() and p_cap is None:
-        u = int(np.flatnonzero(degenerate)[0])
-        raise DegenerateCoefficientError(
-            f"UE index {u} has zero power price; objective unbounded "
-            "without a cap")
-    y = ((1.0 + state.mults.rate_ue + state.mults.delay_ue)
+    price = price_weights.T @ (mults.ru_cap_slot + mults.fronthaul_slot + eta)
+    y = ((1.0 + mults.rate_ue + mults.delay_ue)
          * params.bandwidth_hz / math.log(2.0))
-    z = noise + ibar
     p = np.zeros(sc.n_ues)
-    good = act & (price > 0)
+    good = active & (price > 0)
     p[good] = np.maximum(
-        0.0, (y[good] * gains[good] - price[good] * z[good])
+        0.0, (y[good] * gains[good] - price[good] * denom[good])
         / (price[good] * gains[good]))
-    if degenerate.any():
-        p[degenerate] = p_cap
-    if p_cap is not None:
-        p = np.minimum(p, p_cap)
-    return PowerAllocation(p=p)
+    p[active & (price <= 0)] = params.p_max
+    return np.minimum(p, params.p_max)
 
 
 @dataclass
@@ -219,23 +150,15 @@ class SubgradientResult:
     violated: list[str] = field(default_factory=list)
 
 
-def _slice_ue_rows(sc: Scenario, mapping: SliceMapping,
-                   dfrak: dict[int, float]) -> dict[int, np.ndarray]:
-    return {s: np.array(sorted({u for v in range(sc.n_services)
-                                if mapping.a[v, s]
-                                for u in sc.service_ue_indices(v)}),
-                        dtype=int)
-            for s in dfrak}
-
-
-def _violations(sc: Scenario, mapping: SliceMapping, rates: np.ndarray,
-                p_bar: np.ndarray, fh_power_cap: np.ndarray,
-                dfrak: dict[int, float], active_ue: np.ndarray,
-                slice_rows: dict[int, np.ndarray] | None = None,
+def _violations(sc: Scenario, rates: np.ndarray, p_bar: np.ndarray,
+                fh_power_cap: np.ndarray, floors: np.ndarray,
+                member: np.ndarray, active_ue: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                            float, list[str]]:
     """Normalized constraint violations for multiplier updates.
 
+    `floors` holds the delay rate floor of each active slice and
+    `member[u, j]` is 1 when UE u is served by the j-th of them.
     Returns per-family signed violations (positive = violated) plus the
     overall maximum and labels of the violated families.
     """
@@ -243,21 +166,14 @@ def _violations(sc: Scenario, mapping: SliceMapping, rates: np.ndarray,
     v_rate = np.where(active_ue, (params.r_min - rates) / params.r_min, 0.0)
     v_cap = (p_bar - params.p_max) / params.p_max
     v_fh = (p_bar - fh_power_cap) / params.p_max
-
-    if slice_rows is None:
-        slice_rows = _slice_ue_rows(sc, mapping, dfrak)
-    v_delay = np.zeros(sc.n_ues)
-    slice_viol = 0.0
-    for s, floor in dfrak.items():
-        idx = slice_rows[s]
-        v_delay[idx] += (floor - rates[idx]) / params.r_min
-        slice_viol = max(slice_viol, (floor - float(rates[idx].sum())) / floor)
+    v_delay = ((floors - rates[:, None]) / params.r_min * member).sum(axis=1)
+    slice_viol = ((floors - rates @ member) / floors).max(initial=0.0)
 
     worst = {
         "minimum rate": float(v_rate.max(initial=0.0)),
         "RU power cap": float(v_cap.max(initial=0.0)),
         "fronthaul cap": float(v_fh.max(initial=0.0)),
-        "delay budget": slice_viol,
+        "delay budget": float(slice_viol),
     }
     max_violation = max(worst.values())
     violated = [k for k, val in worst.items() if val > 0]
@@ -293,48 +209,43 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     noise = params.bandwidth_hz * params.noise_psd
     denom = noise + ibar
     sigma2 = slot_sigma(sc)
-    weights_gated = slot_weight_matrix(sc, mapping, bf)
-    weights_price = (weights_gated if opts.x_gated
-                     else _slot_weights_ungated(sc, bf))
+    weights = slot_weight_matrix(sc, mapping, bf)
     fh_power_cap = sigma2 * np.exp2(params.c_max)
     dfrak = delay_linearization(sc, mapping)
-    slice_rows = _slice_ue_rows(sc, mapping, dfrak)
-    active_ue = active_ue_mask(sc, mapping)
-    p_cap = params.p_max if opts.clamp_to_pmax else None
+    floors = np.array(list(dfrak.values()), dtype=float)
+    # member[u, j] = 1 when UE u is served by the j-th delay-floored slice
+    member = mapping.a[bf.ue_service][:, list(dfrak)].astype(float)
+    active_ue = mapping.covered()[bf.ue_service]
+    ok_gain = active_ue & (gains > 0)
 
     def evaluate(p_vec: np.ndarray):
-        rates = np.where(active_ue & (gains > 0),
+        rates = np.where(ok_gain,
                          params.bandwidth_hz
                          * np.log2(1.0 + p_vec * gains / denom), 0.0)
-        p_bar = weights_gated @ p_vec + sigma2
+        p_bar = weights @ p_vec + sigma2
         return rates, p_bar
 
     # exact per-UE power floors for the minimum rate (rate depends only
     # on the UE's own power under the fixed interference bound)
     rho_min = 2.0 ** (params.r_min / params.bandwidth_hz) - 1.0
     p_floor = np.zeros(sc.n_ues)
-    ok_gain = active_ue & (gains > 0)
     p_floor[ok_gain] = rho_min * denom[ok_gain] / gains[ok_gain]
 
     def repair(p_vec: np.ndarray) -> np.ndarray:
-        """Lift a primal point onto the rate and delay floors."""
+        """Lift a primal point onto the rate and delay floors, one slice
+        at a time in slice order (a UE on two slices is lifted twice)."""
         p2 = np.maximum(p_vec, p_floor)
-        for s in sorted(dfrak):
-            idx = slice_rows[s]
-            if not idx.size:
-                continue
+        for idx, floor in zip(member.T > 0, floors):
             r_now = np.where(
                 gains[idx] > 0,
                 params.bandwidth_hz * np.log2(1.0 + p2[idx] * gains[idx]
                                               / denom[idx]), 0.0)
-            deficit = dfrak[s] - float(r_now.sum())
-            if deficit > 0 and np.all(gains[idx] > 0):
-                target = r_now + deficit / len(idx)
+            deficit = floor - float(r_now.sum())
+            if deficit > 0 and r_now.size and np.all(gains[idx] > 0):
+                target = r_now + deficit / r_now.size
                 p2[idx] = (denom[idx] / gains[idx]
                            * (np.exp2(target / params.bandwidth_hz) - 1.0))
-        if p_cap is not None:
-            p2 = np.minimum(p2, p_cap)
-        return p2
+        return np.minimum(p2, params.p_max)
 
     # Reference magnitude for the power-cap multiplier families: they
     # add to eta inside the price term, so their useful scale is the
@@ -343,23 +254,25 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     rates_ref, p_bar_ref = evaluate(p_ref)
     eta_ref = max(eta, float(rates_ref.sum()) / float(p_bar_ref.sum()), 1.0)
 
-    best = None   # (feasible, -f or violation, powers, mults, f, viol, labels)
+    best = None   # (key, powers, mults, feasible, f, violation, labels)
 
     def consider(p_vec, mults_now, rates, p_bar):
+        """Keep the point if it beats the best so far; returns its
+        violations."""
         nonlocal best
-        *_, max_violation, violated = _violations(
-            sc, mapping, rates, p_bar, fh_power_cap, dfrak, active_ue,
-            slice_rows)
+        viol = _violations(sc, rates, p_bar, fh_power_cap, floors, member,
+                           active_ue)
+        *_, max_violation, violated = viol
         f_val = float(rates.sum()) - eta * float(p_bar.sum())
         feasible = max_violation <= opts.constraint_rtol
         key = (0, -f_val) if feasible else (1, max_violation)
         if best is None or key < best[0]:
             best = (key, p_vec.copy(), mults_now.copy(), feasible, f_val,
                     max_violation, violated)
+        return viol
 
     if seed_powers is not None:
-        rates, p_bar = evaluate(seed_powers.p)
-        consider(seed_powers.p, mults, rates, p_bar)
+        consider(seed_powers.p, mults, *evaluate(seed_powers.p))
 
     converged = False
     t = 0
@@ -370,20 +283,13 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         return new, delta
 
     for t in range(1, opts.max_iters + 1):
-        state = SolverState(eta=eta, mults=mults, iteration=t)
-        p = closed_form_power(state, sc, mapping, ch, bf, ibar,
-                              x_gated=opts.x_gated, p_cap=p_cap,
-                              gains=gains, weights=weights_price,
-                              act=active_ue).p
-        rates, p_bar = evaluate(p)
-        consider(p, mults, rates, p_bar)
+        p = closed_form_power(sc, eta, mults, gains, bf.w2, denom, active_ue)
+        v_rate, v_delay, v_cap, v_fh, _mv, _lab = consider(
+            p, mults, *evaluate(p))
         p_rep = repair(p)
         if not np.array_equal(p_rep, p):
             consider(p_rep, mults, *evaluate(p_rep))
 
-        v_rate, v_delay, v_cap, v_fh, _mv, _lab = _violations(
-            sc, mapping, rates, p_bar, fh_power_cap, dfrak, active_ue,
-            slice_rows)
         step = opts.s0 / math.sqrt(t)
         mults.rate_ue, d1 = move(mults.rate_ue, step * v_rate)
         mults.delay_ue, d2 = move(mults.delay_ue, step * v_delay)
@@ -466,19 +372,12 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
 
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     eta = 0.0
-    powers = PowerAllocation.uniform(sc, sc.params.p_max)
-    active = mapping.covered()
-    for v in range(sc.n_services):
-        if not active[v]:
-            powers.p[list(sc.service_ue_indices(v))] = 0.0
+    powers = PowerAllocation(p=np.where(mapping.covered()[bf.ue_service],
+                                        sc.params.p_max, 0.0))
     mults = Multipliers.zeros(sc)
     trace: list[TraceRow] = []
     converged = False
-    last = None
-
-    iterations = 0
     for i in range(1, opts.i_max + 1):
-        iterations = i
         last = subgradient_solve(sc, mapping, ch, bf, ibar, eta, opts,
                                  mults=mults, seed_powers=powers)
         mults = last.mults
@@ -496,13 +395,10 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
         if p_tot > 0:
             eta = max(eta, r_tot / p_tot)
 
-    rates = ue_rates(sc, mapping, ch, bf, powers, ibar)
-    r_tot = float(rates.sum())
-    p_tot = float(ru_powers_all(sc, mapping, bf, powers).sum())
     final = check_feasibility(sc, ch, bf, mapping, powers)
     return JointResult(mapping_result=mapping_result, powers=powers,
                        eta=(r_tot / p_tot if p_tot > 0 else 0.0),
                        r_tot=r_tot, p_tot=p_tot, converged=converged,
-                       iterations=iterations, trace=trace,
+                       iterations=len(trace), trace=trace,
                        feasible=final.ok and last.feasible,
                        violations=final.violations)

@@ -9,13 +9,17 @@ gain from its peers.
 Interference is evaluated as an upper bound: every interfering stream is
 charged at the full per-RU power cap, which makes the bound independent
 of the power allocation and lets the admission and power stages reason
-about worst-case rates.  The exact power-dependent interference is also
-available for reporting.
+about worst-case rates.
+
+With the precoders fixed, every radio quantity is linear in the mapping
+matrix a[v, s].  `build_beamformers` computes the coefficients of those
+linear forms once per (scenario, channels); the evaluators below only
+contract them with the mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +52,6 @@ class ChannelSet:
         sl = self._sc.slices[slice_id]
         cols = self._sc.service_ue_indices(service_id)
         return self.gains[np.ix_(list(sl.ru_ids), cols)]
-
-    def ue_column(self, slice_id: int, ue_global: int) -> np.ndarray:
-        sl = self._sc.slices[slice_id]
-        return self.gains[list(sl.ru_ids), ue_global]
 
 
 def build_channels(sc: Scenario) -> ChannelSet:
@@ -98,29 +98,76 @@ def zf_beamformer(channel_matrix: np.ndarray,
 
 @dataclass
 class BeamformerSet:
-    """Zero-forcing precoders for every mappable (slice, service) pair.
+    """Zero-forcing precoders for every mappable (slice, service) pair,
+    and the mapping-linear coefficients built from them.
 
     `w[(slice_id, service_id)]` is the R_s x U_v precoder;
     `unmappable[(slice_id, service_id)]` records why a pair has none.
+    The coefficient arrays (`leak`, `gain` and `w2` are zero wherever a
+    pair has no precoder):
+
+    * `ue_service[u]` is the service of UE u and `slot_slice[k]` the
+      slice of (slice, RU) slot k, in `Scenario.ru_slots()` order;
+    * `leak[s, v, u]` is, per unit transmit power, the PRB-overlap
+      weighted leakage of pair (s, v)'s streams into UE u, excluding
+      the UE's own stream;
+    * `quant[s, u]` is the sum over the RUs r of slice s of
+      sigma_r |h_{r,u}|^2;
+    * `gain[s, u]` is UE u's own-stream |h^H w|^2 through slice s;
+    * `w2[k, u]` is |w|^2 of UE u at slot k, whether mapped or not.
     """
 
-    w: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    unmappable: dict[tuple[int, int], str] = field(default_factory=dict)
-
-    def has(self, slice_id: int, service_id: int) -> bool:
-        return (slice_id, service_id) in self.w
+    w: dict[tuple[int, int], np.ndarray]
+    unmappable: dict[tuple[int, int], str]
+    ue_service: np.ndarray        # (n_ues,)
+    slot_slice: np.ndarray        # (n_slots,)
+    leak: np.ndarray              # (n_slices, n_services, n_ues)
+    quant: np.ndarray             # (n_slices, n_ues)
+    gain: np.ndarray              # (n_slices, n_ues)
+    w2: np.ndarray                # (n_slots, n_ues)
 
 
 def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
-    out = BeamformerSet()
+    n_ues = sc.n_ues
+    slots = sc.ru_slots()
+    ue_service = np.zeros(n_ues, dtype=int)
+    for sv in sc.services:
+        ue_service[sc.service_ue_indices(sv.id)] = sv.id
+    w: dict[tuple[int, int], np.ndarray] = {}
+    unmappable: dict[tuple[int, int], str] = {}
+    leak = np.zeros((sc.n_slices, sc.n_services, n_ues))
+    quant = np.zeros((sc.n_slices, n_ues))
+    gain = np.zeros((sc.n_slices, n_ues))
+    w2 = np.zeros((len(slots), n_ues))
+    first_slot = 0
     for sl in sc.slices:
+        h = ch.gains[list(sl.ru_ids)]
+        sig = np.array([sc.rus[rid].sigma_q2 for rid in sl.ru_ids])
+        quant[sl.id] = sig @ np.abs(h) ** 2
+        z = sc.prb_assignment.zeta[:, :, sl.id].astype(float)
+        shared = z @ z.T          # PRBs of this slice both UEs may use
+        rows = slice(first_slot, first_slot + sl.n_rus)
+        first_slot += sl.n_rus
         for sv in sc.services:
+            pair = (sl.id, sv.id)
+            h_pair = ch.pair_matrix(*pair)
             try:
-                out.w[(sl.id, sv.id)] = zf_beamformer(
-                    ch.pair_matrix(sl.id, sv.id), pair=(sl.id, sv.id))
+                w_pair = zf_beamformer(h_pair, pair=pair)
             except SingularChannelError as exc:
-                out.unmappable[(sl.id, sv.id)] = str(exc)
-    return out
+                unmappable[pair] = str(exc)
+                continue
+            w[pair] = w_pair
+            cols = sc.service_ue_indices(sv.id)
+            gain[sl.id, cols] = np.abs(
+                np.einsum("ru,ru->u", h_pair.conj(), w_pair)) ** 2
+            cross = np.abs(h.conj().T @ w_pair) ** 2 * shared[:, cols]
+            cross[cols, np.arange(len(cols))] = 0.0
+            leak[sl.id, sv.id] = cross.sum(axis=1)
+            w2[rows, cols] = np.abs(w_pair) ** 2
+    return BeamformerSet(w=w, unmappable=unmappable, ue_service=ue_service,
+                         slot_slice=np.array([s for s, _j, _r in slots],
+                                             dtype=int),
+                         leak=leak, quant=quant, gain=gain, w2=w2)
 
 
 @dataclass
@@ -141,9 +188,6 @@ class SliceMapping:
 
     def services_on_slice(self, slice_id: int) -> list[int]:
         return [v for v in range(self.a.shape[0]) if self.a[v, slice_id]]
-
-    def slices_of_service(self, service_id: int) -> list[int]:
-        return [s for s in range(self.a.shape[1]) if self.a[service_id, s]]
 
     def covered(self) -> np.ndarray:
         return self.a.sum(axis=1) >= 1
@@ -168,12 +212,6 @@ class PowerAllocation:
 # --------------------------------------------------------------------------
 
 
-def _shared_prb_counts(sc: Scenario, slice_id: int) -> np.ndarray:
-    """counts[u, u'] = number of PRBs of the slice both UEs may use."""
-    z = sc.prb_assignment.zeta[:, :, slice_id].astype(np.int64)
-    return z @ z.T
-
-
 def interference_upper_bound(sc: Scenario, mapping: SliceMapping,
                              ch: ChannelSet, bf: BeamformerSet) -> np.ndarray:
     """Worst-case co-channel interference per UE, W.
@@ -191,80 +229,9 @@ def interference_upper_bound(sc: Scenario, mapping: SliceMapping,
     Every interfering transmit power is replaced by the per-RU cap, so
     the result does not depend on the power allocation.
     """
-    p_max = sc.params.p_max
-    out = np.zeros(sc.n_ues)
-    shared = {sl.id: _shared_prb_counts(sc, sl.id) for sl in sc.slices}
-
-    for sv in sc.services:
-        v_idx = sc.service_ue_indices(sv.id)
-        for pos_i, u_i in enumerate(v_idx):
-            total = 0.0
-            for sl in sc.slices:
-                s = sl.id
-                h_i = ch.ue_column(s, u_i)
-                # same-service leakage, gated by the victim service's mapping
-                if mapping.a[sv.id, s] and bf.has(s, sv.id):
-                    w_own = bf.w[(s, sv.id)]
-                    cross = np.abs(h_i.conj() @ w_own) ** 2
-                    for pos_l, u_l in enumerate(v_idx):
-                        if pos_l == pos_i:
-                            continue
-                        n_shared = shared[s][u_i, u_l]
-                        if n_shared:
-                            total += p_max * cross[pos_l] * n_shared
-                # other-service leakage, gated by the interferer's mapping
-                for sy in sc.services:
-                    if sy.id == sv.id or not mapping.a[sy.id, s]:
-                        continue
-                    if not bf.has(s, sy.id):
-                        continue
-                    w_other = bf.w[(s, sy.id)]
-                    cross = np.abs(h_i.conj() @ w_other) ** 2
-                    for pos_l, u_l in enumerate(sc.service_ue_indices(sy.id)):
-                        n_shared = shared[s][u_i, u_l]
-                        if n_shared:
-                            total += p_max * cross[pos_l] * n_shared
-                # quantization noise of the serving slice's RUs
-                if mapping.a[sv.id, s]:
-                    sig = np.array([sc.rus[rid].sigma_q2 for rid in sl.ru_ids])
-                    total += float(sig @ (np.abs(h_i) ** 2))
-            out[u_i] = total
-    return out
-
-
-def interference_actual(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-                        bf: BeamformerSet,
-                        powers: PowerAllocation) -> np.ndarray:
-    """Same accounting as the upper bound but with the actual powers."""
-    out = np.zeros(sc.n_ues)
-    shared = {sl.id: _shared_prb_counts(sc, sl.id) for sl in sc.slices}
-    p = powers.p
-    for sv in sc.services:
-        v_idx = sc.service_ue_indices(sv.id)
-        for pos_i, u_i in enumerate(v_idx):
-            total = 0.0
-            for sl in sc.slices:
-                s = sl.id
-                h_i = ch.ue_column(s, u_i)
-                if mapping.a[sv.id, s] and bf.has(s, sv.id):
-                    cross = np.abs(h_i.conj() @ bf.w[(s, sv.id)]) ** 2
-                    for pos_l, u_l in enumerate(v_idx):
-                        if pos_l != pos_i and shared[s][u_i, u_l]:
-                            total += p[u_l] * cross[pos_l] * shared[s][u_i, u_l]
-                for sy in sc.services:
-                    if sy.id == sv.id or not mapping.a[sy.id, s]:
-                        continue
-                    if not bf.has(s, sy.id):
-                        continue
-                    cross = np.abs(h_i.conj() @ bf.w[(s, sy.id)]) ** 2
-                    for pos_l, u_l in enumerate(sc.service_ue_indices(sy.id)):
-                        if shared[s][u_i, u_l]:
-                            total += p[u_l] * cross[pos_l] * shared[s][u_i, u_l]
-                if mapping.a[sv.id, s]:
-                    sig = np.array([sc.rus[rid].sigma_q2 for rid in sl.ru_ids])
-                    total += float(sig @ (np.abs(h_i) ** 2))
-            out[u_i] = total
-    return out
+    a = mapping.a
+    return (sc.params.p_max * np.einsum("vs,svu->u", a, bf.leak)
+            + np.einsum("us,su->u", a[bf.ue_service], bf.quant))
 
 
 # --------------------------------------------------------------------------
@@ -280,28 +247,7 @@ def beam_gains(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     value counts mapped slices; computed from the actual products so
     imperfect conditioning shows up honestly.
     """
-    out = np.zeros(sc.n_ues)
-    for sv in sc.services:
-        idx = sc.service_ue_indices(sv.id)
-        for s in mapping.slices_of_service(sv.id):
-            if not bf.has(s, sv.id):
-                continue
-            h = ch.pair_matrix(s, sv.id)
-            w = bf.w[(s, sv.id)]
-            diag = np.abs(np.einsum("ru,ru->u", h.conj(), w)) ** 2
-            for pos, u in enumerate(idx):
-                out[u] += diag[pos]
-    return out
-
-
-def snr(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-        bf: BeamformerSet, powers: PowerAllocation, ue_global: int,
-        interference: np.ndarray) -> float:
-    """SINR of one UE: own power times beam gain over noise + interference."""
-    gains = beam_gains(sc, mapping, ch, bf)
-    noise = sc.params.bandwidth_hz * sc.params.noise_psd
-    return float(powers.p[ue_global] * gains[ue_global]
-                 / (noise + interference[ue_global]))
+    return np.einsum("us,su->u", mapping.a[bf.ue_service], bf.gain)
 
 
 def achievable_rate(rho: float | np.ndarray,
@@ -336,36 +282,12 @@ def slot_weight_matrix(sc: Scenario, mapping: SliceMapping,
     Only (slice, service) pairs that are actually mapped contribute, so
     `weights @ p + sigma_q2` yields every slot's transmit power at once.
     """
-    slots = sc.ru_slots()
-    out = np.zeros((len(slots), sc.n_ues))
-    slot_of = {(s, j): k for k, (s, j, _r) in enumerate(slots)}
-    for sl in sc.slices:
-        for sv in sc.services:
-            if not mapping.a[sv.id, sl.id] or not bf.has(sl.id, sv.id):
-                continue
-            w2 = np.abs(bf.w[(sl.id, sv.id)]) ** 2
-            cols = sc.service_ue_indices(sv.id)
-            for j in range(sl.n_rus):
-                out[slot_of[(sl.id, j)], cols] += w2[j, :]
-    return out
+    return bf.w2 * mapping.a[bf.ue_service][:, bf.slot_slice].T
 
 
 def slot_sigma(sc: Scenario) -> np.ndarray:
     """Quantization noise variance per (slice, RU) slot."""
     return np.array([sc.rus[rid].sigma_q2 for _s, _j, rid in sc.ru_slots()])
-
-
-def ru_power(sc: Scenario, mapping: SliceMapping, bf: BeamformerSet,
-             powers: PowerAllocation, slice_id: int,
-             local_ru_index: int) -> float:
-    """Transmit power of one slice's RU: beam-weighted UE powers plus
-    quantization noise."""
-    slots = sc.ru_slots()
-    weights = slot_weight_matrix(sc, mapping, bf)
-    for k, (s, j, rid) in enumerate(slots):
-        if s == slice_id and j == local_ru_index:
-            return float(weights[k] @ powers.p + sc.rus[rid].sigma_q2)
-    raise KeyError(f"slice {slice_id} has no RU slot {local_ru_index}")
 
 
 def ru_powers_all(sc: Scenario, mapping: SliceMapping, bf: BeamformerSet,
@@ -374,25 +296,15 @@ def ru_powers_all(sc: Scenario, mapping: SliceMapping, bf: BeamformerSet,
     return slot_weight_matrix(sc, mapping, bf) @ powers.p + slot_sigma(sc)
 
 
-def fronthaul_rate(sc: Scenario, mapping: SliceMapping, bf: BeamformerSet,
-                   powers: PowerAllocation, slice_id: int,
-                   local_ru_index: int) -> float:
-    """Fronthaul load of one RU slot, bit/s/Hz.
+def fronthaul_rates_all(sc: Scenario, mapping: SliceMapping,
+                        bf: BeamformerSet,
+                        powers: PowerAllocation) -> np.ndarray:
+    """Fronthaul load of every (slice, RU) slot, bit/s/Hz.
 
     log2 of one plus the ratio of beamformed signal power to the RU's
     quantization noise; equals log2(p_bar / sigma_q2) since the slot
     power is signal + quantization noise.
     """
-    sl = sc.slices[slice_id]
-    sigma2 = sc.rus[sl.ru_ids[local_ru_index]].sigma_q2
-    p_bar = ru_power(sc, mapping, bf, powers, slice_id, local_ru_index)
-    signal = p_bar - sigma2
-    return float(np.log2(1.0 + signal / sigma2))
-
-
-def fronthaul_rates_all(sc: Scenario, mapping: SliceMapping,
-                        bf: BeamformerSet,
-                        powers: PowerAllocation) -> np.ndarray:
     p_bar = ru_powers_all(sc, mapping, bf, powers)
     sigma2 = slot_sigma(sc)
     return np.log2(1.0 + (p_bar - sigma2) / sigma2)

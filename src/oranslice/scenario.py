@@ -13,6 +13,7 @@ memory in GB, storage in TB, CPU in GHz.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -192,7 +193,7 @@ class Scenario:
     def n_slices(self) -> int:
         return len(self.slices)
 
-    @property
+    @functools.cached_property
     def n_ues(self) -> int:
         return sum(s.n_ues for s in self.services)
 
@@ -201,17 +202,14 @@ class Scenario:
         return [(sv.id, ue.id) for sv in self.services for ue in sv.ues]
 
     def ue_index(self, service_id: int, ue_id: int) -> int:
-        return self._ue_lookup()[(service_id, ue_id)]
+        return self._ue_lookup[(service_id, ue_id)]
 
+    @functools.cached_property
     def _ue_lookup(self) -> dict[tuple[int, int], int]:
-        if not hasattr(self, "_ue_lookup_cache"):
-            self._ue_lookup_cache = {
-                key: i for i, key in enumerate(self.ue_keys())
-            }
-        return self._ue_lookup_cache
+        return {key: i for i, key in enumerate(self.ue_keys())}
 
     def service_ue_indices(self, service_id: int) -> list[int]:
-        lookup = self._ue_lookup()
+        lookup = self._ue_lookup
         sv = self.services[service_id]
         return [lookup[(sv.id, ue.id)] for ue in sv.ues]
 
@@ -446,11 +444,37 @@ def validate(sc: Scenario) -> list[str]:
     """Structural checks; returns a list of human-readable violations.
 
     An empty list means the scenario is well-formed.  Checks cover id
-    uniqueness/denseness, cross-references, sign constraints, and the
-    PRB eligibility consistency rule (a UE may only be eligible for a
-    PRB of a slice if that slice actually owns the PRB).
+    uniqueness/denseness, cross-references, finiteness and sign
+    constraints, and the PRB eligibility consistency rule (a UE may only
+    be eligible for a PRB of a slice if that slice actually owns the
+    PRB).
     """
     problems: list[str] = []
+
+    def check_finite(label, rows):
+        try:
+            ok = np.isfinite(np.array(rows, dtype=float)).all()
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            problems.append(f"{label} must be finite numbers")
+
+    check_finite("system parameters", list(asdict(sc.params).values()))
+    check_finite("channel model", [sc.channel.pl0, sc.channel.d0_m,
+                                   sc.channel.d_min_m, sc.channel.exponent])
+    check_finite("UE arrival rates and positions",
+                 [(ue.arrival_rate, *ue.position)
+                  for sv in sc.services for ue in sv.ues])
+    check_finite("radio unit sigma_q2 and positions",
+                 [(ru.sigma_q2, *ru.position) for ru in sc.rus])
+    check_finite("VNF demands", [(v.memory_gb, v.storage_tb, v.cpu_ghz)
+                                 for sl in sc.slices for v in sl.vnf_demands])
+    check_finite("data centers", [(dc.memory_gb, dc.storage_tb, dc.cpu_ghz,
+                                   dc.phi_idle, dc.phi_per_unit)
+                                  for dc in sc.dcs])
+    if not isinstance(sc.channel.seed, (int, np.integer)) \
+            or sc.channel.seed < 0:
+        problems.append("channel seed must be an integer >= 0")
 
     def check_dense_ids(items, label):
         ids = [it.id for it in items]
@@ -578,9 +602,20 @@ def scenario_from_dict(data: dict) -> Scenario:
     dcs = tuple(DataCenter(**dc) for dc in data["dcs"])
     n_ues = sum(len(sv.ues) for sv in services)
     n_prbs = data["prbs"]["count"]
-    zeta = np.zeros((n_ues, n_prbs, len(slices)), dtype=np.uint8)
-    for u, k, s in data["zeta"]:
-        zeta[u, k, s] = 1
+    if type(n_prbs) is not int or n_prbs < 0:
+        raise ScenarioError(f"PRB count must be an integer >= 0, "
+                            f"got {n_prbs!r}")
+    shape = (n_ues, n_prbs, len(slices))
+    try:
+        idx = np.array(data["zeta"] or np.zeros((0, 3), dtype=int))
+    except ValueError:        # ragged entries
+        idx = None
+    if (idx is None or idx.dtype.kind != "i" or idx.shape[1:] != (3,)
+            or (idx < 0).any() or (idx >= shape).any()):
+        raise ScenarioError(f"zeta entries must be [ue, prb, slice] integer "
+                            f"index triples within {shape}")
+    zeta = np.zeros(shape, dtype=np.uint8)
+    zeta[tuple(idx.T)] = 1
     sc = Scenario(params=params, services=services, slices=slices, rus=rus,
                   dcs=dcs,
                   prb_assignment=PrbAssignment(n_prbs=n_prbs, zeta=zeta),

@@ -205,12 +205,40 @@ def test_solve_rejects_missing_scenario(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_solve_rejects_malformed_scenario(tmp_path, capsys):
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("keys, value, needle", [
+    ((), {"schema": 1}, "bad scenario"),
+    (("zeta", 0), [999, 0, 0], "zeta entries"),
+    (("zeta", 0), [-1, 0, 0], "zeta entries"),
+    (("zeta", 0), [0.5, 0, 0], "zeta entries"),
+    (("zeta", 0), [0, 0], "zeta entries"),
+    (("prbs", "count"), -1, "PRB count"),
+    (("services", 0, "ues", 0, "arrival_rate"), NAN, "must be finite"),
+    (("services", 0, "ues", 0, "position"), [INF, 0.0], "must be finite"),
+    (("rus", 0, "position"), [0.0, NAN], "must be finite"),
+    (("params", "p_max"), NAN, "must be finite"),
+], ids=["missing-fields", "zeta-ue-999", "zeta-ue-negative", "zeta-ue-float",
+        "zeta-pair", "negative-prb-count", "nan-arrival", "inf-ue-position",
+        "nan-ru-position", "nan-p-max"])
+def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
+                                          keys, value, needle):
+    """`keys` locates the field replaced by `value`; () replaces the whole
+    document."""
+    data = json.loads(easy_scenario.read_text())
+    if keys:
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    else:
+        data = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema": 1}))
+    bad.write_text(json.dumps(data))
     code = main(["solve", str(bad)])
     assert code == 2
-    assert "bad scenario" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +301,11 @@ def test_place_mapping_file_selects_active_slices(workdir, tmp_path, capsys):
     ({"b": [[1]]}, "missing mapping matrix"),
     ({"a": [[1]]}, "mapping shape"),
     ({"a": [[1, 2], [0, 0]]}, "must be 0 or 1"),
+    ({"a": [[1.5, 0], [0, 0]]}, "must be 0 or 1"),
+    ({"a": [[300, 0], [0, 0]]}, "must be 0 or 1"),
+    ({"a": [["ab", 0], [0, 0]]}, "must be 0 or 1"),
+    ({"a": [[1, 0], [0]]}, "mapping shape"),
+    ({"a": "ab"}, "mapping shape"),
 ])
 def test_place_rejects_bad_mapping_files(workdir, tmp_path, capsys,
                                          payload, needle):
@@ -333,8 +366,7 @@ def test_experiment_ee_sweep_writes_trend_column(tmp_path, capsys):
         assert float(row[3]) > 0
 
 
-def test_experiment_admitted_sweep(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ORAN_SLICE_THREADS", "2")
+def test_experiment_admitted_sweep(tmp_path, capsys):
     out = tmp_path / "admitted.csv"
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -400,21 +432,3 @@ def test_experiment_needs_output_path(tmp_path, capsys):
     code = main(["experiment", str(spec)])
     assert code == 2
     assert "no output path" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value, needle", [
-    ("x", "must be an int"),
-    ("0", ">= 1"),
-])
-def test_experiment_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch,
-                                           value, needle):
-    monkeypatch.setenv("ORAN_SLICE_THREADS", value)
-    out = tmp_path / "out.csv"
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "kind": "admitted_vs_slices", "x_values": [2], "series": [1],
-        "seeds": [0], "out": str(out),
-    }))
-    code = main(["experiment", str(spec)])
-    assert code == 2
-    assert needle in capsys.readouterr().err

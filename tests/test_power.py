@@ -10,7 +10,7 @@ from conftest import (channels_from_matrix, default_params, hand_scenario,
 from oranslice.oracle import brute_force_mapping
 from oranslice.power import (DegenerateCoefficientError, InfeasibleDelayError,
                              InfeasibleMappingError, Multipliers, SolverOptions,
-                             SolverState, closed_form_power,
+                             closed_form_power,
                              delay_linearization, dinkelbach_f, solve_joint,
                              subgradient_solve)
 from oranslice.queueing import layer_delays
@@ -81,6 +81,15 @@ def unit_coefficient_scenario():
     return hand_scenario(ue_counts=(1,), slice_rus=((0,),), params=params)
 
 
+def closed_form(sc, mapping, ch, bf, ibar, eta, mults=None):
+    """closed_form_power with its inputs built as subgradient_solve does."""
+    noise = sc.params.bandwidth_hz * sc.params.noise_psd
+    return closed_form_power(
+        sc, eta, mults if mults is not None else Multipliers.zeros(sc),
+        beam_gains(sc, mapping, ch, bf), bf.w2, noise + ibar,
+        mapping.covered()[bf.ue_service])
+
+
 def test_closed_form_hand_unit_coefficients():
     # y=2 (lam=1), w=1 (h=1 so the precoder is 1), x=1 (eta=1, |w|^2=1),
     # z=1 -> p* = (y*w - x*z)/(x*w) = 1
@@ -89,27 +98,26 @@ def test_closed_form_hand_unit_coefficients():
     bf = build_beamformers(sc, ch)
     mults = Multipliers.zeros(sc)
     mults.rate_ue[0] = 1.0
-    state = SolverState(eta=1.0, mults=mults)
-    out = closed_form_power(state, sc, one_on_one(), ch, bf, np.zeros(1))
-    assert out.p[0] == pytest.approx(1.0)
+    out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 1.0, mults)
+    assert out[0] == pytest.approx(1.0)
 
 
 def test_closed_form_clamps_to_zero_at_large_eta():
     sc = unit_coefficient_scenario()
     ch = channels_from_matrix(sc, [[1.0]])
     bf = build_beamformers(sc, ch)
-    state = SolverState(eta=1e30, mults=Multipliers.zeros(sc))
-    out = closed_form_power(state, sc, one_on_one(), ch, bf, np.zeros(1))
-    assert out.p[0] == 0.0
+    out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 1e30)
+    assert out[0] == 0.0
 
 
 def test_closed_form_zero_price_degenerate():
+    # with no price the objective grows without bound in p, so the UE
+    # rides the per-UE cap
     sc = unit_coefficient_scenario()
     ch = channels_from_matrix(sc, [[1.0]])
     bf = build_beamformers(sc, ch)
-    state = SolverState(eta=0.0, mults=Multipliers.zeros(sc))
-    with pytest.raises(DegenerateCoefficientError, match="price"):
-        closed_form_power(state, sc, one_on_one(), ch, bf, np.zeros(1))
+    out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 0.0)
+    assert out[0] == sc.params.p_max
 
 
 def test_closed_form_zero_gain_degenerate():
@@ -118,9 +126,8 @@ def test_closed_form_zero_gain_degenerate():
     sc = hand_scenario(ue_counts=(2,), slice_rus=((0,),))
     ch = channels_from_matrix(sc, [[1.0, 1.0]])
     bf = build_beamformers(sc, ch)
-    state = SolverState(eta=1.0, mults=Multipliers.zeros(sc))
     with pytest.raises(DegenerateCoefficientError, match="beam gain"):
-        closed_form_power(state, sc, one_on_one(), ch, bf, np.zeros(2))
+        closed_form(sc, one_on_one(), ch, bf, np.zeros(2), 1.0)
 
 
 def test_closed_form_waterfilling_against_grid():
@@ -132,8 +139,7 @@ def test_closed_form_waterfilling_against_grid():
     mapping = one_on_one()
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     eta = 1e5
-    state = SolverState(eta=eta, mults=Multipliers.zeros(sc))
-    p_star = closed_form_power(state, sc, mapping, ch, bf, ibar).p[0]
+    p_star = closed_form(sc, mapping, ch, bf, ibar, eta)[0]
     assert 0.0 < p_star < sc.params.p_max
 
     g = beam_gains(sc, mapping, ch, bf)[0]

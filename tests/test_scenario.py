@@ -148,3 +148,12 @@ def test_from_dict_rejects_unknown_schema():
     data["schema"] = 999
     with pytest.raises(ScenarioError):
         scenario_from_dict(data)
+
+
+def test_replace_gives_fresh_index_caches():
+    sc = hand_scenario(ue_counts=(1, 2))
+    assert (sc.n_ues, sc.ue_index(1, 0)) == (3, 1)     # fills the caches
+    fewer = dataclasses.replace(sc, services=sc.services[1:])
+    assert (fewer.n_ues, fewer.ue_index(1, 0)) == (2, 0)
+    assert (sc.n_ues, sc.ue_index(1, 0)) == (3, 1)
+
