@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -135,10 +136,12 @@ def cmd_generate(args) -> int:
 def _write_trace(path: str, trace) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_SCHEMA_LINE + "\n")
-        fh.write("iteration,eta,f_value,max_violation,inner_iterations\n")
+        fh.write("iteration,eta,f_value,max_violation,inner_iterations,"
+                 "gap,stop\n")
         for row in trace:
             fh.write(f"{row.iteration},{row.eta!r},{row.f_value!r},"
-                     f"{row.max_violation!r},{row.inner_iterations}\n")
+                     f"{row.max_violation!r},{row.inner_iterations},"
+                     f"{row.gap!r},{row.stop}\n")
 
 
 def cmd_solve(args) -> int:
@@ -294,13 +297,28 @@ _PLACE_OVERRIDES = dict(mean_ues=1.0, max_ues=2, n_rus=8, rus_per_slice=4,
                         slice_cv=0.25)
 
 
-def _ee_point(n_services: int, mean_ues: float, seed: int,
-              overrides: dict) -> float | None:
+def _ee_config(n_services: int, mean_ues: float,
+               overrides: dict) -> GeneratorConfig:
     kwargs = dict(_EE_OVERRIDES)
     kwargs.setdefault("n_slices", n_services + 1)
     kwargs.update(overrides)
     kwargs.update(n_services=n_services, mean_ues=mean_ues)
-    sc = generate_scenario(GeneratorConfig(**kwargs), seed=seed)
+    return GeneratorConfig(**kwargs)
+
+
+def _place_config(n_slices: int, n_dcs: int,
+                  overrides: dict) -> GeneratorConfig:
+    kwargs = dict(_PLACE_OVERRIDES)
+    kwargs.update(overrides)
+    kwargs.update(n_slices=n_slices, n_dcs=n_dcs,
+                  n_services=min(3, n_slices))
+    return GeneratorConfig(**kwargs)
+
+
+def _ee_point(n_services: int, mean_ues: float, seed: int,
+              overrides: dict) -> float | None:
+    sc = generate_scenario(_ee_config(n_services, mean_ues, overrides),
+                           seed=seed)
     try:
         result = solve_joint(sc, SolverOptions(max_iters=1500))
     except InfeasibleMappingError:
@@ -310,11 +328,8 @@ def _ee_point(n_services: int, mean_ues: float, seed: int,
 
 def _place_point(kind: str, n_slices: int, n_dcs: int, seed: int,
                  nu: float, overrides: dict) -> tuple[float, float, float]:
-    kwargs = dict(_PLACE_OVERRIDES)
-    kwargs.update(overrides)
-    kwargs.update(n_slices=n_slices, n_dcs=n_dcs,
-                  n_services=min(3, n_slices))
-    sc = generate_scenario(GeneratorConfig(**kwargs), seed=seed)
+    sc = generate_scenario(_place_config(n_slices, n_dcs, overrides),
+                           seed=seed)
     mapping = _round_robin_mapping(sc)
     placement = place(sc, mapping)
     phi, psi = cost_psi(sc, mapping, placement, nu=nu)
@@ -382,25 +397,75 @@ def _emit_plot_script(csv_path: str, x_col: int, y_col: int,
     return path
 
 
-def cmd_experiment(args) -> int:
-    spec = _load_json(args.spec)
+def _is_number(value, integer: bool = False) -> bool:
+    """A JSON int, or with integer=False also a finite float (not a bool)."""
+    return type(value) is int or (not integer and type(value) is float
+                                  and math.isfinite(value))
+
+
+def _parse_spec(spec: dict, out: str | None) -> tuple:
+    """Type-check an experiment spec and fill in its defaults.
+
+    Returns (kind, seeds, out, x_values, series, overrides, nu).  Every
+    sweep point's generator config is built here, so a bad value exits 2
+    before any point runs.
+    """
     kind = spec.get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise CliError(2, f"unknown experiment kind {kind!r}; expected one "
                           f"of {', '.join(EXPERIMENT_KINDS)}")
+    ee = kind == "ee_vs_mean_ues"
     seeds = spec.get("seeds", list(range(5)))
     if not isinstance(seeds, list) or not seeds:
         raise CliError(2, "experiment spec needs a nonempty 'seeds' list")
-    out = args.out or spec.get("out")
+    if not all(_is_number(s, integer=True) and s >= 0 for s in seeds):
+        raise CliError(2, "experiment 'seeds' must be integers >= 0")
+    out = out or spec.get("out")
     if not out:
         raise CliError(2, "no output path: pass --out or set 'out' in spec")
+    if not isinstance(out, str):
+        raise CliError(2, "experiment 'out' must be a path string")
+    xs = spec.get("x_values", [2, 4, 6, 8, 10] if ee
+                  else [4, 12, 20, 28, 36, 44])
+    series = spec.get("series", [3, 6] if ee else [2, 5])
+    for name, values, integer in (("x_values", xs, not ee),
+                                  ("series", series, True)):
+        if not isinstance(values, list) or not values:
+            raise CliError(2, f"empty sweep: '{name}' must be a nonempty "
+                              f"list")
+        if not all(_is_number(v, integer) for v in values):
+            raise CliError(2, f"experiment '{name}' must hold "
+                              f"{'integers' if integer else 'numbers'}")
     overrides = spec.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise CliError(2, "experiment 'overrides' must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(GeneratorConfig)}
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise CliError(2, f"unknown override field {key!r}")
+        if not (isinstance(value, str) if isinstance(defaults[key], str)
+                else _is_number(value, type(defaults[key]) is not float)):
+            raise CliError(2, f"override {key}={value!r} has the wrong type")
+    nu = spec.get("nu", 1e6 if kind == "admitted_vs_slices" else 0.0)
+    if not _is_number(nu) or nu < 0:
+        raise CliError(2, f"experiment 'nu' must be a number >= 0, "
+                          f"got {nu!r}")
+    try:
+        for v in series:
+            for x in xs:
+                if ee:
+                    _ee_config(v, x, overrides)
+                else:
+                    _place_config(x, v, overrides)
+    except ScenarioError as exc:
+        raise CliError(2, f"bad experiment spec: {exc}")
+    return kind, seeds, out, xs, series, overrides, nu
 
+
+def cmd_experiment(args) -> int:
+    kind, seeds, out, xs, series, overrides, nu = _parse_spec(
+        _load_json(args.spec), args.out)
     if kind == "ee_vs_mean_ues":
-        xs = spec.get("x_values", [2, 4, 6, 8, 10])
-        series = spec.get("series", [3, 6])
-        if not xs or not series:
-            raise CliError(2, "empty sweep")
         points = [(v, x, s) for v in series for x in xs for s in seeds]
         values = [_ee_point(v, x, s, overrides) for v, x, s in points]
         rows = sorted((v, x, s, val)
@@ -419,11 +484,6 @@ def cmd_experiment(args) -> int:
                               series_values=series,
                               title="efficiency vs mean UEs")
     else:
-        xs = spec.get("x_values", [4, 12, 20, 28, 36, 44])
-        series = spec.get("series", [2, 5])
-        if not xs or not series:
-            raise CliError(2, "empty sweep")
-        nu = spec.get("nu", 1e6 if kind == "admitted_vs_slices" else 0.0)
         points = [(d, x, s) for d in series for x in xs for s in seeds]
         triples = [_place_point(kind, x, d, s, nu, overrides)
                    for d, x, s in points]

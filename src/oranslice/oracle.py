@@ -183,6 +183,62 @@ def summation_oracle(expression_id: str, sc: Scenario, mapping: SliceMapping,
     raise ValueError(f"unknown expression id {expression_id!r}")
 
 
+def dual_bound(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
+               bf: BeamformerSet, eta: float, mults) -> float:
+    """Lagrangian dual value of max R_tot - eta * P_tot at `mults`, bit/s.
+
+    The constraints are those of the power problem for a fixed mapping:
+    each covered UE's minimum rate (multiplier `mults.rate_ue[u]`), each
+    (slice, RU) slot's power below min(p_max, sigma_q^2 2^c_max)
+    (`mults.ru_cap_slot[k]`) and each active slice's delay rate floor
+    (`mults.delay_slice[s]`).  Each UE's Lagrangian term is maximized
+    over [0, p_max] on its own.  For nonnegative multipliers the value
+    is, by weak duality, an upper bound on F(eta) = max R_tot - eta *
+    P_tot over the feasible powers, so F(eta) <= value <= 0 proves
+    that no feasible allocation beats efficiency eta.  Returns -inf
+    when some active slice cannot meet its delay budget at any rate.
+    """
+    params = sc.params
+    floors = _naive_delay_floors(sc, mapping)
+    if floors is None:
+        return -math.inf
+    ibar = _naive_interference(sc, mapping, ch, bf)
+    noise = params.bandwidth_hz * params.noise_psd
+    total = 0.0
+    for k, (s, j, rid) in enumerate(sc.ru_slots()):
+        sigma = sc.rus[rid].sigma_q2
+        cap = min(params.p_max, sigma * 2.0 ** params.c_max)
+        total += mults.ru_cap_slot[k] * (cap - sigma) - eta * sigma
+    for s, floor in floors.items():
+        total -= mults.delay_slice[s] * floor
+    for sv in sc.services:
+        if not any(mapping.a[sv.id]):
+            continue
+        weight = 1.0 + sum(mults.delay_slice[s] for s in floors
+                           if mapping.a[sv.id, s])
+        for pos, u in enumerate(sc.service_ue_indices(sv.id)):
+            g = _naive_beam_gain(sc, mapping, ch, bf, sv.id, pos, u)
+            price = 0.0
+            for k, (s, j, rid) in enumerate(sc.ru_slots()):
+                if mapping.a[sv.id, s] and (s, sv.id) in bf.w:
+                    price += ((eta + mults.ru_cap_slot[k])
+                              * abs(bf.w[(s, sv.id)][j, pos]) ** 2)
+            y = (weight + mults.rate_ue[u]) * params.bandwidth_hz
+            z = noise + ibar[u]
+            # y log2(1 + g p / z) - price p is concave in p: its maximizer
+            # over [0, p_max] is the stationary point clipped to the box
+            if g <= 0:
+                p = 0.0
+            elif price <= 0:
+                p = params.p_max
+            else:
+                p = min(params.p_max,
+                        max(0.0, y / (price * math.log(2.0)) - z / g))
+            total += (y * math.log2(1.0 + g * p / z) - price * p
+                      - mults.rate_ue[u] * params.r_min)
+    return total
+
+
 # --------------------------------------------------------------------------
 # Brute-force mapping + power grid search
 # --------------------------------------------------------------------------

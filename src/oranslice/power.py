@@ -1,16 +1,14 @@
 """Energy-efficient power allocation for a mapped system.
 
 The energy-efficiency objective is a ratio (total rate over total RU
-power), maximized by the classic parametric trick: for a parameter eta,
-maximize F(eta) = R_tot - eta * P_tot; the optimal eta is the unique
-root of F, and iterating eta <- R_tot/P_tot converges monotonically.
-
-The inner maximization is Lagrangian: constraints (per-RU power cap,
-fronthaul cap converted to a power cap, per-UE minimum rate, per-slice
-delay budget linearized into a rate floor) get nonnegative multipliers,
-the stationarity condition yields a closed-form water-filling power per
-UE, and the multipliers follow a projected subgradient ascent with a
-diminishing step.
+power), maximized by the parametric trick: for a parameter eta, maximize
+F(eta) = R_tot - eta * P_tot; the optimal eta is the root of F, and
+eta <- R_tot/P_tot converges superlinearly when each inner maximization
+is exact (Dinkelbach, 1967).  With eta and the interference bound fixed
+the inner problem is concave (rates, the mapping-gated power charge, the
+per-UE rate floors, per-slot RU and fronthaul caps, per-slice delay rate
+floors) and is solved by a log-barrier interior-point method (Boyd &
+Vandenberghe, Convex Optimization, 2004, ch. 11) whose duals certify it.
 """
 
 from __future__ import annotations
@@ -27,6 +25,10 @@ from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
                     slot_weight_matrix, ue_rates)
 from .queueing import layer_delays, slice_arrival_rate
 from .slicing import MappingResult, check_feasibility, map_slices_to_services
+
+GAP_RTOL = 1e-8      # barrier stop: m/t <= GAP_RTOL * summed rate in nats
+CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
+T_STEP = 20.0        # barrier parameter growth per centering
 
 
 class DegenerateCoefficientError(ValueError):
@@ -51,29 +53,21 @@ class InfeasibleMappingError(RuntimeError):
 class Multipliers:
     """Nonnegative Lagrange multipliers, one block per constraint family."""
 
-    rate_ue: np.ndarray       # per-UE minimum-rate multipliers
-    delay_ue: np.ndarray      # per-UE linearized-delay multipliers
-    ru_cap_slot: np.ndarray   # per-(slice, RU) power-cap multipliers
-    fronthaul_slot: np.ndarray  # per-(slice, RU) fronthaul-cap multipliers
+    rate_ue: np.ndarray       # per-UE minimum rate, r_u >= r_min
+    ru_cap_slot: np.ndarray   # per-(slice, RU) power cap (RU or fronthaul)
+    delay_slice: np.ndarray   # per-slice delay rate floor (0 when inactive)
 
     @classmethod
     def zeros(cls, sc: Scenario) -> "Multipliers":
-        n_slots = len(sc.ru_slots())
-        return cls(rate_ue=np.zeros(sc.n_ues), delay_ue=np.zeros(sc.n_ues),
-                   ru_cap_slot=np.zeros(n_slots),
-                   fronthaul_slot=np.zeros(n_slots))
-
-    def copy(self) -> "Multipliers":
-        return Multipliers(self.rate_ue.copy(), self.delay_ue.copy(),
-                           self.ru_cap_slot.copy(), self.fronthaul_slot.copy())
+        return cls(rate_ue=np.zeros(sc.n_ues),
+                   ru_cap_slot=np.zeros(len(sc.ru_slots())),
+                   delay_slice=np.zeros(sc.n_slices))
 
 
 @dataclass
 class SolverOptions:
-    s0: float = 0.1               # base subgradient step
-    max_iters: int = 5000         # inner iteration cap
-    tol: float = 1e-6             # multiplier-movement stop threshold
-    eps_eta: float = 1e-6         # outer stop: |F| <= eps_eta * R_tot
+    max_iters: int = 5000         # Newton-step cap per inner solve
+    eps_eta: float = 1e-6         # outer stop: |F| and gap <= eps_eta * R_tot
     i_max: int = 50               # outer iteration cap
     constraint_rtol: float = 1e-6  # feasibility slack, relative
 
@@ -105,29 +99,26 @@ def delay_linearization(sc: Scenario, mapping: SliceMapping,
 
 def closed_form_power(sc: Scenario, eta: float, mults: Multipliers,
                       gains: np.ndarray, price_weights: np.ndarray,
-                      denom: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Stationary-point power per UE given multipliers and eta.
+                      denom: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Maximizer over [0, p_max] of each UE's Lagrangian term.
 
-    For each UE the Lagrangian is concave in its own power with a
-    water-filling maximizer: with rate weight y = (1 + rate and delay
-    multipliers) * B/ln2, beam gain g, noise-plus-interference z
-    (`denom`), and power price x = sum over (slice, RU) slots of (cap
-    multiplier + fronthaul multiplier + eta) * |w|^2 (`price_weights`
-    holds |w|^2 per slot and UE), the maximizer is
-    max(0, (y*g - x*z) / (x*g)), clipped at p_max.
-
-    UEs outside `active` (those of uncovered services) get zero power,
-    and an active UE with zero price rides the cap.  An active UE with
-    zero beam gain has no finite maximizer and raises
-    DegenerateCoefficientError.
+    With rate weight y = (1 + the UE's rate multiplier + the delay
+    multipliers of the slices serving it) * B/ln2, beam gain g,
+    noise-plus-interference z (`denom`) and price x = sum over slots of
+    (cap multiplier + eta) * gated |w|^2 (`price_weights`), the
+    water-filling maximizer is max(0, (y*g - x*z) / (x*g)), clipped at
+    p_max.  `served[u, s]` is 1 when slice s serves UE u's service;
+    unserved UEs get zero power, a served UE with zero price rides the
+    cap, and one with zero beam gain raises DegenerateCoefficientError.
     """
     params = sc.params
+    active = served.any(axis=1)
     if np.any(active & (gains <= 0)):
         u = int(np.flatnonzero(active & (gains <= 0))[0])
         raise DegenerateCoefficientError(
             f"UE index {u} has no beam gain; the UE is effectively unmapped")
-    price = price_weights.T @ (mults.ru_cap_slot + mults.fronthaul_slot + eta)
-    y = ((1.0 + mults.rate_ue + mults.delay_ue)
+    price = price_weights.T @ (mults.ru_cap_slot + eta)
+    y = ((1.0 + mults.rate_ue + served @ mults.delay_slice)
          * params.bandwidth_hz / math.log(2.0))
     p = np.zeros(sc.n_ues)
     good = active & (price > 0)
@@ -142,170 +133,179 @@ def closed_form_power(sc: Scenario, eta: float, mults: Multipliers,
 class SubgradientResult:
     powers: PowerAllocation
     mults: Multipliers
-    converged: bool
-    iterations: int
+    converged: bool               # the barrier stopped on its duality gap
+    iterations: int               # Newton steps, phase I included
     feasible: bool
     f_value: float                # R_tot - eta * P_tot at the returned powers
     max_violation: float          # largest normalized constraint violation
+    gap: float                    # dual bound minus f_value, bit/s
+    stop: str                     # "gap", "cap" or "infeasible"
     violated: list[str] = field(default_factory=list)
 
 
-def _violations(sc: Scenario, rates: np.ndarray, p_bar: np.ndarray,
-                fh_power_cap: np.ndarray, floors: np.ndarray,
-                member: np.ndarray, active_ue: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                           float, list[str]]:
-    """Normalized constraint violations for multiplier updates.
-
-    `floors` holds the delay rate floor of each active slice and
-    `member[u, j]` is 1 when UE u is served by the j-th of them.
-    Returns per-family signed violations (positive = violated) plus the
-    overall maximum and labels of the violated families.
+def _central_path(x, lin, rate_w, prob, budget):
+    """Log-barrier method, as a generator: maximizes lin @ x + rate_w *
+    sum(rho), rho_u = ln(1 + q_u p_u), subject to rho_u > rho_min,
+    M @ rho > floor, W @ p < b * (1 - s), p < p_max and s < 1, with
+    x = p (phase II) or x = (p, s) (phase I).  Yields (x, t, duals 1/(t *
+    slack) in that constraint order, Newton steps) at each centred point,
+    then grows t by T_STEP; returns once `budget` steps are spent.
     """
-    params = sc.params
-    v_rate = np.where(active_ue, (params.r_min - rates) / params.r_min, 0.0)
-    v_cap = (p_bar - params.p_max) / params.p_max
-    v_fh = (p_bar - fh_power_cap) / params.p_max
-    v_delay = ((floors - rates[:, None]) / params.r_min * member).sum(axis=1)
-    slice_viol = ((floors - rates @ member) / floors).max(initial=0.0)
+    q, rho_min, M, floor, W, b, p_max = prob
+    n_p = q.size
+    hi = np.where(np.arange(x.size) < n_p, p_max, 1.0)
+    cuts = np.cumsum([n_p, len(floor), len(b)])
 
-    worst = {
-        "minimum rate": float(v_rate.max(initial=0.0)),
-        "RU power cap": float(v_cap.max(initial=0.0)),
-        "fronthaul cap": float(v_fh.max(initial=0.0)),
-        "delay budget": float(slice_viol),
-    }
-    max_violation = max(worst.values())
-    violated = [k for k, val in worst.items() if val > 0]
-    return v_rate, v_delay, v_cap, v_fh, max_violation, violated
+    def slacks(x):
+        rho = np.log1p(q * x[:n_p])
+        return rho, np.concatenate([rho - rho_min, M @ rho - floor,
+                                    b * (1.0 - x[n_p:].sum()) - W @ x[:n_p],
+                                    hi - x])
+
+    def gain(rho, sl, dx):
+        """Barrier increase along dx, formed from differences."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drho = np.log1p(q * dx[:n_p] * np.exp(-rho))
+            dsl = np.concatenate([drho, M @ drho, -b * dx[n_p:].sum()
+                                  - W @ dx[:n_p], -dx])
+            out = (t * (lin @ dx + rate_w * drho.sum())
+                   + np.log1p(dsl / sl).sum())
+        return out if np.isfinite(out) else -np.inf
+
+    t, steps = 1.0, 0
+    while True:
+        while steps < budget:
+            rho, sl = slacks(x)
+            d1 = q * np.exp(-rho)                 # d rho / d p
+            ue, sli, cap, box = np.split(1.0 / sl, cuts)
+            wsum = t * rate_w + ue + M.T @ sli
+            grad = t * lin - box
+            grad[:n_p] += wsum * d1 - W.T @ cap
+            grad[n_p:] -= b @ cap
+            # -Hessian = diag(d) + R^T R with one row of R per slice
+            # floor and kept cap; solved as D^1/2 (I + Rs^T Rs) D^1/2,
+            # through the smaller of the two Gram matrices
+            d = box ** 2
+            d[:n_p] += wsum * d1 ** 2 + (ue * d1) ** 2
+            rows = np.zeros((cuts[2] - n_p, x.size))
+            rows[:len(floor), :n_p] = M * d1
+            rows[len(floor):, :n_p] = W
+            rows[len(floor):, n_p:] = b[:, None]
+            rs = rows * np.concatenate([sli, cap])[:, None] / np.sqrt(d)
+            gs = grad / np.sqrt(d)
+            if len(rs) < x.size:
+                gs -= rs.T @ np.linalg.solve(np.eye(len(rs)) + rs @ rs.T,
+                                             rs @ gs)
+            else:
+                gs = np.linalg.solve(np.eye(x.size) + rs.T @ rs, gs)
+            dx = gs / np.sqrt(d)
+            lam2 = float(grad @ dx)
+            alpha = 1.0
+            while (lam2 > 2 * CENTER_TOL and alpha > 1e-10
+                   and gain(rho, sl, alpha * dx) < 0.25 * alpha * lam2):
+                alpha /= 2
+            if lam2 <= 2 * CENTER_TOL or alpha <= 1e-10:
+                break
+            x = x + alpha * dx
+            steps += 1
+        yield x, t, 1.0 / (t * slacks(x)[1]), steps
+        if steps >= budget:
+            return
+        t *= T_STEP
 
 
 def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                       bf: BeamformerSet, ibar: np.ndarray, eta: float,
                       opts: SolverOptions = SolverOptions(),
-                      mults: Multipliers | None = None,
-                      seed_powers: PowerAllocation | None = None,
                       ) -> SubgradientResult:
-    """Maximize R_tot - eta * P_tot over powers via dual ascent.
+    """Maximize R_tot - eta * P_tot over the powers, with a certificate.
 
-    Each iteration recomputes the closed-form primal from the current
-    multipliers, then moves every multiplier along its normalized
-    constraint violation with step s0/sqrt(t) (power-cap families are
-    additionally scaled to the ratio's magnitude so they can counter
-    eta in the price term).  Stops when multipliers settle or the
-    iteration cap hits; returns the best feasible iterate seen, falling
-    back to the least-violating one.
-
-    Because the rate of a UE depends only on its own power once the
-    interference bound is fixed, every primal iterate is also repaired
-    by lifting it onto the exact rate and delay floors before being
-    considered; when the RU caps are slack this repaired point is the
-    constrained maximizer itself, so the dual loop only has real work
-    to do when a cap binds.
+    Phase I (floors only rise with power): step from p_max towards the
+    per-UE floor powers while every slice floor holds; if a slot cap
+    fails there, maximize s with the caps shrunk to b * (1 - s) until
+    s > 0 or the barrier bound rules it out ("infeasible").  Phase II
+    runs until m/t <= GAP_RTOL * summed rate ("gap") or the Newton-step
+    cap ("cap").  Slot rows that cannot bind in the box are dropped.
+    `gap` is the Lagrangian dual bound at the returned barrier duals
+    (each UE maximized by `closed_form_power`) minus `f_value`.
     """
     params = sc.params
-    mults = mults.copy() if mults is not None else Multipliers.zeros(sc)
+    nat = params.bandwidth_hz / math.log(2.0)     # bit/s per nat
     gains = beam_gains(sc, mapping, ch, bf)
-    noise = params.bandwidth_hz * params.noise_psd
-    denom = noise + ibar
+    denom = params.bandwidth_hz * params.noise_psd + ibar
     sigma2 = slot_sigma(sc)
     weights = slot_weight_matrix(sc, mapping, bf)
     fh_power_cap = sigma2 * np.exp2(params.c_max)
     dfrak = delay_linearization(sc, mapping)
     floors = np.array(list(dfrak.values()), dtype=float)
-    # member[u, j] = 1 when UE u is served by the j-th delay-floored slice
-    member = mapping.a[bf.ue_service][:, list(dfrak)].astype(float)
-    active_ue = mapping.covered()[bf.ue_service]
-    ok_gain = active_ue & (gains > 0)
+    served = mapping.a[bf.ue_service]
+    member = served[:, list(dfrak)].astype(float)
+    active_ue = served.any(axis=1)
+    idx = np.flatnonzero(active_ue)
+    q = gains[idx] / denom[idx]
+    room = np.minimum(params.p_max, fh_power_cap) - sigma2
+    keep = weights[:, idx].sum(axis=1) * params.p_max > room
+    W, b = weights[keep][:, idx], room[keep]
+    rho_min, M = params.r_min / nat, member[idx].T
+    prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
+    x, p, stop, steps = None, np.full(idx.size, params.p_max), "infeasible", 0
+    if np.all(p_lo < params.p_max) and np.all(b > 0):
+        for theta in 0.5 ** np.arange(1, 40):
+            p = params.p_max - theta * (params.p_max - p_lo)
+            if np.all(M @ np.log1p(q * p) > floors / nat):
+                x = p
+                break
+    if x is not None and np.any(W @ x >= b):
+        z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
+        for z, t, duals, steps in _central_path(
+                z, np.eye(z.size)[-1], 0.0, prob, opts.max_iters):
+            if z[-1] > 0 or z[-1] + duals.size / t <= 0:
+                break
+        p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
+        stop = "cap" if steps >= opts.max_iters else stop
+    if x is not None:
+        lin = -eta / nat * weights[:, idx].sum(axis=0)
+        for x, t, duals, more in _central_path(x, lin, 1.0, prob,
+                                               opts.max_iters - steps):
+            stop = "cap"
+            if duals.size / t <= GAP_RTOL * np.log1p(q * x).sum():
+                stop = "gap"
+                break
+        p, steps = x, steps + more
 
-    def evaluate(p_vec: np.ndarray):
-        rates = np.where(ok_gain,
-                         params.bandwidth_hz
-                         * np.log2(1.0 + p_vec * gains / denom), 0.0)
-        p_bar = weights @ p_vec + sigma2
-        return rates, p_bar
-
-    # exact per-UE power floors for the minimum rate (rate depends only
-    # on the UE's own power under the fixed interference bound)
-    rho_min = 2.0 ** (params.r_min / params.bandwidth_hz) - 1.0
-    p_floor = np.zeros(sc.n_ues)
-    p_floor[ok_gain] = rho_min * denom[ok_gain] / gains[ok_gain]
-
-    def repair(p_vec: np.ndarray) -> np.ndarray:
-        """Lift a primal point onto the rate and delay floors, one slice
-        at a time in slice order (a UE on two slices is lifted twice)."""
-        p2 = np.maximum(p_vec, p_floor)
-        for idx, floor in zip(member.T > 0, floors):
-            r_now = np.where(
-                gains[idx] > 0,
-                params.bandwidth_hz * np.log2(1.0 + p2[idx] * gains[idx]
-                                              / denom[idx]), 0.0)
-            deficit = floor - float(r_now.sum())
-            if deficit > 0 and r_now.size and np.all(gains[idx] > 0):
-                target = r_now + deficit / r_now.size
-                p2[idx] = (denom[idx] / gains[idx]
-                           * (np.exp2(target / params.bandwidth_hz) - 1.0))
-        return np.minimum(p2, params.p_max)
-
-    # Reference magnitude for the power-cap multiplier families: they
-    # add to eta inside the price term, so their useful scale is the
-    # rate/power ratio itself.
-    p_ref = np.where(active_ue, params.p_max, 0.0)
-    rates_ref, p_bar_ref = evaluate(p_ref)
-    eta_ref = max(eta, float(rates_ref.sum()) / float(p_bar_ref.sum()), 1.0)
-
-    best = None   # (key, powers, mults, feasible, f, violation, labels)
-
-    def consider(p_vec, mults_now, rates, p_bar):
-        """Keep the point if it beats the best so far; returns its
-        violations."""
-        nonlocal best
-        viol = _violations(sc, rates, p_bar, fh_power_cap, floors, member,
-                           active_ue)
-        *_, max_violation, violated = viol
-        f_val = float(rates.sum()) - eta * float(p_bar.sum())
-        feasible = max_violation <= opts.constraint_rtol
-        key = (0, -f_val) if feasible else (1, max_violation)
-        if best is None or key < best[0]:
-            best = (key, p_vec.copy(), mults_now.copy(), feasible, f_val,
-                    max_violation, violated)
-        return viol
-
-    if seed_powers is not None:
-        consider(seed_powers.p, mults, *evaluate(seed_powers.p))
-
-    converged = False
-    t = 0
-    def move(old: np.ndarray, bump: np.ndarray) -> tuple[np.ndarray, float]:
-        new = np.maximum(0.0, old + bump)
-        delta = float(np.max(np.abs(new - old) / (1.0 + np.abs(old)),
-                             initial=0.0))
-        return new, delta
-
-    for t in range(1, opts.max_iters + 1):
-        p = closed_form_power(sc, eta, mults, gains, bf.w2, denom, active_ue)
-        v_rate, v_delay, v_cap, v_fh, _mv, _lab = consider(
-            p, mults, *evaluate(p))
-        p_rep = repair(p)
-        if not np.array_equal(p_rep, p):
-            consider(p_rep, mults, *evaluate(p_rep))
-
-        step = opts.s0 / math.sqrt(t)
-        mults.rate_ue, d1 = move(mults.rate_ue, step * v_rate)
-        mults.delay_ue, d2 = move(mults.delay_ue, step * v_delay)
-        mults.ru_cap_slot, d3 = move(mults.ru_cap_slot,
-                                     step * eta_ref * v_cap)
-        mults.fronthaul_slot, d4 = move(mults.fronthaul_slot,
-                                        step * eta_ref * v_fh)
-        if max(d1, d2, d3, d4) < opts.tol:
-            converged = True
-            break
-
-    _key, p_best, m_best, feasible, f_val, max_violation, violated = best
-    return SubgradientResult(powers=PowerAllocation(p=p_best), mults=m_best,
-                             converged=converged, iterations=t,
-                             feasible=feasible, f_value=f_val,
-                             max_violation=max_violation, violated=violated)
+    powers = PowerAllocation(p=np.zeros(sc.n_ues))
+    powers.p[idx] = p
+    rates = params.bandwidth_hz * np.log2(1.0 + powers.p * gains / denom)
+    p_bar = weights @ powers.p + sigma2
+    f_val = float(rates.sum()) - eta * float(p_bar.sum())
+    worst = {"minimum rate": np.where(active_ue, (params.r_min - rates)
+                                      / params.r_min, 0.0),
+             "RU power cap": (p_bar - params.p_max) / params.p_max,
+             "fronthaul cap": (p_bar - fh_power_cap) / params.p_max,
+             "delay budget": (floors - rates @ member) / floors}
+    worst = {k: float(v.max(initial=0.0)) for k, v in worst.items()}
+    mults, gap = Multipliers.zeros(sc), math.inf
+    if x is not None:
+        ue, sli, cap, _box = np.split(duals, np.cumsum([idx.size,
+                                                        len(floors), len(b)]))
+        mults.rate_ue[idx] = ue
+        mults.delay_slice[list(dfrak)] = sli
+        mults.ru_cap_slot[keep] = nat * cap
+        p_dual = closed_form_power(sc, eta, mults, gains, weights, denom,
+                                   served)
+        y = nat * (1.0 + mults.rate_ue + served @ mults.delay_slice)
+        price = weights.T @ (mults.ru_cap_slot + eta)
+        gap = float((y * np.log1p(p_dual * gains / denom)
+                     - price * p_dual).sum() - eta * sigma2.sum()
+                    + mults.ru_cap_slot @ room - params.r_min * ue.sum()
+                    - sli @ floors - f_val)
+    return SubgradientResult(
+        powers=powers, mults=mults, converged=stop == "gap",
+        iterations=steps, feasible=max(worst.values()) <= opts.constraint_rtol,
+        f_value=f_val, max_violation=max(worst.values()), gap=gap, stop=stop,
+        violated=[k for k, v in worst.items() if v > 0])
 
 
 def dinkelbach_f(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
@@ -326,6 +326,8 @@ class TraceRow:
     f_value: float
     max_violation: float
     inner_iterations: int
+    gap: float
+    stop: str
 
 
 @dataclass
@@ -340,6 +342,7 @@ class JointResult:
     trace: list[TraceRow]
     feasible: bool
     violations: list[str]
+    mults: Multipliers            # of the last inner solve
 
     @property
     def mapping(self) -> SliceMapping:
@@ -354,9 +357,10 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
     solves until the parametric objective crosses zero.
 
     The mapping is computed once (its sweep is deterministic and does
-    not depend on eta or the powers).  Multipliers are warm-started
-    across outer iterations and each inner solve is seeded with the
-    previous allocation, which keeps the eta sequence nondecreasing.
+    not depend on eta or the powers).  `converged` means the last inner
+    solve's dual gap and |F| are both within eps_eta * R_tot.  The
+    feasible set does not depend on eta, so an inner solve that finds
+    no strictly feasible point ends the loop.
 
     Raises InfeasibleMappingError when any service ends up uncovered.
     """
@@ -372,25 +376,20 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
 
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     eta = 0.0
-    powers = PowerAllocation(p=np.where(mapping.covered()[bf.ue_service],
-                                        sc.params.p_max, 0.0))
-    mults = Multipliers.zeros(sc)
     trace: list[TraceRow] = []
-    converged = False
     for i in range(1, opts.i_max + 1):
-        last = subgradient_solve(sc, mapping, ch, bf, ibar, eta, opts,
-                                 mults=mults, seed_powers=powers)
-        mults = last.mults
+        last = subgradient_solve(sc, mapping, ch, bf, ibar, eta, opts)
         powers = last.powers
-        rates = ue_rates(sc, mapping, ch, bf, powers, ibar)
-        r_tot = float(rates.sum())
+        r_tot = float(ue_rates(sc, mapping, ch, bf, powers, ibar).sum())
         p_tot = float(ru_powers_all(sc, mapping, bf, powers).sum())
         f_val = r_tot - eta * p_tot
         trace.append(TraceRow(iteration=i, eta=eta, f_value=f_val,
                               max_violation=last.max_violation,
-                              inner_iterations=last.iterations))
-        if abs(f_val) <= opts.eps_eta * max(r_tot, 1.0):
-            converged = True
+                              inner_iterations=last.iterations,
+                              gap=last.gap, stop=last.stop))
+        tol = opts.eps_eta * max(r_tot, 1.0)
+        converged = abs(f_val) <= tol and last.gap <= tol
+        if converged or last.stop == "infeasible":
             break
         if p_tot > 0:
             eta = max(eta, r_tot / p_tot)
@@ -401,4 +400,4 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
                        r_tot=r_tot, p_tot=p_tot, converged=converged,
                        iterations=len(trace), trace=trace,
                        feasible=final.ok and last.feasible,
-                       violations=final.violations)
+                       violations=final.violations, mults=last.mults)

@@ -531,7 +531,7 @@ def validate(sc: Scenario) -> list[str]:
     if zeta.shape != expect_shape:
         problems.append(f"zeta shape {zeta.shape} != expected {expect_shape}")
     else:
-        if not np.isin(zeta, (0, 1)).all():
+        if zeta.max(initial=0) > 1:      # uint8, so this also catches < 0
             problems.append("zeta entries must be 0 or 1")
         for sl in sc.slices:
             owned = np.zeros(n_prbs, dtype=bool)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import hand_scenario, identity_mapping
-from oranslice.cli import _place_point, _round_robin_mapping
-from oranslice.oracle import (brute_force_mapping, exhaustive_placement,
-                              mm1_simulate, summation_oracle)
+from oranslice.cli import _EE_OVERRIDES, _place_point, _round_robin_mapping
+from oranslice.oracle import (brute_force_mapping, dual_bound,
+                              exhaustive_placement, mm1_simulate,
+                              summation_oracle)
 from oranslice.placement import (active_slice_ids, admitted_ratio, cost_psi,
                                  place)
 from oranslice.power import InfeasibleMappingError, SolverOptions, solve_joint
@@ -77,6 +78,55 @@ def test_joint_solver_reaches_parametric_root():
            solved == 50 and worst_resid < 1e-6 and elapsed < 60.0,
            f"{solved}/50 feasible instances converged, worst "
            f"|F(eta*)|/R_tot = {worst_resid:.3e} (< 1e-6) "
+           f"in {elapsed:.1f} s (< 60 s)")
+
+
+def test_joint_solver_eta_is_certified_optimal():
+    # The naive oracle recomputes the Lagrangian dual at the multipliers
+    # the solver returns.  A nonpositive value at eta * (1 + 1e-6) proves
+    # that no feasible power allocation of the chosen mapping beats the
+    # reported eta by more than 1e-6 relative.  Cases: the parametric-root
+    # seeds, and ee_vs_mean_ues points at U = 52 (6 services, mean 8,
+    # dedicated PRBs) and U = 5 and 27 (3 services, mean 2 and 8, shared
+    # 16-PRB pools with 2 PRBs per UE, seeds 0 and 2).
+    root = GeneratorConfig(n_services=3, mean_ues=1, max_ues=1, n_slices=2,
+                           n_rus=12, rus_per_slice=6)
+    shared = dict(_EE_OVERRIDES, prb_mode="shared", prbs_per_slice=16,
+                  prbs_per_ue=2)
+    rows = [
+        (GeneratorConfig(n_services=6, n_slices=7, mean_ues=8,
+                         **_EE_OVERRIDES), 0),
+        (GeneratorConfig(n_services=3, n_slices=4, mean_ues=2, **shared), 0),
+        (GeneratorConfig(n_services=3, n_slices=4, mean_ues=8, **shared), 2),
+    ]
+    t0 = time.perf_counter()
+    solved, worst, etas = 0, -np.inf, []
+    for cfg, seed in [(root, seed) for seed in range(100)] + rows:
+        if cfg is root and solved == 50:
+            continue
+        sc = generate_scenario(cfg, seed=seed)
+        try:
+            res = solve_joint(sc, SolverOptions(max_iters=600))
+        except InfeasibleMappingError:
+            continue
+        if cfg is root and not res.feasible:
+            continue
+        solved += cfg is root
+        assert res.feasible and res.converged, f"seed {seed}, U={sc.n_ues}"
+        ch = build_channels(sc)
+        bf = build_beamformers(sc, ch)
+        bound = dual_bound(sc, res.mapping, ch, bf, res.eta * (1 + 1e-6),
+                           res.mults)
+        worst = max(worst, bound / res.r_tot)
+        if cfg is not root:
+            etas.append(res.eta)
+    elapsed = time.perf_counter() - t0
+    report("certified eta",
+           solved == 50 and len(etas) == 3 and worst <= 0.0
+           and etas[0] >= 2.17634e8 and elapsed < 60.0,
+           f"dual bound at eta*(1+1e-6) <= {worst:.3e} R_tot (<= 0) on "
+           f"{solved}/50 root seeds and U=52/5/27 with eta "
+           f"{['%.7g' % e for e in etas]} (U=52 >= 2.17634e8) "
            f"in {elapsed:.1f} s (< 60 s)")
 
 

@@ -142,7 +142,7 @@ def test_solve_trace_schema_and_monotone_eta(solved):
     payload, trace = solved
     header, rows = read_schema_csv(trace)
     assert header == ["iteration", "eta", "f_value", "max_violation",
-                      "inner_iterations"]
+                      "inner_iterations", "gap", "stop"]
     assert len(rows) == payload["iterations"]
     etas = [float(r[1]) for r in rows]
     assert all(b >= a for a, b in zip(etas, etas[1:]))
@@ -432,3 +432,25 @@ def test_experiment_needs_output_path(tmp_path, capsys):
     code = main(["experiment", str(spec)])
     assert code == 2
     assert "no output path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {"seeds": ["a"]},
+    {"x_values": ["x"]},
+    {"x_values": [-3]},
+    {"series": [0]},
+    {"overrides": {"bogus": 1}},
+    {"overrides": "zz"},
+    {"kind": "admitted_vs_slices", "nu": "abc"},
+], ids=["seed-string", "x-string", "x-negative", "series-zero",
+        "override-unknown", "override-not-object", "nu-string"])
+def test_experiment_rejects_malformed_spec(tmp_path, capsys, fields):
+    out = tmp_path / "x.csv"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "ee_vs_mean_ues", "seeds": [0],
+                                "out": str(out), **fields}))
+    code = main(["experiment", str(spec)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()

@@ -86,8 +86,8 @@ def closed_form(sc, mapping, ch, bf, ibar, eta, mults=None):
     noise = sc.params.bandwidth_hz * sc.params.noise_psd
     return closed_form_power(
         sc, eta, mults if mults is not None else Multipliers.zeros(sc),
-        beam_gains(sc, mapping, ch, bf), bf.w2, noise + ibar,
-        mapping.covered()[bf.ue_service])
+        beam_gains(sc, mapping, ch, bf), slot_weight_matrix(sc, mapping, bf),
+        noise + ibar, mapping.a[bf.ue_service])
 
 
 def test_closed_form_hand_unit_coefficients():
@@ -167,7 +167,7 @@ def test_subgradient_eta_zero_rides_the_ru_cap():
     mapping = one_on_one()
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     res = subgradient_solve(sc, mapping, ch, bf, ibar, eta=0.0,
-                            opts=SolverOptions(max_iters=20000, tol=1e-9))
+                            opts=SolverOptions(max_iters=20000))
     sq = slot_sigma(sc)[0]
     p_cap = (sc.params.p_max - sq) / 2.0
     assert res.feasible and res.converged
@@ -197,6 +197,29 @@ def test_subgradient_reports_unreachable_rate_floor():
     assert not res.converged
     assert "minimum rate" in res.violated
     assert res.max_violation > 0
+
+
+def test_subgradient_phase1_reports_cap_blocked_floor():
+    # |w|^2 = 2 caps the slot at p = (p_max - sigma_q^2)/2, and the rate
+    # floor needs 3/4 of p_max: the floor alone is reachable below p_max,
+    # so only phase I can show that no strictly feasible point exists
+    def instance(r_min):
+        sc = hand_scenario(ue_counts=(1,), slice_rus=((0,),),
+                           params=default_params(r_min=r_min))
+        ch = channels_from_matrix(sc, [[1.0 / math.sqrt(2.0)]])
+        bf = build_beamformers(sc, ch)
+        return sc, ch, bf, interference_upper_bound(sc, one_on_one(), ch, bf)
+
+    sc, ch, bf, ibar = instance(1.0)
+    g = beam_gains(sc, one_on_one(), ch, bf)[0]
+    z = sc.params.bandwidth_hz * sc.params.noise_psd + ibar[0]
+    sc, ch, bf, ibar = instance(sc.params.bandwidth_hz * math.log2(
+        1.0 + 0.75 * sc.params.p_max * g / z))
+    res = subgradient_solve(sc, one_on_one(), ch, bf, ibar, eta=0.0)
+    assert res.stop == "infeasible"
+    assert not res.feasible and not res.converged
+    assert res.violated == ["RU power cap"]
+    assert res.iterations < 200
 
 
 def seed21_instance():

@@ -111,6 +111,17 @@ def test_validate_flags_stray_prb_eligibility():
     assert any("does not own" in p for p in problems)
 
 
+@pytest.mark.parametrize("value", [2, -1], ids=["two", "negative"])
+def test_validate_flags_non_binary_zeta(value):
+    # zeta is stored as uint8, so -1 arrives as 255
+    sc = hand_scenario()
+    zeta = sc.prb_assignment.zeta.astype(int)
+    zeta[0, 0, 0] = value
+    sc = dataclasses.replace(
+        sc, prb_assignment=dataclasses.replace(sc.prb_assignment, zeta=zeta))
+    assert "zeta entries must be 0 or 1" in validate(sc)
+
+
 def test_ue_counts_respect_cap():
     cfg = GeneratorConfig(mean_ues=50.0, max_ues=4)
     sc = generate_scenario(cfg, seed=0)
