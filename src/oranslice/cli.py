@@ -96,6 +96,11 @@ def _with_packet_size(sc: Scenario, packet_size: float | None) -> Scenario:
     return dataclasses.replace(sc, params=params)
 
 
+def _json_number(value: float) -> float | None:
+    """`value` as a JSON number; None (null) when it is not finite."""
+    return float(value) if math.isfinite(value) else None
+
+
 def _append_oracle_row(path: str, report: OracleReport) -> None:
     new = not os.path.exists(path)
     with open(path, "a") as fh:
@@ -186,8 +191,8 @@ def cmd_solve(args) -> int:
             oracle_value=ref.eta, heuristic_value=result.eta,
             wall_time_s=time.perf_counter() - t0)
         payload["oracle"] = {
-            "eta": ref.eta,
-            "rel_gap": report.rel_gap,
+            "eta": _json_number(ref.eta),
+            "rel_gap": _json_number(report.rel_gap),
             "mappings_tried": ref.mappings_tried,
         }
         _append_oracle_row(args.oracle_out or args.scenario + ".oracle.csv",
@@ -268,8 +273,9 @@ def cmd_place(args) -> int:
             instance=os.path.basename(args.scenario), kind="placement_psi",
             oracle_value=ref.psi, heuristic_value=psi,
             wall_time_s=time.perf_counter() - t0)
-        payload["oracle"] = {"psi": ref.psi, "feasible": ref.feasible,
-                             "rel_gap": report.rel_gap}
+        payload["oracle"] = {"psi": _json_number(ref.psi),
+                             "feasible": ref.feasible,
+                             "rel_gap": _json_number(report.rel_gap)}
         _append_oracle_row(args.oracle_out or args.scenario + ".oracle.csv",
                            report)
         print(f"oracle psi={ref.psi:.6g} rel_gap={report.rel_gap:.3e}")

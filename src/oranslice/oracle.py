@@ -3,10 +3,10 @@
 Everything here recomputes results from first principles: interference,
 RU power and efficiency are re-derived with literal nested loops over
 the scenario structures (sharing no evaluation code with the radio or
-queueing modules), mappings and placements are found by exhaustive
-enumeration, and the queueing formula is checked against an actual
-discrete-event simulation.  All functions guard their input size, since
-enumeration is only meant for desk-scale verification.
+queueing modules), mappings are found by exhaustive enumeration and
+placements by an exact branch-and-bound, and the queueing formula is
+checked against a simulated queue.  All functions guard their input
+size, since the searches are only meant for desk-scale verification.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .radio import BeamformerSet, ChannelSet, PowerAllocation, SliceMapping
 from .placement import PlacementWeights
 
 RTOL = 1e-9
+MM1_BLOCK = 8192               # customers per Lindley block
 
 
 class OracleSizeError(ValueError):
@@ -406,53 +407,40 @@ class ExhaustivePlacementResult:
     leaves_checked: int = 0
 
 
-def _transport_feasible(demands: list[float], caps: list[float],
-                        allowed: list[list[int]]) -> bool:
-    """Can each demand be split over its allowed bins within capacities?
+def _members(mask: int) -> list[int]:
+    return [d for d in range(mask.bit_length()) if mask >> d & 1]
 
-    Small float max-flow (Ford-Fulkerson with BFS) on the bipartite
-    graph; exact enough at these sizes with a relative tolerance.
+
+def _hall_table(caps: np.ndarray, single_dc: bool,
+                ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Load limits of the DC subsets to check, and the checked subsets
+    containing each row (bit d of a mask set when DC d is in it).
+
+    Per resource, demands can be split over their rows within capacity
+    exactly when every DC subset T holds the demand of the rows inside T
+    (Hall's condition).  With single-DC rows the singletons suffice.
     """
-    n, m = len(demands), len(caps)
-    total = sum(demands)
-    if total <= 0:
-        return True
-    # nodes: 0 = source, 1..n = demands, n+1..n+m = bins, n+m+1 = sink
-    size = n + m + 2
-    cap = [[0.0] * size for _ in range(size)]
-    for i, dem in enumerate(demands):
-        cap[0][1 + i] = dem
-    for i, bins in enumerate(allowed):
-        for b in bins:
-            cap[1 + i][1 + n + b] = math.inf
-    for b, c in enumerate(caps):
-        cap[1 + n + b][n + m + 1] = c
-    flow = 0.0
-    tol = max(total, 1.0) * 1e-12
-    while True:
-        parent = [-1] * size
-        parent[0] = 0
-        queue = [0]
-        while queue:
-            node = queue.pop(0)
-            for nxt in range(size):
-                if parent[nxt] < 0 and cap[node][nxt] > tol:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        if parent[n + m + 1] < 0:
-            break
-        # bottleneck along the path
-        path = []
-        node = n + m + 1
-        while node != 0:
-            path.append((parent[node], node))
-            node = parent[node]
-        push = min(cap[a][b] for a, b in path)
-        for a, b in path:
-            cap[a][b] -= push
-            cap[b][a] += push
-        flow += push
-    return flow >= total * (1 - 1e-9)
+    n = len(caps)
+    checked = [t for t in range(1, 1 << n)
+               if not single_dc or t & (t - 1) == 0]
+    limit = np.array([caps[_members(t)].sum(axis=0) + 1e-9 * len(_members(t))
+                      for t in checked]).reshape(-1, 3)
+    supersets = {m: np.array([i for i, t in enumerate(checked) if t & m == m],
+                             dtype=np.intp)
+                 for m in range(1, 1 << n)}
+    return limit, supersets
+
+
+def _add_load(loads: np.ndarray, limit: np.ndarray, idx: np.ndarray,
+              demand: np.ndarray) -> np.ndarray | None:
+    """`loads` with `demand` added on the subsets `idx`, or None when one
+    of them would exceed its limit."""
+    new = loads[idx] + demand
+    if (new > limit[idx]).any():
+        return None
+    out = loads.copy()
+    out[idx] = new
+    return out
 
 
 def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
@@ -460,7 +448,7 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
                          nu: float | None = None, single_dc: bool = False,
                          require_all: bool = True,
                          ) -> ExhaustivePlacementResult:
-    """Optimal placement of active slices by exhaustive enumeration.
+    """Optimal placement of active slices by exact branch-and-bound.
 
     By default every active slice must be hosted somewhere (the
     coupling constraint of the placement problem) and the result
@@ -469,14 +457,23 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
     `require_all=False` slices may be dropped, which is only meaningful
     together with nu > 0 and single_dc (admission-maximizing mode).
 
-    Candidate rows per slice: singletons, plus minimal multi-DC subsets
-    when splitting is allowed; a superset of a covering subset can only
-    raise the power charge, so minimal subsets suffice at nu = 0.
-    Joint feasibility of a full assignment is decided per resource by a
-    transportation check.  Ties broken by the lexicographically
-    smallest assignment matrix.  Guards: <= 10 active slices, <= 5 data
-    centers, and nu > 0 requires single_dc (with splits the minimal-
-    subset pruning would not be exact).
+    A slice's row is the set of DCs hosting (part of) it: one DC that
+    holds its whole demand or, when splitting is allowed, any DC subset
+    whose pooled capacity covers it.  An assignment is feasible when,
+    per resource, every DC subset holds the demand of the rows inside it
+    (Hall's condition for splitting the demands over the rows).  The
+    search assigns slices depth first, largest weighted demand first,
+    and checks these subset loads at every node.  A subtree is cut only
+    when its psi lower bound (psi fixed so far, idle power of the DCs
+    already open, and each remaining slice's cheapest row) exceeds the
+    best psi found by more than 1e-9 relative, so every leaf tying the
+    optimum is visited and ties go to the lexicographically smallest
+    assignment matrix.  psi and phi are summed over slices in ascending
+    id, independent of the search order; `leaves_checked` counts the
+    feasible complete assignments visited.  Guards: <= 10 active slices,
+    <= 5 data centers, and nu > 0 requires single_dc (the credit counts
+    hosting pairs, and a split row may give a DC no share, so the
+    optimum would list every slice on every DC).
     """
     if nu is None:
         nu = sc.params.nu
@@ -494,92 +491,89 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
         raise OracleSizeError(
             "admission-weighted search requires single_dc placements")
 
-    demands = {}
-    for s in active:
-        mem, sto, cpu = sc.slices[s].total_demand()
-        demands[s] = np.array([mem, sto, cpu])
+    infeasible = ExhaustivePlacementResult(
+        feasible=False, psi=math.inf, phi=math.inf, admitted_count=0, y=None)
+    demands = {s: np.array(sc.slices[s].total_demand()) for s in active}
+    omega = {s: float(weights.combine(*sc.slices[s].total_demand()))
+             for s in active}
+    services = mapping.a.sum(axis=0)
     caps = np.array([[dc.memory_gb, dc.storage_tb, dc.cpu_ghz]
                      for dc in sc.dcs])
-    omega = {s: weights.combine(*demands[s]) for s in active}
-    services_per_slice = mapping.a.sum(axis=0)
+    unit = [dc.phi_per_unit for dc in sc.dcs]
+    idle = [dc.phi_idle for dc in sc.dcs]
+    limit, supersets = _hall_table(caps, single_dc)
+    masks = [1 << d for d in range(n_dcs)] if single_dc else list(supersets)
 
-    rows_of: dict[int, list[tuple[int, ...]]] = {}
+    def cost(s: int, m: int) -> float:
+        dcs = _members(m)
+        return (sum(unit[d] for d in dcs) * omega[s]
+                - nu * len(dcs) * float(services[s]))
+
+    rows_of = {}
     for s in active:
-        rows: list[tuple[int, ...]] = [] if require_all else [()]
-        for d in range(n_dcs):
-            if np.all(demands[s] <= caps[d] + 1e-9):
-                rows.append((d,))
-        if not single_dc:
-            for r in range(2, n_dcs + 1):
-                for combo in itertools.combinations(range(n_dcs), r):
-                    pooled = caps[list(combo)].sum(axis=0)
-                    if not np.all(demands[s] <= pooled + 1e-9):
-                        continue
-                    minimal = all(
-                        not np.all(demands[s]
-                                   <= caps[list(sub)].sum(axis=0) + 1e-9)
-                        for sub in itertools.combinations(combo, r - 1))
-                    if minimal:
-                        rows.append(combo)
-        if require_all and not rows:
-            return ExhaustivePlacementResult(
-                feasible=False, psi=math.inf, phi=math.inf,
-                admitted_count=0, y=None)
-        rows_of[s] = rows
+        rows = [m for m in masks
+                if np.all(demands[s] <= caps[_members(m)].sum(axis=0) + 1e-9)]
+        if not require_all:
+            rows.append(0)
+        elif not rows:
+            return infeasible
+        rows_of[s] = sorted(((cost(s, m), m) for m in rows),
+                            key=lambda row: row[0])
+    if require_all and active and np.any(
+            sum(demands.values()) > caps.sum(axis=0) + 1e-9 * n_dcs):
+        return infeasible
 
-    best_key = None
-    best = ExhaustivePlacementResult(feasible=False, psi=math.inf,
-                                     phi=math.inf, admitted_count=0, y=None)
+    order = sorted(active, key=lambda s: (-omega[s], s))
+    rest = [0.0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        rest[i] = rest[i + 1] + rows_of[order[i]][0][0]
+    idle_of = [sum(idle[d] for d in _members(m)) for m in range(1 << n_dcs)]
+    choice: dict[int, int] = {}
+    best: list = []          # [(psi, y), phi, admitted] of the incumbent
     leaves = 0
 
-    for combo in itertools.product(*(rows_of[s] for s in active)):
+    def leaf(opened: int) -> None:
+        nonlocal leaves
         leaves += 1
-        assign = dict(zip(active, combo))
-        # fast necessary check: whole (singleton) demands per DC
-        whole = np.zeros((n_dcs, 3))
-        split_slices = []
-        for s, row in assign.items():
-            if len(row) == 1:
-                whole[row[0]] += demands[s]
-            elif len(row) > 1:
-                split_slices.append(s)
-        if np.any(whole > caps + 1e-9):
-            continue
-        if split_slices:
-            residual = caps - whole
-            ok = True
-            for z in range(3):
-                if not _transport_feasible(
-                        [float(demands[s][z]) for s in split_slices],
-                        [float(residual[d][z]) for d in range(n_dcs)],
-                        [list(assign[s]) for s in split_slices]):
-                    ok = False
-                    break
-            if not ok:
+        phi = credit = 0.0
+        for s in active:
+            dcs = _members(choice[s])
+            for d in dcs:
+                phi += unit[d] * omega[s]
+            credit += len(dcs) * float(services[s])
+        phi += sum(idle[d] for d in _members(opened))
+        key = (phi - nu * credit,
+               tuple(choice.get(s, 0) >> d & 1
+                     for s in range(sc.n_slices) for d in range(n_dcs)))
+        if not best or key < best[0]:
+            best[:] = [key, phi, sum(1 for s in active if choice[s])]
+
+    def visit(i: int, loads: np.ndarray, fixed: float, opened: int) -> None:
+        if i == len(order):
+            leaf(opened)
+            return
+        s = order[i]
+        for c, m in rows_of[s]:
+            if best:
+                psi = best[0][0]
+                bound = fixed + c + idle_of[opened | m] + rest[i + 1]
+                if bound > psi + 1e-9 * max(1.0, abs(psi)):
+                    continue
+            child = (_add_load(loads, limit, supersets[m], demands[s])
+                     if m else loads)
+            if child is None:
                 continue
-        phi = 0.0
-        active_dcs = set()
-        credit = 0.0
-        for s, row in assign.items():
-            for d in row:
-                active_dcs.add(d)
-                phi += sc.dcs[d].phi_per_unit * omega[s]
-            credit += len(row) * float(services_per_slice[s])
-        phi += sum(sc.dcs[d].phi_idle for d in active_dcs)
-        psi = phi - nu * credit
-        y = np.zeros((sc.n_slices, n_dcs), dtype=np.int8)
-        for s, row in assign.items():
-            for d in row:
-                y[s, d] = 1
-        key = (psi, tuple(y.flatten().tolist()))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = ExhaustivePlacementResult(
-                feasible=True, psi=psi, phi=phi,
-                admitted_count=sum(1 for row in assign.values() if row),
-                y=y)
-    best.leaves_checked = leaves
-    return best
+            choice[s] = m
+            visit(i + 1, child, fixed + c, opened | m)
+
+    visit(0, np.zeros_like(limit), 0.0, 0)
+    if not best:
+        return infeasible
+    (psi, y), phi, admitted = best
+    return ExhaustivePlacementResult(
+        feasible=True, psi=psi, phi=phi, admitted_count=admitted,
+        y=np.array(y, dtype=np.int8).reshape(sc.n_slices, n_dcs),
+        leaves_checked=leaves)
 
 
 # --------------------------------------------------------------------------
@@ -591,11 +585,14 @@ def mm1_simulate(arrival_rate: float, service_rate: float,
                  n_arrivals: int = 1_000_000, seed: int = 0) -> float:
     """Mean sojourn time of an M/M/1 FIFO queue by simulation.
 
-    Single-server discrete-event dynamics via the waiting-time
-    recursion: each customer's wait is the previous customer's wait
-    plus service, minus the interarrival gap, floored at zero; sojourn
-    is wait plus own service.  Requires a stable queue and at least
-    1e5 arrivals for a meaningful average.
+    Single-server dynamics via Lindley's waiting-time recursion: each
+    customer's wait is the previous customer's wait plus service, minus
+    the interarrival gap, floored at zero; sojourn is wait plus own
+    service.  The recursion is solved in closed form block by block:
+    with S the carried wait plus the running sum of (service - gap), the
+    waits are S minus the running minimum of min(S, 0).  Blocks keep
+    the work arrays small.  Requires a stable queue and at least 1e5
+    arrivals for a meaningful average.
     """
     if arrival_rate <= 0 or service_rate <= 0:
         raise ValueError("rates must be positive")
@@ -608,10 +605,12 @@ def mm1_simulate(arrival_rate: float, service_rate: float,
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / arrival_rate, n_arrivals)
     services = rng.exponential(1.0 / service_rate, n_arrivals)
-    wait = 0.0
-    total = 0.0
-    for k in range(n_arrivals):
-        if k:
-            wait = max(0.0, wait + services[k - 1] - gaps[k])
-        total += wait + services[k]
+    wait = 0.0                          # the first customer never waits
+    total = float(services.sum())
+    for lo in range(1, n_arrivals, MM1_BLOCK):
+        hi = min(lo + MM1_BLOCK, n_arrivals)
+        path = wait + np.cumsum(services[lo - 1:hi - 1] - gaps[lo:hi])
+        waits = path - np.minimum.accumulate(np.minimum(path, 0.0))
+        total += float(waits.sum())
+        wait = float(waits[-1])
     return total / n_arrivals

@@ -132,6 +132,17 @@ def small_joint_config():
                            r_min_per_hz=1.0, region_m=100.0)
 
 
+def placement_config(n_slices, n_dcs, scale):
+    """The placement acceptance test's generator at one size."""
+    from oranslice.scenario import GeneratorConfig
+    return GeneratorConfig(n_services=min(3, n_slices), n_slices=n_slices,
+                           n_dcs=n_dcs, mean_ues=1.0, max_ues=2, n_rus=8,
+                           rus_per_slice=4, slice_cv=0.25,
+                           dc_memory_gb=1000.0 * scale,
+                           dc_storage_tb=100.0 * scale,
+                           dc_cpu_ghz=320.0 * scale)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -5,9 +5,11 @@ import re
 
 import pytest
 
-from conftest import hand_scenario
+from conftest import hand_scenario, placement_config
+from oranslice import cli
 from oranslice.cli import main
-from oranslice.scenario import load_scenario, save_scenario
+from oranslice.oracle import BruteForceResult
+from oranslice.scenario import generate_scenario, load_scenario, save_scenario
 
 # single-slice family with an interior efficiency optimum the 64-step
 # oracle grid can resolve (same calibration as the solver-vs-oracle tests)
@@ -16,6 +18,13 @@ EASY_CONFIG = {
     "n_rus": 30, "rus_per_slice": 30, "p_max": 0.5,
     "sigma_q_frac": 3.5e-4, "r_min_per_hz": 2.0, "region_m": 100.0,
 }
+
+
+def strict_json(path):
+    """Parse a result file, refusing the non-standard NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def read_schema_csv(path):
@@ -166,6 +175,23 @@ def test_solve_oracle_appends_gap_rows(easy_scenario, workdir, capsys):
         assert abs(float(row[4])) <= 0.02
 
 
+def test_solve_oracle_infeasible_grid_writes_strict_json(
+        easy_scenario, tmp_path, monkeypatch, capsys):
+    # a grid with no feasible point reports eta 0, so the gap is infinite
+    monkeypatch.setattr(cli, "brute_force_mapping", lambda *a, **k:
+                        BruteForceResult(feasible=False, eta=0.0, mapping=None,
+                                         powers=None, mappings_tried=1,
+                                         mappings_feasible=0))
+    out = tmp_path / "result.json"
+    code = main(["solve", str(easy_scenario), "--oracle", "--out", str(out),
+                 "--oracle-out", str(tmp_path / "gaps.csv"),
+                 "--max-iters", "2000"])
+    capsys.readouterr()
+    assert code == 0
+    assert strict_json(out)["oracle"] == {"eta": 0.0, "rel_gap": None,
+                                          "mappings_tried": 1}
+
+
 def test_solve_exit_3_reports_uncovered_services(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**EASY_CONFIG, "r_min_per_hz": 1000.0}))
@@ -277,6 +303,20 @@ def test_place_oracle_gap_row(workdir, capsys):
     _, rows = read_schema_csv(gaps)
     assert rows[0][1] == "placement_psi"
     assert abs(float(rows[0][4])) <= 1e-12   # both admit everything on DC 0
+
+
+def test_place_oracle_infeasible_writes_strict_json(tmp_path, capsys):
+    # the six slices demand more than the three DCs hold in total
+    sc = tmp_path / "tight.json"
+    save_scenario(generate_scenario(placement_config(6, 3, 0.2), seed=100),
+                  str(sc))
+    out = tmp_path / "place.json"
+    code = main(["place", str(sc), "--oracle", "--nu", "0", "--out", str(out),
+                 "--oracle-out", str(tmp_path / "gaps.csv")])
+    capsys.readouterr()
+    assert code == 0
+    assert strict_json(out)["oracle"] == {"psi": None, "feasible": False,
+                                          "rel_gap": None}
 
 
 def test_place_oracle_too_many_slices_exits_4(workdir, capsys):

@@ -1,15 +1,19 @@
 """Reference implementations: enumeration guards, refinement, queue sim."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
-                      identity_mapping)
-from oranslice.oracle import (OracleReport, OracleSizeError,
-                              brute_force_mapping, exhaustive_placement,
-                              mm1_simulate, summation_oracle)
+                      identity_mapping, placement_config)
+from oranslice.cli import _round_robin_mapping
+from oranslice.oracle import (MM1_BLOCK, OracleReport, OracleSizeError,
+                              _add_load, _hall_table, brute_force_mapping,
+                              exhaustive_placement, mm1_simulate,
+                              summation_oracle)
+from oranslice.placement import PlacementWeights, cost_psi, place
 from oranslice.power import SolverOptions, solve_joint
 from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
                              build_channels)
@@ -143,6 +147,167 @@ def test_exhaustive_placement_guards():
                              single_dc=False)
 
 
+def max_flow_feasible(demands, caps, allowed):
+    """Can each demand be split over its allowed bins within capacities?
+
+    Float max-flow (Ford-Fulkerson with BFS) on the bipartite graph, the
+    reference for the oracle's subset-load (Hall) check.
+    """
+    n, m = len(demands), len(caps)
+    total = sum(demands)
+    if total <= 0:
+        return True
+    # nodes: 0 = source, 1..n = demands, n+1..n+m = bins, n+m+1 = sink
+    size = n + m + 2
+    cap = [[0.0] * size for _ in range(size)]
+    for i, dem in enumerate(demands):
+        cap[0][1 + i] = dem
+    for i, bins in enumerate(allowed):
+        for b in bins:
+            cap[1 + i][1 + n + b] = math.inf
+    for b, c in enumerate(caps):
+        cap[1 + n + b][n + m + 1] = c
+    flow = 0.0
+    tol = max(total, 1.0) * 1e-12
+    while True:
+        parent = [-1] * size
+        parent[0] = 0
+        queue = [0]
+        while queue:
+            node = queue.pop(0)
+            for nxt in range(size):
+                if parent[nxt] < 0 and cap[node][nxt] > tol:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        if parent[n + m + 1] < 0:
+            break
+        path = []
+        node = n + m + 1
+        while node != 0:
+            path.append((parent[node], node))
+            node = parent[node]
+        push = min(cap[a][b] for a, b in path)
+        for a, b in path:
+            cap[a][b] -= push
+            cap[b][a] += push
+        flow += push
+    return flow >= total * (1 - 1e-9)
+
+
+def test_subset_loads_match_max_flow():
+    # Hall's condition on the subset loads decides the same splits as a
+    # max-flow, resource by resource
+    rng = np.random.default_rng(11)
+    infeasible = 0
+    for _ in range(300):
+        n_dcs = int(rng.integers(1, 5))
+        n_items = int(rng.integers(1, 6))
+        caps = rng.uniform(0.0, 10.0, (n_dcs, 3))
+        demands = rng.uniform(0.0, 5.0, (n_items, 3))
+        rows = [int(rng.integers(1, 1 << n_dcs)) for _ in range(n_items)]
+        limit, supersets = _hall_table(caps, single_dc=False)
+        loads = np.zeros_like(limit)
+        for m, dem in zip(rows, demands):
+            loads = _add_load(loads, limit, supersets[m], dem)
+            if loads is None:
+                break
+        bins = [[d for d in range(n_dcs) if m >> d & 1] for m in rows]
+        flow_ok = all(max_flow_feasible(demands[:, z].tolist(),
+                                        caps[:, z].tolist(), bins)
+                      for z in range(3))
+        assert (loads is not None) == flow_ok
+        infeasible += not flow_ok
+    assert 50 <= infeasible <= 250
+
+
+def full_product_placement(sc, mapping, nu, single_dc, require_all):
+    """Best (psi, flattened y) over the full product of every covering
+    row, rows checked jointly by max-flow; None when none is feasible."""
+    active = [s for s in range(sc.n_slices) if mapping.a[:, s].any()]
+    caps = np.array([[dc.memory_gb, dc.storage_tb, dc.cpu_ghz]
+                     for dc in sc.dcs])
+    demands = {s: np.array(sc.slices[s].total_demand()) for s in active}
+    omega = {s: PlacementWeights().combine(*demands[s]) for s in active}
+    sizes = [1] if single_dc else range(1, len(sc.dcs) + 1)
+    rows_of = []
+    for s in active:
+        rows = [] if require_all else [()]
+        rows += [c for r in sizes
+                 for c in itertools.combinations(range(len(sc.dcs)), r)
+                 if np.all(demands[s] <= caps[list(c)].sum(axis=0) + 1e-9)]
+        rows_of.append(rows)
+    best = None
+    for combo in itertools.product(*rows_of):
+        hosted = [(s, row) for s, row in zip(active, combo) if row]
+        if not all(max_flow_feasible(
+                [float(demands[s][z]) for s, _ in hosted],
+                [float(c) for c in caps[:, z]],
+                [list(row) for _, row in hosted]) for z in range(3)):
+            continue
+        phi = credit = 0.0
+        for s, row in zip(active, combo):
+            for d in row:
+                phi += sc.dcs[d].phi_per_unit * omega[s]
+            credit += len(row) * float(mapping.a[:, s].sum())
+        phi += sum(sc.dcs[d].phi_idle for d in sorted(set().union(*combo)))
+        y = np.zeros((sc.n_slices, len(sc.dcs)), dtype=np.int8)
+        for s, row in zip(active, combo):
+            y[s, list(row)] = 1
+        key = (phi - nu * credit, tuple(y.flatten().tolist()))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@pytest.mark.parametrize("mode", ["admission", "single_dc", "split"])
+def test_branch_and_bound_matches_full_product(mode):
+    nu, single_dc, require_all = {"admission": (1e6, True, False),
+                                  "single_dc": (0.0, True, True),
+                                  "split": (0.0, False, True)}[mode]
+    rng = np.random.default_rng(5)
+    feasible = 0
+    for seed in range(30):
+        cfg = placement_config(int(rng.integers(2, 5)),
+                               int(rng.integers(1, 4)),
+                               float(rng.choice([0.1, 0.2, 0.35, 1.0])))
+        sc = generate_scenario(cfg, seed=seed)
+        mapping = _round_robin_mapping(sc)
+        out = exhaustive_placement(sc, mapping, nu=nu, single_dc=single_dc,
+                                   require_all=require_all)
+        ref = full_product_placement(sc, mapping, nu, single_dc,
+                                     require_all)
+        assert out.feasible == (ref is not None), f"seed {seed}"
+        assert type(out.psi) is float and type(out.phi) is float
+        if ref is not None:
+            feasible += 1
+            assert out.psi == pytest.approx(ref[0], rel=1e-12, abs=1e-9)
+            assert tuple(out.y.flatten().tolist()) == ref[1], f"seed {seed}"
+    assert feasible >= 10
+
+
+# (slices, DCs, capacity scale, seed) where the minimal-subset split
+# search reported infeasible although `place` hosts every slice, with
+# the optimum psi
+SPLIT_ONLY_FEASIBLE = [((5, 2, 0.35), 0, 4578.216843510463),
+                       ((6, 3, 0.2), 5, 4482.9558501787305),
+                       ((6, 3, 0.2), 8, 4388.538656796648),
+                       ((6, 3, 0.2), 17, 4356.278538314909),
+                       ((6, 3, 0.2), 20, 4368.769464944147)]
+
+
+@pytest.mark.parametrize("size, seed, psi", SPLIT_ONLY_FEASIBLE)
+def test_split_oracle_finds_non_minimal_splits(size, seed, psi):
+    sc = generate_scenario(placement_config(*size), seed=seed)
+    mapping = _round_robin_mapping(sc)
+    heuristic = place(sc, mapping)
+    assert heuristic.unadmitted == []
+    out = exhaustive_placement(sc, mapping, nu=0.0)
+    assert out.feasible
+    assert out.y.any(axis=1).all()
+    assert out.psi == pytest.approx(psi, rel=1e-12)
+    assert out.psi <= cost_psi(sc, mapping, heuristic, nu=0.0)[1]
+
+
 # ------------------------------------------------------- M/M/1 simulator
 
 
@@ -160,6 +325,30 @@ def test_mm1_seed_reproducible():
     c = mm1_simulate(0.5, 1.0, 100_000, seed=8)
     assert a == b
     assert a != c
+
+
+def mm1_loop(arrival_rate, service_rate, n_arrivals, seed):
+    """The waiting-time recursion one customer at a time, as reference."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(1.0 / arrival_rate, n_arrivals)
+    services = rng.exponential(1.0 / service_rate, n_arrivals)
+    wait = 0.0
+    total = 0.0
+    for k in range(n_arrivals):
+        if k:
+            wait = max(0.0, wait + services[k - 1] - gaps[k])
+        total += wait + services[k]
+    return total / n_arrivals
+
+
+@pytest.mark.parametrize("rho, n_arrivals", [
+    (0.3, 200_000), (0.5, 200_000), (0.8, 200_000), (0.95, 200_000),
+    (0.8, 1 + 13 * MM1_BLOCK), (0.95, 2 + 13 * MM1_BLOCK)])
+def test_mm1_blocked_recursion_matches_loop(rho, n_arrivals):
+    sim = mm1_simulate(rho, 1.0, n_arrivals, seed=4)
+    assert type(sim) is float
+    assert sim == pytest.approx(mm1_loop(rho, 1.0, n_arrivals, 4),
+                                rel=1e-12)
 
 
 def test_mm1_rejects_bad_inputs():
