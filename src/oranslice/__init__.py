@@ -8,7 +8,7 @@ from .radio import (BeamformerSet, ChannelSet, PowerAllocation,
                     SingularChannelError, SliceMapping, build_beamformers,
                     build_channels, energy_efficiency,
                     interference_upper_bound, ue_rates, zf_beamformer)
-from .queueing import SliceDelay, UnstableQueueError, slice_delay
+from .queueing import UnstableQueueError
 from .slicing import (FeasibilityReport, MappingResult, RankingWeights,
                       check_feasibility, map_slices_to_services,
                       rank_services, rank_slices)
@@ -26,7 +26,7 @@ __all__ = [
     "SingularChannelError", "SliceMapping", "build_beamformers",
     "build_channels", "energy_efficiency", "interference_upper_bound",
     "ue_rates", "zf_beamformer",
-    "SliceDelay", "UnstableQueueError", "slice_delay",
+    "UnstableQueueError",
     "FeasibilityReport", "MappingResult", "RankingWeights",
     "check_feasibility", "map_slices_to_services", "rank_services",
     "rank_slices",

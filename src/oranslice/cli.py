@@ -75,6 +75,8 @@ def _parse_weights(text: str) -> PlacementWeights:
         w = [float(p) for p in parts]
     except ValueError:
         raise CliError(2, f"--weights expects three floats, got {text!r}")
+    if not all(math.isfinite(x) and x >= 0 for x in w):
+        raise CliError(2, f"--weights must be finite and >= 0, got {text!r}")
     return PlacementWeights(w_mem=w[0], w_sto=w[1], w_cpu=w[2])
 
 
@@ -90,8 +92,8 @@ def _load_scenario(path: str) -> Scenario:
 def _with_packet_size(sc: Scenario, packet_size: float | None) -> Scenario:
     if packet_size is None:
         return sc
-    if packet_size <= 0:
-        raise CliError(2, "--packet-size must be > 0")
+    if not (math.isfinite(packet_size) and packet_size > 0):
+        raise CliError(2, "--packet-size must be a finite number > 0")
     params = dataclasses.replace(sc.params, packet_size_bits=packet_size)
     return dataclasses.replace(sc, params=params)
 
@@ -115,15 +117,27 @@ def _append_oracle_row(path: str, report: OracleReport) -> None:
 # --------------------------------------------------------------------------
 
 
+def _check_overrides(overrides: dict, label: str) -> None:
+    """Generator field overrides must name GeneratorConfig fields and hold
+    a value of the field's JSON type."""
+    defaults = {f.name: f.default for f in dataclasses.fields(GeneratorConfig)}
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise CliError(2, f"unknown {label} field(s): {', '.join(unknown)}")
+    for key, value in overrides.items():
+        if not (isinstance(value, str) if isinstance(defaults[key], str)
+                else _is_number(value, type(defaults[key]) is not float)):
+            raise CliError(2, f"{label} {key}={value!r} has the wrong type")
+
+
 def cmd_generate(args) -> int:
     overrides = _load_json(args.config) if args.config else {}
-    valid = {f.name for f in dataclasses.fields(GeneratorConfig)}
-    unknown = sorted(set(overrides) - valid)
-    if unknown:
-        raise CliError(2, f"unknown config field(s): {', '.join(unknown)}")
+    _check_overrides(overrides, "config")
+    if args.seed < 0:
+        raise CliError(2, "--seed must be >= 0")
     try:
         config = GeneratorConfig(**overrides)
-    except (ScenarioError, TypeError, ValueError) as exc:
+    except ScenarioError as exc:
         raise CliError(2, f"bad config: {exc}")
     sc = generate_scenario(config, seed=args.seed)
     save_scenario(sc, args.out)
@@ -150,6 +164,10 @@ def _write_trace(path: str, trace) -> None:
 
 
 def cmd_solve(args) -> int:
+    if args.max_iters < 1:
+        raise CliError(2, "--max-iters must be >= 1")
+    if args.grid_n < 2:
+        raise CliError(2, "--grid-n must be >= 2")
     sc = _with_packet_size(_load_scenario(args.scenario), args.packet_size)
     opts = SolverOptions(max_iters=args.max_iters)
     try:
@@ -244,6 +262,8 @@ def cmd_place(args) -> int:
     weights = _parse_weights(args.weights) if args.weights \
         else PlacementWeights()
     nu = args.nu if args.nu is not None else sc.params.nu
+    if not (math.isfinite(nu) and nu >= 0):
+        raise CliError(2, f"--nu must be a finite number >= 0, got {nu!r}")
 
     placement = place(sc, mapping, weights=weights, single_dc=args.single_dc)
     phi, psi = cost_psi(sc, mapping, placement, nu=nu)
@@ -445,13 +465,7 @@ def _parse_spec(spec: dict, out: str | None) -> tuple:
     overrides = spec.get("overrides", {})
     if not isinstance(overrides, dict):
         raise CliError(2, "experiment 'overrides' must be a JSON object")
-    defaults = {f.name: f.default for f in dataclasses.fields(GeneratorConfig)}
-    for key, value in overrides.items():
-        if key not in defaults:
-            raise CliError(2, f"unknown override field {key!r}")
-        if not (isinstance(value, str) if isinstance(defaults[key], str)
-                else _is_number(value, type(defaults[key]) is not float)):
-            raise CliError(2, f"override {key}={value!r} has the wrong type")
+    _check_overrides(overrides, "override")
     nu = spec.get("nu", 1e6 if kind == "admitted_vs_slices" else 0.0)
     if not _is_number(nu) or nu < 0:
         raise CliError(2, f"experiment 'nu' must be a number >= 0, "

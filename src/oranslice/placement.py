@@ -63,7 +63,7 @@ def weighted_capacity(dc: DataCenter,
 
 def active_slice_ids(sc: Scenario, mapping: SliceMapping) -> list[int]:
     """Slices serving at least one service; only these need placement."""
-    return [sl.id for sl in sc.slices if mapping.services_on_slice(sl.id)]
+    return np.flatnonzero(mapping.a.any(axis=0)).tolist()
 
 
 @dataclass

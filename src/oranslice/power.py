@@ -21,9 +21,9 @@ import numpy as np
 from .scenario import Scenario
 from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
                     beam_gains, build_beamformers, build_channels,
-                    interference_upper_bound, ru_powers_all, slot_sigma,
+                    interference_upper_bound, ru_powers_all,
                     slot_weight_matrix, ue_rates)
-from .queueing import layer_delays, slice_arrival_rate
+from .queueing import UnstableQueueError, layer_delays, slice_loads
 from .slicing import MappingResult, check_feasibility, map_slices_to_services
 
 GAP_RTOL = 1e-8      # barrier stop: m/t <= GAP_RTOL * summed rate in nats
@@ -79,22 +79,25 @@ def delay_linearization(sc: Scenario, mapping: SliceMapping,
     The two VNF-layer delays are power-independent, so the budget minus
     them bounds the transmission delay, which converts into a floor on
     the slice's summed rate: 1/(budget - layer delays) + offered load in
-    bits.  Slices serving no service are excluded.  Raises if a slice's
-    layers alone eat the budget.
+    bits.  Slices serving no service are excluded.  Raises, for the
+    lowest such slice, if an active slice's layers are unstable or alone
+    eat the budget.
     """
-    out: dict[int, float] = {}
-    for sl in sc.slices:
-        if not mapping.services_on_slice(sl.id):
-            continue
-        alpha = slice_arrival_rate(sc, mapping, sl.id)
-        du, cu = layer_delays(sc, alpha, sl.id)
-        slack = sc.params.d_max - du - cu
-        if slack <= 0:
-            raise InfeasibleDelayError(
-                f"slice {sl.id}: VNF layers need {du + cu:.6g} s of the "
-                f"{sc.params.d_max:.6g} s budget")
-        out[sl.id] = 1.0 / slack + alpha * sc.params.packet_size_bits
-    return out
+    served = mapping.a[sc.ue_service]
+    alpha = slice_loads(sc, served)
+    du, cu, unstable = layer_delays(sc, alpha)
+    slack = sc.params.d_max - du - cu
+    active = np.flatnonzero(served.any(axis=0))
+    bad = active[np.isin(active, list(unstable)) | (slack[active] <= 0)]
+    if bad.size:
+        s = int(bad[0])
+        if s in unstable:
+            raise UnstableQueueError(unstable[s])
+        raise InfeasibleDelayError(
+            f"slice {s}: VNF layers need {du[s] + cu[s]:.6g} s of the "
+            f"{sc.params.d_max:.6g} s budget")
+    floors = 1.0 / slack[active] + alpha[active] * sc.params.packet_size_bits
+    return dict(zip(active.tolist(), floors))
 
 
 def closed_form_power(sc: Scenario, eta: float, mults: Multipliers,
@@ -233,12 +236,12 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     nat = params.bandwidth_hz / math.log(2.0)     # bit/s per nat
     gains = beam_gains(sc, mapping, ch, bf)
     denom = params.bandwidth_hz * params.noise_psd + ibar
-    sigma2 = slot_sigma(sc)
+    sigma2 = bf.slot_sigma
     weights = slot_weight_matrix(sc, mapping, bf)
     fh_power_cap = sigma2 * np.exp2(params.c_max)
     dfrak = delay_linearization(sc, mapping)
     floors = np.array(list(dfrak.values()), dtype=float)
-    served = mapping.a[bf.ue_service]
+    served = mapping.a[sc.ue_service]
     member = served[:, list(dfrak)].astype(float)
     active_ue = served.any(axis=1)
     idx = np.flatnonzero(active_ue)
@@ -306,17 +309,6 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         iterations=steps, feasible=max(worst.values()) <= opts.constraint_rtol,
         f_value=f_val, max_violation=max(worst.values()), gap=gap, stop=stop,
         violated=[k for k, v in worst.items() if v > 0])
-
-
-def dinkelbach_f(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-                 bf: BeamformerSet, powers: PowerAllocation, eta: float,
-                 ibar: np.ndarray | None = None) -> float:
-    """Parametric objective R_tot - eta * P_tot at a given allocation."""
-    if ibar is None:
-        ibar = interference_upper_bound(sc, mapping, ch, bf)
-    rates = ue_rates(sc, mapping, ch, bf, powers, ibar)
-    p_tot = float(ru_powers_all(sc, mapping, bf, powers).sum())
-    return float(rates.sum()) - eta * p_tot
 
 
 @dataclass

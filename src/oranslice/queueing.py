@@ -6,105 +6,79 @@ pooled Poisson stream and are load-balanced across the layer's VNFs, so
 each layer behaves as an M/M/1 queue with arrival rate alpha/M and mean
 sojourn 1/(mu - alpha/M).  A third stage models radio transmission as an
 M/M/1 queue whose service capacity is the slice's summed downlink rate.
+
+Every function works on all slices at once.  `served[u, s]` is 1 when
+slice s serves UE u's service (`mapping.a[sc.ue_service]`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scenario import Scenario
-from .radio import SliceMapping
 
 
 class UnstableQueueError(ValueError):
     """A queueing stage is at or beyond its stability limit."""
 
 
-@dataclass(frozen=True)
-class SliceDelay:
-    """Per-slice delay breakdown, seconds."""
+def slice_sums(x: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Per slice, the sum of x[u] over the UEs it serves.
 
-    slice_id: int
-    alpha: float          # pooled packet arrival rate, packet/s
-    du_delay: float       # mean sojourn in the DU VNF layer
-    cu_delay: float       # mean sojourn in the CU VNF layer
-    tx_delay: float       # mean sojourn in the transmission stage
-    r_tot: float          # summed rate of the slice's UEs, bit/s
-
-    @property
-    def total(self) -> float:
-        return self.du_delay + self.cu_delay + self.tx_delay
-
-
-def slice_arrival_rate(sc: Scenario, mapping: SliceMapping,
-                       slice_id: int) -> float:
-    """Pooled arrival rate of every UE of every service mapped to the
-    slice, packet/s."""
-    lam = sc.arrival_rates()
-    total = 0.0
-    for v in mapping.services_on_slice(slice_id):
-        for u in sc.service_ue_indices(v):
-            total += lam[u]
-    return total
-
-
-def layer_delays(sc: Scenario, alpha: float, slice_id: int,
-                 ) -> tuple[float, float]:
-    """Mean sojourn times (DU, CU) of the two VNF layers, seconds.
-
-    Each layer spreads the pooled arrivals evenly over its VNFs; a layer
-    is only stable while mu > alpha / M.
+    A running sum from zero in ascending UE order, so each slice's total
+    is rounded exactly as a loop over its UEs would round it.
     """
-    sl = sc.slices[slice_id]
-    out = []
-    for mu, m_vnfs, label in ((sc.params.mu1, sl.m_du, "DU"),
-                              (sc.params.mu2, sl.m_cu, "CU")):
-        per_vnf = alpha / m_vnfs
-        if per_vnf >= mu:
-            raise UnstableQueueError(
-                f"slice {slice_id} {label} layer unstable: per-VNF load "
-                f"{per_vnf:.6g} >= service rate {mu:.6g} packet/s")
-        out.append(1.0 / (mu - per_vnf))
-    return (out[0], out[1])
+    terms = np.vstack([np.zeros(served.shape[1]), x[:, None] * served])
+    return np.cumsum(terms, axis=0)[-1]
 
 
-def transmission_delay(r_tot_s: float, alpha: float) -> float:
-    """Mean sojourn of the transmission stage, 1 / (R_tot - alpha).
+def slice_loads(sc: Scenario, served: np.ndarray) -> np.ndarray:
+    """Pooled packet arrival rate of every slice, packet/s."""
+    return slice_sums(sc.arrival_rates, served)
 
-    Both arguments must already be in a common unit (bit/s against
-    packets converted to bits); the stage is stable only if R_tot_s
-    exceeds alpha.
+
+def layer_delays(sc: Scenario, alpha: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Mean sojourn times (DU, CU) of every slice's two VNF layers, s.
+
+    Each layer spreads the slice's pooled arrivals `alpha` evenly over
+    its VNFs; a layer is only stable while mu > alpha / M.  The dict maps
+    each slice with an unstable layer to the UnstableQueueError text of
+    its first (DU before CU); that slice's delays are meaningless.
     """
-    if r_tot_s <= alpha:
-        raise UnstableQueueError(
-            f"transmission stage unstable: slice rate {r_tot_s:.6g} <= "
-            f"offered load {alpha:.6g}")
-    return 1.0 / (r_tot_s - alpha)
+    mu = np.array([[sc.params.mu1], [sc.params.mu2]])
+    per_vnf = alpha / sc.vnf_counts
+    unstable: dict[int, str] = {}
+    for s, layer in zip(*np.nonzero((per_vnf >= mu).T)):
+        unstable.setdefault(int(s), (
+            f"slice {s} {('DU', 'CU')[layer]} layer unstable: per-VNF load "
+            f"{per_vnf[layer, s]:.6g} >= service rate {mu[layer, 0]:.6g} "
+            f"packet/s"))
+    with np.errstate(divide="ignore"):
+        du, cu = 1.0 / (mu - per_vnf)
+    return du, cu, unstable
 
 
-def slice_rate_total(sc: Scenario, mapping: SliceMapping,
-                     rates: np.ndarray, slice_id: int) -> float:
-    """Summed downlink rate of every UE served by the slice, bit/s."""
-    total = 0.0
-    for v in mapping.services_on_slice(slice_id):
-        for u in sc.service_ue_indices(v):
-            total += float(rates[u])
-    return total
-
-
-def slice_delay(sc: Scenario, mapping: SliceMapping, rates: np.ndarray,
-                slice_id: int) -> SliceDelay:
-    """Full three-stage delay of one slice.
+def slice_delays(sc: Scenario, served: np.ndarray, rates: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                            dict[int, str]]:
+    """Mean sojourn (DU, CU, transmission) of every slice, s.
 
     `rates` is the per-UE rate vector in global order.  Packet arrivals
     are converted to bits with the configured packet size before the
-    transmission stage.
+    transmission stage, which is stable only while the slice's summed
+    rate exceeds that offered load.  The dict maps each slice that
+    serves a service and has an unstable stage to the UnstableQueueError
+    text of its first (DU, CU, then transmission).
     """
-    alpha = slice_arrival_rate(sc, mapping, slice_id)
-    du, cu = layer_delays(sc, alpha, slice_id)
-    r_tot = slice_rate_total(sc, mapping, rates, slice_id)
-    tx = transmission_delay(r_tot, alpha * sc.params.packet_size_bits)
-    return SliceDelay(slice_id=slice_id, alpha=alpha, du_delay=du,
-                      cu_delay=cu, tx_delay=tx, r_tot=r_tot)
+    alpha = slice_loads(sc, served)
+    du, cu, unstable = layer_delays(sc, alpha)
+    r_tot = slice_sums(rates, served)
+    offered = alpha * sc.params.packet_size_bits
+    for s in np.flatnonzero(served.any(axis=0) & (r_tot <= offered)):
+        unstable.setdefault(int(s), (
+            f"transmission stage unstable: slice rate {r_tot[s]:.6g} <= "
+            f"offered load {offered[s]:.6g}"))
+    with np.errstate(divide="ignore"):
+        tx = 1.0 / (r_tot - offered)
+    return du, cu, tx, unstable

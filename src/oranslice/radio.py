@@ -106,8 +106,9 @@ class BeamformerSet:
     The coefficient arrays (`leak`, `gain` and `w2` are zero wherever a
     pair has no precoder):
 
-    * `ue_service[u]` is the service of UE u and `slot_slice[k]` the
-      slice of (slice, RU) slot k, in `Scenario.ru_slots()` order;
+    * `slot_slice[k]`, `slot_ru[k]` and `slot_sigma[k]` are the slice,
+      the RU id and the RU's quantization noise variance of (slice, RU)
+      slot k, in `Scenario.ru_slots()` order;
     * `leak[s, v, u]` is, per unit transmit power, the PRB-overlap
       weighted leakage of pair (s, v)'s streams into UE u, excluding
       the UE's own stream;
@@ -119,8 +120,9 @@ class BeamformerSet:
 
     w: dict[tuple[int, int], np.ndarray]
     unmappable: dict[tuple[int, int], str]
-    ue_service: np.ndarray        # (n_ues,)
     slot_slice: np.ndarray        # (n_slots,)
+    slot_ru: np.ndarray           # (n_slots,)
+    slot_sigma: np.ndarray        # (n_slots,)
     leak: np.ndarray              # (n_slices, n_services, n_ues)
     quant: np.ndarray             # (n_slices, n_ues)
     gain: np.ndarray              # (n_slices, n_ues)
@@ -129,10 +131,8 @@ class BeamformerSet:
 
 def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
     n_ues = sc.n_ues
-    slots = sc.ru_slots()
-    ue_service = np.zeros(n_ues, dtype=int)
-    for sv in sc.services:
-        ue_service[sc.service_ue_indices(sv.id)] = sv.id
+    slots = np.array(sc.ru_slots(), dtype=int).reshape(-1, 3)
+    slot_sigma = np.array([sc.rus[rid].sigma_q2 for rid in slots[:, 2]])
     w: dict[tuple[int, int], np.ndarray] = {}
     unmappable: dict[tuple[int, int], str] = {}
     leak = np.zeros((sc.n_slices, sc.n_services, n_ues))
@@ -142,12 +142,11 @@ def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
     first_slot = 0
     for sl in sc.slices:
         h = ch.gains[list(sl.ru_ids)]
-        sig = np.array([sc.rus[rid].sigma_q2 for rid in sl.ru_ids])
-        quant[sl.id] = sig @ np.abs(h) ** 2
-        z = sc.prb_assignment.zeta[:, :, sl.id].astype(float)
-        shared = z @ z.T          # PRBs of this slice both UEs may use
         rows = slice(first_slot, first_slot + sl.n_rus)
         first_slot += sl.n_rus
+        quant[sl.id] = slot_sigma[rows] @ np.abs(h) ** 2
+        z = sc.prb_assignment.zeta[:, :, sl.id].astype(float)
+        shared = z @ z.T          # PRBs of this slice both UEs may use
         for sv in sc.services:
             pair = (sl.id, sv.id)
             h_pair = ch.pair_matrix(*pair)
@@ -164,9 +163,8 @@ def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
             cross[cols, np.arange(len(cols))] = 0.0
             leak[sl.id, sv.id] = cross.sum(axis=1)
             w2[rows, cols] = np.abs(w_pair) ** 2
-    return BeamformerSet(w=w, unmappable=unmappable, ue_service=ue_service,
-                         slot_slice=np.array([s for s, _j, _r in slots],
-                                             dtype=int),
+    return BeamformerSet(w=w, unmappable=unmappable, slot_slice=slots[:, 0],
+                         slot_ru=slots[:, 2], slot_sigma=slot_sigma,
                          leak=leak, quant=quant, gain=gain, w2=w2)
 
 
@@ -185,9 +183,6 @@ class SliceMapping:
 
     def copy(self) -> "SliceMapping":
         return SliceMapping(a=self.a.copy())
-
-    def services_on_slice(self, slice_id: int) -> list[int]:
-        return [v for v in range(self.a.shape[0]) if self.a[v, slice_id]]
 
     def covered(self) -> np.ndarray:
         return self.a.sum(axis=1) >= 1
@@ -231,7 +226,7 @@ def interference_upper_bound(sc: Scenario, mapping: SliceMapping,
     """
     a = mapping.a
     return (sc.params.p_max * np.einsum("vs,svu->u", a, bf.leak)
-            + np.einsum("us,su->u", a[bf.ue_service], bf.quant))
+            + np.einsum("us,su->u", a[sc.ue_service], bf.quant))
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +242,7 @@ def beam_gains(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     value counts mapped slices; computed from the actual products so
     imperfect conditioning shows up honestly.
     """
-    return np.einsum("us,su->u", mapping.a[bf.ue_service], bf.gain)
+    return np.einsum("us,su->u", mapping.a[sc.ue_service], bf.gain)
 
 
 def achievable_rate(rho: float | np.ndarray,
@@ -282,31 +277,24 @@ def slot_weight_matrix(sc: Scenario, mapping: SliceMapping,
     Only (slice, service) pairs that are actually mapped contribute, so
     `weights @ p + sigma_q2` yields every slot's transmit power at once.
     """
-    return bf.w2 * mapping.a[bf.ue_service][:, bf.slot_slice].T
-
-
-def slot_sigma(sc: Scenario) -> np.ndarray:
-    """Quantization noise variance per (slice, RU) slot."""
-    return np.array([sc.rus[rid].sigma_q2 for _s, _j, rid in sc.ru_slots()])
+    return bf.w2 * mapping.a[sc.ue_service][:, bf.slot_slice].T
 
 
 def ru_powers_all(sc: Scenario, mapping: SliceMapping, bf: BeamformerSet,
                   powers: PowerAllocation) -> np.ndarray:
     """Vector of every (slice, RU) slot's transmit power, W."""
-    return slot_weight_matrix(sc, mapping, bf) @ powers.p + slot_sigma(sc)
+    return slot_weight_matrix(sc, mapping, bf) @ powers.p + bf.slot_sigma
 
 
-def fronthaul_rates_all(sc: Scenario, mapping: SliceMapping,
-                        bf: BeamformerSet,
-                        powers: PowerAllocation) -> np.ndarray:
-    """Fronthaul load of every (slice, RU) slot, bit/s/Hz.
+def fronthaul_rates_all(bf: BeamformerSet, p_bar: np.ndarray) -> np.ndarray:
+    """Fronthaul load of every (slice, RU) slot at slot powers `p_bar`
+    (from `ru_powers_all`), bit/s/Hz.
 
     log2 of one plus the ratio of beamformed signal power to the RU's
     quantization noise; equals log2(p_bar / sigma_q2) since the slot
     power is signal + quantization noise.
     """
-    p_bar = ru_powers_all(sc, mapping, bf, powers)
-    sigma2 = slot_sigma(sc)
+    sigma2 = bf.slot_sigma
     return np.log2(1.0 + (p_bar - sigma2) / sigma2)
 
 

@@ -208,6 +208,12 @@ class Scenario:
     def _ue_lookup(self) -> dict[tuple[int, int], int]:
         return {key: i for i, key in enumerate(self.ue_keys())}
 
+    @functools.cached_property
+    def ue_service(self) -> np.ndarray:
+        """Service id of every UE, in global UE order (read-only)."""
+        return _frozen([sv.id for sv in self.services for _ue in sv.ues],
+                       dtype=int)
+
     def service_ue_indices(self, service_id: int) -> list[int]:
         lookup = self._ue_lookup
         sv = self.services[service_id]
@@ -229,9 +235,23 @@ class Scenario:
     def ru_positions(self) -> np.ndarray:
         return np.array([ru.position for ru in self.rus], dtype=float)
 
+    @functools.cached_property
     def arrival_rates(self) -> np.ndarray:
-        return np.array([ue.arrival_rate
-                         for sv in self.services for ue in sv.ues], dtype=float)
+        """Packet arrival rate of every UE, in global UE order (read-only)."""
+        return _frozen([ue.arrival_rate
+                        for sv in self.services for ue in sv.ues], dtype=float)
+
+    @functools.cached_property
+    def vnf_counts(self) -> np.ndarray:
+        """(2, n_slices) VNF counts: DU layer in row 0, CU layer in row 1."""
+        return _frozen([[sl.m_du for sl in self.slices],
+                        [sl.m_cu for sl in self.slices]], dtype=int)
+
+
+def _frozen(rows, dtype) -> np.ndarray:
+    out = np.array(rows, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -304,12 +324,15 @@ class GeneratorConfig:
             raise ScenarioError("need 1 <= rus_per_slice <= n_rus")
         if self.prb_mode not in ("dedicated", "shared"):
             raise ScenarioError("prb_mode must be 'dedicated' or 'shared'")
+        if self.prbs_per_slice is not None and self.prbs_per_slice < 1:
+            raise ScenarioError("prbs_per_slice must be >= 1")
         if self.m_du < 1 or self.m_cu < 1:
             raise ScenarioError("m_du and m_cu must be >= 1")
         if self.sigma_q_frac <= 0:
             raise ScenarioError("sigma_q_frac must be > 0")
         if min(self.dc_cv, self.slice_cv) < 0:
             raise ScenarioError("coefficient of variation must be >= 0")
+        self.system_params()      # raises on a bad radio or queueing field
 
     def system_params(self) -> SystemParams:
         return SystemParams(
@@ -376,7 +399,7 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
     if config.prb_mode == "dedicated":
         n_prbs = n_ues_total
     else:
-        n_prbs = config.prbs_per_slice or 4
+        n_prbs = 4 if config.prbs_per_slice is None else config.prbs_per_slice
 
     slice_demand_mem = _positive_draw(rng, config.slice_memory_gb,
                                       config.slice_cv, config.n_slices)

@@ -19,7 +19,7 @@ from .scenario import Scenario
 from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
                     fronthaul_rates_all, interference_upper_bound,
                     ru_powers_all, ue_rates)
-from .queueing import UnstableQueueError, slice_delay
+from .queueing import slice_delays
 
 # Relative slack applied to every feasibility comparison so boundary
 # cases (a rate exactly at the minimum, a RU exactly at its cap) are not
@@ -73,63 +73,50 @@ def check_feasibility(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     """Evaluate the mapped system against all operating constraints.
 
     With no explicit power allocation every UE is charged the per-RU
-    cap, matching how the mapping sweep judges candidates.  Checks, in
-    order: per-slot RU power cap, power nonnegativity, per-UE minimum
-    rate (only UEs whose service is mapped somewhere), per-slot
-    fronthaul cap, and per-active-slice delay budget.  Rates use the
-    interference upper bound, so a pass here is conservative.
+    cap, matching how the mapping sweep judges candidates.  A negative
+    power leaves the rates undefined, so it is reported alone.  Otherwise
+    the checks run, in order: per-slot RU power cap, per-UE minimum rate
+    (only UEs whose service is mapped somewhere), per-slot fronthaul cap,
+    and per-active-slice delay budget.  Rates use the interference upper
+    bound, so a pass here is conservative.
     """
     if powers is None:
         powers = PowerAllocation.uniform(sc, sc.params.p_max)
-    violations: list[str] = []
     params = sc.params
-
     if np.any(powers.p < 0):
-        bad = np.nonzero(powers.p < 0)[0]
-        violations.append(f"negative transmit power at UE index {bad.tolist()}")
+        bad = np.flatnonzero(powers.p < 0).tolist()
+        return FeasibilityReport(ok=False, violations=[
+            f"negative transmit power at UE index {bad}"])
 
+    served = mapping.a[sc.ue_service]
     p_bar = ru_powers_all(sc, mapping, bf, powers)
-    cap = params.p_max * (1.0 + CHECK_RTOL)
-    for k, (s, j, rid) in enumerate(sc.ru_slots()):
-        if p_bar[k] > cap:
-            violations.append(
-                f"RU power cap: slice {s} RU {rid} at {p_bar[k]:.6g} W "
-                f"> {params.p_max:.6g} W")
-
+    fh = fronthaul_rates_all(bf, p_bar)
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     rates = ue_rates(sc, mapping, ch, bf, powers, ibar)
-    covered = mapping.covered()
-    r_floor = params.r_min * (1.0 - CHECK_RTOL)
-    for sv in sc.services:
-        if not covered[sv.id]:
-            continue
-        for ue, u in zip(sv.ues, sc.service_ue_indices(sv.id)):
-            if rates[u] < r_floor:
-                violations.append(
-                    f"minimum rate: service {sv.id} UE {ue.id} at "
-                    f"{rates[u]:.6g} bit/s < {params.r_min:.6g} bit/s")
+    du, cu, tx, unstable = slice_delays(sc, served, rates)
+    total = du + cu + tx
 
-    fh = fronthaul_rates_all(sc, mapping, bf, powers)
-    fh_cap = params.c_max * (1.0 + CHECK_RTOL)
-    for k, (s, j, rid) in enumerate(sc.ru_slots()):
-        if fh[k] > fh_cap:
-            violations.append(
-                f"fronthaul cap: slice {s} RU {rid} at {fh[k]:.6g} "
-                f"bit/s/Hz > {params.c_max:.6g} bit/s/Hz")
-
-    for sl in sc.slices:
-        if not mapping.services_on_slice(sl.id):
-            continue
-        try:
-            delay = slice_delay(sc, mapping, rates, sl.id)
-        except UnstableQueueError as exc:
-            violations.append(f"delay: {exc}")
-            continue
-        if delay.total > params.d_max * (1.0 + CHECK_RTOL):
-            violations.append(
-                f"delay budget: slice {sl.id} at {delay.total:.6g} s > "
-                f"{params.d_max:.6g} s")
-
+    violations = [
+        f"RU power cap: slice {bf.slot_slice[k]} RU {bf.slot_ru[k]} at "
+        f"{p_bar[k]:.6g} W > {params.p_max:.6g} W"
+        for k in np.flatnonzero(p_bar > params.p_max * (1.0 + CHECK_RTOL))]
+    low = np.flatnonzero(mapping.covered()[sc.ue_service]
+                         & (rates < params.r_min * (1.0 - CHECK_RTOL)))
+    keys = sc.ue_keys() if low.size else []
+    violations += [
+        f"minimum rate: service {keys[u][0]} UE {keys[u][1]} at "
+        f"{rates[u]:.6g} bit/s < {params.r_min:.6g} bit/s" for u in low]
+    violations += [
+        f"fronthaul cap: slice {bf.slot_slice[k]} RU {bf.slot_ru[k]} at "
+        f"{fh[k]:.6g} bit/s/Hz > {params.c_max:.6g} bit/s/Hz"
+        for k in np.flatnonzero(fh > params.c_max * (1.0 + CHECK_RTOL))]
+    late = np.flatnonzero(served.any(axis=0)
+                          & (total > params.d_max * (1.0 + CHECK_RTOL)))
+    violations += [
+        f"delay: {unstable[s]}" if s in unstable else
+        f"delay budget: slice {s} at {total[s]:.6g} s > "
+        f"{params.d_max:.6g} s"
+        for s in sorted(unstable.keys() | set(late.tolist()))]
     return FeasibilityReport(ok=not violations, violations=violations)
 
 

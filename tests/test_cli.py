@@ -133,6 +133,24 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, argv, needle", [
+    ({"n_services": 2.5}, [], "n_services=2.5 has the wrong type"),
+    ({"p_max": -1}, [], "p_max must be > 0"),
+    ({"prb_mode": "shared", "prbs_per_slice": 0}, [],
+     "prbs_per_slice must be >= 1"),
+    ({}, ["--seed", "-1"], "--seed must be >= 0"),
+], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed"])
+def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "sc.json"
+    code = main(["generate", "--config", str(cfg), "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # solve
 # --------------------------------------------------------------------------
@@ -223,6 +241,30 @@ def test_solve_rejects_bad_packet_size(easy_scenario, capsys):
     code = main(["solve", str(easy_scenario), "--packet-size", "-1"])
     assert code == 2
     assert "--packet-size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, argv, needle", [
+    ("solve", ["--packet-size", "nan"], "--packet-size"),
+    ("solve", ["--packet-size", "inf"], "--packet-size"),
+    ("solve", ["--max-iters", "0"], "--max-iters"),
+    ("solve", ["--max-iters=-5"], "--max-iters"),
+    ("solve", ["--oracle", "--grid-n", "1"], "--grid-n"),
+    ("place", ["--weights=nan,1,1"], "--weights"),
+    ("place", ["--weights=inf,1,1"], "--weights"),
+    ("place", ["--weights=-1,1,1"], "--weights"),
+    ("place", ["--nu=-5"], "--nu"),
+    ("place", ["--nu", "nan"], "--nu"),
+], ids=["packet-size-nan", "packet-size-inf", "max-iters-zero",
+        "max-iters-negative", "grid-n-one", "weights-nan", "weights-inf",
+        "weights-negative", "nu-negative", "nu-nan"])
+def test_solve_and_place_reject_bad_arguments(easy_scenario, tmp_path, capsys,
+                                              command, argv, needle):
+    out = tmp_path / "out.json"
+    code = main([command, str(easy_scenario), "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
 
 
 def test_solve_rejects_missing_scenario(tmp_path, capsys):

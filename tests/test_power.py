@@ -11,13 +11,13 @@ from oranslice.oracle import brute_force_mapping
 from oranslice.power import (DegenerateCoefficientError, InfeasibleDelayError,
                              InfeasibleMappingError, Multipliers, SolverOptions,
                              closed_form_power,
-                             delay_linearization, dinkelbach_f, solve_joint,
+                             delay_linearization, solve_joint,
                              subgradient_solve)
 from oranslice.queueing import layer_delays
 from oranslice.radio import (PowerAllocation, SliceMapping, beam_gains,
                              build_beamformers, build_channels,
                              interference_upper_bound, ru_powers_all,
-                             slot_sigma, slot_weight_matrix, ue_rates)
+                             slot_weight_matrix, ue_rates)
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.slicing import map_slices_to_services
 
@@ -65,8 +65,8 @@ def test_delay_floor_includes_offered_load():
     sc = hand_scenario(ue_counts=(1,), arrival_rates=(3.0,),
                        slice_rus=((0,),),
                        params=default_params(mu1=10.0, mu2=10.0, d_max=0.5))
-    du, cu = layer_delays(sc, 3.0, 0)
-    want = 1.0 / (0.5 - du - cu) + 3.0 * sc.params.packet_size_bits
+    du, cu, _unstable = layer_delays(sc, np.array([3.0]))
+    want = 1.0 / (0.5 - du[0] - cu[0]) + 3.0 * sc.params.packet_size_bits
     floors = delay_linearization(sc, one_on_one())
     assert floors[0] == pytest.approx(want)
 
@@ -87,7 +87,7 @@ def closed_form(sc, mapping, ch, bf, ibar, eta, mults=None):
     return closed_form_power(
         sc, eta, mults if mults is not None else Multipliers.zeros(sc),
         beam_gains(sc, mapping, ch, bf), slot_weight_matrix(sc, mapping, bf),
-        noise + ibar, mapping.a[bf.ue_service])
+        noise + ibar, mapping.a[sc.ue_service])
 
 
 def test_closed_form_hand_unit_coefficients():
@@ -168,7 +168,7 @@ def test_subgradient_eta_zero_rides_the_ru_cap():
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     res = subgradient_solve(sc, mapping, ch, bf, ibar, eta=0.0,
                             opts=SolverOptions(max_iters=20000))
-    sq = slot_sigma(sc)[0]
+    sq = bf.slot_sigma[0]
     p_cap = (sc.params.p_max - sq) / 2.0
     assert res.feasible and res.converged
     assert res.mults.ru_cap_slot.max() > 0.0
@@ -242,7 +242,7 @@ def grid_search_f(sc, ch, bf, mapping, ibar, eta, n=200):
     gains = beam_gains(sc, mapping, ch, bf)
     z = params.bandwidth_hz * params.noise_psd + ibar
     w2 = slot_weight_matrix(sc, mapping, bf)
-    sigma2 = slot_sigma(sc)
+    sigma2 = bf.slot_sigma
     fh_cap = sigma2 * 2.0 ** params.c_max
 
     axis = np.linspace(0.0, params.p_max, n)
@@ -278,27 +278,6 @@ def test_subgradient_2ue_matches_grid_search():
     assert res.feasible
     f_grid = grid_search_f(sc, ch, bf, mapping, ibar, eta)
     assert res.f_value == pytest.approx(f_grid, rel=0.01)
-
-
-# ------------------------------------------------------------ Dinkelbach
-
-
-def test_dinkelbach_f_endpoints_and_slope():
-    sc = hand_scenario(ue_counts=(1,), slice_rus=((0,),))
-    ch = channels_from_matrix(sc, [[math.sqrt(2.0)]])
-    bf = build_beamformers(sc, ch)
-    mapping = one_on_one()
-    powers = PowerAllocation(p=np.array([2.0]))
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    r_tot = float(ue_rates(sc, mapping, ch, bf, powers, ibar).sum())
-    p_tot = float(ru_powers_all(sc, mapping, bf, powers).sum())
-
-    assert dinkelbach_f(sc, mapping, ch, bf, powers, 0.0) == pytest.approx(r_tot)
-    assert abs(dinkelbach_f(sc, mapping, ch, bf, powers, r_tot / p_tot)) \
-        <= 1e-9 * r_tot
-    f_vals = [dinkelbach_f(sc, mapping, ch, bf, powers, e)
-              for e in (0.0, r_tot / p_tot, 2.0 * r_tot / p_tot)]
-    assert f_vals[0] > f_vals[1] > f_vals[2]
 
 
 # ------------------------------------------------------------ joint loop

@@ -283,26 +283,30 @@ def test_ru_powers_match_summation_oracle():
     assert fast == pytest.approx(slow, rel=1e-9)
 
 
+def fronthaul(sc, mapping, bf, powers):
+    return fronthaul_rates_all(bf, ru_powers_all(sc, mapping, bf, powers))
+
+
 def test_fronthaul_zero_power_zero_rate():
     sc, ch, bf = unit_gain_instance()
-    got = fronthaul_rates_all(sc, full_mapping(sc), bf,
-                              PowerAllocation(p=np.zeros(1)))[0]
+    got = fronthaul(sc, full_mapping(sc), bf,
+                    PowerAllocation(p=np.zeros(1)))[0]
     assert got == 0.0
 
 
 def test_fronthaul_unit_signal_one_bit():
     sc, ch, bf = unit_gain_instance()
     p = sc.rus[0].sigma_q2      # |w|^2 = 1, so signal power equals sigma_q^2
-    got = fronthaul_rates_all(sc, full_mapping(sc), bf,
-                              PowerAllocation(p=np.array([p])))[0]
+    got = fronthaul(sc, full_mapping(sc), bf,
+                    PowerAllocation(p=np.array([p])))[0]
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_fronthaul_cap_boundary_exact():
     sc, ch, bf = unit_gain_instance()
     p = sc.rus[0].sigma_q2 * (2.0 ** 200 - 1.0)
-    got = fronthaul_rates_all(sc, full_mapping(sc), bf,
-                              PowerAllocation(p=np.array([p])))[0]
+    got = fronthaul(sc, full_mapping(sc), bf,
+                    PowerAllocation(p=np.array([p])))[0]
     assert got == pytest.approx(200.0, rel=1e-12)
 
 
@@ -314,12 +318,11 @@ def test_fronthaul_monotone_in_power(rng):
     bf = build_beamformers(sc, ch)
     mapping = full_mapping(sc)
     p = rng.uniform(0.1, 1.0, sc.n_ues)
-    base = fronthaul_rates_all(sc, mapping, bf, PowerAllocation(p=p))
+    base = fronthaul(sc, mapping, bf, PowerAllocation(p=p))
     for u in range(sc.n_ues):
         bumped = p.copy()
         bumped[u] *= 2.0
-        after = fronthaul_rates_all(sc, mapping, bf,
-                                    PowerAllocation(p=bumped))
+        after = fronthaul(sc, mapping, bf, PowerAllocation(p=bumped))
         assert np.all(after >= base - 1e-12)
 
 

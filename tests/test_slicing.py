@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oranslice.scenario import GeneratorConfig, generate_scenario
-from oranslice.radio import build_beamformers, build_channels
+from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
+                             build_channels)
 from oranslice.slicing import (RankingWeights, check_feasibility,
                                map_slices_to_services, rank_services,
                                rank_slices)
@@ -151,3 +152,73 @@ def test_map_all_assignments_remain_feasible_together():
         result = map_slices_to_services(sc, ch, bf)
         if result.mapping.a.any():
             assert check_feasibility(sc, ch, bf, result.mapping).ok
+
+
+# --------------------------------------------------------------------------
+# violation text
+# --------------------------------------------------------------------------
+
+# (params, per-RU gain to the UE on its own slice, arrival rates, expected
+# violations at full power); one service per slice, slice s on RU s.
+# Downstream tools sort rejections into families by these prefixes.
+VIOLATION_CASES = {
+    "ru_cap": (default_params(), [0.5], [100.0],
+               ["RU power cap: slice 0 RU 0 at 40.0001 W > 10 W"]),
+    "min_rate": (default_params(r_min=1e9), [2.0], [100.0],
+                 ["minimum rate: service 0 UE 0 at 1.75316e+06 bit/s "
+                  "< 1e+09 bit/s"]),
+    "fronthaul": (default_params(c_max=1.0), [2.0], [100.0],
+                  ["fronthaul cap: slice 0 RU 0 at 14.6097 bit/s/Hz "
+                   "> 1 bit/s/Hz"]),
+    "budget": (default_params(d_max=1e-4), [2.0], [100.0],
+               ["delay budget: slice 0 at 0.000202591 s > 0.0001 s"]),
+    "du": (default_params(), [2.0], [2e4],
+           ["delay: slice 0 DU layer unstable: per-VNF load 20000 >= "
+            "service rate 10000 packet/s"]),
+    "cu": (default_params(mu1=1e6, mu2=50.0), [2.0], [100.0],
+           ["delay: slice 0 CU layer unstable: per-VNF load 100 >= "
+            "service rate 50 packet/s"]),
+    "transmission": (default_params(packet_size_bits=1e9), [2.0], [100.0],
+                     ["delay: transmission stage unstable: slice rate "
+                      "1.75316e+06 <= offered load 1e+11"]),
+    "all_in_order": (
+        default_params(r_min=2.1e6, c_max=18.0, d_max=1e-7, mu1=1e9,
+                       mu2=1e9),
+        [0.5, 1.1, 2.0], [100.0, 2e9, 5e6],
+        ["RU power cap: slice 0 RU 0 at 40.0001 W > 10 W",
+         "minimum rate: service 1 UE 0 at 1.96016e+06 bit/s < 2.1e+06 bit/s",
+         "minimum rate: service 2 UE 0 at 1.75316e+06 bit/s < 2.1e+06 bit/s",
+         "fronthaul cap: slice 0 RU 0 at 18.6096 bit/s/Hz > 18 bit/s/Hz",
+         "delay budget: slice 0 at 4.49817e-07 s > 1e-07 s",
+         "delay: slice 1 DU layer unstable: per-VNF load 2e+09 >= service "
+         "rate 1e+09 packet/s",
+         "delay: transmission stage unstable: slice rate 1.75316e+06 <= "
+         "offered load 5e+06"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATION_CASES))
+def test_check_feasibility_violation_text(case):
+    params, gains, arrivals, expected = VIOLATION_CASES[case]
+    n = len(gains)
+    sc = hand_scenario(ue_counts=(1,) * n,
+                       slice_rus=tuple((s,) for s in range(n)),
+                       arrival_rates=arrivals, params=params)
+    ch = channels_from_matrix(sc, np.diag(gains))
+    bf = build_beamformers(sc, ch)
+    mapping = SliceMapping(a=np.eye(n, dtype=np.int8))
+    report = check_feasibility(sc, ch, bf, mapping)
+    assert not report.ok
+    assert report.violations == expected
+
+
+def test_check_feasibility_reports_negative_power():
+    sc = generate_scenario(GeneratorConfig(), seed=0)
+    ch = build_channels(sc)
+    bf = build_beamformers(sc, ch)
+    mapping = map_slices_to_services(sc, ch, bf).mapping
+    p = np.full(sc.n_ues, sc.params.p_max / 2)
+    p[0] = -1.0
+    report = check_feasibility(sc, ch, bf, mapping, PowerAllocation(p=p))
+    assert not report.ok
+    assert report.violations[0] == "negative transmit power at UE index [0]"
