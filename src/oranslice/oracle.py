@@ -76,7 +76,7 @@ def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                         bf: BeamformerSet) -> np.ndarray:
     """Per-UE worst-case interference by literal (slice, PRB, interferer)
     loops, every interfering stream charged the per-RU cap."""
-    zeta = sc.prb_assignment.zeta
+    zeta = set(map(tuple, sc.prb_assignment.triples.tolist()))
     n_prbs = sc.prb_assignment.n_prbs
     out = np.zeros(sc.n_ues)
     for sv in sc.services:
@@ -93,7 +93,7 @@ def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                     for pos_l, u_l in enumerate(idx_v):
                         if pos_l == pos_i:
                             continue
-                        if zeta[u_i, n, s] and zeta[u_l, n, s]:
+                        if (u_i, n, s) in zeta and (u_l, n, s) in zeta:
                             total += sc.params.p_max * _cross_gain(
                                 sc, ch, bf, s, u_i, v, pos_l)
             # other-service leakage
@@ -108,7 +108,7 @@ def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                         continue
                     for n in range(n_prbs):
                         for pos_l, u_l in enumerate(idx_y):
-                            if zeta[u_i, n, s] and zeta[u_l, n, s]:
+                            if (u_i, n, s) in zeta and (u_l, n, s) in zeta:
                                 total += sc.params.p_max * _cross_gain(
                                     sc, ch, bf, s, u_i, y, pos_l)
             # quantization noise of serving slices

@@ -29,6 +29,8 @@ from .slicing import MappingResult, check_feasibility, map_slices_to_services
 GAP_RTOL = 1e-8      # barrier stop: m/t <= GAP_RTOL * summed rate in nats
 CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
 T_STEP = 20.0        # barrier parameter growth per centering
+EPS_ETA = 1e-6       # outer stop: |F| and gap <= EPS_ETA * R_tot
+CONSTRAINT_RTOL = 1e-6   # feasibility slack, relative
 
 
 class DegenerateCoefficientError(ValueError):
@@ -67,9 +69,7 @@ class Multipliers:
 @dataclass
 class SolverOptions:
     max_iters: int = 5000         # Newton-step cap per inner solve
-    eps_eta: float = 1e-6         # outer stop: |F| and gap <= eps_eta * R_tot
     i_max: int = 50               # outer iteration cap
-    constraint_rtol: float = 1e-6  # feasibility slack, relative
 
 
 def delay_linearization(sc: Scenario, mapping: SliceMapping,
@@ -306,7 +306,7 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                     - sli @ floors - f_val)
     return SubgradientResult(
         powers=powers, mults=mults, converged=stop == "gap",
-        iterations=steps, feasible=max(worst.values()) <= opts.constraint_rtol,
+        iterations=steps, feasible=max(worst.values()) <= CONSTRAINT_RTOL,
         f_value=f_val, max_violation=max(worst.values()), gap=gap, stop=stop,
         violated=[k for k, v in worst.items() if v > 0])
 
@@ -350,7 +350,7 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
 
     The mapping is computed once (its sweep is deterministic and does
     not depend on eta or the powers).  `converged` means the last inner
-    solve's dual gap and |F| are both within eps_eta * R_tot.  The
+    solve's dual gap and |F| are both within EPS_ETA * R_tot.  The
     feasible set does not depend on eta, so an inner solve that finds
     no strictly feasible point ends the loop.
 
@@ -379,7 +379,7 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
                               max_violation=last.max_violation,
                               inner_iterations=last.iterations,
                               gap=last.gap, stop=last.stop))
-        tol = opts.eps_eta * max(r_tot, 1.0)
+        tol = EPS_ETA * max(r_tot, 1.0)
         converged = abs(f_val) <= tol and last.gap <= tol
         if converged or last.stop == "infeasible":
             break

@@ -139,13 +139,18 @@ def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
     quant = np.zeros((sc.n_slices, n_ues))
     gain = np.zeros((sc.n_slices, n_ues))
     w2 = np.zeros((len(slots), n_ues))
+    triples = sc.prb_assignment.triples
     first_slot = 0
     for sl in sc.slices:
         h = ch.gains[list(sl.ru_ids)]
         rows = slice(first_slot, first_slot + sl.n_rus)
         first_slot += sl.n_rus
         quant[sl.id] = slot_sigma[rows] @ np.abs(h) ** 2
-        z = sc.prb_assignment.zeta[:, :, sl.id].astype(float)
+        ue, prb = triples[triples[:, 2] == sl.id, :2].T
+        # one column per PRB the slice owns; validate() rejects other rows
+        col = {k: j for j, k in enumerate(sl.prb_ids)}
+        z = np.zeros((n_ues, len(col)))
+        z[ue, [col[k] for k in prb.tolist()]] = 1.0
         shared = z @ z.T          # PRBs of this slice both UEs may use
         for sv in sc.services:
             pair = (sl.id, sv.id)

@@ -2,9 +2,10 @@
 
 A scenario bundles everything the solvers need: system-wide radio and
 queueing parameters, services with their user equipments (UEs), network
-slices (radio units, PRBs, VNF chains), the PRB eligibility tensor, and
-the data centers that host VNFs.  Scenarios are plain data: generation,
-validation and (de)serialization live here, all physics lives elsewhere.
+slices (radio units, PRBs, VNF chains), PRB eligibility as (ue, prb,
+slice) index triples, and the data centers that host VNFs.  Scenarios
+are plain data: generation, validation and (de)serialization live here,
+all physics lives elsewhere.
 
 Units are SI throughout the radio/queueing side (W, Hz, bit/s, s,
 packet/s, m).  Compute resources follow the slicing literature's habit:
@@ -14,6 +15,7 @@ memory in GB, storage in TB, CPU in GHz.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -159,18 +161,21 @@ class ChannelModel:
 
 @dataclass
 class PrbAssignment:
-    """Eligibility tensor: zeta[u, k, s] = 1 iff UE u may use PRB k of slice s.
-
-    UEs are indexed in global order (services sorted by id, UEs by id
-    within each service).  The array is stored read-only.
+    """PRB eligibility zeta: row (u, k, s) of `triples` means UE u may use
+    PRB k of slice s.  UEs are in global order (services sorted by id, UEs
+    by id within each service).  Rows are sorted, unique and read-only.
     """
 
     n_prbs: int
-    zeta: np.ndarray              # uint8, shape (n_ues, n_prbs, n_slices)
+    triples: np.ndarray           # int64, shape (n, 3): (ue, prb, slice)
 
     def __post_init__(self):
-        self.zeta = np.ascontiguousarray(self.zeta, dtype=np.uint8)
-        self.zeta.flags.writeable = False
+        t = np.array(self.triples, dtype=np.int64).reshape(-1, 3)
+        t = t[np.lexsort(t.T[::-1])]          # row order, as np.argwhere
+        first = np.ones(len(t), dtype=bool)   # drop repeated rows
+        first[1:] = (t[1:] != t[:-1]).any(axis=1)
+        self.triples = t[first]
+        self.triples.flags.writeable = False
 
 
 @dataclass
@@ -246,6 +251,12 @@ class Scenario:
         """(2, n_slices) VNF counts: DU layer in row 0, CU layer in row 1."""
         return _frozen([[sl.m_du for sl in self.slices],
                         [sl.m_cu for sl in self.slices]], dtype=int)
+
+
+def _all_indices(xs) -> bool:
+    """True when every x is an integer and none is a bool (JSON true/false)."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool
+               for t in set(map(type, xs)))
 
 
 def _frozen(rows, dtype) -> np.ndarray:
@@ -326,12 +337,20 @@ class GeneratorConfig:
             raise ScenarioError("prb_mode must be 'dedicated' or 'shared'")
         if self.prbs_per_slice is not None and self.prbs_per_slice < 1:
             raise ScenarioError("prbs_per_slice must be >= 1")
+        if self.prbs_per_ue < 1:
+            raise ScenarioError("prbs_per_ue must be >= 1")
         if self.m_du < 1 or self.m_cu < 1:
             raise ScenarioError("m_du and m_cu must be >= 1")
         if self.sigma_q_frac <= 0:
             raise ScenarioError("sigma_q_frac must be > 0")
         if min(self.dc_cv, self.slice_cv) < 0:
             raise ScenarioError("coefficient of variation must be >= 0")
+        if not self.region_m >= 0:
+            raise ScenarioError("region_m must be >= 0")
+        if not self.arrival_rate_mean >= 0:
+            raise ScenarioError("arrival_rate_mean must be >= 0")
+        if not 0 <= self.arrival_rate_spread <= 1:
+            raise ScenarioError("arrival_rate_spread must be in [0, 1]")
         self.system_params()      # raises on a bad radio or queueing field
 
     def system_params(self) -> SystemParams:
@@ -426,17 +445,16 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
                             vnf_demands=vnfs))
     slices = tuple(slices)
 
-    zeta = np.zeros((n_ues_total, n_prbs, config.n_slices), dtype=np.uint8)
     if config.prb_mode == "dedicated":
-        for u in range(n_ues_total):
-            zeta[u, u, :] = 1
+        ue, s = np.divmod(np.arange(n_ues_total * config.n_slices),
+                          config.n_slices)
+        triples = np.column_stack([ue, ue, s])
     else:
-        for s in range(config.n_slices):
-            for u in range(n_ues_total):
-                picks = rng.choice(n_prbs, min(config.prbs_per_ue, n_prbs),
-                                   replace=False)
-                zeta[u, picks, s] = 1
-    prb_assignment = PrbAssignment(n_prbs=n_prbs, zeta=zeta)
+        triples = [(u, int(k), s) for s in range(config.n_slices)
+                   for u in range(n_ues_total)
+                   for k in rng.choice(n_prbs, min(config.prbs_per_ue, n_prbs),
+                                       replace=False)]
+    prb_assignment = PrbAssignment(n_prbs=n_prbs, triples=triples)
 
     dc_mem = _positive_draw(rng, config.dc_memory_gb, config.dc_cv, config.n_dcs)
     dc_sto = _positive_draw(rng, config.dc_storage_tb, config.dc_cv, config.n_dcs)
@@ -466,11 +484,12 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
 def validate(sc: Scenario) -> list[str]:
     """Structural checks; returns a list of human-readable violations.
 
-    An empty list means the scenario is well-formed.  Checks cover id
-    uniqueness/denseness, cross-references, finiteness and sign
-    constraints, and the PRB eligibility consistency rule (a UE may only
-    be eligible for a PRB of a slice if that slice actually owns the
-    PRB).
+    An empty list means the scenario is well-formed.  Checks cover
+    integer ids and their uniqueness/denseness, cross-references,
+    finiteness and sign constraints, the index ranges of the PRB
+    eligibility triples, and the PRB eligibility consistency rule (a UE
+    may only be eligible for a PRB of a slice if that slice actually
+    owns the PRB).
     """
     problems: list[str] = []
 
@@ -495,15 +514,14 @@ def validate(sc: Scenario) -> list[str]:
     check_finite("data centers", [(dc.memory_gb, dc.storage_tb, dc.cpu_ghz,
                                    dc.phi_idle, dc.phi_per_unit)
                                   for dc in sc.dcs])
-    if not isinstance(sc.channel.seed, (int, np.integer)) \
-            or sc.channel.seed < 0:
+    if not _all_indices([sc.channel.seed]) or sc.channel.seed < 0:
         problems.append("channel seed must be an integer >= 0")
 
     def check_dense_ids(items, label):
         ids = [it.id for it in items]
-        if ids != list(range(len(ids))):
-            problems.append(f"{label} ids must be dense 0..{len(ids) - 1}, "
-                            f"got {ids}")
+        if not _all_indices(ids) or ids != list(range(len(ids))):
+            problems.append(f"{label} ids must be the integers "
+                            f"0..{len(ids) - 1}, got {ids}")
 
     check_dense_ids(sc.services, "service")
     check_dense_ids(sc.slices, "slice")
@@ -513,8 +531,10 @@ def validate(sc: Scenario) -> list[str]:
     for sv in sc.services:
         if sv.n_ues < 1:
             problems.append(f"service {sv.id} has no UEs")
-        if [ue.id for ue in sv.ues] != list(range(sv.n_ues)):
-            problems.append(f"service {sv.id} UE ids must be dense")
+        ue_ids = [ue.id for ue in sv.ues]
+        if not _all_indices(ue_ids) or ue_ids != list(range(sv.n_ues)):
+            problems.append(f"service {sv.id} UE ids must be the integers "
+                            f"0..{sv.n_ues - 1}")
         for ue in sv.ues:
             if ue.arrival_rate < 0:
                 problems.append(
@@ -529,13 +549,18 @@ def validate(sc: Scenario) -> list[str]:
     for sl in sc.slices:
         if sl.n_rus < 1:
             problems.append(f"slice {sl.id} owns no radio units")
-        if len(set(sl.ru_ids)) != len(sl.ru_ids):
+        ru_typed = _all_indices(sl.ru_ids)
+        if ru_typed and len(set(sl.ru_ids)) != len(sl.ru_ids):
             problems.append(f"slice {sl.id} lists a radio unit twice")
-        if not set(sl.ru_ids) <= ru_ids:
+        if not (ru_typed and set(sl.ru_ids) <= ru_ids):
             problems.append(f"slice {sl.id} references unknown radio units")
         if len(sl.prb_ids) < 1:
             problems.append(f"slice {sl.id} owns no PRBs")
-        if not all(0 <= k < n_prbs for k in sl.prb_ids):
+        prb_typed = _all_indices(sl.prb_ids)
+        if prb_typed and len(set(sl.prb_ids)) != len(sl.prb_ids):
+            problems.append(f"slice {sl.id} lists a PRB twice")
+        if not (prb_typed and 0 <= min(sl.prb_ids, default=0)
+                and max(sl.prb_ids, default=-1) < n_prbs):
             problems.append(f"slice {sl.id} references unknown PRBs")
         if sl.m_du < 1 or sl.m_cu < 1:
             problems.append(f"slice {sl.id} needs at least one VNF per layer")
@@ -549,20 +574,17 @@ def validate(sc: Scenario) -> list[str]:
         if dc.phi_idle < 0 or dc.phi_per_unit < 0:
             problems.append(f"data center {dc.id} has negative power model")
 
-    zeta = sc.prb_assignment.zeta
-    expect_shape = (sc.n_ues, n_prbs, sc.n_slices)
-    if zeta.shape != expect_shape:
-        problems.append(f"zeta shape {zeta.shape} != expected {expect_shape}")
-    else:
-        if zeta.max(initial=0) > 1:      # uint8, so this also catches < 0
-            problems.append("zeta entries must be 0 or 1")
-        for sl in sc.slices:
-            owned = np.zeros(n_prbs, dtype=bool)
-            owned[list(sl.prb_ids)] = True
-            stray = zeta[:, ~owned, sl.id]
-            if stray.any():
-                problems.append(
-                    f"slice {sl.id}: zeta marks PRBs the slice does not own")
+    triples = sc.prb_assignment.triples
+    dims = (sc.n_ues, n_prbs, sc.n_slices)
+    inside = ((triples >= 0) & (triples < dims)).all(axis=1)
+    if not inside.all():
+        problems.append(f"zeta entries must be [ue, prb, slice] index "
+                        f"triples within {dims}")
+    for s, sl in enumerate(sc.slices):
+        listed = triples[inside & (triples[:, 2] == s), 1].tolist()
+        if _all_indices(sl.prb_ids) and not set(listed) <= set(sl.prb_ids):
+            problems.append(
+                f"slice {sl.id}: zeta marks PRBs the slice does not own")
 
     return problems
 
@@ -573,7 +595,6 @@ def validate(sc: Scenario) -> list[str]:
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    zeta_entries = np.argwhere(sc.prb_assignment.zeta == 1)
     return {
         "schema": SCHEMA_VERSION,
         "units": dict(UNITS),
@@ -595,7 +616,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "rus": [{"id": ru.id, "position": list(ru.position),
                  "sigma_q2": ru.sigma_q2} for ru in sc.rus],
         "prbs": {"count": sc.prb_assignment.n_prbs},
-        "zeta": [[int(u), int(k), int(s)] for u, k, s in zeta_entries],
+        "zeta": sc.prb_assignment.triples.tolist(),
         "dcs": [asdict(dc) for dc in sc.dcs],
     }
 
@@ -623,25 +644,17 @@ def scenario_from_dict(data: dict) -> Scenario:
     rus = tuple(RadioUnit(id=ru["id"], position=tuple(ru["position"]),
                           sigma_q2=ru["sigma_q2"]) for ru in data["rus"])
     dcs = tuple(DataCenter(**dc) for dc in data["dcs"])
-    n_ues = sum(len(sv.ues) for sv in services)
     n_prbs = data["prbs"]["count"]
     if type(n_prbs) is not int or n_prbs < 0:
         raise ScenarioError(f"PRB count must be an integer >= 0, "
                             f"got {n_prbs!r}")
-    shape = (n_ues, n_prbs, len(slices))
-    try:
-        idx = np.array(data["zeta"] or np.zeros((0, 3), dtype=int))
-    except ValueError:        # ragged entries
-        idx = None
-    if (idx is None or idx.dtype.kind != "i" or idx.shape[1:] != (3,)
-            or (idx < 0).any() or (idx >= shape).any()):
-        raise ScenarioError(f"zeta entries must be [ue, prb, slice] integer "
-                            f"index triples within {shape}")
-    zeta = np.zeros(shape, dtype=np.uint8)
-    zeta[tuple(idx.T)] = 1
+    rows = data["zeta"]
+    if (set(map(type, itertools.chain.from_iterable(rows))) - {int}
+            or set(map(len, rows)) - {3}):
+        raise ScenarioError("zeta entries must be [ue, prb, slice] integer "
+                            "index triples")
     sc = Scenario(params=params, services=services, slices=slices, rus=rus,
-                  dcs=dcs,
-                  prb_assignment=PrbAssignment(n_prbs=n_prbs, zeta=zeta),
+                  dcs=dcs, prb_assignment=PrbAssignment(n_prbs, rows),
                   channel=channel)
     problems = validate(sc)
     if problems:
@@ -665,5 +678,5 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError("scenario file must hold a JSON object")
     try:
         return scenario_from_dict(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario file: {exc!r}") from exc

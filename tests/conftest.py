@@ -3,8 +3,8 @@
 Most tests either generate a random scenario through the public config or
 assemble a tiny one by hand where every number is chosen so the expected
 result can be worked out on paper.  The builder below handles the second
-kind: it wires up services, slices, RUs and DCs with dense ids and a
-permissive PRB eligibility tensor, leaving every knob overridable.
+kind: it wires up services, slices, RUs and DCs with dense ids and
+permissive PRB eligibility triples, leaving every knob overridable.
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ def hand_scenario(ue_counts=(1,), arrival_rates=None, slice_rus=((0,),),
                   prbs_per_slice=1, vnf_demands=None,
                   vnf_demand=(100.0, 10.0, 32.0), m_du=1, m_cu=1,
                   dc_specs=((1000.0, 100.0, 320.0),), phi_idle=0.0,
-                  phi_per_unit=1.0, params=None, zeta=None) -> Scenario:
+                  phi_per_unit=1.0, params=None, triples=None) -> Scenario:
     """Build a dense, valid scenario from plain tuples.
 
     ue_counts: UEs per service.  slice_rus: per slice, the tuple of RU
     ids it owns.  slice_prbs: per slice, the PRBs it owns (default:
     disjoint ranges of prbs_per_slice each).  vnf_demands: per-slice
     (mem, sto, cpu) totals, defaulting to vnf_demand for every slice.
-    By default every UE is eligible on every PRB its slice owns, which
-    keeps validate() happy.
+    triples: the (ue, prb, slice) eligibility rows; by default every UE
+    is eligible on every PRB its slice owns, which keeps validate() happy.
     """
     params = params or default_params()
     n_ues = sum(ue_counts)
@@ -87,13 +87,13 @@ def hand_scenario(ue_counts=(1,), arrival_rates=None, slice_rus=((0,),),
                            phi_per_unit=phi_per_unit)
                 for d, spec in enumerate(dc_specs))
     n_prbs = max(k for prbs in slice_prbs for k in prbs) + 1
-    if zeta is None:
-        zeta = np.zeros((n_ues, n_prbs, n_slices), dtype=np.uint8)
-        for s in range(n_slices):
-            zeta[:, list(slice_prbs[s]), s] = 1
+    if triples is None:
+        triples = [(u, k, s) for s in range(n_slices)
+                   for u in range(n_ues) for k in slice_prbs[s]]
     return Scenario(params=params, services=tuple(services), slices=slices,
                     rus=rus, dcs=dcs,
-                    prb_assignment=PrbAssignment(n_prbs=n_prbs, zeta=zeta),
+                    prb_assignment=PrbAssignment(n_prbs=n_prbs,
+                                                 triples=triples),
                     channel=ChannelModel(seed=0))
 
 

@@ -1,15 +1,20 @@
 """End-to-end command line checks, driven in-process through main()."""
 
+import functools
 import json
+import operator
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import hand_scenario, placement_config
 from oranslice import cli
 from oranslice.cli import main
 from oranslice.oracle import BruteForceResult
-from oranslice.scenario import generate_scenario, load_scenario, save_scenario
+from oranslice.scenario import (GeneratorConfig, generate_scenario,
+                                load_scenario, save_scenario,
+                                scenario_to_dict)
 
 # single-slice family with an interior efficiency optimum the 64-step
 # oracle grid can resolve (same calibration as the solver-vs-oracle tests)
@@ -139,7 +144,14 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
     ({"prb_mode": "shared", "prbs_per_slice": 0}, [],
      "prbs_per_slice must be >= 1"),
     ({}, ["--seed", "-1"], "--seed must be >= 0"),
-], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed"])
+    ({"region_m": -5}, [], "region_m must be >= 0"),
+    ({"arrival_rate_mean": -1}, [], "arrival_rate_mean must be >= 0"),
+    ({"arrival_rate_spread": 2.0}, [], "arrival_rate_spread must be in"),
+    ({"prb_mode": "shared", "prbs_per_ue": 0}, [],
+     "prbs_per_ue must be >= 1"),
+], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
+        "negative-region", "negative-arrival-mean", "wide-arrival-spread",
+        "no-prbs-per-ue"])
 def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -287,13 +299,27 @@ NAN, INF = float("nan"), float("inf")
     (("services", 0, "ues", 0, "position"), [INF, 0.0], "must be finite"),
     (("rus", 0, "position"), [0.0, NAN], "must be finite"),
     (("params", "p_max"), NAN, "must be finite"),
+    (("zeta", 0), [True, 0, 0], "zeta entries"),
+    (("slices", 0, "prb_ids"), [1.5], "unknown PRBs"),
+    (("slices", 0, "prb_ids"), [True], "unknown PRBs"),
+    (("slices", 0, "prb_ids"), [0, 1, 1], "lists a PRB twice"),
+    (("slices", 0, "ru_ids", 0), 1.0, "unknown radio units"),
+    (("slices", 0, "id"), 0.0, "slice ids must be the integers"),
+    (("services", 0, "id"), False, "service ids must be the integers"),
+    (("services", 0, "ues", 0, "id"), 0.0, "UE ids must be the integers"),
+    (("rus", 0, "id"), 0.0, "radio unit ids must be the integers"),
+    (("dcs", 0, "id"), False, "data center ids must be the integers"),
+    (("channel", "seed"), True, "channel seed must be an integer"),
 ], ids=["missing-fields", "zeta-ue-999", "zeta-ue-negative", "zeta-ue-float",
         "zeta-pair", "negative-prb-count", "nan-arrival", "inf-ue-position",
-        "nan-ru-position", "nan-p-max"])
+        "nan-ru-position", "nan-p-max", "zeta-ue-bool", "prb-id-float",
+        "prb-id-bool", "prb-id-twice", "ru-id-float", "slice-id-float",
+        "service-id-bool", "ue-id-float", "ru-own-id-float", "dc-id-bool",
+        "channel-seed-bool"])
 def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
                                           keys, value, needle):
     """`keys` locates the field replaced by `value`; () replaces the whole
-    document."""
+    document.  `place` loads the scenario the same way and must agree."""
     data = json.loads(easy_scenario.read_text())
     if keys:
         node = data
@@ -304,9 +330,69 @@ def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
         data = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    code = main(["solve", str(bad)])
-    assert code == 2
-    assert needle in capsys.readouterr().err
+    for command in ("solve", "place"):
+        code = main([command, str(bad)])
+        assert code == 2
+        assert needle in capsys.readouterr().err
+
+
+# two services on two slices that share a 3-PRB pool, two PRBs per UE
+FUZZ_BASE = scenario_to_dict(generate_scenario(GeneratorConfig(
+    n_services=2, mean_ues=1.5, max_ues=2, n_slices=2, n_rus=6,
+    rus_per_slice=4, prb_mode="shared", prbs_per_slice=3, prbs_per_ue=2,
+    r_min_per_hz=0.5, region_m=100.0), seed=1))
+
+
+def index_paths(doc):
+    """Every index field of a scenario document, as key paths."""
+    paths = [("prbs", "count"), ("zeta",)]
+    for key in ("services", "slices", "rus", "dcs"):
+        paths += [(key, i, "id") for i in range(len(doc[key]))]
+    for i, sv in enumerate(doc["services"]):
+        paths += [("services", i, "ues", j, "id")
+                  for j in range(len(sv["ues"]))]
+    for s, sl in enumerate(doc["slices"]):
+        for key in ("ru_ids", "prb_ids"):
+            paths += [("slices", s, key)]
+            paths += [("slices", s, key, j) for j in range(len(sl[key]))]
+    for i in range(len(doc["zeta"])):
+        paths += [("zeta", i)] + [("zeta", i, c) for c in range(3)]
+    return paths
+
+
+SMALL = st.integers(-1, 6)
+SCALARS = st.one_of(SMALL, st.booleans(), st.none(), st.floats(-2.0, 8.0),
+                    st.just("1"),
+                    st.sampled_from([2**62, 2**63, -2**63 - 1, 10**30]))
+VALUES = st.one_of(SMALL, SCALARS, st.lists(SMALL, max_size=4),
+                   st.lists(SCALARS, max_size=4),
+                   st.lists(st.lists(SMALL, min_size=3, max_size=3),
+                            max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(index_paths(FUZZ_BASE)),
+                                VALUES, st.booleans()),
+                      min_size=1, max_size=3))
+def test_index_fields_never_crash(workdir, edits):
+    """Replacing an index field, or appending to a list-valued one, makes
+    `solve` exit 0, 2 or 3 and `place` exit 0 or 2, never an exception."""
+    data = json.loads(json.dumps(FUZZ_BASE))
+    for keys, value, append in edits:
+        try:
+            node = functools.reduce(operator.getitem, keys[:-1], data)
+            old = node[keys[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue                  # an earlier edit removed the field
+        if append and isinstance(old, list):
+            old.append(value)
+        elif isinstance(node, (list, dict)):
+            node[keys[-1]] = value
+    path = workdir / "fuzz.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path), "--max-iters", "200"]) in (0, 2, 3)
+    assert main(["place", str(path)]) in (0, 2)
 
 
 # --------------------------------------------------------------------------

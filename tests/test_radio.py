@@ -112,11 +112,8 @@ def test_interference_disjoint_prbs_no_quantization_is_zero():
     # each UE holds a private PRB and sigma_q = 0: every eligibility
     # product vanishes and the quantization term is gone, so the bound
     # is exactly zero for both UEs
-    zeta = np.zeros((2, 2, 2), dtype=np.uint8)
-    zeta[0, 0, 0] = 1
-    zeta[1, 1, 1] = 1
     sc = hand_scenario(ue_counts=(1, 1), slice_rus=((0,), (1,)),
-                       sigma_q2=0.0, zeta=zeta)
+                       sigma_q2=0.0, triples=[(0, 0, 0), (1, 1, 1)])
     ch = channels_from_matrix(sc, np.array([[1.0, 0.3], [0.2, 1.0]],
                                            dtype=complex))
     bf = build_beamformers(sc, ch)

@@ -65,7 +65,9 @@ def test_sigma_q_scales_with_pmax():
 
 @pytest.mark.parametrize("field,value", [
     ("n_services", 0), ("n_slices", 0), ("n_dcs", 0),
-    ("mean_ues", 0.0), ("sigma_q_frac", 0.0),
+    ("mean_ues", 0.0), ("sigma_q_frac", 0.0), ("region_m", -5.0),
+    ("arrival_rate_mean", -1.0), ("arrival_rate_spread", -0.1),
+    ("arrival_rate_spread", 1.5), ("prbs_per_ue", 0),
 ])
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ScenarioError):
@@ -103,23 +105,12 @@ def test_validate_flags_stray_prb_eligibility():
     # two slices with disjoint PRBs; mark a UE eligible on the other
     # slice's PRB
     sc = hand_scenario(slice_rus=((0,), (1,)))
-    zeta = sc.prb_assignment.zeta.copy()
-    zeta[0, 1, 0] = 1        # PRB 1 belongs to slice 1, not slice 0
-    sc = dataclasses.replace(
-        sc, prb_assignment=dataclasses.replace(sc.prb_assignment, zeta=zeta))
+    triples = [*sc.prb_assignment.triples.tolist(), (0, 1, 0)]
+    # PRB 1 belongs to slice 1, not slice 0
+    sc = dataclasses.replace(sc, prb_assignment=dataclasses.replace(
+        sc.prb_assignment, triples=triples))
     problems = validate(sc)
     assert any("does not own" in p for p in problems)
-
-
-@pytest.mark.parametrize("value", [2, -1], ids=["two", "negative"])
-def test_validate_flags_non_binary_zeta(value):
-    # zeta is stored as uint8, so -1 arrives as 255
-    sc = hand_scenario()
-    zeta = sc.prb_assignment.zeta.astype(int)
-    zeta[0, 0, 0] = value
-    sc = dataclasses.replace(
-        sc, prb_assignment=dataclasses.replace(sc.prb_assignment, zeta=zeta))
-    assert "zeta entries must be 0 or 1" in validate(sc)
 
 
 def test_ue_counts_respect_cap():
@@ -137,12 +128,11 @@ def test_positions_inside_region():
 
 def test_dedicated_prbs_are_private():
     sc = generate_scenario(GeneratorConfig(prb_mode="dedicated"), seed=4)
-    zeta = sc.prb_assignment.zeta
+    triples = sc.prb_assignment.triples.tolist()
     # each UE holds exactly its own PRB in every slice
     for u in range(sc.n_ues):
         for s in range(sc.n_slices):
-            assert zeta[u, :, s].sum() == 1
-            assert zeta[u, u, s] == 1
+            assert [k for v, k, t in triples if (v, t) == (u, s)] == [u]
 
 
 def test_serialization_roundtrip(tmp_path):
