@@ -21,7 +21,8 @@ import time
 import numpy as np
 
 from .scenario import (GeneratorConfig, Scenario, ScenarioError,
-                       generate_scenario, load_scenario, save_scenario)
+                       generate_scenario, is_real, load_scenario,
+                       save_scenario)
 from .radio import SliceMapping, build_beamformers, build_channels
 from .power import InfeasibleMappingError, SolverOptions, solve_joint
 from .placement import (PlacementWeights, admitted_ratio, cost_psi,
@@ -424,9 +425,8 @@ def _emit_plot_script(csv_path: str, x_col: int, y_col: int,
 
 
 def _is_number(value, integer: bool = False) -> bool:
-    """A JSON int, or with integer=False also a finite float (not a bool)."""
-    return type(value) is int or (not integer and type(value) is float
-                                  and math.isfinite(value))
+    """A JSON int, or with integer=False any finite number (not a bool)."""
+    return type(value) is int if integer else is_real(value)
 
 
 def _parse_spec(spec: dict, out: str | None) -> tuple:

@@ -9,6 +9,9 @@ the inner problem is concave (rates, the mapping-gated power charge, the
 per-UE rate floors, per-slot RU and fronthaul caps, per-slice delay rate
 floors) and is solved by a log-barrier interior-point method (Boyd &
 Vandenberghe, Convex Optimization, 2004, ch. 11) whose duals certify it.
+Its feasible set does not depend on eta, so phase I runs once per solve;
+eta starts at the ratio of a feasible point, which keeps F >= 0 and eta
+monotone (Schaible, 1976), and each step warm-starts from the last one.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import numpy as np
 from .scenario import Scenario
 from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
                     beam_gains, build_beamformers, build_channels,
-                    interference_upper_bound, ru_powers_all,
-                    slot_weight_matrix, ue_rates)
+                    interference_upper_bound, slot_weight_matrix)
 from .queueing import UnstableQueueError, layer_delays, slice_loads
 from .slicing import MappingResult, check_feasibility, map_slices_to_services
 
@@ -140,24 +142,26 @@ class SubgradientResult:
     iterations: int               # Newton steps, phase I included
     feasible: bool
     f_value: float                # R_tot - eta * P_tot at the returned powers
+    r_tot: float                  # summed rate, bit/s
+    p_tot: float                  # summed slot power, W
     max_violation: float          # largest normalized constraint violation
     gap: float                    # dual bound minus f_value, bit/s
     stop: str                     # "gap", "cap" or "infeasible"
     violated: list[str] = field(default_factory=list)
 
 
-def _central_path(x, lin, rate_w, prob, budget):
+def _central_path(x, lin, rate_w, prob, budget, t=1.0):
     """Log-barrier method, as a generator: maximizes lin @ x + rate_w *
     sum(rho), rho_u = ln(1 + q_u p_u), subject to rho_u > rho_min,
     M @ rho > floor, W @ p < b * (1 - s), p < p_max and s < 1, with
-    x = p (phase II) or x = (p, s) (phase I).  Yields (x, t, duals 1/(t *
-    slack) in that constraint order, Newton steps) at each centred point,
-    then grows t by T_STEP; returns once `budget` steps are spent.
-    """
+    x = p (phase II) or x = (p, s) (phase I).  From barrier parameter t,
+    yields (x, t, duals 1/(t * slack) in that constraint order, Newton
+    steps) at each centred point, then grows t by T_STEP; returns once
+    `budget` steps are spent."""
     q, rho_min, M, floor, W, b, p_max = prob
-    n_p = q.size
+    n_p, n_f = q.size, len(floor)
+    n_r = n_f + len(b)                    # rows of R: floors, then caps
     hi = np.where(np.arange(x.size) < n_p, p_max, 1.0)
-    cuts = np.cumsum([n_p, len(floor), len(b)])
 
     def slacks(x):
         rho = np.log1p(q * x[:n_p])
@@ -167,147 +171,197 @@ def _central_path(x, lin, rate_w, prob, budget):
 
     def gain(rho, sl, dx):
         """Barrier increase along dx, formed from differences."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drho = np.log1p(q * dx[:n_p] * np.exp(-rho))
-            dsl = np.concatenate([drho, M @ drho, -b * dx[n_p:].sum()
-                                  - W @ dx[:n_p], -dx])
-            out = (t * (lin @ dx + rate_w * drho.sum())
-                   + np.log1p(dsl / sl).sum())
+        drho = np.log1p(q * dx[:n_p] * np.exp(-rho))
+        dsl = np.concatenate([drho, M @ drho, -b * dx[n_p:].sum()
+                              - W @ dx[:n_p], -dx])
+        out = (t * (lin @ dx + rate_w * drho.sum())
+               + np.log1p(dsl / sl).sum())
         return out if np.isfinite(out) else -np.inf
 
-    t, steps = 1.0, 0
+    steps = 0
     while True:
-        while steps < budget:
-            rho, sl = slacks(x)
-            d1 = q * np.exp(-rho)                 # d rho / d p
-            ue, sli, cap, box = np.split(1.0 / sl, cuts)
-            wsum = t * rate_w + ue + M.T @ sli
-            grad = t * lin - box
-            grad[:n_p] += wsum * d1 - W.T @ cap
-            grad[n_p:] -= b @ cap
-            # -Hessian = diag(d) + R^T R with one row of R per slice
-            # floor and kept cap; solved as D^1/2 (I + Rs^T Rs) D^1/2,
-            # through the smaller of the two Gram matrices
-            d = box ** 2
-            d[:n_p] += wsum * d1 ** 2 + (ue * d1) ** 2
-            rows = np.zeros((cuts[2] - n_p, x.size))
-            rows[:len(floor), :n_p] = M * d1
-            rows[len(floor):, :n_p] = W
-            rows[len(floor):, n_p:] = b[:, None]
-            rs = rows * np.concatenate([sli, cap])[:, None] / np.sqrt(d)
-            gs = grad / np.sqrt(d)
-            if len(rs) < x.size:
-                gs -= rs.T @ np.linalg.solve(np.eye(len(rs)) + rs @ rs.T,
-                                             rs @ gs)
-            else:
-                gs = np.linalg.solve(np.eye(x.size) + rs.T @ rs, gs)
-            dx = gs / np.sqrt(d)
-            lam2 = float(grad @ dx)
-            alpha = 1.0
-            while (lam2 > 2 * CENTER_TOL and alpha > 1e-10
-                   and gain(rho, sl, alpha * dx) < 0.25 * alpha * lam2):
-                alpha /= 2
-            if lam2 <= 2 * CENTER_TOL or alpha <= 1e-10:
-                break
-            x = x + alpha * dx
-            steps += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while steps < budget:
+                rho, sl = slacks(x)
+                d1 = q * np.exp(-rho)                 # d rho / d p
+                inv = 1.0 / sl
+                ue, box = inv[:n_p], inv[n_p + n_r:]
+                wsum = t * rate_w + ue + M.T @ inv[n_p:n_p + n_f]
+                grad = t * lin - box
+                grad[:n_p] += wsum * d1 - W.T @ inv[n_p + n_f:n_p + n_r]
+                grad[n_p:] -= b @ inv[n_p + n_f:n_p + n_r]
+                # -Hessian = diag(d) + R^T R with one row of R per slice
+                # floor and kept cap; solved as D^1/2 (I + Rs^T Rs) D^1/2,
+                # through the smaller of the two Gram matrices
+                d = box ** 2
+                d[:n_p] += wsum * d1 ** 2 + (ue * d1) ** 2
+                rows = np.zeros((n_r, x.size))
+                rows[:n_f, :n_p] = M * d1
+                rows[n_f:, :n_p] = W
+                rows[n_f:, n_p:] = b[:, None]
+                rs = rows * inv[n_p:n_p + n_r, None] / np.sqrt(d)
+                gs = grad / np.sqrt(d)
+                if len(rs) < x.size:
+                    gs -= rs.T @ np.linalg.solve(np.eye(len(rs)) + rs @ rs.T,
+                                                 rs @ gs)
+                else:
+                    gs = np.linalg.solve(np.eye(x.size) + rs.T @ rs, gs)
+                dx = gs / np.sqrt(d)
+                lam2 = float(grad @ dx)
+                alpha = 1.0
+                while (lam2 > 2 * CENTER_TOL and alpha > 1e-10
+                       and gain(rho, sl, alpha * dx) < 0.25 * alpha * lam2):
+                    alpha /= 2
+                if lam2 <= 2 * CENTER_TOL or alpha <= 1e-10:
+                    break
+                x = x + alpha * dx
+                steps += 1
         yield x, t, 1.0 / (t * slacks(x)[1]), steps
         if steps >= budget:
             return
         t *= T_STEP
 
 
+class PowerProblem:
+    """The eta-independent part of one mapping's inner problem, built once
+    per Dinkelbach loop.  Phase I (floors only rise with power) steps from
+    p_max towards the per-UE floor powers `p_lo` while every slice floor
+    holds; if a slot cap fails there, it maximizes s with the caps shrunk
+    to b * (1 - s) until s > 0 or the barrier bound rules it out.  Phase
+    II starts at (`x`, `t`); `x` is None without a strictly feasible point,
+    and a solve then reports `p` and `stop`.  `steps` holds phase-I Newton
+    steps not yet charged to a solve, `mults` the last solve's multipliers.
+    `eta0` is R/P at `p_lo` if those powers meet every floor and cap, else
+    at the phase-I point: a feasible ratio, so F(eta0) >= 0."""
+
+    def __init__(self, sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
+                 bf: BeamformerSet, ibar: np.ndarray, opts: SolverOptions):
+        self.sc, params = sc, sc.params
+        self.sigma2 = sigma2 = bf.slot_sigma
+        self.nat = nat = params.bandwidth_hz / math.log(2.0)  # bit/s per nat
+        self.gains = gains = beam_gains(sc, mapping, ch, bf)
+        self.denom = denom = params.bandwidth_hz * params.noise_psd + ibar
+        self.weights = weights = slot_weight_matrix(sc, mapping, bf)
+        self.fh_power_cap = sigma2 * np.exp2(params.c_max)
+        self.dfrak = delay_linearization(sc, mapping)
+        self.floors = floors = np.array(list(self.dfrak.values()), float)
+        self.served = mapping.a[sc.ue_service]
+        self.member = self.served[:, list(self.dfrak)].astype(float)
+        self.active_ue = self.served.any(axis=1)
+        self.idx = idx = np.flatnonzero(self.active_ue)
+        q = gains[idx] / denom[idx]
+        self.room = np.minimum(params.p_max, self.fh_power_cap) - sigma2
+        self.keep = weights[:, idx].sum(axis=1) * params.p_max > self.room
+        self.cost = weights[:, idx].sum(axis=0)      # d P_tot / d p, per UE
+        W, b = weights[self.keep][:, idx], self.room[self.keep]
+        rho_min, M = params.r_min / nat, self.member[idx].T
+        self.prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
+        x, self.p, self.mults = None, np.full(idx.size, params.p_max), None
+        self.stop, self.steps, self.t = "infeasible", 0, 1.0
+        if np.all(p_lo < params.p_max) and np.all(b > 0):
+            for theta in 0.5 ** np.arange(1, 40):
+                p = params.p_max - theta * (params.p_max - p_lo)
+                if np.all(M @ np.log1p(q * p) > floors / nat):
+                    x = p
+                    break
+        if x is not None and np.any(W @ x >= b):
+            z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
+            for z, t, duals, self.steps in _central_path(
+                    z, np.eye(z.size)[-1], 0.0, self.prob, opts.max_iters):
+                if z[-1] > 0 or z[-1] + duals.size / t <= 0:
+                    break
+            self.p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
+            self.stop = "cap" if self.steps >= opts.max_iters else self.stop
+        self.x = x
+        lo_ok = (np.all(p_lo <= params.p_max) and np.all(W @ p_lo <= b)
+                 and np.all(M @ np.log1p(q * p_lo) >= floors / nat))
+        start = p_lo if lo_ok else x
+        self.eta0 = 0.0 if start is None else float(
+            self.objective(0.0, start) / (self.cost @ start + sigma2.sum()))
+
+    def objective(self, eta: float, p: np.ndarray) -> float:
+        """R_tot - eta * P_tot at powers `p` of the served UEs, bit/s."""
+        return (self.nat * np.log1p(self.prob[0] * p).sum()
+                - eta * (self.cost @ p + self.sigma2.sum()))
+
+    def dual_bound(self, eta: float, mults: Multipliers) -> float:
+        """Lagrangian dual function at `mults`, bit/s: an upper bound on
+        R_tot - eta * P_tot over the feasible powers.  Each UE's term is
+        maximized by `closed_form_power`."""
+        sc, nat, served = self.sc, self.nat, self.served
+        p = closed_form_power(sc, eta, mults, self.gains, self.weights,
+                              self.denom, served)
+        y = nat * (1.0 + mults.rate_ue + served @ mults.delay_slice)
+        price = self.weights.T @ (mults.ru_cap_slot + eta)
+        return float((y * np.log1p(p * self.gains / self.denom)
+                      - price * p).sum() - eta * self.sigma2.sum()
+                     + mults.ru_cap_slot @ self.room
+                     - sc.params.r_min * mults.rate_ue[self.idx].sum()
+                     - mults.delay_slice[list(self.dfrak)] @ self.floors)
+
+
 def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                       bf: BeamformerSet, ibar: np.ndarray, eta: float,
                       opts: SolverOptions = SolverOptions(),
+                      problem: PowerProblem | None = None,
                       ) -> SubgradientResult:
     """Maximize R_tot - eta * P_tot over the powers, with a certificate.
 
-    Phase I (floors only rise with power): step from p_max towards the
-    per-UE floor powers while every slice floor holds; if a slot cap
-    fails there, maximize s with the caps shrunk to b * (1 - s) until
-    s > 0 or the barrier bound rules it out ("infeasible").  Phase II
-    runs until m/t <= GAP_RTOL * summed rate ("gap") or the Newton-step
-    cap ("cap").  Slot rows that cannot bind in the box are dropped.
-    `gap` is the Lagrangian dual bound at the returned barrier duals
-    (each UE maximized by `closed_form_power`) minus `f_value`.
+    Phase II runs from `problem.x` until m/t <= GAP_RTOL * summed rate
+    ("gap") or the Newton-step cap ("cap"), and leaves its last point,
+    t and multipliers in `problem` for the next Dinkelbach step.  A fresh
+    `problem` starts at the phase-I point and t = 1; a used one at the t
+    whose m/t is the certified gap of that point at this eta (the dual
+    bound at the previous multipliers minus the objective), but not above
+    the last t.  `gap` is the dual bound at the returned barrier duals
+    minus `f_value`.
     """
-    params = sc.params
-    nat = params.bandwidth_hz / math.log(2.0)     # bit/s per nat
-    gains = beam_gains(sc, mapping, ch, bf)
-    denom = params.bandwidth_hz * params.noise_psd + ibar
-    sigma2 = bf.slot_sigma
-    weights = slot_weight_matrix(sc, mapping, bf)
-    fh_power_cap = sigma2 * np.exp2(params.c_max)
-    dfrak = delay_linearization(sc, mapping)
-    floors = np.array(list(dfrak.values()), dtype=float)
-    served = mapping.a[sc.ue_service]
-    member = served[:, list(dfrak)].astype(float)
-    active_ue = served.any(axis=1)
-    idx = np.flatnonzero(active_ue)
-    q = gains[idx] / denom[idx]
-    room = np.minimum(params.p_max, fh_power_cap) - sigma2
-    keep = weights[:, idx].sum(axis=1) * params.p_max > room
-    W, b = weights[keep][:, idx], room[keep]
-    rho_min, M = params.r_min / nat, member[idx].T
-    prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
-    x, p, stop, steps = None, np.full(idx.size, params.p_max), "infeasible", 0
-    if np.all(p_lo < params.p_max) and np.all(b > 0):
-        for theta in 0.5 ** np.arange(1, 40):
-            p = params.p_max - theta * (params.p_max - p_lo)
-            if np.all(M @ np.log1p(q * p) > floors / nat):
-                x = p
-                break
-    if x is not None and np.any(W @ x >= b):
-        z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
-        for z, t, duals, steps in _central_path(
-                z, np.eye(z.size)[-1], 0.0, prob, opts.max_iters):
-            if z[-1] > 0 or z[-1] + duals.size / t <= 0:
-                break
-        p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
-        stop = "cap" if steps >= opts.max_iters else stop
+    pb = problem or PowerProblem(sc, mapping, ch, bf, ibar, opts)
+    params, nat, idx, weights = sc.params, pb.nat, pb.idx, pb.weights
+    x, p, stop, steps = pb.x, pb.p, pb.stop, pb.steps
     if x is not None:
-        lin = -eta / nat * weights[:, idx].sum(axis=0)
-        for x, t, duals, more in _central_path(x, lin, 1.0, prob,
-                                               opts.max_iters - steps):
+        # duals: per-UE floors, slice floors, kept slot caps, box
+        cuts = np.cumsum([idx.size, len(pb.floors), pb.keep.sum(), idx.size])
+        t = pb.t
+        if pb.mults is not None:     # bit/s by which x may miss the optimum
+            gap0 = pb.dual_bound(eta, pb.mults) - pb.objective(eta, x)
+            t = cuts[-1] * nat / max(gap0, cuts[-1] * nat / pb.t)
+        for x, t, duals, more in _central_path(
+                x, -eta / nat * pb.cost, 1.0, pb.prob, opts.max_iters - steps,
+                t):
             stop = "cap"
-            if duals.size / t <= GAP_RTOL * np.log1p(q * x).sum():
+            if duals.size / t <= GAP_RTOL * np.log1p(pb.prob[0] * x).sum():
                 stop = "gap"
                 break
         p, steps = x, steps + more
+        pb.x, pb.t, pb.steps = x, t, 0
 
     powers = PowerAllocation(p=np.zeros(sc.n_ues))
     powers.p[idx] = p
-    rates = params.bandwidth_hz * np.log2(1.0 + powers.p * gains / denom)
-    p_bar = weights @ powers.p + sigma2
-    f_val = float(rates.sum()) - eta * float(p_bar.sum())
-    worst = {"minimum rate": np.where(active_ue, (params.r_min - rates)
+    rates = params.bandwidth_hz * np.log2(1.0 + powers.p * pb.gains
+                                          / pb.denom)
+    p_bar = weights @ powers.p + pb.sigma2
+    r_tot, p_tot = float(rates.sum()), float(p_bar.sum())
+    f_val = r_tot - eta * p_tot
+    worst = {"minimum rate": np.where(pb.active_ue, (params.r_min - rates)
                                       / params.r_min, 0.0),
              "RU power cap": (p_bar - params.p_max) / params.p_max,
-             "fronthaul cap": (p_bar - fh_power_cap) / params.p_max,
-             "delay budget": (floors - rates @ member) / floors}
+             "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
+             "delay budget": (pb.floors - rates @ pb.member) / pb.floors}
     worst = {k: float(v.max(initial=0.0)) for k, v in worst.items()}
     mults, gap = Multipliers.zeros(sc), math.inf
     if x is not None:
-        ue, sli, cap, _box = np.split(duals, np.cumsum([idx.size,
-                                                        len(floors), len(b)]))
-        mults.rate_ue[idx] = ue
-        mults.delay_slice[list(dfrak)] = sli
-        mults.ru_cap_slot[keep] = nat * cap
-        p_dual = closed_form_power(sc, eta, mults, gains, weights, denom,
-                                   served)
-        y = nat * (1.0 + mults.rate_ue + served @ mults.delay_slice)
-        price = weights.T @ (mults.ru_cap_slot + eta)
-        gap = float((y * np.log1p(p_dual * gains / denom)
-                     - price * p_dual).sum() - eta * sigma2.sum()
-                    + mults.ru_cap_slot @ room - params.r_min * ue.sum()
-                    - sli @ floors - f_val)
+        mults.rate_ue[idx] = duals[:cuts[0]]
+        mults.delay_slice[list(pb.dfrak)] = duals[cuts[0]:cuts[1]]
+        mults.ru_cap_slot[pb.keep] = nat * duals[cuts[1]:cuts[2]]
+        gap, pb.mults = pb.dual_bound(eta, mults) - f_val, mults
     return SubgradientResult(
         powers=powers, mults=mults, converged=stop == "gap",
         iterations=steps, feasible=max(worst.values()) <= CONSTRAINT_RTOL,
-        f_value=f_val, max_violation=max(worst.values()), gap=gap, stop=stop,
+        f_value=f_val, r_tot=r_tot, p_tot=p_tot,
+        max_violation=max(worst.values()), gap=gap, stop=stop,
         violated=[k for k, v in worst.items() if v > 0])
 
 
@@ -349,7 +403,10 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
     solves until the parametric objective crosses zero.
 
     The mapping is computed once (its sweep is deterministic and does
-    not depend on eta or the powers).  `converged` means the last inner
+    not depend on eta or the powers), and so is the `PowerProblem` with
+    its phase-I point.  Eta starts at `PowerProblem.eta0`, R/P at the
+    rate-floor powers or the phase-I point, and each inner solve resumes
+    where the previous one stopped.  `converged` means the last inner
     solve's dual gap and |F| are both within EPS_ETA * R_tot.  The
     feasible set does not depend on eta, so an inner solve that finds
     no strictly feasible point ends the loop.
@@ -367,20 +424,19 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
     mapping = mapping_result.mapping
 
     ibar = interference_upper_bound(sc, mapping, ch, bf)
-    eta = 0.0
+    problem = PowerProblem(sc, mapping, ch, bf, ibar, opts)
+    eta = problem.eta0
     trace: list[TraceRow] = []
     for i in range(1, opts.i_max + 1):
-        last = subgradient_solve(sc, mapping, ch, bf, ibar, eta, opts)
-        powers = last.powers
-        r_tot = float(ue_rates(sc, mapping, ch, bf, powers, ibar).sum())
-        p_tot = float(ru_powers_all(sc, mapping, bf, powers).sum())
-        f_val = r_tot - eta * p_tot
-        trace.append(TraceRow(iteration=i, eta=eta, f_value=f_val,
+        last = subgradient_solve(sc, mapping, ch, bf, ibar, eta, opts,
+                                 problem)
+        powers, r_tot, p_tot = last.powers, last.r_tot, last.p_tot
+        trace.append(TraceRow(iteration=i, eta=eta, f_value=last.f_value,
                               max_violation=last.max_violation,
                               inner_iterations=last.iterations,
                               gap=last.gap, stop=last.stop))
         tol = EPS_ETA * max(r_tot, 1.0)
-        converged = abs(f_val) <= tol and last.gap <= tol
+        converged = abs(last.f_value) <= tol and last.gap <= tol
         if converged or last.stop == "infeasible":
             break
         if p_tot > 0:

@@ -47,6 +47,17 @@ class ScenarioError(ValueError):
     """Raised when a scenario or generator config is structurally invalid."""
 
 
+def is_real(x) -> bool:
+    """True for a finite int or float that is not a bool (JSON true/false)."""
+    if (isinstance(x, (bool, np.bool_))
+            or not isinstance(x, (int, float, np.integer, np.floating))):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:                 # an int beyond the float range
+        return False
+
+
 # --------------------------------------------------------------------------
 # Core value types
 # --------------------------------------------------------------------------
@@ -69,6 +80,10 @@ class SystemParams:
     packet_size_bits: float = 1.0        # payload per queueing packet, bits
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not is_real(value):
+                raise ScenarioError(f"SystemParams.{name} must be finite "
+                                    f"and numeric, got {value!r}")
         for name in ("bandwidth_hz", "noise_psd", "p_max", "r_min", "c_max",
                      "d_max", "mu1", "mu2", "sigma_q_default",
                      "packet_size_bits"):
@@ -351,6 +366,9 @@ class GeneratorConfig:
             raise ScenarioError("arrival_rate_mean must be >= 0")
         if not 0 <= self.arrival_rate_spread <= 1:
             raise ScenarioError("arrival_rate_spread must be in [0, 1]")
+        if not (self.pl_d0_m > 0 and self.pl_d_min_m > 0):
+            # a zero distance in the path loss makes the gain infinite
+            raise ScenarioError("pl_d0_m and pl_d_min_m must be > 0")
         self.system_params()      # raises on a bad radio or queueing field
 
     def system_params(self) -> SystemParams:
@@ -495,15 +513,19 @@ def validate(sc: Scenario) -> list[str]:
 
     def check_finite(label, rows):
         try:
-            ok = np.isfinite(np.array(rows, dtype=float)).all()
-        except (TypeError, ValueError):
+            np.array(rows, dtype=float)       # rows of equal length
+            ok = all(map(is_real, itertools.chain.from_iterable(
+                row if isinstance(row, tuple) else (row,) for row in rows)))
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             problems.append(f"{label} must be finite numbers")
 
-    check_finite("system parameters", list(asdict(sc.params).values()))
-    check_finite("channel model", [sc.channel.pl0, sc.channel.d0_m,
-                                   sc.channel.d_min_m, sc.channel.exponent])
+    distances = (sc.channel.d0_m, sc.channel.d_min_m)
+    check_finite("channel model", [sc.channel.pl0, *distances,
+                                   sc.channel.exponent])
+    if not all(is_real(d) and d > 0 for d in distances):
+        problems.append("channel model d0_m and d_min_m must be > 0")
     check_finite("UE arrival rates and positions",
                  [(ue.arrival_rate, *ue.position)
                   for sv in sc.services for ue in sv.ues])

@@ -149,9 +149,14 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
     ({"arrival_rate_spread": 2.0}, [], "arrival_rate_spread must be in"),
     ({"prb_mode": "shared", "prbs_per_ue": 0}, [],
      "prbs_per_ue must be >= 1"),
+    ({"pl_d_min_m": 0, "region_m": 0}, [],
+     "pl_d0_m and pl_d_min_m must be > 0"),
+    ({"pl_d0_m": 0}, [], "pl_d0_m and pl_d_min_m must be > 0"),
+    ({"p_max": True}, [], "p_max=True has the wrong type"),
 ], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
         "negative-region", "negative-arrival-mean", "wide-arrival-spread",
-        "no-prbs-per-ue"])
+        "no-prbs-per-ue", "zero-clamp-distance", "zero-reference-distance",
+        "bool-power"])
 def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -310,12 +315,18 @@ NAN, INF = float("nan"), float("inf")
     (("rus", 0, "id"), 0.0, "radio unit ids must be the integers"),
     (("dcs", 0, "id"), False, "data center ids must be the integers"),
     (("channel", "seed"), True, "channel seed must be an integer"),
+    (("params", "p_max"), True, "must be finite"),
+    (("services", 0, "ues", 0, "arrival_rate"), True, "must be finite"),
+    (("rus", 0, "sigma_q2"), False, "must be finite"),
+    (("channel", "d_min_m"), 0.0, "d0_m and d_min_m must be > 0"),
+    (("channel", "d0_m"), -1.0, "d0_m and d_min_m must be > 0"),
 ], ids=["missing-fields", "zeta-ue-999", "zeta-ue-negative", "zeta-ue-float",
         "zeta-pair", "negative-prb-count", "nan-arrival", "inf-ue-position",
         "nan-ru-position", "nan-p-max", "zeta-ue-bool", "prb-id-float",
         "prb-id-bool", "prb-id-twice", "ru-id-float", "slice-id-float",
         "service-id-bool", "ue-id-float", "ru-own-id-float", "dc-id-bool",
-        "channel-seed-bool"])
+        "channel-seed-bool", "bool-p-max", "bool-arrival", "bool-sigma-q2",
+        "zero-clamp-distance", "negative-reference-distance"])
 def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
                                           keys, value, needle):
     """`keys` locates the field replaced by `value`; () replaces the whole

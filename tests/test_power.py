@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
                       small_joint_config)
+from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
 from oranslice.power import (DegenerateCoefficientError, InfeasibleDelayError,
                              InfeasibleMappingError, Multipliers, SolverOptions,
@@ -303,7 +304,24 @@ def test_solve_joint_single_outer_iteration():
     res = solve_joint(sc, SolverOptions(i_max=1), ch=ch, bf=bf)
     assert res.iterations == 1
     assert len(res.trace) == 1
-    assert not res.converged     # F(0) = R_tot is nowhere near zero
+    # eta starts at R/P of the phase-I point (the rate-floor powers miss
+    # the delay floor here), where F(eta0) is still 87 % of R_tot: one
+    # step is nowhere near the root
+    assert not res.converged
+
+
+def test_solve_joint_starts_feasible_and_warm_starts():
+    # ee_vs_mean_ues at U=147: a cold start at eta = 0 with phase I and
+    # t = 1 in every step took 301 Newton steps over 8 steps
+    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+    res = solve_joint(sc, SolverOptions(max_iters=1500))
+    first = res.trace[0]
+    assert first.eta > 0 and first.f_value >= 0
+    etas = [row.eta for row in res.trace]
+    assert all(b >= a for a, b in zip(etas, etas[1:]))
+    assert sum(row.inner_iterations for row in res.trace) <= 210
+    assert res.converged
+    assert res.eta == pytest.approx(2.0473907e8, rel=1e-6)
 
 
 def test_solve_joint_raises_on_uncovered_services():

@@ -1,6 +1,7 @@
 """Scenario generation, validation, and serialization."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,8 @@ def test_sigma_q_scales_with_pmax():
     ("mean_ues", 0.0), ("sigma_q_frac", 0.0), ("region_m", -5.0),
     ("arrival_rate_mean", -1.0), ("arrival_rate_spread", -0.1),
     ("arrival_rate_spread", 1.5), ("prbs_per_ue", 0),
+    ("pl_d_min_m", 0.0), ("pl_d0_m", 0.0), ("pl_d_min_m", -1.0),
+    ("p_max", True), ("d_max", math.inf),
 ])
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ScenarioError):
