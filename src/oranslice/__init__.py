@@ -9,9 +9,8 @@ from .radio import (BeamformerSet, ChannelSet, PowerAllocation,
                     build_channels, energy_efficiency,
                     interference_upper_bound, ue_rates, zf_beamformer)
 from .queueing import UnstableQueueError
-from .slicing import (FeasibilityReport, MappingResult, RankingWeights,
-                      check_feasibility, map_slices_to_services,
-                      rank_services, rank_slices)
+from .slicing import (FeasibilityReport, MappingResult, check_feasibility,
+                      map_slices_to_services, rank_services, rank_slices)
 from .power import (InfeasibleMappingError, JointResult, SolverOptions,
                     solve_joint)
 from .placement import (Placement, PlacementWeights, admitted_ratio,
@@ -27,9 +26,8 @@ __all__ = [
     "build_channels", "energy_efficiency", "interference_upper_bound",
     "ue_rates", "zf_beamformer",
     "UnstableQueueError",
-    "FeasibilityReport", "MappingResult", "RankingWeights",
-    "check_feasibility", "map_slices_to_services", "rank_services",
-    "rank_slices",
+    "FeasibilityReport", "MappingResult", "check_feasibility",
+    "map_slices_to_services", "rank_services", "rank_slices",
     "InfeasibleMappingError", "JointResult", "SolverOptions", "solve_joint",
     "Placement", "PlacementWeights", "admitted_ratio", "cost_phi",
     "cost_psi", "place",

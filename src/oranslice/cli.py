@@ -158,9 +158,9 @@ def _write_trace(path: str, trace) -> None:
         fh.write(CSV_SCHEMA_LINE + "\n")
         fh.write("iteration,eta,f_value,max_violation,inner_iterations,"
                  "gap,stop\n")
-        for row in trace:
-            fh.write(f"{row.iteration},{row.eta!r},{row.f_value!r},"
-                     f"{row.max_violation!r},{row.inner_iterations},"
+        for i, row in enumerate(trace, 1):
+            fh.write(f"{i},{row.eta!r},{row.f_value!r},"
+                     f"{row.max_violation!r},{row.iterations},"
                      f"{row.gap!r},{row.stop}\n")
 
 
@@ -187,7 +187,7 @@ def cmd_solve(args) -> int:
         "eta_bit_per_joule": result.eta,
         "rate_total_bit_s": result.r_tot,
         "power_total_w": result.p_tot,
-        "iterations": result.iterations,
+        "iterations": len(result.trace),
         "converged": result.converged,
         "feasible": result.feasible,
         "violations": result.violations,
@@ -223,7 +223,7 @@ def cmd_solve(args) -> int:
     if args.trace:
         _write_trace(args.trace, result.trace)
     print(f"eta={result.eta:.6g} bit/J rate={result.r_tot:.6g} bit/s "
-          f"power={result.p_tot:.6g} W iterations={result.iterations} "
+          f"power={result.p_tot:.6g} W iterations={len(result.trace)} "
           f"converged={result.converged} feasible={result.feasible}")
     return 0
 
@@ -490,19 +490,8 @@ def cmd_experiment(args) -> int:
         values = [_ee_point(v, x, s, overrides) for v, x, s in points]
         rows = sorted((v, x, s, val)
                       for (v, x, s), val in zip(points, values))
-        agg = _aggregate(rows, group_cols=2)
-        flags = _trend_column(agg, series_cols=1, direction="up")
-        with open(out, "w") as fh:
-            fh.write(CSV_SCHEMA_LINE + "\n")
-            fh.write("n_services,mean_ues,n_feasible,ee_mean,ee_std,"
-                     "trend_ok\n")
-            for row, flag in zip(agg, flags):
-                v, x, n, mean, std = row
-                fh.write(f"{v},{x},{n},{mean!r},{std!r},{flag}\n")
-        if args.plot:
-            _emit_plot_script(out, x_col=2, y_col=4, series_col=1,
-                              series_values=series,
-                              title="efficiency vs mean UEs")
+        header = "n_services,mean_ues,n_feasible,ee_mean,ee_std"
+        direction, title = "up", "efficiency vs mean UEs"
     else:
         points = [(d, x, s) for d in series for x in xs for s in seeds]
         triples = [_place_point(kind, x, d, s, nu, overrides)
@@ -517,21 +506,20 @@ def cmd_experiment(args) -> int:
             for x, d, s, m, phi, psi in raw:
                 fh.write(f"{x},{d},{s},{m!r},{phi!r},{psi!r}\n")
         rows = sorted((d, x, s, m) for x, d, s, m, _phi, _psi in raw)
-        agg = _aggregate(rows, group_cols=2)
-        direction = "down" if kind == "admitted_vs_slices" else "up"
-        flags = _trend_column(agg, series_cols=1, direction=direction)
         metric = ("ratio" if kind == "admitted_vs_slices" else "consumption")
-        with open(out, "w") as fh:
-            fh.write(CSV_SCHEMA_LINE + "\n")
-            fh.write(f"n_dcs,n_slices,n_seeds,{metric}_mean,{metric}_std,"
-                     "trend_ok\n")
-            for row, flag in zip(agg, flags):
-                d, x, n, mean, std = row
-                fh.write(f"{d},{x},{n},{mean!r},{std!r},{flag}\n")
-        if args.plot:
-            _emit_plot_script(out, x_col=2, y_col=4, series_col=1,
-                              series_values=series,
-                              title=kind.replace("_", " "))
+        header = f"n_dcs,n_slices,n_seeds,{metric}_mean,{metric}_std"
+        direction = "down" if kind == "admitted_vs_slices" else "up"
+        title = kind.replace("_", " ")
+    agg = _aggregate(rows, group_cols=2)
+    flags = _trend_column(agg, series_cols=1, direction=direction)
+    with open(out, "w") as fh:
+        fh.write(CSV_SCHEMA_LINE + "\n")
+        fh.write(header + ",trend_ok\n")
+        for (series_value, x, n, mean, std), flag in zip(agg, flags):
+            fh.write(f"{series_value},{x},{n},{mean!r},{std!r},{flag}\n")
+    if args.plot:
+        _emit_plot_script(out, x_col=2, y_col=4, series_col=1,
+                          series_values=series, title=title)
     print(f"wrote {out}")
     return 0
 

@@ -17,7 +17,7 @@ monotone (Schaible, 1976), and each step warm-starts from the last one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,7 @@ CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
 T_STEP = 20.0        # barrier parameter growth per centering
 EPS_ETA = 1e-6       # outer stop: |F| and gap <= EPS_ETA * R_tot
 CONSTRAINT_RTOL = 1e-6   # feasibility slack, relative
-
-
-class DegenerateCoefficientError(ValueError):
-    """Closed-form power is undefined for a UE (no gain or no price)."""
+I_MAX = 50           # Dinkelbach step cap
 
 
 class InfeasibleDelayError(ValueError):
@@ -61,17 +58,10 @@ class Multipliers:
     ru_cap_slot: np.ndarray   # per-(slice, RU) power cap (RU or fronthaul)
     delay_slice: np.ndarray   # per-slice delay rate floor (0 when inactive)
 
-    @classmethod
-    def zeros(cls, sc: Scenario) -> "Multipliers":
-        return cls(rate_ue=np.zeros(sc.n_ues),
-                   ru_cap_slot=np.zeros(len(sc.ru_slots())),
-                   delay_slice=np.zeros(sc.n_slices))
-
 
 @dataclass
 class SolverOptions:
     max_iters: int = 5000         # Newton-step cap per inner solve
-    i_max: int = 50               # outer iteration cap
 
 
 def delay_linearization(sc: Scenario, mapping: SliceMapping,
@@ -102,40 +92,9 @@ def delay_linearization(sc: Scenario, mapping: SliceMapping,
     return dict(zip(active.tolist(), floors))
 
 
-def closed_form_power(sc: Scenario, eta: float, mults: Multipliers,
-                      gains: np.ndarray, price_weights: np.ndarray,
-                      denom: np.ndarray, served: np.ndarray) -> np.ndarray:
-    """Maximizer over [0, p_max] of each UE's Lagrangian term.
-
-    With rate weight y = (1 + the UE's rate multiplier + the delay
-    multipliers of the slices serving it) * B/ln2, beam gain g,
-    noise-plus-interference z (`denom`) and price x = sum over slots of
-    (cap multiplier + eta) * gated |w|^2 (`price_weights`), the
-    water-filling maximizer is max(0, (y*g - x*z) / (x*g)), clipped at
-    p_max.  `served[u, s]` is 1 when slice s serves UE u's service;
-    unserved UEs get zero power, a served UE with zero price rides the
-    cap, and one with zero beam gain raises DegenerateCoefficientError.
-    """
-    params = sc.params
-    active = served.any(axis=1)
-    if np.any(active & (gains <= 0)):
-        u = int(np.flatnonzero(active & (gains <= 0))[0])
-        raise DegenerateCoefficientError(
-            f"UE index {u} has no beam gain; the UE is effectively unmapped")
-    price = price_weights.T @ (mults.ru_cap_slot + eta)
-    y = ((1.0 + mults.rate_ue + served @ mults.delay_slice)
-         * params.bandwidth_hz / math.log(2.0))
-    p = np.zeros(sc.n_ues)
-    good = active & (price > 0)
-    p[good] = np.maximum(
-        0.0, (y[good] * gains[good] - price[good] * denom[good])
-        / (price[good] * gains[good]))
-    p[active & (price <= 0)] = params.p_max
-    return np.minimum(p, params.p_max)
-
-
 @dataclass
 class SubgradientResult:
+    eta: float
     powers: PowerAllocation
     mults: Multipliers
     converged: bool               # the barrier stopped on its duality gap
@@ -147,7 +106,7 @@ class SubgradientResult:
     max_violation: float          # largest normalized constraint violation
     gap: float                    # dual bound minus f_value, bit/s
     stop: str                     # "gap", "cap" or "infeasible"
-    violated: list[str] = field(default_factory=list)
+    violated: list[str]
 
 
 def _central_path(x, lin, rate_w, prob, budget, t=1.0):
@@ -157,7 +116,9 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
     x = p (phase II) or x = (p, s) (phase I).  From barrier parameter t,
     yields (x, t, duals 1/(t * slack) in that constraint order, Newton
     steps) at each centred point, then grows t by T_STEP; returns once
-    `budget` steps are spent."""
+    `budget` steps are spent.  A non-finite Newton decrement (a zero
+    slack, say) ends the path at the last finite x, yielded with duals
+    None: no certificate."""
     q, rho_min, M, floor, W, b, p_max = prob
     n_p, n_f = q.size, len(floor)
     n_r = n_f + len(b)                    # rows of R: floors, then caps
@@ -178,7 +139,7 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
                + np.log1p(dsl / sl).sum())
         return out if np.isfinite(out) else -np.inf
 
-    steps = 0
+    steps, lam2 = 0, 0.0
     while True:
         with np.errstate(divide="ignore", invalid="ignore"):
             while steps < budget:
@@ -212,10 +173,13 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
                 while (lam2 > 2 * CENTER_TOL and alpha > 1e-10
                        and gain(rho, sl, alpha * dx) < 0.25 * alpha * lam2):
                     alpha /= 2
-                if lam2 <= 2 * CENTER_TOL or alpha <= 1e-10:
+                if not lam2 > 2 * CENTER_TOL or alpha <= 1e-10:
                     break
                 x = x + alpha * dx
                 steps += 1
+        if not np.isfinite(lam2):
+            yield x, t, None, steps
+            return
         yield x, t, 1.0 / (t * slacks(x)[1]), steps
         if steps >= budget:
             return
@@ -232,11 +196,13 @@ class PowerProblem:
     and a solve then reports `p` and `stop`.  `steps` holds phase-I Newton
     steps not yet charged to a solve, `mults` the last solve's multipliers.
     `eta0` is R/P at `p_lo` if those powers meet every floor and cap, else
-    at the phase-I point: a feasible ratio, so F(eta0) >= 0."""
+    at the phase-I point: a feasible ratio, so F(eta0) >= 0.  Phase I
+    and each solve spend at most `opts.max_iters` Newton steps."""
 
     def __init__(self, sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                  bf: BeamformerSet, ibar: np.ndarray, opts: SolverOptions):
         self.sc, params = sc, sc.params
+        self.max_iters = opts.max_iters
         self.sigma2 = sigma2 = bf.slot_sigma
         self.nat = nat = params.bandwidth_hz / math.log(2.0)  # bit/s per nat
         self.gains = gains = beam_gains(sc, mapping, ch, bf)
@@ -270,10 +236,11 @@ class PowerProblem:
             z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
             for z, t, duals, self.steps in _central_path(
                     z, np.eye(z.size)[-1], 0.0, self.prob, opts.max_iters):
-                if z[-1] > 0 or z[-1] + duals.size / t <= 0:
+                if z[-1] > 0 or duals is None or z[-1] + duals.size / t <= 0:
                     break
             self.p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
-            self.stop = "cap" if self.steps >= opts.max_iters else self.stop
+            if self.steps >= opts.max_iters or duals is None:
+                self.stop = "cap"
         self.x = x
         lo_ok = (np.all(p_lo <= params.p_max) and np.all(W @ p_lo <= b)
                  and np.all(M @ np.log1p(q * p_lo) >= floors / nat))
@@ -286,13 +253,36 @@ class PowerProblem:
         return (self.nat * np.log1p(self.prob[0] * p).sum()
                 - eta * (self.cost @ p + self.sigma2.sum()))
 
+    def closed_form_power(self, eta: float, mults: Multipliers) -> np.ndarray:
+        """Maximizer over [0, p_max] of each UE's Lagrangian term.
+
+        With rate weight y = (1 + the UE's rate multiplier + the delay
+        multipliers of the slices serving it) * B/ln2, beam gain g,
+        noise-plus-interference z and price x = sum over slots of (cap
+        multiplier + eta) * gated |w|^2, the water-filling maximizer is
+        max(0, (y*g - x*z) / (x*g)), clipped at p_max.  Unserved UEs get
+        zero power and a served UE with zero price rides the cap.  Every
+        served UE has a positive gain, since phase I found a point.
+        """
+        params, gains, denom = self.sc.params, self.gains, self.denom
+        active = self.active_ue
+        price = self.weights.T @ (mults.ru_cap_slot + eta)
+        y = ((1.0 + mults.rate_ue + self.served @ mults.delay_slice)
+             * params.bandwidth_hz / math.log(2.0))
+        p = np.zeros(self.sc.n_ues)
+        good = active & (price > 0)
+        p[good] = np.maximum(
+            0.0, (y[good] * gains[good] - price[good] * denom[good])
+            / (price[good] * gains[good]))
+        p[active & (price <= 0)] = params.p_max
+        return np.minimum(p, params.p_max)
+
     def dual_bound(self, eta: float, mults: Multipliers) -> float:
         """Lagrangian dual function at `mults`, bit/s: an upper bound on
         R_tot - eta * P_tot over the feasible powers.  Each UE's term is
         maximized by `closed_form_power`."""
         sc, nat, served = self.sc, self.nat, self.served
-        p = closed_form_power(sc, eta, mults, self.gains, self.weights,
-                              self.denom, served)
+        p = self.closed_form_power(eta, mults)
         y = nat * (1.0 + mults.rate_ue + served @ mults.delay_slice)
         price = self.weights.T @ (mults.ru_cap_slot + eta)
         return float((y * np.log1p(p * self.gains / self.denom)
@@ -302,25 +292,22 @@ class PowerProblem:
                      - mults.delay_slice[list(self.dfrak)] @ self.floors)
 
 
-def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-                      bf: BeamformerSet, ibar: np.ndarray, eta: float,
-                      opts: SolverOptions = SolverOptions(),
-                      problem: PowerProblem | None = None,
-                      ) -> SubgradientResult:
+def subgradient_solve(problem: PowerProblem, eta: float) -> SubgradientResult:
     """Maximize R_tot - eta * P_tot over the powers, with a certificate.
 
     Phase II runs from `problem.x` until m/t <= GAP_RTOL * summed rate
-    ("gap") or the Newton-step cap ("cap"), and leaves its last point,
-    t and multipliers in `problem` for the next Dinkelbach step.  A fresh
-    `problem` starts at the phase-I point and t = 1; a used one at the t
-    whose m/t is the certified gap of that point at this eta (the dual
-    bound at the previous multipliers minus the objective), but not above
-    the last t.  `gap` is the dual bound at the returned barrier duals
-    minus `f_value`.
+    ("gap"), the Newton-step cap or a breakdown of the Newton step
+    ("cap"), and leaves its last point, t and multipliers in `problem`
+    for the next Dinkelbach step.  A fresh `problem` starts at the
+    phase-I point and t = 1; a used one at the t whose m/t is the
+    certified gap of that point at this eta (the dual bound at the
+    previous multipliers minus the objective), but not above the last t.
+    `gap` is the dual bound at the returned barrier duals minus
+    `f_value`; it is infinite without duals.
     """
-    pb = problem or PowerProblem(sc, mapping, ch, bf, ibar, opts)
+    pb, sc = problem, problem.sc
     params, nat, idx, weights = sc.params, pb.nat, pb.idx, pb.weights
-    x, p, stop, steps = pb.x, pb.p, pb.stop, pb.steps
+    x, p, stop, steps, duals = pb.x, pb.p, pb.stop, pb.steps, None
     if x is not None:
         # duals: per-UE floors, slice floors, kept slot caps, box
         cuts = np.cumsum([idx.size, len(pb.floors), pb.keep.sum(), idx.size])
@@ -329,9 +316,11 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
             gap0 = pb.dual_bound(eta, pb.mults) - pb.objective(eta, x)
             t = cuts[-1] * nat / max(gap0, cuts[-1] * nat / pb.t)
         for x, t, duals, more in _central_path(
-                x, -eta / nat * pb.cost, 1.0, pb.prob, opts.max_iters - steps,
+                x, -eta / nat * pb.cost, 1.0, pb.prob, pb.max_iters - steps,
                 t):
             stop = "cap"
+            if duals is None:
+                break
             if duals.size / t <= GAP_RTOL * np.log1p(pb.prob[0] * x).sum():
                 stop = "gap"
                 break
@@ -351,29 +340,21 @@ def subgradient_solve(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
              "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
              "delay budget": (pb.floors - rates @ pb.member) / pb.floors}
     worst = {k: float(v.max(initial=0.0)) for k, v in worst.items()}
-    mults, gap = Multipliers.zeros(sc), math.inf
-    if x is not None:
+    mults = Multipliers(rate_ue=np.zeros(sc.n_ues),
+                        ru_cap_slot=np.zeros(len(p_bar)),
+                        delay_slice=np.zeros(sc.n_slices))
+    gap = math.inf
+    if duals is not None:
         mults.rate_ue[idx] = duals[:cuts[0]]
         mults.delay_slice[list(pb.dfrak)] = duals[cuts[0]:cuts[1]]
         mults.ru_cap_slot[pb.keep] = nat * duals[cuts[1]:cuts[2]]
         gap, pb.mults = pb.dual_bound(eta, mults) - f_val, mults
     return SubgradientResult(
-        powers=powers, mults=mults, converged=stop == "gap",
+        eta=eta, powers=powers, mults=mults, converged=stop == "gap",
         iterations=steps, feasible=max(worst.values()) <= CONSTRAINT_RTOL,
         f_value=f_val, r_tot=r_tot, p_tot=p_tot,
         max_violation=max(worst.values()), gap=gap, stop=stop,
         violated=[k for k, v in worst.items() if v > 0])
-
-
-@dataclass
-class TraceRow:
-    iteration: int
-    eta: float
-    f_value: float
-    max_violation: float
-    inner_iterations: int
-    gap: float
-    stop: str
 
 
 @dataclass
@@ -384,8 +365,7 @@ class JointResult:
     r_tot: float
     p_tot: float
     converged: bool
-    iterations: int
-    trace: list[TraceRow]
+    trace: list[SubgradientResult]    # one inner solve per Dinkelbach step
     feasible: bool
     violations: list[str]
     mults: Multipliers            # of the last inner solve
@@ -397,8 +377,7 @@ class JointResult:
 
 def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
                 ch: ChannelSet | None = None,
-                bf: BeamformerSet | None = None,
-                mapping_result: MappingResult | None = None) -> JointResult:
+                bf: BeamformerSet | None = None) -> JointResult:
     """Full pipeline: map slices, then alternate ratio updates and power
     solves until the parametric objective crosses zero.
 
@@ -417,8 +396,7 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
         ch = build_channels(sc)
     if bf is None:
         bf = build_beamformers(sc, ch)
-    if mapping_result is None:
-        mapping_result = map_slices_to_services(sc, ch, bf)
+    mapping_result = map_slices_to_services(sc, ch, bf)
     if mapping_result.uncovered_services:
         raise InfeasibleMappingError(mapping_result)
     mapping = mapping_result.mapping
@@ -426,15 +404,11 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     problem = PowerProblem(sc, mapping, ch, bf, ibar, opts)
     eta = problem.eta0
-    trace: list[TraceRow] = []
-    for i in range(1, opts.i_max + 1):
-        last = subgradient_solve(sc, mapping, ch, bf, ibar, eta, opts,
-                                 problem)
+    trace: list[SubgradientResult] = []
+    for _ in range(I_MAX):
+        last = subgradient_solve(problem, eta)
         powers, r_tot, p_tot = last.powers, last.r_tot, last.p_tot
-        trace.append(TraceRow(iteration=i, eta=eta, f_value=last.f_value,
-                              max_violation=last.max_violation,
-                              inner_iterations=last.iterations,
-                              gap=last.gap, stop=last.stop))
+        trace.append(last)
         tol = EPS_ETA * max(r_tot, 1.0)
         converged = abs(last.f_value) <= tol and last.gap <= tol
         if converged or last.stop == "infeasible":
@@ -446,6 +420,5 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
     return JointResult(mapping_result=mapping_result, powers=powers,
                        eta=(r_tot / p_tot if p_tot > 0 else 0.0),
                        r_tot=r_tot, p_tot=p_tot, converged=converged,
-                       iterations=len(trace), trace=trace,
-                       feasible=final.ok and last.feasible,
+                       trace=trace, feasible=final.ok and last.feasible,
                        violations=final.violations, mults=last.mults)

@@ -40,18 +40,12 @@ class ChannelSet:
     """Complex gains between every radio unit and every UE.
 
     `gains` has shape (n_rus, n_ues) with UEs in global scenario order.
-    Per-(slice, service) matrices are views selected by the slice's RU
-    list and the service's UE indices, so a RU shared by two slices sees
-    the same physical channel in both.
+    A (slice, service) pair's channel is the block of the slice's RU rows
+    and the service's UE columns, so a RU shared by two slices sees the
+    same physical channel in both.
     """
 
     gains: np.ndarray
-    _sc: Scenario
-
-    def pair_matrix(self, slice_id: int, service_id: int) -> np.ndarray:
-        sl = self._sc.slices[slice_id]
-        cols = self._sc.service_ue_indices(service_id)
-        return self.gains[np.ix_(list(sl.ru_ids), cols)]
 
 
 def build_channels(sc: Scenario) -> ChannelSet:
@@ -67,7 +61,7 @@ def build_channels(sc: Scenario) -> ChannelSet:
     large = sc.channel.gain(d)
     small = (rng.standard_normal(d.shape)
              + 1j * rng.standard_normal(d.shape)) / np.sqrt(2.0)
-    return ChannelSet(gains=np.sqrt(large) * small, _sc=sc)
+    return ChannelSet(gains=np.sqrt(large) * small)
 
 
 def zf_beamformer(channel_matrix: np.ndarray,
@@ -140,6 +134,7 @@ def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
     gain = np.zeros((sc.n_slices, n_ues))
     w2 = np.zeros((len(slots), n_ues))
     triples = sc.prb_assignment.triples
+    service_cols = [sc.service_ue_indices(sv.id) for sv in sc.services]
     first_slot = 0
     for sl in sc.slices:
         h = ch.gains[list(sl.ru_ids)]
@@ -152,16 +147,15 @@ def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
         z = np.zeros((n_ues, len(col)))
         z[ue, [col[k] for k in prb.tolist()]] = 1.0
         shared = z @ z.T          # PRBs of this slice both UEs may use
-        for sv in sc.services:
+        for sv, cols in zip(sc.services, service_cols):
             pair = (sl.id, sv.id)
-            h_pair = ch.pair_matrix(*pair)
+            h_pair = h[:, cols]
             try:
                 w_pair = zf_beamformer(h_pair, pair=pair)
             except SingularChannelError as exc:
                 unmappable[pair] = str(exc)
                 continue
             w[pair] = w_pair
-            cols = sc.service_ue_indices(sv.id)
             gain[sl.id, cols] = np.abs(
                 np.einsum("ru,ru->u", h_pair.conj(), w_pair)) ** 2
             cross = np.abs(h.conj().T @ w_pair) ** 2 * shared[:, cols]
@@ -185,9 +179,6 @@ class SliceMapping:
     @classmethod
     def empty(cls, sc: Scenario) -> "SliceMapping":
         return cls(a=np.zeros((sc.n_services, sc.n_slices), dtype=np.int8))
-
-    def copy(self) -> "SliceMapping":
-        return SliceMapping(a=self.a.copy())
 
     def covered(self) -> np.ndarray:
         return self.a.sum(axis=1) >= 1
@@ -310,15 +301,13 @@ def fronthaul_rates_all(bf: BeamformerSet, p_bar: np.ndarray) -> np.ndarray:
 
 def energy_efficiency(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                       bf: BeamformerSet, powers: PowerAllocation,
-                      interference: np.ndarray | None = None,
                       ) -> tuple[float, float, float]:
     """(eta, total_rate, total_power) for the whole system.
 
-    Rates use the interference upper bound unless an interference vector
-    is supplied; total power sums every (slice, RU) slot.
+    Rates use the interference upper bound; total power sums every
+    (slice, RU) slot.
     """
-    if interference is None:
-        interference = interference_upper_bound(sc, mapping, ch, bf)
+    interference = interference_upper_bound(sc, mapping, ch, bf)
     rates = ue_rates(sc, mapping, ch, bf, powers, interference)
     r_tot = float(rates.sum())
     p_tot = float(ru_powers_all(sc, mapping, bf, powers).sum())

@@ -25,6 +25,10 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
+# Largest mean numpy's Poisson sampler accepts; it raises above it.
+POISSON_LAM_MAX = (np.iinfo(np.int64).max
+                   - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 # Fixed unit declarations written into every scenario file so readers do
 # not have to guess.  Values are strings, purely documentary.
 UNITS = {
@@ -346,6 +350,8 @@ class GeneratorConfig:
             raise ScenarioError("n_dcs must be >= 1")
         if self.mean_ues < 1 or self.max_ues < 1:
             raise ScenarioError("mean_ues and max_ues must be >= 1")
+        if not self.mean_ues <= POISSON_LAM_MAX:
+            raise ScenarioError(f"mean_ues must be <= {POISSON_LAM_MAX:.6g}")
         if self.rus_per_slice < 1 or self.rus_per_slice > self.n_rus:
             raise ScenarioError("need 1 <= rus_per_slice <= n_rus")
         if self.prb_mode not in ("dedicated", "shared"):
@@ -549,6 +555,8 @@ def validate(sc: Scenario) -> list[str]:
     check_dense_ids(sc.slices, "slice")
     check_dense_ids(sc.rus, "radio unit")
     check_dense_ids(sc.dcs, "data center")
+    if not sc.dcs:
+        problems.append("scenario has no data center")
 
     for sv in sc.services:
         if sv.n_ues < 1:

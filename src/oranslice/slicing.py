@@ -1,8 +1,8 @@
 """Greedy assignment of network slices to services.
 
 Services are ranked by how demanding they are (UE count, then summed
-arrival rate); slices are ranked by a weighted count of their resources
-(PRBs, radio units, VNFs).  The sweep walks slices in rank order and
+arrival rate); slices are ranked by a count of their resources (PRBs
+plus radio units plus VNFs).  The sweep walks slices in rank order and
 gives each slice to the first service for which the tentative assignment
 keeps the whole system feasible when every UE transmits at the per-RU
 power cap under the worst-case interference bound.  A second pass then
@@ -27,15 +27,6 @@ from .queueing import slice_delays
 CHECK_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RankingWeights:
-    """Weights of the slice resource score: PRBs, RUs, VNFs."""
-
-    w_prb: float = 1.0
-    w_ru: float = 1.0
-    w_vnf: float = 1.0
-
-
 def rank_services(sc: Scenario) -> list[int]:
     """Service ids, most demanding first.
 
@@ -47,13 +38,11 @@ def rank_services(sc: Scenario) -> list[int]:
     return [sv.id for sv in sorted(sc.services, key=key)]
 
 
-def rank_slices(sc: Scenario,
-                weights: RankingWeights = RankingWeights()) -> list[int]:
-    """Slice ids, highest resource score first; lower id breaks ties."""
+def rank_slices(sc: Scenario) -> list[int]:
+    """Slice ids, highest resource score (PRBs + RUs + VNFs) first; lower
+    id breaks ties."""
     def key(sl):
-        score = (weights.w_prb * len(sl.prb_ids)
-                 + weights.w_ru * sl.n_rus
-                 + weights.w_vnf * (sl.m_du + sl.m_cu))
+        score = len(sl.prb_ids) + sl.n_rus + sl.m_du + sl.m_cu
         return (-score, sl.id)
     return [sl.id for sl in sorted(sc.slices, key=key)]
 
@@ -126,13 +115,8 @@ class MappingResult:
     uncovered_services: list[int]
     rejections: list[tuple[int, int, str]]   # (slice, service, first reason)
 
-    @property
-    def all_covered(self) -> bool:
-        return not self.uncovered_services
-
 
 def map_slices_to_services(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
-                           weights: RankingWeights = RankingWeights(),
                            ) -> MappingResult:
     """Two-pass greedy mapping sweep.
 
@@ -144,7 +128,7 @@ def map_slices_to_services(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     not raised.
     """
     service_order = rank_services(sc)
-    slice_order = rank_slices(sc, weights)
+    slice_order = rank_slices(sc)
     mapping = SliceMapping.empty(sc)
     rejections: list[tuple[int, int, str]] = []
 

@@ -101,7 +101,7 @@ def channels_from_matrix(sc: Scenario, gains) -> ChannelSet:
     """Wrap an explicit (n_rus, n_ues) complex gain matrix."""
     g = np.asarray(gains, dtype=complex)
     assert g.shape == (len(sc.rus), sc.n_ues)
-    return ChannelSet(gains=g, _sc=sc)
+    return ChannelSet(gains=g)
 
 
 def full_mapping(sc: Scenario) -> SliceMapping:

@@ -153,10 +153,11 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
      "pl_d0_m and pl_d_min_m must be > 0"),
     ({"pl_d0_m": 0}, [], "pl_d0_m and pl_d_min_m must be > 0"),
     ({"p_max": True}, [], "p_max=True has the wrong type"),
+    ({"mean_ues": 1e19}, [], "mean_ues must be <="),
 ], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
         "negative-region", "negative-arrival-mean", "wide-arrival-spread",
         "no-prbs-per-ue", "zero-clamp-distance", "zero-reference-distance",
-        "bool-power"])
+        "bool-power", "mean-ues-beyond-poisson"])
 def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -320,13 +321,15 @@ NAN, INF = float("nan"), float("inf")
     (("rus", 0, "sigma_q2"), False, "must be finite"),
     (("channel", "d_min_m"), 0.0, "d0_m and d_min_m must be > 0"),
     (("channel", "d0_m"), -1.0, "d0_m and d_min_m must be > 0"),
+    (("dcs",), [], "no data center"),
 ], ids=["missing-fields", "zeta-ue-999", "zeta-ue-negative", "zeta-ue-float",
         "zeta-pair", "negative-prb-count", "nan-arrival", "inf-ue-position",
         "nan-ru-position", "nan-p-max", "zeta-ue-bool", "prb-id-float",
         "prb-id-bool", "prb-id-twice", "ru-id-float", "slice-id-float",
         "service-id-bool", "ue-id-float", "ru-own-id-float", "dc-id-bool",
         "channel-seed-bool", "bool-p-max", "bool-arrival", "bool-sigma-q2",
-        "zero-clamp-distance", "negative-reference-distance"])
+        "zero-clamp-distance", "negative-reference-distance",
+        "no-data-center"])
 def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
                                           keys, value, needle):
     """`keys` locates the field replaced by `value`; () replaces the whole
@@ -496,6 +499,47 @@ def test_place_rejects_bad_mapping_files(workdir, tmp_path, capsys,
     assert needle in capsys.readouterr().err
 
 
+MAP_ENTRIES = st.one_of(st.integers(-1, 2), st.booleans(), st.none(),
+                        st.floats(), st.just("1"),
+                        st.sampled_from([2**63, 10**30]),
+                        st.lists(st.integers(0, 1), max_size=2))
+MAPPING_EDITS = st.one_of(
+    st.tuples(st.just("entry"), st.integers(0, 2), st.integers(0, 2),
+              MAP_ENTRIES),
+    st.tuples(st.just("row"), st.integers(0, 2),
+              st.one_of(MAP_ENTRIES, st.lists(MAP_ENTRIES, max_size=3))),
+    st.tuples(st.just("drop"), st.integers(0, 2)),
+    st.tuples(st.just("a"), MAP_ENTRIES),
+    st.just(("missing",)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(MAPPING_EDITS, min_size=1, max_size=3))
+def test_mapping_file_edits_never_crash(workdir, edits):
+    """Changing a valid `place --mapping` file's shape, entry types or
+    values, or dropping its `a`, makes `place` exit 0 or 2."""
+    sc = slice_farm(workdir, "map_fuzz.json", 2)
+    doc = {"a": [[1, 0], [0, 1]]}
+    for kind, *args in edits:
+        a = doc.get("a")
+        if kind == "missing":
+            doc.pop("a", None)
+        elif kind == "a":
+            doc["a"] = args[0]
+        elif not isinstance(a, list) or args[0] >= len(a):
+            continue
+        elif kind == "drop":
+            del a[args[0]]
+        elif kind == "row":
+            a[args[0]] = args[1]
+        elif isinstance(a[args[0]], list) and args[1] < len(a[args[0]]):
+            a[args[0]][args[1]] = args[2]
+    mapping = workdir / "map_fuzz.mapping.json"
+    mapping.write_text(json.dumps(doc))
+    assert main(["place", str(sc), "--mapping", str(mapping)]) in (0, 2)
+
+
 def test_place_memory_only_weights(tmp_path, capsys):
     sc = tmp_path / "memory.json"
     save_scenario(hand_scenario(vnf_demand=(10.0, 0.0, 0.0), phi_idle=5.0,
@@ -621,8 +665,10 @@ def test_experiment_needs_output_path(tmp_path, capsys):
     {"overrides": {"bogus": 1}},
     {"overrides": "zz"},
     {"kind": "admitted_vs_slices", "nu": "abc"},
+    {"x_values": [1e19]},
 ], ids=["seed-string", "x-string", "x-negative", "series-zero",
-        "override-unknown", "override-not-object", "nu-string"])
+        "override-unknown", "override-not-object", "nu-string",
+        "x-beyond-poisson"])
 def test_experiment_rejects_malformed_spec(tmp_path, capsys, fields):
     out = tmp_path / "x.csv"
     spec = tmp_path / "spec.json"

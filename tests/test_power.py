@@ -1,4 +1,5 @@
-"""Power solver: delay linearization, closed form, subgradient, Dinkelbach."""
+"""Power solver: delay linearization, the dual bound's closed-form powers,
+the barrier inner solve and its breakdown guard, Dinkelbach."""
 
 import math
 
@@ -9,11 +10,10 @@ from conftest import (channels_from_matrix, default_params, hand_scenario,
                       small_joint_config)
 from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
-from oranslice.power import (DegenerateCoefficientError, InfeasibleDelayError,
-                             InfeasibleMappingError, Multipliers, SolverOptions,
-                             closed_form_power,
-                             delay_linearization, solve_joint,
-                             subgradient_solve)
+from oranslice.power import (EPS_ETA, InfeasibleDelayError,
+                             InfeasibleMappingError, Multipliers, PowerProblem,
+                             SolverOptions, _central_path, delay_linearization,
+                             solve_joint, subgradient_solve)
 from oranslice.queueing import layer_delays
 from oranslice.radio import (PowerAllocation, SliceMapping, beam_gains,
                              build_beamformers, build_channels,
@@ -82,13 +82,24 @@ def unit_coefficient_scenario():
     return hand_scenario(ue_counts=(1,), slice_rus=((0,),), params=params)
 
 
+def zero_mults(sc):
+    return Multipliers(rate_ue=np.zeros(sc.n_ues),
+                       ru_cap_slot=np.zeros(len(sc.ru_slots())),
+                       delay_slice=np.zeros(sc.n_slices))
+
+
 def closed_form(sc, mapping, ch, bf, ibar, eta, mults=None):
-    """closed_form_power with its inputs built as subgradient_solve does."""
-    noise = sc.params.bandwidth_hz * sc.params.noise_psd
-    return closed_form_power(
-        sc, eta, mults if mults is not None else Multipliers.zeros(sc),
-        beam_gains(sc, mapping, ch, bf), slot_weight_matrix(sc, mapping, bf),
-        noise + ibar, mapping.a[sc.ue_service])
+    """PowerProblem.closed_form_power of the mapped instance."""
+    pb = PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
+    return pb.closed_form_power(
+        eta, mults if mults is not None else zero_mults(sc))
+
+
+def inner_solve(sc, mapping, ch, bf, eta, max_iters=5000):
+    """One inner solve on a fresh PowerProblem."""
+    ibar = interference_upper_bound(sc, mapping, ch, bf)
+    return subgradient_solve(PowerProblem(sc, mapping, ch, bf, ibar,
+                                          SolverOptions(max_iters)), eta)
 
 
 def test_closed_form_hand_unit_coefficients():
@@ -97,7 +108,7 @@ def test_closed_form_hand_unit_coefficients():
     sc = unit_coefficient_scenario()
     ch = channels_from_matrix(sc, [[1.0]])
     bf = build_beamformers(sc, ch)
-    mults = Multipliers.zeros(sc)
+    mults = zero_mults(sc)
     mults.rate_ue[0] = 1.0
     out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 1.0, mults)
     assert out[0] == pytest.approx(1.0)
@@ -119,16 +130,6 @@ def test_closed_form_zero_price_degenerate():
     bf = build_beamformers(sc, ch)
     out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 0.0)
     assert out[0] == sc.params.p_max
-
-
-def test_closed_form_zero_gain_degenerate():
-    # two UEs on one RU: zero-forcing is underdetermined, the pair has no
-    # precoder, so a mapped UE ends up with no gain
-    sc = hand_scenario(ue_counts=(2,), slice_rus=((0,),))
-    ch = channels_from_matrix(sc, [[1.0, 1.0]])
-    bf = build_beamformers(sc, ch)
-    with pytest.raises(DegenerateCoefficientError, match="beam gain"):
-        closed_form(sc, one_on_one(), ch, bf, np.zeros(2), 1.0)
 
 
 def test_closed_form_waterfilling_against_grid():
@@ -167,8 +168,7 @@ def test_subgradient_eta_zero_rides_the_ru_cap():
     bf = build_beamformers(sc, ch)
     mapping = one_on_one()
     ibar = interference_upper_bound(sc, mapping, ch, bf)
-    res = subgradient_solve(sc, mapping, ch, bf, ibar, eta=0.0,
-                            opts=SolverOptions(max_iters=20000))
+    res = inner_solve(sc, mapping, ch, bf, eta=0.0, max_iters=20000)
     sq = bf.slot_sigma[0]
     p_cap = (sc.params.p_max - sq) / 2.0
     assert res.feasible and res.converged
@@ -190,10 +190,7 @@ def test_subgradient_reports_unreachable_rate_floor():
                        params=default_params(r_min=1e7))
     ch = channels_from_matrix(sc, [[math.sqrt(2.0)]])
     bf = build_beamformers(sc, ch)
-    mapping = one_on_one()
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    res = subgradient_solve(sc, mapping, ch, bf, ibar, eta=0.0,
-                            opts=SolverOptions(max_iters=300))
+    res = inner_solve(sc, one_on_one(), ch, bf, eta=0.0, max_iters=300)
     assert not res.feasible
     assert not res.converged
     assert "minimum rate" in res.violated
@@ -216,11 +213,37 @@ def test_subgradient_phase1_reports_cap_blocked_floor():
     z = sc.params.bandwidth_hz * sc.params.noise_psd + ibar[0]
     sc, ch, bf, ibar = instance(sc.params.bandwidth_hz * math.log2(
         1.0 + 0.75 * sc.params.p_max * g / z))
-    res = subgradient_solve(sc, one_on_one(), ch, bf, ibar, eta=0.0)
+    res = inner_solve(sc, one_on_one(), ch, bf, eta=0.0)
     assert res.stop == "infeasible"
     assert not res.feasible and not res.converged
     assert res.violated == ["RU power cap"]
     assert res.iterations < 200
+
+
+def test_central_path_stops_on_a_nan_newton_step():
+    # a zero slice-floor slack at the start makes the Newton direction
+    # NaN: the path must end there without a certificate, not spend its
+    # budget stepping into NaN
+    q, x = np.ones(1), np.ones(1)
+    prob = (q, 0.0, np.ones((1, 1)), np.log1p(q * x), np.zeros((0, 1)),
+            np.zeros(0), 2.0)
+    points = list(_central_path(x, np.zeros(1), 1.0, prob, 50))
+    assert all(np.all(np.isfinite(p)) for p, *_ in points)
+    _p, _t, duals, steps = points[-1]
+    assert duals is None and steps < 50
+
+
+def test_inner_solve_reports_a_breakdown_as_cap():
+    # a start on the p_max bound has a zero box slack, so the first
+    # Newton direction is NaN
+    sc, ch, bf = easy_1x1()
+    mapping = one_on_one()
+    ibar = interference_upper_bound(sc, mapping, ch, bf)
+    pb = PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
+    pb.x = np.full(1, sc.params.p_max)
+    res = subgradient_solve(pb, pb.eta0)
+    assert res.stop == "cap" and not res.converged
+    assert np.all(np.isfinite(res.powers.p)) and res.gap == math.inf
 
 
 def seed21_instance():
@@ -274,8 +297,7 @@ def test_subgradient_2ue_matches_grid_search():
     r0 = float(ue_rates(sc, mapping, ch, bf, pw0, ibar).sum())
     eta = r0 / float(ru_powers_all(sc, mapping, bf, pw0).sum())
 
-    res = subgradient_solve(sc, mapping, ch, bf, ibar, eta=eta,
-                            opts=SolverOptions(max_iters=4000))
+    res = inner_solve(sc, mapping, ch, bf, eta=eta, max_iters=4000)
     assert res.feasible
     f_grid = grid_search_f(sc, ch, bf, mapping, ibar, eta)
     assert res.f_value == pytest.approx(f_grid, rel=0.01)
@@ -299,15 +321,17 @@ def test_solve_joint_1x1_converges_to_root():
     assert abs(res.trace[-1].f_value) <= 1e-6 * max(res.r_tot, 1.0)
 
 
-def test_solve_joint_single_outer_iteration():
+def test_one_step_from_eta0_is_not_converged():
     sc, ch, bf = easy_1x1()
-    res = solve_joint(sc, SolverOptions(i_max=1), ch=ch, bf=bf)
-    assert res.iterations == 1
-    assert len(res.trace) == 1
+    mapping = one_on_one()
+    ibar = interference_upper_bound(sc, mapping, ch, bf)
+    pb = PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
+    res = subgradient_solve(pb, pb.eta0)
     # eta starts at R/P of the phase-I point (the rate-floor powers miss
     # the delay floor here), where F(eta0) is still 87 % of R_tot: one
     # step is nowhere near the root
-    assert not res.converged
+    assert res.eta == pb.eta0
+    assert abs(res.f_value) > EPS_ETA * max(res.r_tot, 1.0)
 
 
 def test_solve_joint_starts_feasible_and_warm_starts():
@@ -319,7 +343,7 @@ def test_solve_joint_starts_feasible_and_warm_starts():
     assert first.eta > 0 and first.f_value >= 0
     etas = [row.eta for row in res.trace]
     assert all(b >= a for a, b in zip(etas, etas[1:]))
-    assert sum(row.inner_iterations for row in res.trace) <= 210
+    assert sum(row.iterations for row in res.trace) <= 210
     assert res.converged
     assert res.eta == pytest.approx(2.0473907e8, rel=1e-6)
 

@@ -70,7 +70,8 @@ def test_sigma_q_scales_with_pmax():
     ("arrival_rate_mean", -1.0), ("arrival_rate_spread", -0.1),
     ("arrival_rate_spread", 1.5), ("prbs_per_ue", 0),
     ("pl_d_min_m", 0.0), ("pl_d0_m", 0.0), ("pl_d_min_m", -1.0),
-    ("p_max", True), ("d_max", math.inf),
+    ("p_max", True), ("d_max", math.inf), ("mean_ues", 1e19),
+    ("mean_ues", math.inf),
 ])
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ScenarioError):

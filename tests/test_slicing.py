@@ -6,9 +6,8 @@ import pytest
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
                              build_channels)
-from oranslice.slicing import (RankingWeights, check_feasibility,
-                               map_slices_to_services, rank_services,
-                               rank_slices)
+from oranslice.slicing import (check_feasibility, map_slices_to_services,
+                               rank_services, rank_slices)
 from oranslice.power import SolverOptions, solve_joint
 from oranslice.oracle import brute_force_mapping
 
@@ -50,11 +49,11 @@ def test_rank_slices_weighted_score():
     assert rank_slices(sc2) == [1, 0]
 
 
-def test_rank_slices_prb_only_weights():
-    sc = hand_scenario(slice_rus=((0, 1, 2), (3,)),
+def test_rank_slices_prbs_break_ru_vnf_tie():
+    sc = hand_scenario(slice_rus=((0, 1), (2, 3)),
                        slice_prbs=((0,), (1, 2)))
-    # slice 1 owns more PRBs even though slice 0 owns more RUs
-    assert rank_slices(sc, RankingWeights(1.0, 0.0, 0.0)) == [1, 0]
+    # equal RUs and VNFs: slice 1 owns more PRBs and ranks first
+    assert rank_slices(sc) == [1, 0]
 
 
 def test_rank_slices_tie_by_id():
@@ -77,7 +76,7 @@ def test_map_trivial_instance():
     sc, ch, bf = easy_1x1()
     result = map_slices_to_services(sc, ch, bf)
     assert result.mapping.a.tolist() == [[1]]
-    assert result.all_covered
+    assert not result.uncovered_services
     assert check_feasibility(sc, ch, bf, result.mapping).ok
 
 
@@ -107,7 +106,7 @@ def test_map_excludes_fronthaul_violator():
     sc, ch, bf = fronthaul_split_instance()
     result = map_slices_to_services(sc, ch, bf)
     assert result.mapping.a.tolist() == [[0, 1]]
-    assert result.all_covered
+    assert not result.uncovered_services
     assert any("fronthaul" in reason for _, _, reason in result.rejections)
 
 
@@ -125,7 +124,7 @@ def test_map_reports_uncovered_when_nothing_fits():
     result = map_slices_to_services(sc, ch, bf)
     assert result.mapping.a.sum() == 0
     assert result.uncovered_services == [0]
-    assert not result.all_covered
+    assert result.uncovered_services
 
 
 def test_map_2x2_feasible_and_near_oracle():
@@ -133,7 +132,7 @@ def test_map_2x2_feasible_and_near_oracle():
     ch = build_channels(sc)
     bf = build_beamformers(sc, ch)
     result = map_slices_to_services(sc, ch, bf)
-    assert result.all_covered
+    assert not result.uncovered_services
     assert check_feasibility(sc, ch, bf, result.mapping).ok
 
     joint = solve_joint(sc, SolverOptions(max_iters=1200), ch=ch, bf=bf)
