@@ -5,9 +5,9 @@ from .scenario import (GeneratorConfig, Scenario, ScenarioError,
                        SystemParams, generate_scenario, load_scenario,
                        save_scenario, validate)
 from .radio import (BeamformerSet, ChannelSet, PowerAllocation,
-                    SingularChannelError, SliceMapping, build_beamformers,
-                    build_channels, energy_efficiency,
-                    interference_upper_bound, ue_rates, zf_beamformer)
+                    SliceMapping, build_beamformers, build_channels,
+                    energy_efficiency, interference_upper_bound, ue_rates,
+                    zf_beamformer)
 from .queueing import UnstableQueueError
 from .slicing import (FeasibilityReport, MappingResult, check_feasibility,
                       map_slices_to_services, rank_services, rank_slices)
@@ -22,7 +22,7 @@ __all__ = [
     "GeneratorConfig", "Scenario", "ScenarioError", "SystemParams",
     "generate_scenario", "load_scenario", "save_scenario", "validate",
     "BeamformerSet", "ChannelSet", "PowerAllocation",
-    "SingularChannelError", "SliceMapping", "build_beamformers",
+    "SliceMapping", "build_beamformers",
     "build_channels", "energy_efficiency", "interference_upper_bound",
     "ue_rates", "zf_beamformer",
     "UnstableQueueError",

@@ -115,10 +115,10 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
     M @ rho > floor, W @ p < b * (1 - s), p < p_max and s < 1, with
     x = p (phase II) or x = (p, s) (phase I).  From barrier parameter t,
     yields (x, t, duals 1/(t * slack) in that constraint order, Newton
-    steps) at each centred point, then grows t by T_STEP; returns once
-    `budget` steps are spent.  A non-finite Newton decrement (a zero
-    slack, say) ends the path at the last finite x, yielded with duals
-    None: no certificate."""
+    steps) at each centred point, then grows t by T_STEP.  Once `budget`
+    steps are spent it yields the point it reached, centred or not, and
+    returns.  A non-finite Newton decrement (a zero slack, say) ends the
+    path at the last finite x, yielded with duals None: no certificate."""
     q, rho_min, M, floor, W, b, p_max = prob
     n_p, n_f = q.size, len(floor)
     n_r = n_f + len(b)                    # rows of R: floors, then caps
@@ -315,13 +315,16 @@ def subgradient_solve(problem: PowerProblem, eta: float) -> SubgradientResult:
         if pb.mults is not None:     # bit/s by which x may miss the optimum
             gap0 = pb.dual_bound(eta, pb.mults) - pb.objective(eta, x)
             t = cuts[-1] * nat / max(gap0, cuts[-1] * nat / pb.t)
+        budget = pb.max_iters - steps
         for x, t, duals, more in _central_path(
-                x, -eta / nat * pb.cost, 1.0, pb.prob, pb.max_iters - steps,
-                t):
+                x, -eta / nat * pb.cost, 1.0, pb.prob, budget, t):
             stop = "cap"
             if duals is None:
                 break
-            if duals.size / t <= GAP_RTOL * np.log1p(pb.prob[0] * x).sum():
+            # m/t bounds the gap only at a centred point; the point where
+            # the budget ran out is not known to be one
+            if more < budget and (duals.size / t <= GAP_RTOL
+                                  * np.log1p(pb.prob[0] * x).sum()):
                 stop = "gap"
                 break
         p, steps = x, steps + more

@@ -59,23 +59,24 @@ def layer_delays(sc: Scenario, alpha: np.ndarray,
     return du, cu, unstable
 
 
-def slice_delays(sc: Scenario, served: np.ndarray, rates: np.ndarray,
+def slice_delays(sc: Scenario, alpha: np.ndarray, r_tot: np.ndarray,
+                 active: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                             dict[int, str]]:
     """Mean sojourn (DU, CU, transmission) of every slice, s.
 
-    `rates` is the per-UE rate vector in global order.  Packet arrivals
-    are converted to bits with the configured packet size before the
-    transmission stage, which is stable only while the slice's summed
-    rate exceeds that offered load.  The dict maps each slice that
-    serves a service and has an unstable stage to the UnstableQueueError
-    text of its first (DU, CU, then transmission).
+    `alpha` and `r_tot` are every slice's pooled packet arrivals
+    (`slice_loads`) and summed UE rate in bit/s (`slice_sums` of the
+    rates); `active` marks the slices that serve a service.  Packet
+    arrivals are converted to bits with the configured packet size before
+    the transmission stage, which is stable only while the slice's summed
+    rate exceeds that offered load.  The dict maps each active slice
+    with an unstable stage to the UnstableQueueError text of its first
+    (DU, CU, then transmission).
     """
-    alpha = slice_loads(sc, served)
     du, cu, unstable = layer_delays(sc, alpha)
-    r_tot = slice_sums(rates, served)
     offered = alpha * sc.params.packet_size_bits
-    for s in np.flatnonzero(served.any(axis=0) & (r_tot <= offered)):
+    for s in np.flatnonzero(active & (r_tot <= offered)):
         unstable.setdefault(int(s), (
             f"transmission stage unstable: slice rate {r_tot[s]:.6g} <= "
             f"offered load {offered[s]:.6g}"))

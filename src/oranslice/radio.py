@@ -31,10 +31,6 @@ from .scenario import Scenario
 CONDITION_CAP = 1e8
 
 
-class SingularChannelError(ValueError):
-    """Channel matrix cannot support zero-forcing for the requested pair."""
-
-
 @dataclass
 class ChannelSet:
     """Complex gains between every radio unit and every UE.
@@ -64,30 +60,33 @@ def build_channels(sc: Scenario) -> ChannelSet:
     return ChannelSet(gains=np.sqrt(large) * small)
 
 
-def zf_beamformer(channel_matrix: np.ndarray,
-                  pair: tuple[int, int] | None = None) -> np.ndarray:
-    """Zero-forcing precoder W = H (H^H H)^(-1) for an R x U channel.
+def zf_beamformer(h: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Zero-forcing precoders W = H (H^H H)^(-1) for a stack of R x U
+    channels, shape (n, R, U), with one product, condition number and
+    inverse call each for the whole stack.
 
-    Satisfies H^H W = I when R >= U and the normal matrix is well
-    conditioned.  Raises SingularChannelError otherwise; `pair` only
-    decorates the error message with the (slice, service) involved.
+    Member g satisfies H^H W = I when R >= U and its normal matrix is
+    well conditioned.  Returns the stacked precoders and, for each member
+    that has none (its precoder is left zero), the reason.
     """
-    h = np.asarray(channel_matrix, dtype=complex)
-    if h.ndim != 2:
-        raise SingularChannelError("channel matrix must be 2-D")
-    n_rus, n_ues = h.shape
-    label = "" if pair is None else f" for slice {pair[0]}, service {pair[1]}"
+    h = np.asarray(h, dtype=complex)
+    n, n_rus, n_ues = h.shape
+    w = np.zeros_like(h)
     if n_rus < n_ues:
-        raise SingularChannelError(
-            f"{n_rus} radio units cannot zero-force {n_ues} UEs{label}")
-    normal = h.conj().T @ h
+        return w, dict.fromkeys(
+            range(n), f"{n_rus} radio units cannot zero-force {n_ues} UEs")
+    normal = h.conj().transpose(0, 2, 1) @ h
+    errors: dict[int, str] = {}
+    good = np.ones(n, dtype=bool)
     if n_ues > 0:
         cond = np.linalg.cond(normal)
-        if not np.isfinite(cond) or cond > CONDITION_CAP:
-            raise SingularChannelError(
-                f"channel normal matrix condition {cond:.3g} exceeds "
-                f"{CONDITION_CAP:.0e}{label}")
-    return h @ np.linalg.inv(normal)
+        good = np.isfinite(cond) & (cond <= CONDITION_CAP)
+        errors = {int(g): f"channel normal matrix condition {cond[g]:.3g} "
+                          f"exceeds {CONDITION_CAP:.0e}"
+                  for g in np.flatnonzero(~good)}
+    keep = slice(None) if good.all() else good      # a view, not a copy
+    w[keep] = h[keep] @ np.linalg.inv(normal[keep])
+    return w, errors
 
 
 @dataclass
@@ -97,15 +96,17 @@ class BeamformerSet:
 
     `w[(slice_id, service_id)]` is the R_s x U_v precoder;
     `unmappable[(slice_id, service_id)]` records why a pair has none.
-    The coefficient arrays (`leak`, `gain` and `w2` are zero wherever a
-    pair has no precoder):
+    The coefficient arrays (`gain` and `w2` are zero wherever a pair has
+    no precoder):
 
     * `slot_slice[k]`, `slot_ru[k]` and `slot_sigma[k]` are the slice,
       the RU id and the RU's quantization noise variance of (slice, RU)
       slot k, in `Scenario.ru_slots()` order;
-    * `leak[s, v, u]` is, per unit transmit power, the PRB-overlap
-      weighted leakage of pair (s, v)'s streams into UE u, excluding
-      the UE's own stream;
+    * `leak[n]` is, per unit transmit power, the PRB-overlap weighted
+      leakage of pair (s, v)'s streams into UE u, excluding the UE's own
+      stream, where (s, v, u) is row n of `leak_rows`.  Rows are sorted
+      and exist only where u shares a PRB of slice s with a UE of a
+      mappable v, so a dedicated-PRB scenario stores none;
     * `quant[s, u]` is the sum over the RUs r of slice s of
       sigma_r |h_{r,u}|^2;
     * `gain[s, u]` is UE u's own-stream |h^H w|^2 through slice s;
@@ -117,54 +118,136 @@ class BeamformerSet:
     slot_slice: np.ndarray        # (n_slots,)
     slot_ru: np.ndarray           # (n_slots,)
     slot_sigma: np.ndarray        # (n_slots,)
-    leak: np.ndarray              # (n_slices, n_services, n_ues)
+    leak_rows: np.ndarray         # (n_leak, 3): slice, service, victim UE
+    leak: np.ndarray              # (n_leak,)
     quant: np.ndarray             # (n_slices, n_ues)
     gain: np.ndarray              # (n_slices, n_ues)
     w2: np.ndarray                # (n_slots, n_ues)
 
 
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted key array that start a run of
+    equal keys."""
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return first
+
+
+def _prb_sharing_pairs(sc: Scenario) -> np.ndarray:
+    """Rows (slice, victim UE, source UE, shared PRB count), sorted, for
+    every ordered pair of distinct UEs that may both use some PRB of the
+    slice; found by grouping the eligibility triples on (slice, PRB)."""
+    t = sc.prb_assignment.triples
+    t = t[np.lexsort((t[:, 0], t[:, 1], t[:, 2]))]   # by slice, PRB, UE
+    start = np.flatnonzero(_run_starts(t[:, 2] * sc.prb_assignment.n_prbs
+                                       + t[:, 1]))
+    size = np.diff(np.append(start, len(t)))
+    start, size = start[size > 1], size[size > 1]
+    # a group of n rows gives n * n (victim, source) offsets, n of them equal
+    sq = size * size
+    grp = np.repeat(np.arange(size.size), sq)
+    i, k = np.divmod(np.arange(grp.size) - np.repeat(np.cumsum(sq) - sq, sq),
+                     size[grp])
+    first = start[grp[i != k]]
+    n = sc.n_ues
+    key = ((t[first, 2] * n + t[first + i[i != k], 0]) * n
+           + t[first + k[i != k], 0])
+    key = key[np.argsort(key, kind="stable")]
+    runs = np.flatnonzero(_run_starts(key))
+    key, counts = key[runs], np.diff(np.append(runs, key.size))
+    return np.column_stack([key // (n * n), key // n % n, key % n, counts])
+
+
+def _leakage(sc: Scenario, ch: ChannelSet,
+             w: dict[tuple[int, int], np.ndarray], mappable: np.ndarray,
+             first_ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`BeamformerSet.leak_rows` and `leak`, built only for the (slice,
+    service) pairs with a precoder (`mappable[s, v]`) whose UEs share a
+    PRB with some UE.  `first_ue[v]` is service v's first UE index."""
+    share = _prb_sharing_pairs(sc)
+    service = sc.ue_service[share[:, 2]]
+    keep = mappable[share[:, 0], service]
+    share, service = share[keep], service[keep]
+    order = np.lexsort((share[:, 1], service, share[:, 0]))
+    share, service = share[order], service[order]
+    pair_key = share[:, 0] * sc.n_services + service
+    key = pair_key * sc.n_ues + share[:, 1]
+    first = _run_starts(key)                     # first entry of each row
+    bounds = np.append(np.flatnonzero(_run_starts(pair_key)), len(share))
+    leak, last = [], -1
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s, v = int(share[lo, 0]), int(service[lo])
+        if s != last:
+            last, h_conj = s, ch.gains[list(sc.slices[s].ru_ids)].conj().T
+        pair = share[lo:hi]
+        counts = np.zeros((sc.n_ues, sc.services[v].n_ues))
+        counts[pair[:, 1], pair[:, 2] - first_ue[v]] = pair[:, 3]
+        # products for all U rows, not only the victims: the matrix
+        # product rounds by shape, so a coefficient does not depend on
+        # which other UEs share a PRB
+        cross = np.abs(h_conj @ w[(s, v)]) ** 2 * counts
+        leak.append(cross[pair[first[lo:hi], 1]].sum(axis=1))
+    key = key[first]
+    rows = np.column_stack([key // sc.n_ues // sc.n_services,
+                            key // sc.n_ues % sc.n_services,
+                            key % sc.n_ues])
+    return rows, np.concatenate(leak) if leak else np.zeros(0)
+
+
 def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
-    n_ues = sc.n_ues
+    """Precoders and coefficients of a `BeamformerSet`.
+
+    The (slice, service) pairs are zero-forced in one stack per channel
+    shape (R_s, U_v).  Leakage is formed only for ordered UE pairs that
+    share a PRB of the slice, so without such pairs it costs nothing.
+    """
+    n_ues, n_services = sc.n_ues, sc.n_services
     slots = np.array(sc.ru_slots(), dtype=int).reshape(-1, 3)
     slot_sigma = np.array([sc.rus[rid].sigma_q2 for rid in slots[:, 2]])
-    w: dict[tuple[int, int], np.ndarray] = {}
-    unmappable: dict[tuple[int, int], str] = {}
-    leak = np.zeros((sc.n_slices, sc.n_services, n_ues))
+    first_slot = np.cumsum([0] + [sl.n_rus for sl in sc.slices])
     quant = np.zeros((sc.n_slices, n_ues))
     gain = np.zeros((sc.n_slices, n_ues))
     w2 = np.zeros((len(slots), n_ues))
-    triples = sc.prb_assignment.triples
-    service_cols = [sc.service_ue_indices(sv.id) for sv in sc.services]
-    first_slot = 0
     for sl in sc.slices:
-        h = ch.gains[list(sl.ru_ids)]
-        rows = slice(first_slot, first_slot + sl.n_rus)
-        first_slot += sl.n_rus
-        quant[sl.id] = slot_sigma[rows] @ np.abs(h) ** 2
-        ue, prb = triples[triples[:, 2] == sl.id, :2].T
-        # one column per PRB the slice owns; validate() rejects other rows
-        col = {k: j for j, k in enumerate(sl.prb_ids)}
-        z = np.zeros((n_ues, len(col)))
-        z[ue, [col[k] for k in prb.tolist()]] = 1.0
-        shared = z @ z.T          # PRBs of this slice both UEs may use
-        for sv, cols in zip(sc.services, service_cols):
-            pair = (sl.id, sv.id)
-            h_pair = h[:, cols]
-            try:
-                w_pair = zf_beamformer(h_pair, pair=pair)
-            except SingularChannelError as exc:
-                unmappable[pair] = str(exc)
-                continue
-            w[pair] = w_pair
-            gain[sl.id, cols] = np.abs(
-                np.einsum("ru,ru->u", h_pair.conj(), w_pair)) ** 2
-            cross = np.abs(h.conj().T @ w_pair) ** 2 * shared[:, cols]
-            cross[cols, np.arange(len(cols))] = 0.0
-            leak[sl.id, sv.id] = cross.sum(axis=1)
-            w2[rows, cols] = np.abs(w_pair) ** 2
+        sigma = slot_sigma[first_slot[sl.id]:first_slot[sl.id + 1]]
+        quant[sl.id] = sigma @ np.abs(ch.gains[list(sl.ru_ids)]) ** 2
+
+    # UEs are in service order: service v's are first_ue[v], first_ue[v]+1..
+    first_ue = np.cumsum([0] + [sv.n_ues for sv in sc.services])
+    shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for sl in sc.slices:
+        for sv in sc.services:
+            shapes.setdefault((sl.n_rus, sv.n_ues), []).append((sl.id, sv.id))
+    found: dict[tuple[int, int], np.ndarray | str] = {}
+    mappable = np.zeros((sc.n_slices, n_services), dtype=bool)
+    for (n_rus, n_cols), members in shapes.items():
+        s_of, v_of = np.array(members).T
+        ru = np.array([sc.slices[s].ru_ids for s in s_of], dtype=int)
+        cols = first_ue[v_of, None] + np.arange(n_cols)
+        h = ch.gains[ru[:, :, None], cols[:, None, :]]
+        w_stack, errors = zf_beamformer(h)
+        found.update(zip(members, w_stack))
+        found.update((members[g], text) for g, text in errors.items())
+        ok = np.ones(len(members), dtype=bool)
+        ok[list(errors)] = False
+        mappable[s_of[ok], v_of[ok]] = True
+        gain[s_of[ok, None], cols[ok]] = np.abs(
+            np.einsum("gru,gru->gu", h[ok].conj(), w_stack[ok])) ** 2
+        slot_rows = first_slot[s_of[ok], None] + np.arange(n_rus)
+        w2[slot_rows[:, :, None], cols[ok, None, :]] = np.abs(
+            w_stack[ok]) ** 2
+    w: dict[tuple[int, int], np.ndarray] = {}
+    unmappable: dict[tuple[int, int], str] = {}
+    for (s, v), got in sorted(found.items()):
+        if isinstance(got, str):
+            unmappable[(s, v)] = f"{got} for slice {s}, service {v}"
+        else:
+            w[(s, v)] = got
+    leak_rows, leak = _leakage(sc, ch, w, mappable, first_ue)
     return BeamformerSet(w=w, unmappable=unmappable, slot_slice=slots[:, 0],
                          slot_ru=slots[:, 2], slot_sigma=slot_sigma,
-                         leak=leak, quant=quant, gain=gain, w2=w2)
+                         leak_rows=leak_rows, leak=leak,
+                         quant=quant, gain=gain, w2=w2)
 
 
 @dataclass
@@ -218,10 +301,14 @@ def interference_upper_bound(sc: Scenario, mapping: SliceMapping,
       by the victim's channel gain to that RU.
 
     Every interfering transmit power is replaced by the per-RU cap, so
-    the result does not depend on the power allocation.
+    the result does not depend on the power allocation.  The leakage sum
+    runs over the stored PRB-sharing rows only, adding them per UE in
+    (slice, service) order.
     """
     a = mapping.a
-    return (sc.params.p_max * np.einsum("vs,svu->u", a, bf.leak)
+    s, v, u = bf.leak_rows.T
+    leakage = np.bincount(u, weights=a[v, s] * bf.leak, minlength=sc.n_ues)
+    return (sc.params.p_max * leakage
             + np.einsum("us,su->u", a[sc.ue_service], bf.quant))
 
 

@@ -29,6 +29,13 @@ SCHEMA_VERSION = 1
 POISSON_LAM_MAX = (np.iinfo(np.int64).max
                    - 10 * np.sqrt(np.iinfo(np.int64).max))
 
+# Largest service and slice counts the generator accepts.  The radio
+# coefficients grow as slices x RUs x UEs, so a count far beyond the
+# largest studied instance (96 services, 97 slices) is a typo, not a
+# request; it exits with a message instead of exhausting memory.
+N_SERVICES_MAX = 1000
+N_SLICES_MAX = 1000
+
 # Fixed unit declarations written into every scenario file so readers do
 # not have to guess.  Values are strings, purely documentary.
 UNITS = {
@@ -342,10 +349,10 @@ class GeneratorConfig:
     pl_exponent: float = 3.5
 
     def __post_init__(self):
-        if self.n_services < 1:
-            raise ScenarioError("n_services must be >= 1")
-        if self.n_slices < 1:
-            raise ScenarioError("n_slices must be >= 1")
+        if not 1 <= self.n_services <= N_SERVICES_MAX:
+            raise ScenarioError(f"n_services must be in [1, {N_SERVICES_MAX}]")
+        if not 1 <= self.n_slices <= N_SLICES_MAX:
+            raise ScenarioError(f"n_slices must be in [1, {N_SLICES_MAX}]")
         if self.n_dcs < 1:
             raise ScenarioError("n_dcs must be >= 1")
         if self.mean_ues < 1 or self.max_ues < 1:

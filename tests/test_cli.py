@@ -679,3 +679,38 @@ def test_experiment_rejects_malformed_spec(tmp_path, capsys, fields):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, needle", [
+    ("generate", {"n_services": 10 ** 9}, "n_services must be in [1, 1000]"),
+    ("generate", {"n_slices": 10 ** 9}, "n_slices must be in [1, 1000]"),
+    ("experiment", {"kind": "ee_vs_mean_ues", "series": [3, 10 ** 9]},
+     "n_services must be in [1, 1000]"),
+    ("experiment", {"kind": "ee_vs_mean_ues", "series": [3],
+                    "overrides": {"n_slices": 10 ** 9}},
+     "n_slices must be in [1, 1000]"),
+    ("experiment", {"kind": "admitted_vs_slices", "x_values": [10 ** 12]},
+     "n_slices must be in [1, 1000]"),
+], ids=["generate-services", "generate-slices", "ee-series",
+        "ee-slices-override", "placement-x-values"])
+def test_oversized_counts_exit_2_before_generating(tmp_path, capsys,
+                                                   monkeypatch, command, doc,
+                                                   needle):
+    # the caps must reject the count before anything is drawn or allocated
+    def never(*args, **kwargs):
+        raise AssertionError("generated an oversized scenario")
+
+    monkeypatch.setattr(cli, "generate_scenario", never)
+    out = tmp_path / "out"
+    path = tmp_path / "input.json"
+    if command == "generate":
+        path.write_text(json.dumps(doc))
+        argv = ["generate", "--config", str(path), "--out", str(out)]
+    else:
+        path.write_text(json.dumps({"seeds": [0], "out": str(out), **doc}))
+        argv = ["experiment", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()

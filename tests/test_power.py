@@ -246,6 +246,17 @@ def test_inner_solve_reports_a_breakdown_as_cap():
     assert np.all(np.isfinite(res.powers.p)) and res.gap == math.inf
 
 
+def test_inner_solve_that_spends_its_budget_reports_cap():
+    # with 30 Newton steps per solve, Dinkelbach step 3 on this instance
+    # spends its whole budget; the point it stops at is not centred, so
+    # m/t certifies nothing there and the stop is the cap
+    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+    res = solve_joint(sc, SolverOptions(max_iters=30))
+    spent = [row for row in res.trace if row.iterations >= 30]
+    assert len(spent) >= 3
+    assert all(row.stop == "cap" and not row.converged for row in spent)
+
+
 def seed21_instance():
     cfg = GeneratorConfig(n_services=2, mean_ues=1.0, max_ues=1, n_slices=1,
                           n_rus=30, rus_per_slice=30, p_max=0.5,

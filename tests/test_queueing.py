@@ -20,8 +20,10 @@ def one_ue_delays(arrival, rate, **params):
     """slice_delays of one UE on one slice, at the given rate, bit/s."""
     sc = hand_scenario(arrival_rates=[arrival],
                        params=default_params(**params))
-    return slice_delays(sc, served_by(sc, full_mapping(sc)),
-                        np.array([rate]))
+    served = served_by(sc, full_mapping(sc))
+    return slice_delays(sc, slice_loads(sc, served),
+                        slice_sums(np.array([rate]), served),
+                        served.any(axis=0))
 
 
 def test_arrival_rate_unmapped_slice_is_zero():

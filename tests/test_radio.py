@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from oranslice.scenario import GeneratorConfig, generate_scenario
-from oranslice.radio import (PowerAllocation, SingularChannelError,
-                             SliceMapping, achievable_rate, build_beamformers,
+from oranslice.radio import (CONDITION_CAP, PowerAllocation, SliceMapping,
+                             achievable_rate, build_beamformers,
                              build_channels, energy_efficiency,
                              fronthaul_rates_all, interference_upper_bound,
                              ru_powers_all, ue_rates, zf_beamformer)
@@ -48,7 +48,8 @@ def gauss_jordan_pinv_precoder(h):
 
 
 def test_zf_identity_scalar():
-    w = zf_beamformer(np.array([[1.0]]))
+    (w,), errors = zf_beamformer(np.array([[1.0]])[None])
+    assert not errors
     assert w == pytest.approx(np.array([[1.0]]))
 
 
@@ -57,7 +58,8 @@ def test_zf_diagonal_channel():
     # diagonal reciprocal diag(1/2, -i/4) is H^(-1), which fails the
     # defining identity: H^H H^(-1) = diag(1, -1).)
     h = np.diag([2.0, 4.0j])
-    w = zf_beamformer(h)
+    (w,), errors = zf_beamformer(h[None])
+    assert not errors
     assert np.allclose(w, np.diag([0.5, 0.25j]), atol=1e-12)
     assert np.max(np.abs(h.conj().T @ w - np.eye(2))) < 1e-9
 
@@ -65,7 +67,8 @@ def test_zf_diagonal_channel():
 def test_zf_matches_gauss_jordan_oracle():
     rng = np.random.default_rng(11)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    w = zf_beamformer(h)
+    (w,), errors = zf_beamformer(h[None])
+    assert not errors
     assert np.max(np.abs(h.conj().T @ w - np.eye(2))) < 1e-9
     w_ref = gauss_jordan_pinv_precoder(h)
     assert np.max(np.abs(w - w_ref)) < 1e-9
@@ -77,21 +80,63 @@ def test_zf_identity_random_shapes(seed):
     r = int(rng.integers(1, 9))
     u = int(rng.integers(1, r + 1))
     h = rng.standard_normal((r, u)) + 1j * rng.standard_normal((r, u))
-    w = zf_beamformer(h)
+    (w,), errors = zf_beamformer(h[None])
+    assert not errors
     assert np.max(np.abs(h.conj().T @ w - np.eye(u))) < 1e-9
 
 
 def test_zf_rejects_underdetermined():
-    with pytest.raises(SingularChannelError):
-        zf_beamformer(np.ones((1, 2), dtype=complex))
+    _, errors = zf_beamformer(np.ones((1, 2), dtype=complex)[None])
+    assert errors == {0: "1 radio units cannot zero-force 2 UEs"}
 
 
 def test_zf_rejects_ill_conditioned():
     # two nearly collinear UE columns push cond(H^H H) past the cap
     base = np.array([1.0, 1.0j, 0.5])
     h = np.stack([base, base * (1 + 1e-12)], axis=1)
-    with pytest.raises(SingularChannelError, match="condition"):
-        zf_beamformer(h, pair=(0, 1))
+    w, errors = zf_beamformer(h[None])
+    assert list(errors) == [0] and "condition" in errors[0]
+    assert not w.any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zf_stack_matches_per_member_inverse(seed):
+    # stacks mixing well-conditioned members with members whose normal
+    # matrix is past CONDITION_CAP (a repeated column), and R < U stacks
+    rng = np.random.default_rng(seed)
+    for r, u in ((4, 3), (6, 6), (3, 1), (2, 3)):
+        h = (rng.standard_normal((7, r, u))
+             + 1j * rng.standard_normal((7, r, u)))
+        bad = set()
+        if 1 < u <= r:
+            bad = {1, 4}
+            h[1, :, 1] = h[1, :, 0] * (1 + 1e-12)
+            h[4, :, -1] = h[4, :, 0]
+        w, errors = zf_beamformer(h)
+        if r < u:
+            assert errors == dict.fromkeys(
+                range(7), f"{r} radio units cannot zero-force {u} UEs")
+            assert not w.any()
+            continue
+        assert set(errors) == bad
+        for g in range(7):
+            if g in bad:
+                assert f"exceeds {CONDITION_CAP:.0e}" in errors[g]
+                assert not w[g].any()
+            else:
+                ref = h[g] @ np.linalg.inv(h[g].conj().T @ h[g])
+                assert np.array_equal(w[g], ref)
+
+
+def test_dedicated_prbs_store_no_leakage():
+    cfg = GeneratorConfig(n_services=3, n_slices=4, mean_ues=3.0, max_ues=5,
+                          n_rus=12, rus_per_slice=6)
+    sc = generate_scenario(cfg, seed=2)
+    bf = build_beamformers(sc, build_channels(sc))
+    assert bf.leak.size == 0 and bf.leak_rows.size == 0
+    shared = generate_scenario(dataclasses.replace(
+        cfg, prb_mode="shared", prbs_per_slice=2, prbs_per_ue=2), seed=2)
+    assert build_beamformers(shared, build_channels(shared)).leak.size > 0
 
 
 # --------------------------------------------------------------------------

@@ -154,6 +154,113 @@ def test_map_all_assignments_remain_feasible_together():
 
 
 # --------------------------------------------------------------------------
+# incremental sweep against a full rebuild
+# --------------------------------------------------------------------------
+
+def full_rebuild_sweep(sc, ch, bf):
+    """The two-pass sweep with every candidate judged by
+    check_feasibility on the whole tentative mapping."""
+    service_order, slice_order = rank_services(sc), rank_slices(sc)
+    mapping = SliceMapping.empty(sc)
+    rejections = []
+
+    def try_pair(v, s):
+        if (s, v) in bf.unmappable:
+            rejections.append((s, v, bf.unmappable[(s, v)]))
+            return False
+        mapping.a[v, s] = 1
+        report = check_feasibility(sc, ch, bf, mapping)
+        if report.ok:
+            return True
+        mapping.a[v, s] = 0
+        rejections.append((s, v, report.violations[0]))
+        return False
+
+    for s in slice_order:
+        for v in service_order:
+            if try_pair(v, s):
+                break
+    for v in service_order:
+        if mapping.covered()[v]:
+            continue
+        for s in slice_order:
+            if not mapping.a[v, s] and try_pair(v, s):
+                break
+    uncovered = sorted(v for v in service_order if not mapping.covered()[v])
+    return mapping.a.tolist(), uncovered, rejections
+
+
+def soundness_configs():
+    """The 200 configs of the acceptance mapping-soundness test."""
+    rng = np.random.default_rng(4)
+    for seed in range(200):
+        yield seed, GeneratorConfig(
+            n_services=int(rng.integers(2, 5)),
+            mean_ues=float(rng.uniform(1.0, 3.0)),
+            max_ues=3,
+            n_slices=int(rng.integers(2, 5)),
+            n_rus=16, rus_per_slice=8,
+            r_min_per_hz=float(rng.choice([1.0, 5.0, 10.0])),
+            region_m=float(rng.choice([150.0, 300.0, 500.0])))
+
+
+# shared-PRB variants; each tightens one constraint family so every
+# rejection family occurs across the 30 seeds.  At seed 3 a candidate's
+# leakage cuts the rate sum of slices it does not join, and one of those
+# then fails its delay check.
+SHARED_VARIANTS = (
+    {}, {"c_max": 12.0}, {"d_max": 2e-4},
+    {"packet_size_bits": 5e3, "r_min_per_hz": 0.5, "d_max": 1e-3},
+    {"mu1": 200.0}, {"p_max": 0.05},
+)
+
+
+def shared_configs():
+    for seed in range(30):
+        fields = dict(n_services=3, n_slices=4, mean_ues=3.0, max_ues=6,
+                      n_rus=12, rus_per_slice=6, prb_mode="shared",
+                      prbs_per_slice=3, prbs_per_ue=2, r_min_per_hz=5.0,
+                      region_m=300.0)
+        fields.update(SHARED_VARIANTS[seed % len(SHARED_VARIANTS)])
+        yield seed, GeneratorConfig(**fields)
+
+
+@pytest.mark.parametrize("configs", [soundness_configs, shared_configs],
+                         ids=["soundness-200", "shared-30"])
+def test_incremental_sweep_matches_full_rebuild(configs):
+    families = set()
+    for seed, cfg in configs():
+        sc = generate_scenario(cfg, seed=seed)
+        ch = build_channels(sc)
+        bf = build_beamformers(sc, ch)
+        got = map_slices_to_services(sc, ch, bf)
+        want = full_rebuild_sweep(sc, ch, bf)
+        assert (got.mapping.a.tolist(), got.uncovered_services,
+                got.rejections) == want, f"seed {seed}"
+        families |= {reason.split(":")[0] for _s, _v, reason in want[2]}
+    if configs is shared_configs:
+        assert families >= {"RU power cap", "minimum rate", "fronthaul cap",
+                            "delay budget", "delay"}
+
+
+def test_sweep_reports_violations_already_present_first():
+    # sigma_q^2 alone puts every slot over p_max, so every candidate is
+    # rejected for slice 0's first slot, whichever slice it tries
+    cfg = GeneratorConfig(n_services=2, n_slices=3, mean_ues=2.0, max_ues=3,
+                          n_rus=8, rus_per_slice=4, sigma_q_frac=1.5)
+    sc = generate_scenario(cfg, seed=1)
+    ch = build_channels(sc)
+    bf = build_beamformers(sc, ch)
+    got = map_slices_to_services(sc, ch, bf)
+    assert (got.mapping.a.tolist(), got.uncovered_services,
+            got.rejections) == full_rebuild_sweep(sc, ch, bf)
+    assert got.uncovered_services == [0, 1]
+    first = f"RU power cap: slice 0 RU {sc.slices[0].ru_ids[0]} at"
+    assert got.rejections and all(reason.startswith(first)
+                                  for _s, _v, reason in got.rejections)
+
+
+# --------------------------------------------------------------------------
 # violation text
 # --------------------------------------------------------------------------
 
