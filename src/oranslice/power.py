@@ -11,7 +11,8 @@ floors) and is solved by a log-barrier interior-point method (Boyd &
 Vandenberghe, Convex Optimization, 2004, ch. 11) whose duals certify it.
 Its feasible set does not depend on eta, so phase I runs once per solve;
 eta starts at the ratio of a feasible point, which keeps F >= 0 and eta
-monotone (Schaible, 1976), and each step warm-starts from the last one.
+monotone (Schaible, 1976), and moves at every centred point of a single
+barrier path.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
 T_STEP = 20.0        # barrier parameter growth per centering
 EPS_ETA = 1e-6       # outer stop: |F| and gap <= EPS_ETA * R_tot
 CONSTRAINT_RTOL = 1e-6   # feasibility slack, relative
-I_MAX = 50           # Dinkelbach step cap
+I_MAX = 50           # cap on the centred points of one solve_joint
 
 
 class InfeasibleDelayError(ValueError):
@@ -61,7 +62,7 @@ class Multipliers:
 
 @dataclass
 class SolverOptions:
-    max_iters: int = 5000         # Newton-step cap per inner solve
+    max_iters: int = 5000         # Newton-step cap per subgradient_solve
 
 
 def delay_linearization(sc: Scenario, mapping: SliceMapping,
@@ -97,7 +98,7 @@ class SubgradientResult:
     eta: float
     powers: PowerAllocation
     mults: Multipliers
-    converged: bool               # the barrier stopped on its duality gap
+    converged: bool               # the barrier stopped on its gap test
     iterations: int               # Newton steps, phase I included
     feasible: bool
     f_value: float                # R_tot - eta * P_tot at the returned powers
@@ -191,13 +192,14 @@ class PowerProblem:
     per Dinkelbach loop.  Phase I (floors only rise with power) steps from
     p_max towards the per-UE floor powers `p_lo` while every slice floor
     holds; if a slot cap fails there, it maximizes s with the caps shrunk
-    to b * (1 - s) until s > 0 or the barrier bound rules it out.  Phase
-    II starts at (`x`, `t`); `x` is None without a strictly feasible point,
-    and a solve then reports `p` and `stop`.  `steps` holds phase-I Newton
-    steps not yet charged to a solve, `mults` the last solve's multipliers.
-    `eta0` is R/P at `p_lo` if those powers meet every floor and cap, else
+    to b * (1 - s) until s > 0 or the barrier bound rules it out.  The
+    phase-II path stands at (`x`, `t`), where each solve resumes it; `x`
+    is None without a strictly feasible point, and a solve then reports
+    `p` and `stop`.  `steps` holds phase-I Newton steps not yet charged to
+    a solve.  `eta0` is R/P at `p_lo` if those powers meet every floor and cap, else
     at the phase-I point: a feasible ratio, so F(eta0) >= 0.  Phase I
-    and each solve spend at most `opts.max_iters` Newton steps."""
+    and each `subgradient_solve` spend at most `opts.max_iters` Newton
+    steps."""
 
     def __init__(self, sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                  bf: BeamformerSet, ibar: np.ndarray, opts: SolverOptions):
@@ -224,7 +226,7 @@ class PowerProblem:
         self.prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
         with np.errstate(divide="ignore", invalid="ignore"):
             p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
-        x, self.p, self.mults = None, np.full(idx.size, params.p_max), None
+        x, self.p = None, np.full(idx.size, params.p_max)
         self.stop, self.steps, self.t = "infeasible", 0, 1.0
         if np.all(p_lo < params.p_max) and np.all(b > 0):
             for theta in 0.5 ** np.arange(1, 40):
@@ -246,12 +248,8 @@ class PowerProblem:
                  and np.all(M @ np.log1p(q * p_lo) >= floors / nat))
         start = p_lo if lo_ok else x
         self.eta0 = 0.0 if start is None else float(
-            self.objective(0.0, start) / (self.cost @ start + sigma2.sum()))
-
-    def objective(self, eta: float, p: np.ndarray) -> float:
-        """R_tot - eta * P_tot at powers `p` of the served UEs, bit/s."""
-        return (self.nat * np.log1p(self.prob[0] * p).sum()
-                - eta * (self.cost @ p + self.sigma2.sum()))
+            nat * np.log1p(q * start).sum()
+            / (self.cost @ start + sigma2.sum()))
 
     def closed_form_power(self, eta: float, mults: Multipliers) -> np.ndarray:
         """Maximizer over [0, p_max] of each UE's Lagrangian term.
@@ -292,18 +290,18 @@ class PowerProblem:
                      - mults.delay_slice[list(self.dfrak)] @ self.floors)
 
 
-def subgradient_solve(problem: PowerProblem, eta: float) -> SubgradientResult:
+def subgradient_solve(problem: PowerProblem, eta: float,
+                      gap_rtol: float = GAP_RTOL) -> SubgradientResult:
     """Maximize R_tot - eta * P_tot over the powers, with a certificate.
 
-    Phase II runs from `problem.x` until m/t <= GAP_RTOL * summed rate
-    ("gap"), the Newton-step cap or a breakdown of the Newton step
-    ("cap"), and leaves its last point, t and multipliers in `problem`
-    for the next Dinkelbach step.  A fresh `problem` starts at the
-    phase-I point and t = 1; a used one at the t whose m/t is the
-    certified gap of that point at this eta (the dual bound at the
-    previous multipliers minus the objective), but not above the last t.
-    `gap` is the dual bound at the returned barrier duals minus
-    `f_value`; it is infinite without duals.
+    Follows the problem's barrier path with eta held, from the point and
+    t where the last call left it (a fresh `problem`: the phase-I point
+    and t = 1), until a centred point whose m/t <= gap_rtol * summed
+    rate ("gap"), the Newton-step cap or a breakdown of the Newton step
+    ("cap").  With gap_rtol = inf that is the first centred point, which
+    is how `solve_joint` moves eta along one path.  `gap` is the dual
+    bound at the returned barrier duals minus `f_value`; it is infinite
+    without duals.
     """
     pb, sc = problem, problem.sc
     params, nat, idx, weights = sc.params, pb.nat, pb.idx, pb.weights
@@ -311,19 +309,15 @@ def subgradient_solve(problem: PowerProblem, eta: float) -> SubgradientResult:
     if x is not None:
         # duals: per-UE floors, slice floors, kept slot caps, box
         cuts = np.cumsum([idx.size, len(pb.floors), pb.keep.sum(), idx.size])
-        t = pb.t
-        if pb.mults is not None:     # bit/s by which x may miss the optimum
-            gap0 = pb.dual_bound(eta, pb.mults) - pb.objective(eta, x)
-            t = cuts[-1] * nat / max(gap0, cuts[-1] * nat / pb.t)
         budget = pb.max_iters - steps
         for x, t, duals, more in _central_path(
-                x, -eta / nat * pb.cost, 1.0, pb.prob, budget, t):
+                x, -eta / nat * pb.cost, 1.0, pb.prob, budget, pb.t):
             stop = "cap"
             if duals is None:
                 break
             # m/t bounds the gap only at a centred point; the point where
             # the budget ran out is not known to be one
-            if more < budget and (duals.size / t <= GAP_RTOL
+            if more < budget and (duals.size / t <= gap_rtol
                                   * np.log1p(pb.prob[0] * x).sum()):
                 stop = "gap"
                 break
@@ -351,7 +345,7 @@ def subgradient_solve(problem: PowerProblem, eta: float) -> SubgradientResult:
         mults.rate_ue[idx] = duals[:cuts[0]]
         mults.delay_slice[list(pb.dfrak)] = duals[cuts[0]:cuts[1]]
         mults.ru_cap_slot[pb.keep] = nat * duals[cuts[1]:cuts[2]]
-        gap, pb.mults = pb.dual_bound(eta, mults) - f_val, mults
+        gap = pb.dual_bound(eta, mults) - f_val
     return SubgradientResult(
         eta=eta, powers=powers, mults=mults, converged=stop == "gap",
         iterations=steps, feasible=max(worst.values()) <= CONSTRAINT_RTOL,
@@ -368,10 +362,10 @@ class JointResult:
     r_tot: float
     p_tot: float
     converged: bool
-    trace: list[SubgradientResult]    # one inner solve per Dinkelbach step
+    trace: list[SubgradientResult]    # one centred point of the path each
     feasible: bool
     violations: list[str]
-    mults: Multipliers            # of the last inner solve
+    mults: Multipliers            # of the last point
 
     @property
     def mapping(self) -> SliceMapping:
@@ -381,17 +375,20 @@ class JointResult:
 def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
                 ch: ChannelSet | None = None,
                 bf: BeamformerSet | None = None) -> JointResult:
-    """Full pipeline: map slices, then alternate ratio updates and power
-    solves until the parametric objective crosses zero.
+    """Full pipeline: map slices, then follow one barrier path for the
+    powers, raising eta to R/P at each of its centred points, until the
+    parametric objective crosses zero.
 
     The mapping is computed once (its sweep is deterministic and does
     not depend on eta or the powers), and so is the `PowerProblem` with
     its phase-I point.  Eta starts at `PowerProblem.eta0`, R/P at the
-    rate-floor powers or the phase-I point, and each inner solve resumes
-    where the previous one stopped.  `converged` means the last inner
-    solve's dual gap and |F| are both within EPS_ETA * R_tot.  The
-    feasible set does not depend on eta, so an inner solve that finds
-    no strictly feasible point ends the loop.
+    rate-floor powers or the phase-I point.  The path grows t by T_STEP
+    only after a point whose F(eta) is within its certified gap, where
+    eta is as close to the root as that t can tell; otherwise it
+    recentres at the same t.  `converged` means the last point, computed
+    at the last eta, has dual gap and |F| both within EPS_ETA * R_tot.
+    The feasible set does not depend on eta, so a path that finds no
+    strictly feasible point ends the loop.
 
     Raises InfeasibleMappingError when any service ends up uncovered.
     """
@@ -399,7 +396,7 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
         ch = build_channels(sc)
     if bf is None:
         bf = build_beamformers(sc, ch)
-    mapping_result = map_slices_to_services(sc, ch, bf)
+    mapping_result = map_slices_to_services(sc, bf)
     if mapping_result.uncovered_services:
         raise InfeasibleMappingError(mapping_result)
     mapping = mapping_result.mapping
@@ -409,13 +406,15 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
     eta = problem.eta0
     trace: list[SubgradientResult] = []
     for _ in range(I_MAX):
-        last = subgradient_solve(problem, eta)
+        last = subgradient_solve(problem, eta, gap_rtol=math.inf)
         powers, r_tot, p_tot = last.powers, last.r_tot, last.p_tot
         trace.append(last)
         tol = EPS_ETA * max(r_tot, 1.0)
         converged = abs(last.f_value) <= tol and last.gap <= tol
         if converged or last.stop == "infeasible":
             break
+        if last.f_value <= last.gap:
+            problem.t *= T_STEP
         if p_tot > 0:
             eta = max(eta, r_tot / p_tot)
 

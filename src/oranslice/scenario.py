@@ -185,6 +185,24 @@ class ChannelModel:
         return self.pl0 * (d / self.d0_m) ** (-self.exponent)
 
 
+def path_gain_problem(pl0: float, d0_m: float, d_min_m: float,
+                      exponent: float, prefix: str = "") -> str | None:
+    """Why the gain pl0 * (max(d, d_min_m) / d0_m) ** -exponent of some
+    distance d >= 0 can be negative or non-finite, or None.  Takes finite
+    reals; field names in the message get `prefix` ("pl_" for the
+    generator's fields)."""
+    if not (d0_m > 0 and d_min_m > 0):   # a zero distance: infinite gain
+        return f"{prefix}d0_m and {prefix}d_min_m must be > 0"
+    if pl0 < 0 or exponent < 0:   # negative, or unbounded as d grows
+        return f"pl0 and {prefix}exponent must be >= 0"
+    with np.errstate(over="ignore", divide="ignore"):   # largest at d_min
+        peak = pl0 * (np.float64(d_min_m) / d0_m) ** -exponent
+    if not np.isfinite(peak):
+        return (f"the gain at {prefix}d_min_m, pl0 * ({prefix}d_min_m / "
+                f"{prefix}d0_m) ** -{prefix}exponent, must be finite")
+    return None
+
+
 @dataclass
 class PrbAssignment:
     """PRB eligibility zeta: row (u, k, s) of `triples` means UE u may use
@@ -379,9 +397,10 @@ class GeneratorConfig:
             raise ScenarioError("arrival_rate_mean must be >= 0")
         if not 0 <= self.arrival_rate_spread <= 1:
             raise ScenarioError("arrival_rate_spread must be in [0, 1]")
-        if not (self.pl_d0_m > 0 and self.pl_d_min_m > 0):
-            # a zero distance in the path loss makes the gain infinite
-            raise ScenarioError("pl_d0_m and pl_d_min_m must be > 0")
+        why = path_gain_problem(self.pl0, self.pl_d0_m, self.pl_d_min_m,
+                                self.pl_exponent, "pl_")
+        if why is not None:
+            raise ScenarioError(why)
         self.system_params()      # raises on a bad radio or queueing field
 
     def system_params(self) -> SystemParams:
@@ -534,11 +553,12 @@ def validate(sc: Scenario) -> list[str]:
         if not ok:
             problems.append(f"{label} must be finite numbers")
 
-    distances = (sc.channel.d0_m, sc.channel.d_min_m)
-    check_finite("channel model", [sc.channel.pl0, *distances,
-                                   sc.channel.exponent])
-    if not all(is_real(d) and d > 0 for d in distances):
-        problems.append("channel model d0_m and d_min_m must be > 0")
+    path_loss = (sc.channel.pl0, sc.channel.d0_m, sc.channel.d_min_m,
+                 sc.channel.exponent)
+    if not all(map(is_real, path_loss)):
+        problems.append("channel model must be finite numbers")
+    elif (why := path_gain_problem(*path_loss)) is not None:
+        problems.append(f"channel model {why}")
     check_finite("UE arrival rates and positions",
                  [(ue.arrival_rate, *ue.position)
                   for sv in sc.services for ue in sv.ues])

@@ -200,8 +200,7 @@ class _SweepState:
         return reason
 
 
-def map_slices_to_services(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
-                           ) -> MappingResult:
+def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
     """Two-pass greedy mapping sweep.
 
     Pass 1: walk slices in rank order; each slice tentatively serves the

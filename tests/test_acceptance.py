@@ -172,7 +172,7 @@ def test_mapping_sweep_returns_only_feasible_mappings():
         sc = generate_scenario(cfg, seed=seed)
         ch = build_channels(sc)
         bf = build_beamformers(sc, ch)
-        result = map_slices_to_services(sc, ch, bf)
+        result = map_slices_to_services(sc, bf)
         if not result.mapping.a.any():
             continue
         nonzero += 1

@@ -154,10 +154,17 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
     ({"pl_d0_m": 0}, [], "pl_d0_m and pl_d_min_m must be > 0"),
     ({"p_max": True}, [], "p_max=True has the wrong type"),
     ({"mean_ues": 1e19}, [], "mean_ues must be <="),
+    ({"pl0": -1}, [], "pl0 and pl_exponent must be >= 0"),
+    ({"pl_exponent": -1000}, [], "pl0 and pl_exponent must be >= 0"),
+    ({"pl_exponent": 1e6}, [], "the gain at pl_d_min_m"),
+    ({"pl_d_min_m": 1e-300, "region_m": 1e-300}, [],
+     "the gain at pl_d_min_m"),
 ], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
         "negative-region", "negative-arrival-mean", "wide-arrival-spread",
         "no-prbs-per-ue", "zero-clamp-distance", "zero-reference-distance",
-        "bool-power", "mean-ues-beyond-poisson"])
+        "bool-power", "mean-ues-beyond-poisson", "negative-path-gain",
+        "gain-growing-with-distance", "overflowing-exponent",
+        "overflowing-clamp-distance"])
 def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -321,6 +328,10 @@ NAN, INF = float("nan"), float("inf")
     (("rus", 0, "sigma_q2"), False, "must be finite"),
     (("channel", "d_min_m"), 0.0, "d0_m and d_min_m must be > 0"),
     (("channel", "d0_m"), -1.0, "d0_m and d_min_m must be > 0"),
+    (("channel", "pl0"), -1.0, "pl0 and exponent must be >= 0"),
+    (("channel", "exponent"), -1000.0, "pl0 and exponent must be >= 0"),
+    (("channel", "exponent"), 1e6, "the gain at d_min_m"),
+    (("channel", "d_min_m"), 1e-300, "the gain at d_min_m"),
     (("dcs",), [], "no data center"),
 ], ids=["missing-fields", "zeta-ue-999", "zeta-ue-negative", "zeta-ue-float",
         "zeta-pair", "negative-prb-count", "nan-arrival", "inf-ue-position",
@@ -329,6 +340,8 @@ NAN, INF = float("nan"), float("inf")
         "service-id-bool", "ue-id-float", "ru-own-id-float", "dc-id-bool",
         "channel-seed-bool", "bool-p-max", "bool-arrival", "bool-sigma-q2",
         "zero-clamp-distance", "negative-reference-distance",
+        "negative-path-gain", "gain-growing-with-distance",
+        "overflowing-exponent", "overflowing-clamp-distance",
         "no-data-center"])
 def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
                                           keys, value, needle):

@@ -247,12 +247,13 @@ def test_inner_solve_reports_a_breakdown_as_cap():
 
 
 def test_inner_solve_that_spends_its_budget_reports_cap():
-    # with 30 Newton steps per solve, Dinkelbach step 3 on this instance
-    # spends its whole budget; the point it stops at is not centred, so
-    # m/t certifies nothing there and the stop is the cap
+    # with 5 Newton steps per centring, the first four points of this
+    # instance's path spend their whole budget; a point where the budget
+    # ran out is not centred, so m/t certifies nothing there and the stop
+    # is the cap
     sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
-    res = solve_joint(sc, SolverOptions(max_iters=30))
-    spent = [row for row in res.trace if row.iterations >= 30]
+    res = solve_joint(sc, SolverOptions(max_iters=5))
+    spent = [row for row in res.trace if row.iterations >= 5]
     assert len(spent) >= 3
     assert all(row.stop == "cap" and not row.converged for row in spent)
 
@@ -265,7 +266,7 @@ def seed21_instance():
     sc = generate_scenario(cfg, seed=21)
     ch = build_channels(sc)
     bf = build_beamformers(sc, ch)
-    mres = map_slices_to_services(sc, ch, bf)
+    mres = map_slices_to_services(sc, bf)
     assert not mres.uncovered_services
     return sc, ch, bf, mres.mapping
 
@@ -345,18 +346,50 @@ def test_one_step_from_eta0_is_not_converged():
     assert abs(res.f_value) > EPS_ETA * max(res.r_tot, 1.0)
 
 
-def test_solve_joint_starts_feasible_and_warm_starts():
-    # ee_vs_mean_ues at U=147: a cold start at eta = 0 with phase I and
-    # t = 1 in every step took 301 Newton steps over 8 steps
-    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+SHARED_PRBS = {"prb_mode": "shared", "prbs_per_slice": 16, "prbs_per_ue": 2}
+
+
+def one_path_solve(n_services, mean_ues, overrides, seed):
+    """solve_joint on an ee_vs_mean_ues point, checking what every path
+    must do: start at a feasible ratio, so that the dual bound on F(eta0)
+    is >= 0, keep eta nondecreasing and converge.  Returns the result and
+    its Newton steps."""
+    sc = generate_scenario(_ee_config(n_services, mean_ues, overrides),
+                           seed=seed)
     res = solve_joint(sc, SolverOptions(max_iters=1500))
     first = res.trace[0]
-    assert first.eta > 0 and first.f_value >= 0
+    assert first.eta > 0 and first.f_value + first.gap >= 0
     etas = [row.eta for row in res.trace]
     assert all(b >= a for a, b in zip(etas, etas[1:]))
-    assert sum(row.iterations for row in res.trace) <= 210
     assert res.converged
+    return res, sum(row.iterations for row in res.trace)
+
+
+def test_solve_joint_starts_feasible_and_warm_starts():
+    # ee_vs_mean_ues at U=147: a cold start at eta = 0 with phase I and
+    # t = 1 in every step took 301 Newton steps over 8 steps, and a
+    # barrier solved to a 1e-8 gap per Dinkelbach step 152; one path
+    # takes 42
+    res, steps = one_path_solve(12, 12, {}, 0)
+    assert res.trace[0].f_value >= 0
+    assert steps <= 55
     assert res.eta == pytest.approx(2.0473907e8, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_services, mean_ues, overrides, seed, eta, steps", [
+    (6, 8, {}, 0, 2.1763464e8, 55),
+    (3, 8, SHARED_PRBS, 2, 5.0347801e6, 55),
+    (96, 11, {}, 0, 8.3162946e7, 180),
+], ids=["u52", "u27-shared-prbs", "u1074"])
+def test_one_path_keeps_the_dinkelbach_eta(n_services, mean_ues, overrides,
+                                           seed, eta, steps):
+    # eta as a barrier solved to a 1e-8 gap per Dinkelbach step gave it,
+    # in 155, 134 and 608 Newton steps; one path takes 45, 46 and 147.
+    # At U=1074 eta0 is 14x below the root: growing t at every centred
+    # point, instead of recentring after a large eta move, took 810
+    res, spent = one_path_solve(n_services, mean_ues, overrides, seed)
+    assert spent <= steps
+    assert res.eta == pytest.approx(eta, rel=1e-6)
 
 
 def test_solve_joint_raises_on_uncovered_services():

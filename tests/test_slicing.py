@@ -74,7 +74,7 @@ def easy_1x1():
 
 def test_map_trivial_instance():
     sc, ch, bf = easy_1x1()
-    result = map_slices_to_services(sc, ch, bf)
+    result = map_slices_to_services(sc, bf)
     assert result.mapping.a.tolist() == [[1]]
     assert not result.uncovered_services
     assert check_feasibility(sc, ch, bf, result.mapping).ok
@@ -98,13 +98,12 @@ def fronthaul_split_instance(swap=False):
         sigma_q2=[dirty["sigma"], clean["sigma"]],
         params=default_params(r_min=100.0))
     ch = channels_from_matrix(sc, [[np.sqrt(2.0)], [np.sqrt(2.0)]])
-    bf = build_beamformers(sc, ch)
-    return sc, ch, bf
+    return sc, build_beamformers(sc, ch)
 
 
 def test_map_excludes_fronthaul_violator():
-    sc, ch, bf = fronthaul_split_instance()
-    result = map_slices_to_services(sc, ch, bf)
+    sc, bf = fronthaul_split_instance()
+    result = map_slices_to_services(sc, bf)
     assert result.mapping.a.tolist() == [[0, 1]]
     assert not result.uncovered_services
     assert any("fronthaul" in reason for _, _, reason in result.rejections)
@@ -121,7 +120,7 @@ def test_map_reports_uncovered_when_nothing_fits():
                        params=default_params(r_min=1e12))
     ch = channels_from_matrix(sc, [[np.sqrt(2.0)]])
     bf = build_beamformers(sc, ch)
-    result = map_slices_to_services(sc, ch, bf)
+    result = map_slices_to_services(sc, bf)
     assert result.mapping.a.sum() == 0
     assert result.uncovered_services == [0]
     assert result.uncovered_services
@@ -131,7 +130,7 @@ def test_map_2x2_feasible_and_near_oracle():
     sc = generate_scenario(small_joint_config(), seed=13)
     ch = build_channels(sc)
     bf = build_beamformers(sc, ch)
-    result = map_slices_to_services(sc, ch, bf)
+    result = map_slices_to_services(sc, bf)
     assert not result.uncovered_services
     assert check_feasibility(sc, ch, bf, result.mapping).ok
 
@@ -148,7 +147,7 @@ def test_map_all_assignments_remain_feasible_together():
         sc = generate_scenario(cfg, seed=seed)
         ch = build_channels(sc)
         bf = build_beamformers(sc, ch)
-        result = map_slices_to_services(sc, ch, bf)
+        result = map_slices_to_services(sc, bf)
         if result.mapping.a.any():
             assert check_feasibility(sc, ch, bf, result.mapping).ok
 
@@ -233,7 +232,7 @@ def test_incremental_sweep_matches_full_rebuild(configs):
         sc = generate_scenario(cfg, seed=seed)
         ch = build_channels(sc)
         bf = build_beamformers(sc, ch)
-        got = map_slices_to_services(sc, ch, bf)
+        got = map_slices_to_services(sc, bf)
         want = full_rebuild_sweep(sc, ch, bf)
         assert (got.mapping.a.tolist(), got.uncovered_services,
                 got.rejections) == want, f"seed {seed}"
@@ -251,7 +250,7 @@ def test_sweep_reports_violations_already_present_first():
     sc = generate_scenario(cfg, seed=1)
     ch = build_channels(sc)
     bf = build_beamformers(sc, ch)
-    got = map_slices_to_services(sc, ch, bf)
+    got = map_slices_to_services(sc, bf)
     assert (got.mapping.a.tolist(), got.uncovered_services,
             got.rejections) == full_rebuild_sweep(sc, ch, bf)
     assert got.uncovered_services == [0, 1]
@@ -322,7 +321,7 @@ def test_check_feasibility_reports_negative_power():
     sc = generate_scenario(GeneratorConfig(), seed=0)
     ch = build_channels(sc)
     bf = build_beamformers(sc, ch)
-    mapping = map_slices_to_services(sc, ch, bf).mapping
+    mapping = map_slices_to_services(sc, bf).mapping
     p = np.full(sc.n_ues, sc.params.p_max / 2)
     p[0] = -1.0
     report = check_feasibility(sc, ch, bf, mapping, PowerAllocation(p=p))
