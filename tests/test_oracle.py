@@ -308,6 +308,79 @@ def test_split_oracle_finds_non_minimal_splits(size, seed, psi):
     assert out.psi <= cost_psi(sc, mapping, heuristic, nu=0.0)[1]
 
 
+# (slices, DCs, capacity scale), seed, mode, then the search's result:
+# feasible, psi and phi as float.hex(), admitted count, y row by row and
+# the leaves visited.  The sizes and seeds are the benchmark's oracle-gap
+# rounds (workload seed 0) and SPLIT_ONLY_FEASIBLE; any change to the
+# search order, bound, tie rule or summation order shows up here.
+PINNED_PLACEMENTS = [
+    ((6, 4, 1.0), 0, "admission", True, "-0x1.6df4471a9824ap+22",
+     "0x1.06e3959f6d970p+12", 6, "0001,0001,0001,0001,0001,0001", 4),
+    ((6, 4, 1.0), 0, "split", True, "0x1.06e3959f6d970p+12",
+     "0x1.06e3959f6d970p+12", 6, "0001,0001,0001,0001,0001,0001", 4),
+    ((7, 3, 0.35), 1, "admission", True, "-0x1.aaf6b92137f5cp+22",
+     "0x1.211b7b2028f40p+12", 7, "001,001,010,010,001,010,100", 672),
+    ((7, 3, 0.35), 1, "split", True, "0x1.211b7b2028f40p+12",
+     "0x1.211b7b2028f40p+12", 7, "001,001,010,010,001,010,100", 672),
+    ((8, 3, 1.0), 2, "admission", True, "-0x1.e7f4bc86b1207p+22",
+     "0x1.4d0de53b7e2c0p+12", 8, "001,001,001,001,001,001,001,001", 3),
+    ((8, 3, 1.0), 2, "split", True, "0x1.4d0de53b7e2c0p+12",
+     "0x1.4d0de53b7e2c0p+12", 8, "001,001,001,001,001,001,001,001", 3),
+    ((6, 3, 0.2), 3, "admission", True, "-0x1.e7f6499b98219p+21",
+     "0x1.46d9919f79dfep+11", 4, "000,001,001,010,100,000", 56),
+    ((6, 3, 0.2), 3, 'split', False, 'inf', 'inf', 0, None, 0),
+    ((5, 3, 0.35), 4, "admission", True, "-0x1.30f9668875200p+22",
+     "0x1.9ccbbc5700235p+11", 5, "001,001,001,010,010", 42),
+    ((5, 3, 0.35), 4, "split", True, "0x1.9ccbbc5700235p+11",
+     "0x1.9ccbbc5700235p+11", 5, "001,001,001,010,010", 42),
+    ((6, 4, 1.0), 100, "admission", True, "-0x1.6df2c79139474p+22",
+     "0x1.0ce1bb1ae2f4dp+12", 6, "0001,0001,0001,0001,0001,0001", 4),
+    ((6, 4, 1.0), 100, "split", True, "0x1.0ce1bb1ae2f4dp+12",
+     "0x1.0ce1bb1ae2f4dp+12", 6, "0001,0001,0001,0001,0001,0001", 4),
+    ((7, 3, 0.35), 101, "admission", True, "-0x1.aaf91455ad46ep+22",
+     "0x1.17aea94ae49a0p+12", 7, "001,001,001,010,010,100,100", 354),
+    ((7, 3, 0.35), 101, "split", True, "0x1.17aea94ae49a0p+12",
+     "0x1.17aea94ae49a0p+12", 7, "001,001,001,010,010,100,100", 354),
+    ((8, 3, 1.0), 102, "admission", True, "-0x1.e808c18a04995p+22",
+     "0x1.f9f3afdb358cbp+11", 8, "001,001,001,001,001,001,001,001", 3),
+    ((8, 3, 1.0), 102, "split", True, "0x1.f9f3afdb358cbp+11",
+     "0x1.f9f3afdb358cbp+11", 8, "001,001,001,001,001,001,001,001", 3),
+    ((6, 3, 0.2), 103, "admission", True, "-0x1.6df9a45b9bedfp+21",
+     "0x1.e2dd232090630p+10", 3, "001,010,000,100,000,000", 33),
+    ((6, 3, 0.2), 103, 'split', False, 'inf', 'inf', 0, None, 0),
+    ((5, 3, 0.35), 104, "admission", True, "-0x1.3102c1760f4b8p+22",
+     "0x1.51f44f85a43eap+11", 5, "001,001,001,010,010", 54),
+    ((5, 3, 0.35), 104, "split", True, "0x1.51f44f85a43eap+11",
+     "0x1.51f44f85a43eap+11", 5, "001,001,001,010,010", 54),
+    ((5, 2, 0.35), 0, "split", True, "0x1.1e237830e69cap+12",
+     "0x1.1e237830e69cap+12", 5, "11,01,01,10,10", 6),
+    ((6, 3, 0.2), 5, "split", True, "0x1.182f4b298e986p+12",
+     "0x1.182f4b298e986p+12", 6, "001,011,001,100,100,010", 14),
+    ((6, 3, 0.2), 8, "split", True, "0x1.12489e5696d5fp+12",
+     "0x1.12489e5696d5fp+12", 6, "001,010,001,101,100,010", 12),
+    ((6, 3, 0.2), 17, "split", True, "0x1.104474e497938p+12",
+     "0x1.104474e497938p+12", 6, "001,001,010,100,101,110", 36),
+    ((6, 3, 0.2), 20, "split", True, "0x1.110c4fba79288p+12",
+     "0x1.110c4fba79288p+12", 6, "001,011,101,010,010,100", 24),
+]
+PIN_MODES = {"admission": dict(nu=1e6, single_dc=True, require_all=False),
+             "split": dict(nu=0.0)}
+
+
+@pytest.mark.parametrize("size, seed, mode, feasible, psi, phi, admitted, y,"
+                         " leaves", PINNED_PLACEMENTS)
+def test_exhaustive_placement_pinned(size, seed, mode, feasible, psi, phi,
+                                     admitted, y, leaves):
+    sc = generate_scenario(placement_config(*size), seed=seed)
+    out = exhaustive_placement(sc, _round_robin_mapping(sc),
+                               **PIN_MODES[mode])
+    rows = (None if out.y is None else
+            ",".join("".join(map(str, r)) for r in out.y.tolist()))
+    assert (out.feasible, out.psi.hex(), out.phi.hex(), out.admitted_count,
+            rows, out.leaves_checked) == (feasible, psi, phi, admitted, y,
+                                          leaves)
+
+
 # ------------------------------------------------------- M/M/1 simulator
 
 
