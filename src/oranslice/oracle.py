@@ -412,35 +412,37 @@ def _members(mask: int) -> list[int]:
 
 
 def _hall_table(caps: np.ndarray, single_dc: bool,
-                ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Load limits of the DC subsets to check, and the checked subsets
-    containing each row (bit d of a mask set when DC d is in it).
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The DC subsets to check (bit d of a mask set when DC d is in it)
+    and their load limits, one row of three resources per subset.
 
     Per resource, demands can be split over their rows within capacity
     exactly when every DC subset T holds the demand of the rows inside T
     (Hall's condition).  With single-DC rows the singletons suffice.
     """
-    n = len(caps)
-    checked = [t for t in range(1, 1 << n)
+    checked = [t for t in range(1, 1 << len(caps))
                if not single_dc or t & (t - 1) == 0]
     limit = np.array([caps[_members(t)].sum(axis=0) + 1e-9 * len(_members(t))
                       for t in checked]).reshape(-1, 3)
-    supersets = {m: np.array([i for i, t in enumerate(checked) if t & m == m],
-                             dtype=np.intp)
-                 for m in range(1, 1 << n)}
-    return limit, supersets
+    return np.array(checked), limit
 
 
-def _add_load(loads: np.ndarray, limit: np.ndarray, idx: np.ndarray,
-              demand: np.ndarray) -> np.ndarray | None:
-    """`loads` with `demand` added on the subsets `idx`, or None when one
-    of them would exceed its limit."""
-    new = loads[idx] + demand
-    if (new > limit[idx]).any():
-        return None
-    out = loads.copy()
-    out[idx] = new
-    return out
+def _row_adds(checked: np.ndarray, masks: list[int],
+              demand: np.ndarray) -> np.ndarray:
+    """The loads each row adds, shape (rows, subsets, 3): `demand` on the
+    checked subsets holding all of the row's DCs, 0.0 elsewhere (row 0,
+    a dropped slice, adds nothing)."""
+    m = np.array(masks)[:, None]
+    inside = ((checked & m) == m) & (m != 0)
+    return np.where(inside[:, :, None], demand, 0.0)
+
+
+def _children(loads: np.ndarray, adds: np.ndarray, limit: np.ndarray,
+              ) -> tuple[np.ndarray, list[bool]]:
+    """Every row's loads after adding it, and whether each stays within
+    all limits.  Adding 0.0 leaves a load unchanged bit for bit."""
+    children = loads + adds
+    return children, (children <= limit).all(axis=(1, 2)).tolist()
 
 
 def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
@@ -462,18 +464,19 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
     whose pooled capacity covers it.  An assignment is feasible when,
     per resource, every DC subset holds the demand of the rows inside it
     (Hall's condition for splitting the demands over the rows).  The
-    search assigns slices depth first, largest weighted demand first,
-    and checks these subset loads at every node.  A subtree is cut only
-    when its psi lower bound (psi fixed so far, idle power of the DCs
-    already open, and each remaining slice's cheapest row) exceeds the
-    best psi found by more than 1e-9 relative, so every leaf tying the
-    optimum is visited and ties go to the lexicographically smallest
-    assignment matrix.  psi and phi are summed over slices in ascending
-    id, independent of the search order; `leaves_checked` counts the
-    feasible complete assignments visited.  Guards: <= 10 active slices,
-    <= 5 data centers, and nu > 0 requires single_dc (the credit counts
-    hosting pairs, and a split row may give a DC no share, so the
-    optimum would list every slice on every DC).
+    search assigns slices depth first, largest weighted demand first.
+    Each node adds every row of its slice to the subset loads in one
+    array step and keeps the rows whose loads stay within the limits.
+    A subtree is cut only when its psi lower bound (psi fixed so far,
+    idle power of the DCs already open, and each remaining slice's
+    cheapest row) exceeds the best psi found by more than 1e-9
+    relative, so every leaf tying the optimum is visited and ties go to
+    the lexicographically smallest assignment matrix.  psi and phi are
+    summed over slices in ascending id, independent of the search order;
+    `leaves_checked` counts the feasible complete assignments visited.
+    Guards: <= 10 active slices, <= 5 data centers, and nu > 0 requires
+    single_dc (the credit counts hosting pairs, and a split row may give
+    a DC no share, so the optimum would list every slice on every DC).
     """
     if nu is None:
         nu = sc.params.nu
@@ -501,24 +504,36 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
                      for dc in sc.dcs])
     unit = [dc.phi_per_unit for dc in sc.dcs]
     idle = [dc.phi_idle for dc in sc.dcs]
-    limit, supersets = _hall_table(caps, single_dc)
-    masks = [1 << d for d in range(n_dcs)] if single_dc else list(supersets)
+    members = [_members(m) for m in range(1 << n_dcs)]
+    checked, limit = _hall_table(caps, single_dc)
+    masks = ([1 << d for d in range(n_dcs)] if single_dc
+             else list(range(1, 1 << n_dcs)))
+    n_bits = sc.n_slices * n_dcs
 
     def cost(s: int, m: int) -> float:
-        dcs = _members(m)
-        return (sum(unit[d] for d in dcs) * omega[s]
-                - nu * len(dcs) * float(services[s]))
+        return (sum(unit[d] for d in members[m]) * omega[s]
+                - nu * len(members[m]) * float(services[s]))
 
-    rows_of = {}
+    # per slice: its rows, cheapest first, as (cost, mask, phi terms,
+    # credit, tie-break bits of y read first-bit-highest), and the loads
+    # each row adds
+    pooled = np.array([caps[members[m]].sum(axis=0) for m in masks])
+    rows_of, adds = {}, {}
     for s in active:
-        rows = [m for m in masks
-                if np.all(demands[s] <= caps[_members(m)].sum(axis=0) + 1e-9)]
+        covers = np.all(demands[s] <= pooled + 1e-9, axis=1).tolist()
+        rows = [m for m, ok in zip(masks, covers) if ok]
         if not require_all:
             rows.append(0)
         elif not rows:
             return infeasible
-        rows_of[s] = sorted(((cost(s, m), m) for m in rows),
+        rows_of[s] = sorted(((cost(s, m), m,
+                             [unit[d] * omega[s] for d in members[m]],
+                             len(members[m]) * float(services[s]),
+                             sum(1 << n_bits - 1 - s * n_dcs - d
+                                 for d in members[m])) for m in rows),
                             key=lambda row: row[0])
+        adds[s] = _row_adds(checked, [row[1] for row in rows_of[s]],
+                            demands[s])
     if require_all and active and np.any(
             sum(demands.values()) > caps.sum(axis=0) + 1e-9 * n_dcs):
         return infeasible
@@ -527,52 +542,52 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
     rest = [0.0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         rest[i] = rest[i + 1] + rows_of[order[i]][0][0]
-    idle_of = [sum(idle[d] for d in _members(m)) for m in range(1 << n_dcs)]
-    choice: dict[int, int] = {}
-    best: list = []          # [(psi, y), phi, admitted] of the incumbent
+    idle_of = [sum(idle[d] for d in members[m]) for m in range(1 << n_dcs)]
+    choice: dict[int, tuple] = {}
+    best: list = []          # psi, tie-break key, phi, choice of the incumbent
+    cut = math.inf           # psi above which a subtree is cut
     leaves = 0
 
-    def leaf(opened: int) -> None:
-        nonlocal leaves
+    def leaf(opened: int, key: int) -> None:
+        nonlocal leaves, cut
         leaves += 1
         phi = credit = 0.0
         for s in active:
-            dcs = _members(choice[s])
-            for d in dcs:
-                phi += unit[d] * omega[s]
-            credit += len(dcs) * float(services[s])
-        phi += sum(idle[d] for d in _members(opened))
-        key = (phi - nu * credit,
-               tuple(choice.get(s, 0) >> d & 1
-                     for s in range(sc.n_slices) for d in range(n_dcs)))
-        if not best or key < best[0]:
-            best[:] = [key, phi, sum(1 for s in active if choice[s])]
+            row = choice[s]
+            for term in row[2]:
+                phi += term
+            credit += row[3]
+        phi += idle_of[opened]
+        psi = phi - nu * credit
+        if best and (psi > best[0] or psi == best[0] and key >= best[1]):
+            return
+        best[:] = [psi, key, phi, dict(choice)]
+        cut = psi + 1e-9 * max(1.0, abs(psi))
 
-    def visit(i: int, loads: np.ndarray, fixed: float, opened: int) -> None:
+    def visit(i: int, loads: np.ndarray, fixed: float, opened: int,
+              key: int) -> None:
         if i == len(order):
-            leaf(opened)
+            leaf(opened, key)
             return
         s = order[i]
-        for c, m in rows_of[s]:
-            if best:
-                psi = best[0][0]
-                bound = fixed + c + idle_of[opened | m] + rest[i + 1]
-                if bound > psi + 1e-9 * max(1.0, abs(psi)):
-                    continue
-            child = (_add_load(loads, limit, supersets[m], demands[s])
-                     if m else loads)
-            if child is None:
+        children, fits = _children(loads, adds[s], limit)
+        for r, (row, ok) in enumerate(zip(rows_of[s], fits)):
+            c, m = row[0], row[1]
+            if fixed + c + idle_of[opened | m] + rest[i + 1] > cut or not ok:
                 continue
-            choice[s] = m
-            visit(i + 1, child, fixed + c, opened | m)
+            choice[s] = row
+            visit(i + 1, children[r], fixed + c, opened | m, key + row[4])
 
-    visit(0, np.zeros_like(limit), 0.0, 0)
+    visit(0, np.zeros_like(limit), 0.0, 0, 0)
     if not best:
         return infeasible
-    (psi, y), phi, admitted = best
+    psi, _key, phi, won = best
+    y = np.zeros((sc.n_slices, n_dcs), dtype=np.int8)
+    for s, row in won.items():
+        y[s, members[row[1]]] = 1
     return ExhaustivePlacementResult(
-        feasible=True, psi=psi, phi=phi, admitted_count=admitted,
-        y=np.array(y, dtype=np.int8).reshape(sc.n_slices, n_dcs),
+        feasible=True, psi=psi, phi=phi,
+        admitted_count=sum(1 for row in won.values() if row[1]), y=y,
         leaves_checked=leaves)
 
 

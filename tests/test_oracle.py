@@ -10,9 +10,9 @@ from conftest import (channels_from_matrix, default_params, hand_scenario,
                       identity_mapping, placement_config)
 from oranslice.cli import _round_robin_mapping
 from oranslice.oracle import (MM1_BLOCK, OracleReport, OracleSizeError,
-                              _add_load, _hall_table, brute_force_mapping,
-                              exhaustive_placement, mm1_simulate,
-                              summation_oracle)
+                              _children, _hall_table, _row_adds,
+                              brute_force_mapping, exhaustive_placement,
+                              mm1_simulate, summation_oracle)
 from oranslice.placement import PlacementWeights, cost_psi, place
 from oranslice.power import SolverOptions, solve_joint
 from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
@@ -205,10 +205,12 @@ def test_subset_loads_match_max_flow():
         caps = rng.uniform(0.0, 10.0, (n_dcs, 3))
         demands = rng.uniform(0.0, 5.0, (n_items, 3))
         rows = [int(rng.integers(1, 1 << n_dcs)) for _ in range(n_items)]
-        limit, supersets = _hall_table(caps, single_dc=False)
+        checked, limit = _hall_table(caps, single_dc=False)
         loads = np.zeros_like(limit)
         for m, dem in zip(rows, demands):
-            loads = _add_load(loads, limit, supersets[m], dem)
+            children, fits = _children(loads, _row_adds(checked, [m], dem),
+                                       limit)
+            loads = children[0] if fits[0] else None
             if loads is None:
                 break
         bins = [[d for d in range(n_dcs) if m >> d & 1] for m in rows]
