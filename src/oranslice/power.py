@@ -210,7 +210,8 @@ class PowerProblem:
         self.gains = gains = beam_gains(sc, mapping, ch, bf)
         self.denom = denom = params.bandwidth_hz * params.noise_psd + ibar
         self.weights = weights = slot_weight_matrix(sc, mapping, bf)
-        self.fh_power_cap = sigma2 * np.exp2(params.c_max)
+        with np.errstate(over="ignore"):    # beyond range: never binds
+            self.fh_power_cap = sigma2 * np.exp2(params.c_max)
         self.dfrak = delay_linearization(sc, mapping)
         self.floors = floors = np.array(list(self.dfrak.values()), float)
         self.served = mapping.a[sc.ue_service]
@@ -331,11 +332,12 @@ def subgradient_solve(problem: PowerProblem, eta: float,
     p_bar = weights @ powers.p + pb.sigma2
     r_tot, p_tot = float(rates.sum()), float(p_bar.sum())
     f_val = r_tot - eta * p_tot
-    worst = {"minimum rate": np.where(pb.active_ue, (params.r_min - rates)
-                                      / params.r_min, 0.0),
-             "RU power cap": (p_bar - params.p_max) / params.p_max,
-             "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
-             "delay budget": (pb.floors - rates @ pb.member) / pb.floors}
+    with np.errstate(over="ignore"):    # tiny limits: infinite violations
+        worst = {"minimum rate": np.where(pb.active_ue, (params.r_min - rates)
+                                          / params.r_min, 0.0),
+                 "RU power cap": (p_bar - params.p_max) / params.p_max,
+                 "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
+                 "delay budget": (pb.floors - rates @ pb.member) / pb.floors}
     worst = {k: float(v.max(initial=0.0)) for k, v in worst.items()}
     mults = Multipliers(rate_ue=np.zeros(sc.n_ues),
                         ru_cap_slot=np.zeros(len(p_bar)),

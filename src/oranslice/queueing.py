@@ -54,7 +54,7 @@ def layer_delays(sc: Scenario, alpha: np.ndarray,
             f"slice {s} {('DU', 'CU')[layer]} layer unstable: per-VNF load "
             f"{per_vnf[layer, s]:.6g} >= service rate {mu[layer, 0]:.6g} "
             f"packet/s"))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         du, cu = 1.0 / (mu - per_vnf)
     return du, cu, unstable
 
@@ -75,7 +75,8 @@ def slice_delays(sc: Scenario, alpha: np.ndarray, r_tot: np.ndarray,
     (DU, CU, then transmission).
     """
     du, cu, unstable = layer_delays(sc, alpha)
-    offered = alpha * sc.params.packet_size_bits
+    with np.errstate(over="ignore"):        # beyond range: never stable
+        offered = alpha * sc.params.packet_size_bits
     for s in np.flatnonzero(active & (r_tot <= offered)):
         unstable.setdefault(int(s), (
             f"transmission stage unstable: slice rate {r_tot[s]:.6g} <= "

@@ -51,9 +51,7 @@ def build_channels(sc: Scenario) -> ChannelSet:
     scenario's channel model.
     """
     rng = np.random.default_rng(sc.channel.seed)
-    ru_pos = sc.ru_positions()
-    ue_pos = sc.ue_positions()
-    d = np.linalg.norm(ru_pos[:, None, :] - ue_pos[None, :, :], axis=2)
+    d = sc.ru_ue_distances()
     large = sc.channel.gain(d)
     small = (rng.standard_normal(d.shape)
              + 1j * rng.standard_normal(d.shape)) / np.sqrt(2.0)
@@ -210,7 +208,8 @@ def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
     w2 = np.zeros((len(slots), n_ues))
     for sl in sc.slices:
         sigma = slot_sigma[first_slot[sl.id]:first_slot[sl.id + 1]]
-        quant[sl.id] = sigma @ np.abs(ch.gains[list(sl.ru_ids)]) ** 2
+        with np.errstate(over="ignore"):    # noise beyond range drowns UEs
+            quant[sl.id] = sigma @ np.abs(ch.gains[list(sl.ru_ids)]) ** 2
 
     # UEs are in service order: service v's are first_ue[v], first_ue[v]+1..
     first_ue = np.cumsum([0] + [sv.n_ues for sv in sc.services])
@@ -375,10 +374,12 @@ def fronthaul_rates_all(bf: BeamformerSet, p_bar: np.ndarray) -> np.ndarray:
 
     log2 of one plus the ratio of beamformed signal power to the RU's
     quantization noise; equals log2(p_bar / sigma_q2) since the slot
-    power is signal + quantization noise.
+    power is signal + quantization noise.  A ratio beyond the float range
+    (a subnormal sigma_q2) reads as an infinite load, over any c_max.
     """
     sigma2 = bf.slot_sigma
-    return np.log2(1.0 + (p_bar - sigma2) / sigma2)
+    with np.errstate(over="ignore"):
+        return np.log2(1.0 + (p_bar - sigma2) / sigma2)
 
 
 # --------------------------------------------------------------------------

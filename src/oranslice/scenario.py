@@ -36,6 +36,9 @@ POISSON_LAM_MAX = (np.iinfo(np.int64).max
 N_SERVICES_MAX = 1000
 N_SLICES_MAX = 1000
 
+# Range of normal doubles; squared channel gains must stay inside it.
+FLOAT = np.finfo(float)
+
 # Fixed unit declarations written into every scenario file so readers do
 # not have to guess.  Values are strings, purely documentary.
 UNITS = {
@@ -100,6 +103,9 @@ class SystemParams:
                      "packet_size_bits"):
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"SystemParams.{name} must be > 0")
+            if getattr(self, name) < FLOAT.tiny:   # 1 / x would overflow
+                raise ScenarioError(f"SystemParams.{name} must be a normal "
+                                    f"float, >= {FLOAT.tiny:.3g}")
         if self.nu < 0:
             raise ScenarioError("SystemParams.nu must be >= 0")
 
@@ -186,20 +192,33 @@ class ChannelModel:
 
 
 def path_gain_problem(pl0: float, d0_m: float, d_min_m: float,
-                      exponent: float, prefix: str = "") -> str | None:
+                      exponent: float, d_far_m: float,
+                      prefix: str = "") -> str | None:
     """Why the gain pl0 * (max(d, d_min_m) / d0_m) ** -exponent of some
-    distance d >= 0 can be negative or non-finite, or None.  Takes finite
-    reals; field names in the message get `prefix` ("pl_" for the
-    generator's fields)."""
+    distance 0 <= d <= d_far_m can be negative or non-finite, or have a
+    square outside the normal float range, or None.  The squares bound
+    what zero-forcing forms from the gains (|h|^2 sums and their
+    inverses), so a gain outside them gives NaN or zero rates.  Takes
+    finite reals (a NaN `d_far_m` counts as d_min_m); field names in the
+    message get `prefix` ("pl_" for the generator's fields)."""
     if not (d0_m > 0 and d_min_m > 0):   # a zero distance: infinite gain
         return f"{prefix}d0_m and {prefix}d_min_m must be > 0"
     if pl0 < 0 or exponent < 0:   # negative, or unbounded as d grows
         return f"pl0 and {prefix}exponent must be >= 0"
-    with np.errstate(over="ignore", divide="ignore"):   # largest at d_min
+    far = d_far_m if d_far_m > d_min_m else d_min_m
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
         peak = pl0 * (np.float64(d_min_m) / d0_m) ** -exponent
+        floor = pl0 * (np.float64(far) / d0_m) ** -exponent
+        peak2, floor2 = peak * peak, floor * floor
     if not np.isfinite(peak):
         return (f"the gain at {prefix}d_min_m, pl0 * ({prefix}d_min_m / "
                 f"{prefix}d0_m) ** -{prefix}exponent, must be finite")
+    if not peak2 <= FLOAT.max:
+        return (f"the squared gain at {prefix}d_min_m must be at most "
+                f"{FLOAT.max:.3g}")
+    if not floor2 >= FLOAT.tiny:
+        return (f"the squared gain at the largest RU-UE distance "
+                f"({far:.6g} m) must be at least {FLOAT.tiny:.3g}")
     return None
 
 
@@ -283,6 +302,13 @@ class Scenario:
 
     def ru_positions(self) -> np.ndarray:
         return np.array([ru.position for ru in self.rus], dtype=float)
+
+    def ru_ue_distances(self) -> np.ndarray:
+        """(n_rus, n_ues) distance from every RU to every UE, m; inf
+        where it is beyond the float range."""
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(self.ru_positions()[:, None, :]
+                                  - self.ue_positions()[None, :, :], axis=2)
 
     @functools.cached_property
     def arrival_rates(self) -> np.ndarray:
@@ -398,7 +424,9 @@ class GeneratorConfig:
         if not 0 <= self.arrival_rate_spread <= 1:
             raise ScenarioError("arrival_rate_spread must be in [0, 1]")
         why = path_gain_problem(self.pl0, self.pl_d0_m, self.pl_d_min_m,
-                                self.pl_exponent, "pl_")
+                                self.pl_exponent,
+                                math.hypot(self.region_m, self.region_m),
+                                "pl_")
         if why is not None:
             raise ScenarioError(why)
         self.system_params()      # raises on a bad radio or queueing field
@@ -555,9 +583,13 @@ def validate(sc: Scenario) -> list[str]:
 
     path_loss = (sc.channel.pl0, sc.channel.d0_m, sc.channel.d_min_m,
                  sc.channel.exponent)
+    try:
+        d_far = float(np.max(sc.ru_ue_distances(), initial=0.0))
+    except (TypeError, ValueError, IndexError):
+        d_far = 0.0               # malformed positions are reported below
     if not all(map(is_real, path_loss)):
         problems.append("channel model must be finite numbers")
-    elif (why := path_gain_problem(*path_loss)) is not None:
+    elif (why := path_gain_problem(*path_loss, d_far)) is not None:
         problems.append(f"channel model {why}")
     check_finite("UE arrival rates and positions",
                  [(ue.arrival_rate, *ue.position)

@@ -159,8 +159,6 @@ class _SweepState:
         sc, bf, params = self.sc, self.bf, self.sc.params
         p_max, cols = params.p_max, self.cols[v]
         rows = slice(self.slots[s], self.slots[s + 1])
-        p_bar = self.p_bar.copy()
-        p_bar[rows] += bf.w2[rows, cols] @ np.full(cols.size, p_max)
         leak = slice(self.leak_at[s * sc.n_services + v],
                      self.leak_at[s * sc.n_services + v + 1])
         victims = bf.leak_rows[leak, 2]
@@ -172,9 +170,14 @@ class _SweepState:
         gains[cols] += bf.gain[s, cols]
         touched = np.concatenate([cols, victims])   # repeats are harmless
         rates = self.rates.copy()
-        rho = (p_max * gains[touched]
-               / (params.bandwidth_hz * params.noise_psd
-                  + (p_max * leakage[touched] + quant[touched])))
+        # a p_max near the float limit overflows to an infinite slot power
+        # and rate; the RU power cap then rejects the pair
+        p_bar = self.p_bar.copy()
+        with np.errstate(over="ignore"):
+            p_bar[rows] += bf.w2[rows, cols] @ np.full(cols.size, p_max)
+            rho = (p_max * gains[touched]
+                   / (params.bandwidth_hz * params.noise_psd
+                      + (p_max * leakage[touched] + quant[touched])))
         rates[touched] = achievable_rate(rho, params.bandwidth_hz)
         a = self.a.copy()
         a[v, s] = 1

@@ -159,12 +159,15 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
     ({"pl_exponent": 1e6}, [], "the gain at pl_d_min_m"),
     ({"pl_d_min_m": 1e-300, "region_m": 1e-300}, [],
      "the gain at pl_d_min_m"),
+    ({"pl0": 1e-320}, [], "squared gain at the largest RU-UE distance"),
+    ({"pl0": 1e300}, [], "squared gain at pl_d_min_m must be at most"),
 ], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
         "negative-region", "negative-arrival-mean", "wide-arrival-spread",
         "no-prbs-per-ue", "zero-clamp-distance", "zero-reference-distance",
         "bool-power", "mean-ues-beyond-poisson", "negative-path-gain",
         "gain-growing-with-distance", "overflowing-exponent",
-        "overflowing-clamp-distance"])
+        "overflowing-clamp-distance", "underflowing-squared-gain",
+        "overflowing-squared-gain"])
 def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -332,6 +335,9 @@ NAN, INF = float("nan"), float("inf")
     (("channel", "exponent"), -1000.0, "pl0 and exponent must be >= 0"),
     (("channel", "exponent"), 1e6, "the gain at d_min_m"),
     (("channel", "d_min_m"), 1e-300, "the gain at d_min_m"),
+    (("channel", "pl0"), 1e-320, "squared gain at the largest RU-UE"),
+    (("channel", "pl0"), 1e300, "squared gain at d_min_m must be at most"),
+    (("rus", 0, "position"), [1e308, 0.0], "squared gain at the largest"),
     (("dcs",), [], "no data center"),
 ], ids=["missing-fields", "zeta-ue-999", "zeta-ue-negative", "zeta-ue-float",
         "zeta-pair", "negative-prb-count", "nan-arrival", "inf-ue-position",
@@ -342,7 +348,8 @@ NAN, INF = float("nan"), float("inf")
         "zero-clamp-distance", "negative-reference-distance",
         "negative-path-gain", "gain-growing-with-distance",
         "overflowing-exponent", "overflowing-clamp-distance",
-        "no-data-center"])
+        "underflowing-squared-gain", "overflowing-squared-gain",
+        "far-ru-position", "no-data-center"])
 def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
                                           keys, value, needle):
     """`keys` locates the field replaced by `value`; () replaces the whole
@@ -416,6 +423,57 @@ def test_index_fields_never_crash(workdir, edits):
             old.append(value)
         elif isinstance(node, (list, dict)):
             node[keys[-1]] = value
+    path = workdir / "fuzz.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path), "--max-iters", "200"]) in (0, 2, 3)
+    assert main(["place", str(path)]) in (0, 2)
+
+
+def float_paths(doc):
+    """Every non-index number of a scenario document, as key paths:
+    params, UE rates and positions, RU sigma_q2 and positions, VNF
+    demands, DC fields and the channel model."""
+    paths = [("params", key) for key in doc["params"]]
+    paths += [("channel", key) for key in ("pl0", "d0_m", "d_min_m",
+                                           "exponent")]
+    for i, sv in enumerate(doc["services"]):
+        for j in range(len(sv["ues"])):
+            paths += [("services", i, "ues", j, "arrival_rate"),
+                      ("services", i, "ues", j, "position", 0),
+                      ("services", i, "ues", j, "position", 1)]
+    for i in range(len(doc["rus"])):
+        paths += [("rus", i, "sigma_q2"), ("rus", i, "position", 0),
+                  ("rus", i, "position", 1)]
+    for s, sl in enumerate(doc["slices"]):
+        paths += [("slices", s, "vnf_demands", k, key)
+                  for k in range(len(sl["vnf_demands"]))
+                  for key in ("memory_gb", "storage_tb", "cpu_ghz")]
+    paths += [("dcs", d, key) for d in range(len(doc["dcs"]))
+              for key in ("memory_gb", "storage_tb", "cpu_ghz", "phi_idle",
+                          "phi_per_unit")]
+    return paths
+
+
+# a replacement value, or a factor that scales the field's own value
+FLOAT_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310,
+                                      1e308, 1.7976931348623157e308]))),
+    st.tuples(st.just("scale"), st.sampled_from(
+        [0.0, -1.0, 1e-300, 1e-12, 0.5, 2.0, 1e12, 1e300])))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(float_paths(FUZZ_BASE)),
+                                FLOAT_EDITS), min_size=1, max_size=3))
+def test_float_fields_never_crash(workdir, edits):
+    """Replacing or scaling a non-index number makes `solve` exit 0, 2 or
+    3 and `place` exit 0 or 2, never an exception."""
+    data = json.loads(json.dumps(FUZZ_BASE))
+    for keys, (how, value) in edits:
+        node = functools.reduce(operator.getitem, keys[:-1], data)
+        node[keys[-1]] = value if how == "set" else node[keys[-1]] * value
     path = workdir / "fuzz.json"
     path.write_text(json.dumps(data))
     assert main(["solve", str(path), "--max-iters", "200"]) in (0, 2, 3)

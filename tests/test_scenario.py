@@ -72,7 +72,8 @@ def test_sigma_q_scales_with_pmax():
     ("pl_d_min_m", 0.0), ("pl_d0_m", 0.0), ("pl_d_min_m", -1.0),
     ("p_max", True), ("d_max", math.inf), ("mean_ues", 1e19),
     ("mean_ues", math.inf), ("pl0", -1.0), ("pl_exponent", -1000.0),
-    ("pl_exponent", 1e6), ("pl_d_min_m", 1e-300),
+    ("pl_exponent", 1e6), ("pl_d_min_m", 1e-300), ("pl0", 1e-320),
+    ("pl0", 1e300), ("pl0", 0.0), ("region_m", 1e300),
 ])
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ScenarioError):
