@@ -206,9 +206,9 @@ def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
     quant = np.zeros((sc.n_slices, n_ues))
     gain = np.zeros((sc.n_slices, n_ues))
     w2 = np.zeros((len(slots), n_ues))
-    for sl in sc.slices:
-        sigma = slot_sigma[first_slot[sl.id]:first_slot[sl.id + 1]]
-        with np.errstate(over="ignore"):    # noise beyond range drowns UEs
+    with np.errstate(over="ignore"):        # noise beyond range drowns UEs
+        for sl in sc.slices:
+            sigma = slot_sigma[first_slot[sl.id]:first_slot[sl.id + 1]]
             quant[sl.id] = sigma @ np.abs(ch.gains[list(sl.ru_ids)]) ** 2
 
     # UEs are in service order: service v's are first_ue[v], first_ue[v]+1..
