@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,8 +22,9 @@ import time
 import numpy as np
 
 from .scenario import (GeneratorConfig, Scenario, ScenarioError,
-                       generate_scenario, is_real, load_scenario,
-                       save_scenario)
+                       all_integers, field_problem, generate_scenario,
+                       invalid_scenario_text, load_scenario, save_scenario,
+                       validate, write_json)
 from .radio import SliceMapping, build_beamformers, build_channels
 from .power import InfeasibleMappingError, SolverOptions, solve_joint
 from .placement import (PlacementWeights, admitted_ratio, cost_psi,
@@ -55,17 +57,10 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _sha12(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:12]
+def _require(label: str, name: str, value) -> None:
+    """Exit 2 when `value` breaks the rule of field or flag `name`."""
+    if (why := field_problem(label, name, value)) is not None:
+        raise CliError(2, why)
 
 
 def _parse_weights(text: str) -> PlacementWeights:
@@ -76,8 +71,8 @@ def _parse_weights(text: str) -> PlacementWeights:
         w = [float(p) for p in parts]
     except ValueError:
         raise CliError(2, f"--weights expects three floats, got {text!r}")
-    if not all(math.isfinite(x) and x >= 0 for x in w):
-        raise CliError(2, f"--weights must be finite and >= 0, got {text!r}")
+    for x in w:
+        _require("", "--weights", x)
     return PlacementWeights(w_mem=w[0], w_sto=w[1], w_cpu=w[2])
 
 
@@ -90,13 +85,11 @@ def _load_scenario(path: str) -> Scenario:
         raise CliError(2, f"cannot read {path}: {exc}")
 
 
-def _with_packet_size(sc: Scenario, packet_size: float | None) -> Scenario:
-    if packet_size is None:
-        return sc
-    if not (math.isfinite(packet_size) and packet_size > 0):
-        raise CliError(2, "--packet-size must be a finite number > 0")
-    params = dataclasses.replace(sc.params, packet_size_bits=packet_size)
-    return dataclasses.replace(sc, params=params)
+def _write_csv(path: str, header: str, lines) -> None:
+    """A CSV file: the schema line, `header`, then `lines`."""
+    with open(path, "w") as fh:
+        fh.write(f"{CSV_SCHEMA_LINE}\n{header}\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _json_number(value: float) -> float | None:
@@ -104,13 +97,28 @@ def _json_number(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _append_oracle_row(path: str, report: OracleReport) -> None:
-    new = not os.path.exists(path)
+def _run_oracle(args, kind: str, name: str, search,
+                heuristic_value: float) -> tuple:
+    """Time the exhaustive `search` (exit 4 when it refuses the size),
+    append its gap row to the oracle CSV, print its value `name` and
+    return (result, report)."""
+    t0 = time.perf_counter()
+    try:
+        ref = search()
+    except OracleSizeError as exc:
+        raise CliError(4, str(exc))
+    report = OracleReport(
+        instance=os.path.basename(args.scenario), kind=kind,
+        oracle_value=getattr(ref, name), heuristic_value=heuristic_value,
+        wall_time_s=time.perf_counter() - t0)
+    path = args.oracle_out or args.scenario + ".oracle.csv"
+    header = ("" if os.path.exists(path)
+              else f"{CSV_SCHEMA_LINE}\n{OracleReport.CSV_HEADER}\n")
     with open(path, "a") as fh:
-        if new:
-            fh.write(CSV_SCHEMA_LINE + "\n")
-            fh.write(OracleReport.CSV_HEADER + "\n")
-        fh.write(report.csv_row() + "\n")
+        fh.write(header + report.csv_row() + "\n")
+    print(f"oracle {name}={getattr(ref, name):.6g} "
+          f"rel_gap={report.rel_gap:.3e}")
+    return ref, report
 
 
 # --------------------------------------------------------------------------
@@ -119,32 +127,33 @@ def _append_oracle_row(path: str, report: OracleReport) -> None:
 
 
 def _check_overrides(overrides: dict, label: str) -> None:
-    """Generator field overrides must name GeneratorConfig fields and hold
-    a value of the field's JSON type."""
-    defaults = {f.name: f.default for f in dataclasses.fields(GeneratorConfig)}
-    unknown = sorted(set(overrides) - set(defaults))
+    """Generator field overrides must name GeneratorConfig fields;
+    GeneratorConfig checks their values."""
+    known = {f.name for f in dataclasses.fields(GeneratorConfig)}
+    unknown = sorted(set(overrides) - known)
     if unknown:
         raise CliError(2, f"unknown {label} field(s): {', '.join(unknown)}")
-    for key, value in overrides.items():
-        if not (isinstance(value, str) if isinstance(defaults[key], str)
-                else _is_number(value, type(defaults[key]) is not float)):
-            raise CliError(2, f"{label} {key}={value!r} has the wrong type")
 
 
 def cmd_generate(args) -> int:
     overrides = _load_json(args.config) if args.config else {}
     _check_overrides(overrides, "config")
-    if args.seed < 0:
-        raise CliError(2, "--seed must be >= 0")
+    _require("", "--seed", args.seed)
     try:
         config = GeneratorConfig(**overrides)
     except ScenarioError as exc:
         raise CliError(2, f"bad config: {exc}")
     sc = generate_scenario(config, seed=args.seed)
+    # what was drawn can still overflow, as cv x mean can
+    if problems := validate(sc):
+        raise CliError(2, "bad config: it draws an "
+                          + invalid_scenario_text(problems))
     save_scenario(sc, args.out)
+    with open(args.out, "rb") as fh:
+        sha = hashlib.sha256(fh.read()).hexdigest()[:12]
     print(f"scenario {args.out}: services={sc.n_services} "
           f"slices={sc.n_slices} ues={sc.n_ues} rus={len(sc.rus)} "
-          f"dcs={len(sc.dcs)} sha256={_sha12(args.out)}")
+          f"dcs={len(sc.dcs)} sha256={sha}")
     return 0
 
 
@@ -153,23 +162,14 @@ def cmd_generate(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _write_trace(path: str, trace) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_SCHEMA_LINE + "\n")
-        fh.write("iteration,eta,f_value,max_violation,inner_iterations,"
-                 "gap,stop\n")
-        for i, row in enumerate(trace, 1):
-            fh.write(f"{i},{row.eta!r},{row.f_value!r},"
-                     f"{row.max_violation!r},{row.iterations},"
-                     f"{row.gap!r},{row.stop}\n")
-
-
 def cmd_solve(args) -> int:
-    if args.max_iters < 1:
-        raise CliError(2, "--max-iters must be >= 1")
-    if args.grid_n < 2:
-        raise CliError(2, "--grid-n must be >= 2")
-    sc = _with_packet_size(_load_scenario(args.scenario), args.packet_size)
+    _require("", "--max-iters", args.max_iters)
+    _require("", "--grid-n", args.grid_n)
+    sc = _load_scenario(args.scenario)
+    if args.packet_size is not None:
+        _require("", "--packet-size", args.packet_size)
+        sc = dataclasses.replace(sc, params=dataclasses.replace(
+            sc.params, packet_size_bits=args.packet_size))
     opts = SolverOptions(max_iters=args.max_iters)
     try:
         result = solve_joint(sc, opts)
@@ -199,29 +199,24 @@ def cmd_solve(args) -> int:
     if args.oracle:
         ch = build_channels(sc)
         bf = build_beamformers(sc, ch)
-        t0 = time.perf_counter()
-        try:
-            ref = brute_force_mapping(sc, ch, bf,
-                                      power_grid_n=args.grid_n)
-        except OracleSizeError as exc:
-            raise CliError(4, str(exc))
-        report = OracleReport(
-            instance=os.path.basename(args.scenario), kind="joint_eta",
-            oracle_value=ref.eta, heuristic_value=result.eta,
-            wall_time_s=time.perf_counter() - t0)
+        ref, report = _run_oracle(
+            args, "joint_eta", "eta", lambda: brute_force_mapping(
+                sc, ch, bf, power_grid_n=args.grid_n), result.eta)
         payload["oracle"] = {
             "eta": _json_number(ref.eta),
             "rel_gap": _json_number(report.rel_gap),
             "mappings_tried": ref.mappings_tried,
         }
-        _append_oracle_row(args.oracle_out or args.scenario + ".oracle.csv",
-                           report)
-        print(f"oracle eta={ref.eta:.6g} rel_gap={report.rel_gap:.3e}")
 
     if args.out:
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     if args.trace:
-        _write_trace(args.trace, result.trace)
+        _write_csv(args.trace,
+                   "iteration,eta,f_value,max_violation,inner_iterations,"
+                   "gap,stop",
+                   (f"{i},{row.eta!r},{row.f_value!r},{row.max_violation!r},"
+                    f"{row.iterations},{row.gap!r},{row.stop}"
+                    for i, row in enumerate(result.trace, 1)))
     print(f"eta={result.eta:.6g} bit/J rate={result.r_tot:.6g} bit/s "
           f"power={result.p_tot:.6g} W iterations={len(result.trace)} "
           f"converged={result.converged} feasible={result.feasible}")
@@ -251,9 +246,20 @@ def _mapping_from_file(path: str, sc: Scenario) -> SliceMapping:
                    for row in rows)):
         raise CliError(2, f"{path}: mapping shape does not match scenario "
                           f"({sc.n_services} services x {sc.n_slices} slices)")
-    if any(type(x) is not int or x not in (0, 1) for row in rows for x in row):
+    if not all(all_integers(row) and set(row) <= {0, 1} for row in rows):
         raise CliError(2, f"{path}: mapping entries must be 0 or 1")
     return SliceMapping(a=np.array(rows, dtype=np.int8))
+
+
+def _finite_cost_psi(sc: Scenario, mapping: SliceMapping, placement,
+                     nu: float) -> tuple[float, float]:
+    """`cost_psi`, exiting 2 when the objective overflows."""
+    phi, psi = cost_psi(sc, mapping, placement, nu=nu)
+    if not (math.isfinite(phi) and math.isfinite(psi)):
+        raise CliError(2, f"the placement objective is not finite "
+                          f"(phi={phi:.6g} psi={psi:.6g}): the DC power "
+                          f"model or nu is too large")
+    return phi, psi
 
 
 def cmd_place(args) -> int:
@@ -263,11 +269,10 @@ def cmd_place(args) -> int:
     weights = _parse_weights(args.weights) if args.weights \
         else PlacementWeights()
     nu = args.nu if args.nu is not None else sc.params.nu
-    if not (math.isfinite(nu) and nu >= 0):
-        raise CliError(2, f"--nu must be a finite number >= 0, got {nu!r}")
+    _require("", "--nu", nu)
 
     placement = place(sc, mapping, weights=weights, single_dc=args.single_dc)
-    phi, psi = cost_psi(sc, mapping, placement, nu=nu)
+    phi, psi = _finite_cost_psi(sc, mapping, placement, nu)
     ratio = admitted_ratio(sc, mapping, placement,
                            single_dc_mode=args.single_dc)
     payload = {
@@ -284,25 +289,16 @@ def cmd_place(args) -> int:
     }
 
     if args.oracle:
-        t0 = time.perf_counter()
-        try:
-            ref = exhaustive_placement(sc, mapping, weights=weights, nu=nu,
-                                       single_dc=args.single_dc)
-        except OracleSizeError as exc:
-            raise CliError(4, str(exc))
-        report = OracleReport(
-            instance=os.path.basename(args.scenario), kind="placement_psi",
-            oracle_value=ref.psi, heuristic_value=psi,
-            wall_time_s=time.perf_counter() - t0)
+        ref, report = _run_oracle(
+            args, "placement_psi", "psi", lambda: exhaustive_placement(
+                sc, mapping, weights=weights, nu=nu,
+                single_dc=args.single_dc), psi)
         payload["oracle"] = {"psi": _json_number(ref.psi),
                              "feasible": ref.feasible,
                              "rel_gap": _json_number(report.rel_gap)}
-        _append_oracle_row(args.oracle_out or args.scenario + ".oracle.csv",
-                           report)
-        print(f"oracle psi={ref.psi:.6g} rel_gap={report.rel_gap:.3e}")
 
     if args.out:
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     print(f"admitted={len(placement.admitted)}/"
           f"{len(placement.admitted) + len(placement.unadmitted)} "
           f"ratio={ratio:.4g} phi={phi:.6g} psi={psi:.6g}")
@@ -326,20 +322,16 @@ _PLACE_OVERRIDES = dict(mean_ues=1.0, max_ues=2, n_rus=8, rus_per_slice=4,
 
 def _ee_config(n_services: int, mean_ues: float,
                overrides: dict) -> GeneratorConfig:
-    kwargs = dict(_EE_OVERRIDES)
-    kwargs.setdefault("n_slices", n_services + 1)
-    kwargs.update(overrides)
-    kwargs.update(n_services=n_services, mean_ues=mean_ues)
-    return GeneratorConfig(**kwargs)
+    return GeneratorConfig(**{
+        **_EE_OVERRIDES, "n_slices": n_services + 1, **overrides,
+        "n_services": n_services, "mean_ues": mean_ues})
 
 
 def _place_config(n_slices: int, n_dcs: int,
                   overrides: dict) -> GeneratorConfig:
-    kwargs = dict(_PLACE_OVERRIDES)
-    kwargs.update(overrides)
-    kwargs.update(n_slices=n_slices, n_dcs=n_dcs,
-                  n_services=min(3, n_slices))
-    return GeneratorConfig(**kwargs)
+    return GeneratorConfig(**{
+        **_PLACE_OVERRIDES, **overrides, "n_slices": n_slices,
+        "n_dcs": n_dcs, "n_services": min(3, n_slices)})
 
 
 def _ee_point(n_services: int, mean_ues: float, seed: int,
@@ -359,7 +351,7 @@ def _place_point(kind: str, n_slices: int, n_dcs: int, seed: int,
                            seed=seed)
     mapping = _round_robin_mapping(sc)
     placement = place(sc, mapping)
-    phi, psi = cost_psi(sc, mapping, placement, nu=nu)
+    phi, psi = _finite_cost_psi(sc, mapping, placement, nu)
     if kind == "admitted_vs_slices":
         metric = admitted_ratio(sc, mapping, placement, single_dc_mode=True)
     else:
@@ -367,66 +359,42 @@ def _place_point(kind: str, n_slices: int, n_dcs: int, seed: int,
     return metric, phi, psi
 
 
-def _aggregate(rows: list[tuple], group_cols: int) -> list[tuple]:
-    """Collapse per-seed rows to (group..., n, mean, std) rows."""
-    groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        key, value = row[:group_cols], row[-1]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        if value is not None:
-            groups[key].append(value)
+def _aggregate(rows: list[tuple]) -> list[tuple]:
+    """Collapse sorted (series, x, seed, value) rows to (series, x, n,
+    mean, std) rows; a None value is a missing point."""
     out = []
-    for key in order:
-        vals = groups[key]
+    for key, group in itertools.groupby(rows, key=lambda row: row[:2]):
+        vals = [row[-1] for row in group if row[-1] is not None]
         mean = statistics.fmean(vals) if vals else float("nan")
         std = statistics.stdev(vals) if len(vals) > 1 else 0.0
         out.append(key + (len(vals), mean, std))
     return out
 
 
-def _trend_column(agg: list[tuple], series_cols: int,
-                  direction: str) -> list[int]:
-    """1 when the mean keeps the expected trend against its predecessor."""
-    prev: dict[tuple, float] = {}
+def _trend_column(agg: list[tuple], direction: str) -> list[int]:
+    """1 when the mean keeps the expected trend against its predecessor
+    in the same series, or either of them is missing."""
+    prev: dict = {}
     flags = []
-    for row in agg:
-        series, mean = row[:series_cols], row[-2]
-        ok = 1
-        if series in prev and not (mean != mean or prev[series] != prev[series]):
-            if direction == "up":
-                ok = int(mean >= prev[series] - 1e-12)
-            else:
-                ok = int(mean <= prev[series] + 1e-12)
+    for series, _x, _n, mean, _std in agg:
+        last = prev.get(series, math.nan)
         prev[series] = mean
-        flags.append(ok)
+        flags.append(1 if math.isnan(mean) or math.isnan(last)
+                     else int(mean >= last - 1e-12) if direction == "up"
+                     else int(mean <= last + 1e-12))
     return flags
 
 
-def _emit_plot_script(csv_path: str, x_col: int, y_col: int,
-                      series_col: int, series_values: list,
-                      title: str) -> str:
-    path = csv_path + ".gnuplot"
-    lines = [
-        "set datafile separator ','",
-        f"set title '{title}'",
-        "set key outside",
-    ]
+def _emit_plot_script(csv_path: str, series_values: list,
+                      title: str) -> None:
+    """A gnuplot script next to the CSV: the mean (column 4) against x
+    (column 2), one line per series value (column 1)."""
     plots = ", ".join(
-        f"'{csv_path}' using (column({series_col})=={val}?column({x_col})"
-        f":1/0):(column({y_col})) with linespoints title 'series {val}'"
-        for val in series_values)
-    lines.append("plot " + plots)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
-def _is_number(value, integer: bool = False) -> bool:
-    """A JSON int, or with integer=False any finite number (not a bool)."""
-    return type(value) is int if integer else is_real(value)
+        f"'{csv_path}' using (column(1)=={val}?column(2):1/0):(column(4)) "
+        f"with linespoints title 'series {val}'" for val in series_values)
+    with open(csv_path + ".gnuplot", "w") as fh:
+        fh.write(f"set datafile separator ','\nset title '{title}'\n"
+                 f"set key outside\nplot {plots}\n")
 
 
 def _parse_spec(spec: dict, out: str | None) -> tuple:
@@ -441,42 +409,37 @@ def _parse_spec(spec: dict, out: str | None) -> tuple:
         raise CliError(2, f"unknown experiment kind {kind!r}; expected one "
                           f"of {', '.join(EXPERIMENT_KINDS)}")
     ee = kind == "ee_vs_mean_ues"
-    seeds = spec.get("seeds", list(range(5)))
-    if not isinstance(seeds, list) or not seeds:
-        raise CliError(2, "experiment spec needs a nonempty 'seeds' list")
-    if not all(_is_number(s, integer=True) and s >= 0 for s in seeds):
-        raise CliError(2, "experiment 'seeds' must be integers >= 0")
     out = out or spec.get("out")
     if not out:
         raise CliError(2, "no output path: pass --out or set 'out' in spec")
     if not isinstance(out, str):
         raise CliError(2, "experiment 'out' must be a path string")
+    seeds = spec.get("seeds", list(range(5)))
     xs = spec.get("x_values", [2, 4, 6, 8, 10] if ee
                   else [4, 12, 20, 28, 36, 44])
     series = spec.get("series", [3, 6] if ee else [2, 5])
-    for name, values, integer in (("x_values", xs, not ee),
-                                  ("series", series, True)):
+    # each list entry becomes the generator field named with it
+    for key, values, name in (
+            ("seeds", seeds, "seed"),
+            ("x_values", xs, "mean_ues" if ee else "n_slices"),
+            ("series", series, "n_services" if ee else "n_dcs")):
         if not isinstance(values, list) or not values:
-            raise CliError(2, f"empty sweep: '{name}' must be a nonempty "
+            raise CliError(2, f"experiment spec needs a nonempty '{key}' "
                               f"list")
-        if not all(_is_number(v, integer) for v in values):
-            raise CliError(2, f"experiment '{name}' must hold "
-                              f"{'integers' if integer else 'numbers'}")
+        for value in values:
+            _require(f"experiment '{key}': ", name, value)
     overrides = spec.get("overrides", {})
     if not isinstance(overrides, dict):
         raise CliError(2, "experiment 'overrides' must be a JSON object")
     _check_overrides(overrides, "override")
     nu = spec.get("nu", 1e6 if kind == "admitted_vs_slices" else 0.0)
-    if not _is_number(nu) or nu < 0:
-        raise CliError(2, f"experiment 'nu' must be a number >= 0, "
-                          f"got {nu!r}")
+    _require("experiment ", "nu", nu)
     try:
-        for v in series:
-            for x in xs:
-                if ee:
-                    _ee_config(v, x, overrides)
-                else:
-                    _place_config(x, v, overrides)
+        for v, x in itertools.product(series, xs):
+            if ee:
+                _ee_config(v, x, overrides)
+            else:
+                _place_config(x, v, overrides)
     except ScenarioError as exc:
         raise CliError(2, f"bad experiment spec: {exc}")
     return kind, seeds, out, xs, series, overrides, nu
@@ -485,41 +448,35 @@ def _parse_spec(spec: dict, out: str | None) -> tuple:
 def cmd_experiment(args) -> int:
     kind, seeds, out, xs, series, overrides, nu = _parse_spec(
         _load_json(args.spec), args.out)
+    points = [(v, x, s) for v in series for x in xs for s in seeds]
     if kind == "ee_vs_mean_ues":
-        points = [(v, x, s) for v in series for x in xs for s in seeds]
         values = [_ee_point(v, x, s, overrides) for v, x, s in points]
         rows = sorted((v, x, s, val)
                       for (v, x, s), val in zip(points, values))
         header = "n_services,mean_ues,n_feasible,ee_mean,ee_std"
         direction, title = "up", "efficiency vs mean UEs"
     else:
-        points = [(d, x, s) for d in series for x in xs for s in seeds]
         triples = [_place_point(kind, x, d, s, nu, overrides)
                    for d, x, s in points]
         raw = sorted((x, d, s, m, phi, psi)
                      for (d, x, s), (m, phi, psi) in zip(points, triples))
-        with open(out + ".raw.csv", "w") as fh:
-            fh.write(CSV_SCHEMA_LINE + "\n")
-            fh.write("n_slices,n_dcs,seed,"
-                     + ("admitted_ratio" if kind == "admitted_vs_slices"
-                        else "consumption") + ",phi_tot,psi_tot\n")
-            for x, d, s, m, phi, psi in raw:
-                fh.write(f"{x},{d},{s},{m!r},{phi!r},{psi!r}\n")
+        _write_csv(out + ".raw.csv", "n_slices,n_dcs,seed,"
+                   + ("admitted_ratio" if kind == "admitted_vs_slices"
+                      else "consumption") + ",phi_tot,psi_tot",
+                   (f"{x},{d},{s},{m!r},{phi!r},{psi!r}"
+                    for x, d, s, m, phi, psi in raw))
         rows = sorted((d, x, s, m) for x, d, s, m, _phi, _psi in raw)
         metric = ("ratio" if kind == "admitted_vs_slices" else "consumption")
         header = f"n_dcs,n_slices,n_seeds,{metric}_mean,{metric}_std"
         direction = "down" if kind == "admitted_vs_slices" else "up"
         title = kind.replace("_", " ")
-    agg = _aggregate(rows, group_cols=2)
-    flags = _trend_column(agg, series_cols=1, direction=direction)
-    with open(out, "w") as fh:
-        fh.write(CSV_SCHEMA_LINE + "\n")
-        fh.write(header + ",trend_ok\n")
-        for (series_value, x, n, mean, std), flag in zip(agg, flags):
-            fh.write(f"{series_value},{x},{n},{mean!r},{std!r},{flag}\n")
+    agg = _aggregate(rows)
+    flags = _trend_column(agg, direction)
+    _write_csv(out, header + ",trend_ok",
+               (f"{series_value},{x},{n},{mean!r},{std!r},{flag}"
+                for (series_value, x, n, mean, std), flag in zip(agg, flags)))
     if args.plot:
-        _emit_plot_script(out, x_col=2, y_col=4, series_col=1,
-                          series_values=series, title=title)
+        _emit_plot_script(out, series, title)
     print(f"wrote {out}")
     return 0
 

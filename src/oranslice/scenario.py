@@ -18,8 +18,8 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +28,6 @@ SCHEMA_VERSION = 1
 # Largest mean numpy's Poisson sampler accepts; it raises above it.
 POISSON_LAM_MAX = (np.iinfo(np.int64).max
                    - 10 * np.sqrt(np.iinfo(np.int64).max))
-
-# Largest service and slice counts the generator accepts.  The radio
-# coefficients grow as slices x RUs x UEs, so a count far beyond the
-# largest studied instance (96 services, 97 slices) is a typo, not a
-# request; it exits with a message instead of exhausting memory.
-N_SERVICES_MAX = 1000
-N_SLICES_MAX = 1000
 
 # Range of normal doubles; squared channel gains must stay inside it.
 FLOAT = np.finfo(float)
@@ -61,15 +54,121 @@ class ScenarioError(ValueError):
     """Raised when a scenario or generator config is structurally invalid."""
 
 
+def is_integer_type(t: type) -> bool:
+    """True for int and numpy's integer types, not bool (JSON true/false)."""
+    return t is int or issubclass(t, (int, np.integer)) and t is not bool
+
+
+def all_integers(xs) -> bool:
+    """True when every x is an integer and none is a bool."""
+    return all(map(is_integer_type, set(map(type, xs))))
+
+
 def is_real(x) -> bool:
-    """True for a finite int or float that is not a bool (JSON true/false)."""
-    if (isinstance(x, (bool, np.bool_))
-            or not isinstance(x, (int, float, np.integer, np.floating))):
-        return False
-    try:
+    """True for a finite float, or an integer that fits int64, that is not
+    a bool.  numpy holds a larger int as an object, which its math
+    functions reject."""
+    if type(x) is float or isinstance(x, np.floating):
         return math.isfinite(x)
-    except OverflowError:                 # an int beyond the float range
-        return False
+    return is_integer_type(type(x)) and -2**63 <= x < 2**63
+
+
+# --------------------------------------------------------------------------
+# Numeric input rules
+# --------------------------------------------------------------------------
+
+
+class Rule(NamedTuple):
+    """What one numeric input may hold: an integer or a finite real, at
+    least `lo` (above it if `strict`) and at most `hi`; with `normal`, at
+    least the smallest normal float too, so that 1 / x stays finite.  An
+    int `hi` reads as the interval [lo, hi] in messages, a float one (a
+    sampler limit) as a bound of its own."""
+
+    integer: bool = False
+    lo: float | None = None
+    strict: bool = False
+    hi: float | None = None
+    normal: bool = False
+
+
+REAL = Rule()
+NON_NEGATIVE = Rule(lo=0)
+POSITIVE = Rule(lo=0, strict=True, normal=True)
+
+# One rule per numeric field of SystemParams, GeneratorConfig and the
+# scenario file, and per numeric CLI flag.  A generator field that becomes
+# a scenario field shares its rule.  The caps keep counts that size the
+# generator's arrays far above the largest studied instance (96 services,
+# 97 slices, 64 RUs, 24 UEs per service, 16 shared PRBs, 5 DCs, 2 VNFs per
+# layer): a larger count is a typo, and it exits with a message instead of
+# running out of time or memory.
+RULES = {
+    **dict.fromkeys(("bandwidth_hz", "noise_psd", "p_max", "r_min",
+                     "r_min_per_hz", "c_max", "d_max", "mu1", "mu2",
+                     "sigma_q_default", "sigma_q_frac", "sigma_q2",
+                     "packet_size_bits", "--packet-size"), POSITIVE),
+    **dict.fromkeys(("nu", "--nu", "--weights", "arrival_rate",
+                     "arrival_rate_mean", "region_m",
+                     "memory_gb", "storage_tb", "cpu_ghz", "phi_idle",
+                     "phi_per_unit", "dc_memory_gb", "dc_storage_tb",
+                     "dc_cpu_ghz", "slice_memory_gb", "slice_storage_tb",
+                     "slice_cpu_ghz", "dc_cv", "slice_cv"), NON_NEGATIVE),
+    # path_gain_problem bounds the path-loss fields together
+    **dict.fromkeys(("position", "pl0", "d0_m", "d_min_m", "exponent",
+                     "pl_d0_m", "pl_d_min_m", "pl_exponent"), REAL),
+    # seeds, and "count" of the scenario file's PRBs
+    **dict.fromkeys(("seed", "--seed", "count"), Rule(integer=True, lo=0)),
+    **dict.fromkeys(("rus_per_slice", "--max-iters"),
+                    Rule(integer=True, lo=1)),
+    "--grid-n": Rule(integer=True, lo=2),
+    "arrival_rate_spread": Rule(lo=0, hi=1),
+    "mean_ues": Rule(lo=1, hi=POISSON_LAM_MAX),
+    # radio coefficients grow as slices x RUs x UEs
+    **dict.fromkeys(("n_services", "n_slices", "n_dcs"),
+                    Rule(integer=True, lo=1, hi=1000)),
+    **dict.fromkeys(("n_rus", "max_ues", "prbs_per_slice", "prbs_per_ue"),
+                    Rule(integer=True, lo=1, hi=10_000)),
+    **dict.fromkeys(("m_du", "m_cu"), Rule(integer=True, lo=1, hi=100)),
+}
+
+
+def field_problem(label: str, name: str, value) -> str | None:
+    """Why `value` breaks the rule of field `name`, or None.  The text
+    names the value as `label + name`."""
+    integer, lo, strict, hi, normal = RULES[name]
+    where = label + name
+    if not (is_integer_type(type(value)) if integer else is_real(value)):
+        kind = "an integer" if integer else "finite, a float or an int64"
+        why = ("is not finite" if isinstance(value, (float, np.floating))
+               and not integer else "has the wrong type")
+        return f"{where} must be {kind}: {name}={value!r} {why}"
+    if lo is not None and (value <= lo if strict else value < lo):
+        return f"{where} must be {'>' if strict else '>='} {lo}, got {value!r}"
+    if hi is not None and value > hi:
+        bound = f"in [{lo}, {hi}]" if type(hi) is int else f"<= {hi:.6g}"
+        return f"{where} must be {bound}, got {value!r}"
+    if normal and value < FLOAT.tiny:     # 1 / x would overflow
+        return (f"{where} must be a normal float, >= {FLOAT.tiny:.3g}, "
+                f"got {value!r}")
+    return None
+
+
+def field_problems(label: str, obj) -> list[str]:
+    """Problems of every field of `obj` that the table has a rule for; a
+    position is checked coordinate by coordinate."""
+    problems = []
+    for name, value in vars(obj).items():
+        if name == "position":
+            if len(value) != 2:
+                problems.append(f"{label}position must be an (x, y) pair")
+                continue
+            for x in value:
+                if (why := field_problem(label, name, x)) is not None:
+                    problems.append(why)
+        elif name in RULES and (why := field_problem(label, name, value)):
+            problems.append(why)
+    return problems
 
 
 # --------------------------------------------------------------------------
@@ -94,20 +193,8 @@ class SystemParams:
     packet_size_bits: float = 1.0        # payload per queueing packet, bits
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not is_real(value):
-                raise ScenarioError(f"SystemParams.{name} must be finite "
-                                    f"and numeric, got {value!r}")
-        for name in ("bandwidth_hz", "noise_psd", "p_max", "r_min", "c_max",
-                     "d_max", "mu1", "mu2", "sigma_q_default",
-                     "packet_size_bits"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"SystemParams.{name} must be > 0")
-            if getattr(self, name) < FLOAT.tiny:   # 1 / x would overflow
-                raise ScenarioError(f"SystemParams.{name} must be a normal "
-                                    f"float, >= {FLOAT.tiny:.3g}")
-        if self.nu < 0:
-            raise ScenarioError("SystemParams.nu must be >= 0")
+        if problems := field_problems("SystemParams.", self):
+            raise ScenarioError(problems[0])
 
 
 @dataclass(frozen=True)
@@ -140,10 +227,6 @@ class VnfRequirement:
     storage_tb: float
     cpu_ghz: float
 
-    def __post_init__(self):
-        if min(self.memory_gb, self.storage_tb, self.cpu_ghz) < 0:
-            raise ScenarioError("VNF resource demands must be >= 0")
-
 
 @dataclass(frozen=True)
 class Slice:
@@ -160,10 +243,8 @@ class Slice:
 
     def total_demand(self) -> tuple[float, float, float]:
         """Summed (memory_gb, storage_tb, cpu_ghz) over the VNF chain."""
-        mem = sum(v.memory_gb for v in self.vnf_demands)
-        sto = sum(v.storage_tb for v in self.vnf_demands)
-        cpu = sum(v.cpu_ghz for v in self.vnf_demands)
-        return (mem, sto, cpu)
+        return tuple(sum(getattr(v, name) for v in self.vnf_demands)
+                     for name in ("memory_gb", "storage_tb", "cpu_ghz"))
 
 
 @dataclass(frozen=True)
@@ -323,12 +404,6 @@ class Scenario:
                         [sl.m_cu for sl in self.slices]], dtype=int)
 
 
-def _all_indices(xs) -> bool:
-    """True when every x is an integer and none is a bool (JSON true/false)."""
-    return all(issubclass(t, (int, np.integer)) and t is not bool
-               for t in set(map(type, xs)))
-
-
 def _frozen(rows, dtype) -> np.ndarray:
     out = np.array(rows, dtype=dtype)
     out.flags.writeable = False
@@ -358,7 +433,7 @@ class GeneratorConfig:
     n_rus: int = 24                # global RU pool size
     rus_per_slice: int = 12        # RUs drawn (without replacement) per slice
     prb_mode: str = "dedicated"    # "dedicated": one private PRB per UE per slice
-    prbs_per_slice: Optional[int] = None   # shared mode: pool size (default 4)
+    prbs_per_slice: int = 4        # shared mode: PRB pool size
     prbs_per_ue: int = 1           # shared mode: eligible PRBs per UE per slice
     m_du: int = 2                  # DU-layer VNFs per slice
     m_cu: int = 2                  # CU-layer VNFs per slice
@@ -393,36 +468,12 @@ class GeneratorConfig:
     pl_exponent: float = 3.5
 
     def __post_init__(self):
-        if not 1 <= self.n_services <= N_SERVICES_MAX:
-            raise ScenarioError(f"n_services must be in [1, {N_SERVICES_MAX}]")
-        if not 1 <= self.n_slices <= N_SLICES_MAX:
-            raise ScenarioError(f"n_slices must be in [1, {N_SLICES_MAX}]")
-        if self.n_dcs < 1:
-            raise ScenarioError("n_dcs must be >= 1")
-        if self.mean_ues < 1 or self.max_ues < 1:
-            raise ScenarioError("mean_ues and max_ues must be >= 1")
-        if not self.mean_ues <= POISSON_LAM_MAX:
-            raise ScenarioError(f"mean_ues must be <= {POISSON_LAM_MAX:.6g}")
-        if self.rus_per_slice < 1 or self.rus_per_slice > self.n_rus:
-            raise ScenarioError("need 1 <= rus_per_slice <= n_rus")
         if self.prb_mode not in ("dedicated", "shared"):
             raise ScenarioError("prb_mode must be 'dedicated' or 'shared'")
-        if self.prbs_per_slice is not None and self.prbs_per_slice < 1:
-            raise ScenarioError("prbs_per_slice must be >= 1")
-        if self.prbs_per_ue < 1:
-            raise ScenarioError("prbs_per_ue must be >= 1")
-        if self.m_du < 1 or self.m_cu < 1:
-            raise ScenarioError("m_du and m_cu must be >= 1")
-        if self.sigma_q_frac <= 0:
-            raise ScenarioError("sigma_q_frac must be > 0")
-        if min(self.dc_cv, self.slice_cv) < 0:
-            raise ScenarioError("coefficient of variation must be >= 0")
-        if not self.region_m >= 0:
-            raise ScenarioError("region_m must be >= 0")
-        if not self.arrival_rate_mean >= 0:
-            raise ScenarioError("arrival_rate_mean must be >= 0")
-        if not 0 <= self.arrival_rate_spread <= 1:
-            raise ScenarioError("arrival_rate_spread must be in [0, 1]")
+        if problems := field_problems("", self):
+            raise ScenarioError(problems[0])
+        if self.rus_per_slice > self.n_rus:
+            raise ScenarioError("need 1 <= rus_per_slice <= n_rus")
         why = path_gain_problem(self.pl0, self.pl_d0_m, self.pl_d_min_m,
                                 self.pl_exponent,
                                 math.hypot(self.region_m, self.region_m),
@@ -432,19 +483,12 @@ class GeneratorConfig:
         self.system_params()      # raises on a bad radio or queueing field
 
     def system_params(self) -> SystemParams:
-        return SystemParams(
-            bandwidth_hz=self.bandwidth_hz,
-            noise_psd=self.noise_psd,
-            p_max=self.p_max,
-            r_min=self.r_min_per_hz * self.bandwidth_hz,
-            c_max=self.c_max,
-            d_max=self.d_max,
-            mu1=self.mu1,
-            mu2=self.mu2,
-            nu=self.nu,
-            sigma_q_default=self.sigma_q_frac * self.p_max,
-            packet_size_bits=self.packet_size_bits,
-        )
+        mine = vars(self)
+        shared = {f.name: mine[f.name] for f in fields(SystemParams)
+                  if f.name in mine}
+        return SystemParams(**shared,
+                            r_min=self.r_min_per_hz * self.bandwidth_hz,
+                            sigma_q_default=self.sigma_q_frac * self.p_max)
 
 
 def _positive_draw(rng: np.random.Generator, mean: float, cv: float,
@@ -464,46 +508,35 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
 
     # Services and UEs.  UE counts are Poisson with the configured mean,
     # clamped into [1, max_ues].
+    lo, hi = 1.0 - config.arrival_rate_spread, 1.0 + config.arrival_rate_spread
     services = []
     for v in range(config.n_services):
         n_ues = int(np.clip(rng.poisson(config.mean_ues), 1, config.max_ues))
-        ues = []
-        for i in range(n_ues):
-            lo = 1.0 - config.arrival_rate_spread
-            hi = 1.0 + config.arrival_rate_spread
-            rate = config.arrival_rate_mean * rng.uniform(lo, hi)
-            pos = tuple(rng.uniform(0.0, config.region_m, 2))
-            ues.append(UserEquipment(id=i, arrival_rate=float(rate),
-                                     position=(float(pos[0]), float(pos[1]))))
-        services.append(Service(id=v, ues=tuple(ues)))
+        services.append(Service(id=v, ues=tuple(UserEquipment(
+            id=i,
+            arrival_rate=float(config.arrival_rate_mean * rng.uniform(lo, hi)),
+            position=tuple(rng.uniform(0.0, config.region_m, 2).tolist()))
+            for i in range(n_ues))))
     services = tuple(services)
     n_ues_total = sum(s.n_ues for s in services)
 
     # Radio units: shared pool, positions uniform over the region.
     sigma_q2 = config.sigma_q_frac * config.p_max
-    rus = tuple(
-        RadioUnit(id=r,
-                  position=(float(rng.uniform(0, config.region_m)),
-                            float(rng.uniform(0, config.region_m))),
-                  sigma_q2=sigma_q2)
-        for r in range(config.n_rus)
-    )
+    rus = tuple(RadioUnit(id=r, sigma_q2=sigma_q2, position=tuple(
+        rng.uniform(0, config.region_m, 2).tolist()))
+        for r in range(config.n_rus))
 
     # PRB pool.  In "dedicated" mode every slice exposes the whole pool
     # and each UE holds exactly one private PRB per slice, so no two UEs
     # ever collide inside a slice.  In "shared" mode each UE draws
     # prbs_per_ue eligible PRBs per slice and collisions are expected.
-    if config.prb_mode == "dedicated":
-        n_prbs = n_ues_total
-    else:
-        n_prbs = 4 if config.prbs_per_slice is None else config.prbs_per_slice
+    n_prbs = (n_ues_total if config.prb_mode == "dedicated"
+              else config.prbs_per_slice)
 
-    slice_demand_mem = _positive_draw(rng, config.slice_memory_gb,
-                                      config.slice_cv, config.n_slices)
-    slice_demand_sto = _positive_draw(rng, config.slice_storage_tb,
-                                      config.slice_cv, config.n_slices)
-    slice_demand_cpu = _positive_draw(rng, config.slice_cpu_ghz,
-                                      config.slice_cv, config.n_slices)
+    # (memory, storage, cpu) demand totals of every slice
+    demands = [_positive_draw(rng, mean, config.slice_cv, config.n_slices)
+               for mean in (config.slice_memory_gb, config.slice_storage_tb,
+                            config.slice_cpu_ghz)]
 
     slices = []
     for s in range(config.n_slices):
@@ -512,11 +545,8 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
         n_vnfs = config.m_du + config.m_cu
         # Per-VNF demands split the slice total evenly; only totals matter
         # to placement.
-        vnfs = tuple(VnfRequirement(
-            memory_gb=float(slice_demand_mem[s] / n_vnfs),
-            storage_tb=float(slice_demand_sto[s] / n_vnfs),
-            cpu_ghz=float(slice_demand_cpu[s] / n_vnfs),
-        ) for _ in range(n_vnfs))
+        vnfs = tuple(VnfRequirement(*(float(d[s] / n_vnfs) for d in demands))
+                     for _ in range(n_vnfs))
         slices.append(Slice(id=s, ru_ids=ru_ids,
                             prb_ids=tuple(range(n_prbs)),
                             m_du=config.m_du, m_cu=config.m_cu,
@@ -534,12 +564,10 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
                                        replace=False)]
     prb_assignment = PrbAssignment(n_prbs=n_prbs, triples=triples)
 
-    dc_mem = _positive_draw(rng, config.dc_memory_gb, config.dc_cv, config.n_dcs)
-    dc_sto = _positive_draw(rng, config.dc_storage_tb, config.dc_cv, config.n_dcs)
-    dc_cpu = _positive_draw(rng, config.dc_cpu_ghz, config.dc_cv, config.n_dcs)
-    dcs = tuple(DataCenter(id=d, memory_gb=float(dc_mem[d]),
-                           storage_tb=float(dc_sto[d]),
-                           cpu_ghz=float(dc_cpu[d]),
+    capacities = [_positive_draw(rng, mean, config.dc_cv, config.n_dcs)
+                  for mean in (config.dc_memory_gb, config.dc_storage_tb,
+                               config.dc_cpu_ghz)]
+    dcs = tuple(DataCenter(d, *(float(c[d]) for c in capacities),
                            phi_idle=config.phi_idle,
                            phi_per_unit=config.phi_per_unit)
                 for d in range(config.n_dcs))
@@ -569,44 +597,29 @@ def validate(sc: Scenario) -> list[str]:
     may only be eligible for a PRB of a slice if that slice actually
     owns the PRB).
     """
-    problems: list[str] = []
-
-    def check_finite(label, rows):
-        try:
-            np.array(rows, dtype=float)       # rows of equal length
-            ok = all(map(is_real, itertools.chain.from_iterable(
-                row if isinstance(row, tuple) else (row,) for row in rows)))
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            problems.append(f"{label} must be finite numbers")
-
+    problems = [why for sv in sc.services for ue in sv.ues
+                for why in field_problems(f"service {sv.id} UE {ue.id} ", ue)]
+    for ru in sc.rus:
+        problems += field_problems(f"radio unit {ru.id} ", ru)
+    for sl in sc.slices:
+        for k, vnf in enumerate(sl.vnf_demands):
+            problems += field_problems(f"slice {sl.id} VNF {k} ", vnf)
+    for dc in sc.dcs:
+        problems += field_problems(f"data center {dc.id} ", dc)
+    problems += field_problems("channel ", sc.channel)
     path_loss = (sc.channel.pl0, sc.channel.d0_m, sc.channel.d_min_m,
                  sc.channel.exponent)
     try:
         d_far = float(np.max(sc.ru_ue_distances(), initial=0.0))
     except (TypeError, ValueError, IndexError):
-        d_far = 0.0               # malformed positions are reported below
-    if not all(map(is_real, path_loss)):
-        problems.append("channel model must be finite numbers")
-    elif (why := path_gain_problem(*path_loss, d_far)) is not None:
+        d_far = 0.0               # malformed positions are reported above
+    if (all(map(is_real, path_loss))
+            and (why := path_gain_problem(*path_loss, d_far)) is not None):
         problems.append(f"channel model {why}")
-    check_finite("UE arrival rates and positions",
-                 [(ue.arrival_rate, *ue.position)
-                  for sv in sc.services for ue in sv.ues])
-    check_finite("radio unit sigma_q2 and positions",
-                 [(ru.sigma_q2, *ru.position) for ru in sc.rus])
-    check_finite("VNF demands", [(v.memory_gb, v.storage_tb, v.cpu_ghz)
-                                 for sl in sc.slices for v in sl.vnf_demands])
-    check_finite("data centers", [(dc.memory_gb, dc.storage_tb, dc.cpu_ghz,
-                                   dc.phi_idle, dc.phi_per_unit)
-                                  for dc in sc.dcs])
-    if not _all_indices([sc.channel.seed]) or sc.channel.seed < 0:
-        problems.append("channel seed must be an integer >= 0")
 
     def check_dense_ids(items, label):
         ids = [it.id for it in items]
-        if not _all_indices(ids) or ids != list(range(len(ids))):
+        if not all_integers(ids) or ids != list(range(len(ids))):
             problems.append(f"{label} ids must be the integers "
                             f"0..{len(ids) - 1}, got {ids}")
 
@@ -620,48 +633,27 @@ def validate(sc: Scenario) -> list[str]:
     for sv in sc.services:
         if sv.n_ues < 1:
             problems.append(f"service {sv.id} has no UEs")
-        ue_ids = [ue.id for ue in sv.ues]
-        if not _all_indices(ue_ids) or ue_ids != list(range(sv.n_ues)):
-            problems.append(f"service {sv.id} UE ids must be the integers "
-                            f"0..{sv.n_ues - 1}")
-        for ue in sv.ues:
-            if ue.arrival_rate < 0:
-                problems.append(
-                    f"service {sv.id} UE {ue.id} arrival rate is negative")
+        check_dense_ids(sv.ues, f"service {sv.id} UE")
 
     ru_ids = {ru.id for ru in sc.rus}
-    for ru in sc.rus:
-        if ru.sigma_q2 <= 0:
-            problems.append(f"radio unit {ru.id} sigma_q2 must be > 0")
-
     n_prbs = sc.prb_assignment.n_prbs
     for sl in sc.slices:
-        if sl.n_rus < 1:
-            problems.append(f"slice {sl.id} owns no radio units")
-        ru_typed = _all_indices(sl.ru_ids)
-        if ru_typed and len(set(sl.ru_ids)) != len(sl.ru_ids):
-            problems.append(f"slice {sl.id} lists a radio unit twice")
-        if not (ru_typed and set(sl.ru_ids) <= ru_ids):
-            problems.append(f"slice {sl.id} references unknown radio units")
-        if len(sl.prb_ids) < 1:
-            problems.append(f"slice {sl.id} owns no PRBs")
-        prb_typed = _all_indices(sl.prb_ids)
-        if prb_typed and len(set(sl.prb_ids)) != len(sl.prb_ids):
-            problems.append(f"slice {sl.id} lists a PRB twice")
-        if not (prb_typed and 0 <= min(sl.prb_ids, default=0)
-                and max(sl.prb_ids, default=-1) < n_prbs):
-            problems.append(f"slice {sl.id} references unknown PRBs")
+        for what, ids, known in (
+                ("radio unit", sl.ru_ids, ru_ids.issuperset),
+                ("PRB", sl.prb_ids, lambda ids: 0 <= min(ids, default=0)
+                 and max(ids, default=-1) < n_prbs)):
+            typed = all_integers(ids)
+            if not ids:
+                problems.append(f"slice {sl.id} owns no {what}s")
+            if typed and len(set(ids)) != len(ids):
+                problems.append(f"slice {sl.id} lists a {what} twice")
+            if not (typed and known(ids)):
+                problems.append(f"slice {sl.id} references unknown {what}s")
         if sl.m_du < 1 or sl.m_cu < 1:
             problems.append(f"slice {sl.id} needs at least one VNF per layer")
         if len(sl.vnf_demands) != sl.m_du + sl.m_cu:
             problems.append(
                 f"slice {sl.id} must list exactly m_du+m_cu VNF demands")
-
-    for dc in sc.dcs:
-        if min(dc.memory_gb, dc.storage_tb, dc.cpu_ghz) < 0:
-            problems.append(f"data center {dc.id} has negative capacity")
-        if dc.phi_idle < 0 or dc.phi_per_unit < 0:
-            problems.append(f"data center {dc.id} has negative power model")
 
     triples = sc.prb_assignment.triples
     dims = (sc.n_ues, n_prbs, sc.n_slices)
@@ -669,13 +661,23 @@ def validate(sc: Scenario) -> list[str]:
     if not inside.all():
         problems.append(f"zeta entries must be [ue, prb, slice] index "
                         f"triples within {dims}")
-    for s, sl in enumerate(sc.slices):
-        listed = triples[inside & (triples[:, 2] == s), 1].tolist()
-        if _all_indices(sl.prb_ids) and not set(listed) <= set(sl.prb_ids):
+    t = triples[inside]
+    t = t[np.argsort(t[:, 2], kind="stable")]     # grouped by slice
+    cuts = np.searchsorted(t[:, 2], np.arange(1, sc.n_slices))
+    for sl, listed in zip(sc.slices, np.split(t[:, 1], cuts)):
+        if (all_integers(sl.prb_ids)
+                and not set(listed.tolist()) <= set(sl.prb_ids)):
             problems.append(
                 f"slice {sl.id}: zeta marks PRBs the slice does not own")
 
     return problems
+
+
+def invalid_scenario_text(problems: list[str], shown: int = 5) -> str:
+    """The first `shown` of `validate`'s problems, and how many more."""
+    more = len(problems) - shown
+    return ("invalid scenario: " + "; ".join(problems[:shown])
+            + (f"; and {more} more" if more > 0 else ""))
 
 
 # --------------------------------------------------------------------------
@@ -734,27 +736,30 @@ def scenario_from_dict(data: dict) -> Scenario:
                           sigma_q2=ru["sigma_q2"]) for ru in data["rus"])
     dcs = tuple(DataCenter(**dc) for dc in data["dcs"])
     n_prbs = data["prbs"]["count"]
-    if type(n_prbs) is not int or n_prbs < 0:
-        raise ScenarioError(f"PRB count must be an integer >= 0, "
-                            f"got {n_prbs!r}")
+    if (why := field_problem("PRB ", "count", n_prbs)) is not None:
+        raise ScenarioError(why)
     rows = data["zeta"]
-    if (set(map(type, itertools.chain.from_iterable(rows))) - {int}
+    if (not all_integers(itertools.chain.from_iterable(rows))
             or set(map(len, rows)) - {3}):
         raise ScenarioError("zeta entries must be [ue, prb, slice] integer "
                             "index triples")
     sc = Scenario(params=params, services=services, slices=slices, rus=rus,
                   dcs=dcs, prb_assignment=PrbAssignment(n_prbs, rows),
                   channel=channel)
-    problems = validate(sc)
-    if problems:
-        raise ScenarioError("invalid scenario: " + "; ".join(problems))
+    if problems := validate(sc):
+        raise ScenarioError(invalid_scenario_text(problems))
     return sc
 
 
-def save_scenario(sc: Scenario, path: str) -> None:
+def write_json(path: str, payload: dict) -> None:
+    """`payload` as key-sorted JSON, one level per indent, newline-ended."""
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def save_scenario(sc: Scenario, path: str) -> None:
+    write_json(path, scenario_to_dict(sc))
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,5 +1,6 @@
 """End-to-end command line checks, driven in-process through main()."""
 
+import dataclasses
 import functools
 import json
 import operator
@@ -12,7 +13,7 @@ from conftest import hand_scenario, placement_config
 from oranslice import cli
 from oranslice.cli import main
 from oranslice.oracle import BruteForceResult
-from oranslice.scenario import (GeneratorConfig, generate_scenario,
+from oranslice.scenario import (RULES, GeneratorConfig, generate_scenario,
                                 load_scenario, save_scenario,
                                 scenario_to_dict)
 
@@ -161,13 +162,21 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
      "the gain at pl_d_min_m"),
     ({"pl0": 1e-320}, [], "squared gain at the largest RU-UE distance"),
     ({"pl0": 1e300}, [], "squared gain at pl_d_min_m must be at most"),
+    ({"slice_memory_gb": -1}, [], "slice_memory_gb must be >= 0"),
+    ({"dc_memory_gb": -5}, [], "dc_memory_gb must be >= 0"),
+    ({"phi_idle": -1}, [], "phi_idle must be >= 0"),
+    ({"slice_cv": 1e308}, [], "draws an invalid scenario: slice 0"),
+    ({"dc_cv": 1e308}, [], "draws an invalid scenario: data center"),
+    ({"c_max": 10 ** 30}, [], "c_max must be finite, a float or an int64"),
 ], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
         "negative-region", "negative-arrival-mean", "wide-arrival-spread",
         "no-prbs-per-ue", "zero-clamp-distance", "zero-reference-distance",
         "bool-power", "mean-ues-beyond-poisson", "negative-path-gain",
         "gain-growing-with-distance", "overflowing-exponent",
         "overflowing-clamp-distance", "underflowing-squared-gain",
-        "overflowing-squared-gain"])
+        "overflowing-squared-gain", "negative-slice-demand",
+        "negative-dc-capacity", "negative-idle-power", "overflowing-slice-cv",
+        "overflowing-dc-cv", "int-beyond-int64"])
 def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -429,29 +438,20 @@ def test_index_fields_never_crash(workdir, edits):
     assert main(["place", str(path)]) in (0, 2)
 
 
-def float_paths(doc):
-    """Every non-index number of a scenario document, as key paths:
-    params, UE rates and positions, RU sigma_q2 and positions, VNF
-    demands, DC fields and the channel model."""
-    paths = [("params", key) for key in doc["params"]]
-    paths += [("channel", key) for key in ("pl0", "d0_m", "d_min_m",
-                                           "exponent")]
-    for i, sv in enumerate(doc["services"]):
-        for j in range(len(sv["ues"])):
-            paths += [("services", i, "ues", j, "arrival_rate"),
-                      ("services", i, "ues", j, "position", 0),
-                      ("services", i, "ues", j, "position", 1)]
-    for i in range(len(doc["rus"])):
-        paths += [("rus", i, "sigma_q2"), ("rus", i, "position", 0),
-                  ("rus", i, "position", 1)]
-    for s, sl in enumerate(doc["slices"]):
-        paths += [("slices", s, "vnf_demands", k, key)
-                  for k in range(len(sl["vnf_demands"]))
-                  for key in ("memory_gb", "storage_tb", "cpu_ghz")]
-    paths += [("dcs", d, key) for d in range(len(doc["dcs"]))
-              for key in ("memory_gb", "storage_tb", "cpu_ghz", "phi_idle",
-                          "phi_per_unit")]
-    return paths
+def float_paths(doc, keys=()):
+    """Every number of a scenario document whose field the rule table
+    reads as a real, as key paths: params, UE rates and positions, RU
+    sigma_q2 and positions, VNF demands, DC fields and the channel model.
+    A list entry, such as a position coordinate, counts under its list's
+    field."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [path for key, value in items
+                for path in float_paths(value, keys + (key,))]
+    name = next((key for key in reversed(keys) if isinstance(key, str)))
+    rule = RULES.get(name)
+    return ([keys] if isinstance(doc, (int, float)) and rule is not None
+            and not rule.integer else [])
 
 
 # a replacement value, or a factor that scales the field's own value
@@ -621,6 +621,23 @@ def test_place_memory_only_weights(tmp_path, capsys):
     assert "phi=15" in stdout                 # idle 5 + 1 * weighted 10
 
 
+@pytest.mark.parametrize("keys, value, needle", [
+    (("dcs", 0, "phi_per_unit"), 1e308, "phi=inf psi=inf"),
+    (("params", "nu"), 1e308, "psi=-inf"),
+], ids=["overflowing-power-model", "overflowing-nu"])
+def test_place_rejects_non_finite_objective(workdir, tmp_path, capsys, keys,
+                                            value, needle):
+    data = json.loads(slice_farm(workdir, "two_inf.json", 2).read_text())
+    functools.reduce(operator.getitem, keys[:-1], data)[keys[-1]] = value
+    sc, out = tmp_path / "sc.json", tmp_path / "place.json"
+    sc.write_text(json.dumps(data))
+    code = main(["place", str(sc), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "objective is not finite" in captured.err and needle in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("text, needle", [
     ("1,2", "wM,wS,wC"),
     ("a,b,c", "three floats"),
@@ -737,9 +754,17 @@ def test_experiment_needs_output_path(tmp_path, capsys):
     {"overrides": "zz"},
     {"kind": "admitted_vs_slices", "nu": "abc"},
     {"x_values": [1e19]},
+    {"kind": "admitted_vs_slices", "overrides": {"slice_memory_gb": -1}},
+    {"kind": "consumption_vs_slices", "overrides": {"slice_memory_gb": -1}},
+    {"kind": "consumption_vs_slices", "overrides": {"phi_per_unit": 1e308}},
+    {"kind": "admitted_vs_slices", "nu": 1e308},
+    {"kind": "admitted_vs_slices", "overrides": {"dc_memory_gb": -5}},
+    {"overrides": {"c_max": 10 ** 30}},
 ], ids=["seed-string", "x-string", "x-negative", "series-zero",
         "override-unknown", "override-not-object", "nu-string",
-        "x-beyond-poisson"])
+        "x-beyond-poisson", "admitted-negative-slice-demand",
+        "consumption-negative-slice-demand", "overflowing-power-model",
+        "overflowing-nu", "negative-dc-capacity", "int-beyond-int64"])
 def test_experiment_rejects_malformed_spec(tmp_path, capsys, fields):
     out = tmp_path / "x.csv"
     spec = tmp_path / "spec.json"
@@ -762,8 +787,26 @@ def test_experiment_rejects_malformed_spec(tmp_path, capsys, fields):
      "n_slices must be in [1, 1000]"),
     ("experiment", {"kind": "admitted_vs_slices", "x_values": [10 ** 12]},
      "n_slices must be in [1, 1000]"),
+    ("generate", {"n_rus": 10 ** 8}, "n_rus must be in [1, 10000]"),
+    ("generate", {"n_dcs": 10 ** 8}, "n_dcs must be in [1, 1000]"),
+    ("generate", {"m_du": 10 ** 8}, "m_du must be in [1, 100]"),
+    ("generate", {"m_cu": 10 ** 8}, "m_cu must be in [1, 100]"),
+    ("generate", {"prb_mode": "shared", "prbs_per_slice": 10 ** 11},
+     "prbs_per_slice must be in [1, 10000]"),
+    ("generate", {"prb_mode": "shared", "prbs_per_ue": 10 ** 11},
+     "prbs_per_ue must be in [1, 10000]"),
+    ("generate", {"mean_ues": 1e9, "max_ues": 10 ** 9},
+     "max_ues must be in [1, 10000]"),
+    ("experiment", {"kind": "consumption_vs_slices", "series": [10 ** 8]},
+     "n_dcs must be in [1, 1000]"),
+    ("experiment", {"kind": "ee_vs_mean_ues", "series": [3],
+                    "overrides": {"n_rus": 10 ** 8}},
+     "n_rus must be in [1, 10000]"),
 ], ids=["generate-services", "generate-slices", "ee-series",
-        "ee-slices-override", "placement-x-values"])
+        "ee-slices-override", "placement-x-values", "generate-rus",
+        "generate-dcs", "generate-du-vnfs", "generate-cu-vnfs",
+        "generate-shared-prbs", "generate-prbs-per-ue", "generate-ues",
+        "placement-series", "ee-rus-override"])
 def test_oversized_counts_exit_2_before_generating(tmp_path, capsys,
                                                    monkeypatch, command, doc,
                                                    needle):
@@ -785,3 +828,41 @@ def test_oversized_counts_exit_2_before_generating(tmp_path, capsys,
     assert code == 2
     assert err.startswith("error: ") and needle in err
     assert not out.exists()
+
+
+# one seed, one sweep point and a tiny instance of each kind
+SPEC_BASES = [
+    {"kind": "ee_vs_mean_ues", "x_values": [1], "series": [1],
+     "overrides": {"n_rus": 4, "rus_per_slice": 4, "max_ues": 2}},
+    {"kind": "admitted_vs_slices", "x_values": [2], "series": [1]},
+    {"kind": "consumption_vs_slices", "x_values": [2], "series": [1]},
+]
+SPEC_VALUES = st.one_of(st.booleans(), st.just("1"), st.none(),
+                        st.integers(-2, 3), st.floats(-2.0, 3.0),
+                        st.sampled_from([2**63, 10**30, 1e308, -1e308]))
+SPEC_KEYS = ["seeds", "x_values", "series", "nu",
+             *(f.name for f in dataclasses.fields(GeneratorConfig))]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(SPEC_BASES),
+       edits=st.lists(st.tuples(st.sampled_from(SPEC_KEYS), SPEC_VALUES,
+                                st.booleans()), min_size=1, max_size=3))
+def test_spec_edits_never_crash(workdir, base, edits):
+    """Setting a tiny valid spec's seeds, sweep values or nu, or a
+    generator override, to a bool, string, null, negative, huge or
+    overflowing value makes `experiment` exit 0 or 2.  A list field takes
+    the value as its one entry, or in its place."""
+    spec = json.loads(json.dumps({"seeds": [0], "overrides": {}, **base}))
+    for key, value, whole in edits:
+        if key in ("seeds", "x_values", "series"):
+            spec[key] = value if whole else [value]
+        elif key == "nu":
+            spec[key] = value
+        else:
+            spec["overrides"][key] = value
+    path = workdir / "spec_fuzz.json"
+    path.write_text(json.dumps(spec))
+    out = workdir / "spec_fuzz.csv"
+    assert main(["experiment", str(path), "--out", str(out)]) in (0, 2)

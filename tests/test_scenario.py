@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from oranslice.scenario import (GeneratorConfig, ScenarioError,
+from oranslice.scenario import (RULES, ChannelModel, DataCenter,
+                                GeneratorConfig, RadioUnit, ScenarioError,
+                                SystemParams, UserEquipment, VnfRequirement,
                                 generate_scenario, load_scenario,
                                 save_scenario, scenario_from_dict,
                                 scenario_to_dict, validate)
@@ -78,6 +80,16 @@ def test_sigma_q_scales_with_pmax():
 def test_invalid_config_rejected(field, value):
     with pytest.raises(ScenarioError):
         GeneratorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("cls", [SystemParams, GeneratorConfig, ChannelModel,
+                                 UserEquipment, RadioUnit, VnfRequirement,
+                                 DataCenter])
+def test_every_numeric_field_has_a_rule(cls):
+    # field_problems checks only the fields the rule table names, so a
+    # numeric field without a row would go unchecked
+    names = {f.name for f in dataclasses.fields(cls)} - {"id", "prb_mode"}
+    assert names <= set(RULES)
 
 
 def test_rus_per_slice_bounded_by_pool():
