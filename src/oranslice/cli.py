@@ -144,7 +144,7 @@ def cmd_generate(args) -> int:
     except ScenarioError as exc:
         raise CliError(2, f"bad config: {exc}")
     sc = generate_scenario(config, seed=args.seed)
-    # what was drawn can still overflow, as cv x mean can
+    # what was drawn can still overflow, as the arrival rates can
     if problems := validate(sc):
         raise CliError(2, "bad config: it draws an "
                           + invalid_scenario_text(problems))

@@ -605,9 +605,11 @@ def mm1_simulate(arrival_rate: float, service_rate: float,
     the interarrival gap, floored at zero; sojourn is wait plus own
     service.  The recursion is solved in closed form block by block:
     with S the carried wait plus the running sum of (service - gap), the
-    waits are S minus the running minimum of min(S, 0).  Blocks keep
-    the work arrays small.  Requires a stable queue and at least 1e5
-    arrivals for a meaningful average.
+    waits are S minus the running minimum of min(S, 0).  The generator
+    yields every interarrival gap before the first service, so the gaps
+    are drawn at once and the services one block at a time, in the same
+    stream order; only the gaps take n-sized memory.  Requires a stable
+    queue and at least 1e5 arrivals for a meaningful average.
     """
     if arrival_rate <= 0 or service_rate <= 0:
         raise ValueError("rates must be positive")
@@ -619,13 +621,16 @@ def mm1_simulate(arrival_rate: float, service_rate: float,
         raise ValueError("need at least 1e5 arrivals")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / arrival_rate, n_arrivals)
-    services = rng.exponential(1.0 / service_rate, n_arrivals)
-    wait = 0.0                          # the first customer never waits
-    total = float(services.sum())
-    for lo in range(1, n_arrivals, MM1_BLOCK):
-        hi = min(lo + MM1_BLOCK, n_arrivals)
-        path = wait + np.cumsum(services[lo - 1:hi - 1] - gaps[lo:hi])
-        waits = path - np.minimum.accumulate(np.minimum(path, 0.0))
-        total += float(waits.sum())
-        wait = float(waits[-1])
+    wait = total = 0.0                  # the first customer never waits
+    for lo in range(0, n_arrivals, MM1_BLOCK):
+        services = rng.exponential(1.0 / service_rate,
+                                   min(MM1_BLOCK, n_arrivals - lo))
+        total += float(services.sum())
+        # customers lo + 1 .. hi - 1 wait behind services lo .. hi - 2
+        hi = min(lo + 1 + MM1_BLOCK, n_arrivals)
+        if hi > lo + 1:
+            path = wait + np.cumsum(services[:hi - lo - 1] - gaps[lo + 1:hi])
+            waits = path - np.minimum.accumulate(np.minimum(path, 0.0))
+            total += float(waits.sum())
+            wait = float(waits[-1])
     return total / n_arrivals

@@ -12,13 +12,16 @@ of the power allocation and lets the admission and power stages reason
 about worst-case rates.
 
 With the precoders fixed, every radio quantity is linear in the mapping
-matrix a[v, s].  `build_beamformers` computes the coefficients of those
-linear forms once per (scenario, channels); the evaluators below only
-contract them with the mapping.
+matrix a[v, s].  The `BeamformerSet` of a (scenario, channels) holds
+the coefficients of those linear forms, computing a (slice, service)
+pair's share the first time the pair is read; the evaluators below
+zero-force the pairs their mapping maps, then contract the coefficients
+with it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +54,7 @@ def build_channels(sc: Scenario) -> ChannelSet:
     scenario's channel model.
     """
     rng = np.random.default_rng(sc.channel.seed)
-    d = sc.ru_ue_distances()
+    d = sc.ru_ue_distances
     large = sc.channel.gain(d)
     small = (rng.standard_normal(d.shape)
              + 1j * rng.standard_normal(d.shape)) / np.sqrt(2.0)
@@ -60,67 +63,172 @@ def build_channels(sc: Scenario) -> ChannelSet:
 
 def zf_beamformer(h: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Zero-forcing precoders W = H (H^H H)^(-1) for a stack of R x U
-    channels, shape (n, R, U), with one product, condition number and
-    inverse call each for the whole stack.
+    channels, shape (n, R, U), with one product, eigenvalue and inverse
+    call each for the whole stack.
 
     Member g satisfies H^H W = I when R >= U and its normal matrix is
-    well conditioned.  Returns the stacked precoders and, for each member
-    that has none (its precoder is left zero), the reason.
+    well conditioned: the ratio of the Hermitian normal matrix's extreme
+    eigenvalues is at most CONDITION_CAP.  Returns the stacked precoders
+    and, for each member that has none (its precoder is left zero), the
+    reason.
     """
     h = np.asarray(h, dtype=complex)
     n, n_rus, n_ues = h.shape
-    w = np.zeros_like(h)
     if n_rus < n_ues:
-        return w, dict.fromkeys(
+        return np.zeros_like(h), dict.fromkeys(
             range(n), f"{n_rus} radio units cannot zero-force {n_ues} UEs")
     normal = h.conj().transpose(0, 2, 1) @ h
-    errors: dict[int, str] = {}
     good = np.ones(n, dtype=bool)
     if n_ues > 0:
-        cond = np.linalg.cond(normal)
-        good = np.isfinite(cond) & (cond <= CONDITION_CAP)
-        errors = {int(g): f"channel normal matrix condition {cond[g]:.3g} "
-                          f"exceeds {CONDITION_CAP:.0e}"
-                  for g in np.flatnonzero(~good)}
-    keep = slice(None) if good.all() else good      # a view, not a copy
-    w[keep] = h[keep] @ np.linalg.inv(normal[keep])
-    return w, errors
+        lam = np.linalg.eigvalsh(normal)            # ascending
+        lo, hi = lam[:, 0], lam[:, -1]
+        good = (lo > 0) & (hi <= CONDITION_CAP * lo)
+    if good.all():
+        return h @ np.linalg.inv(normal), {}
+    w = np.zeros_like(h)
+    w[good] = h[good] @ np.linalg.inv(normal[good])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = np.where(lo > 0, hi / lo, np.inf)
+    return w, {int(g): f"channel normal matrix condition {cond[g]:.3g} "
+                       f"exceeds {CONDITION_CAP:.0e}"
+               for g in np.flatnonzero(~good)}
 
 
-@dataclass
+class PairTable(Mapping):
+    """A read-only per-(slice, service) table of a `BeamformerSet`.
+    Looking a pair up zero-forces it first; iterating zero-forces every
+    pair."""
+
+    def __init__(self, bf: "BeamformerSet", table: dict):
+        self._bf, self._table = bf, table
+
+    def __contains__(self, pair) -> bool:
+        self._bf.read(pair)
+        return pair in self._table
+
+    def __getitem__(self, pair):
+        self._bf.read(pair)
+        return self._table[pair]
+
+    def __iter__(self):
+        n_slices, n_services = self._bf.built.shape
+        self._bf.require(np.ones((n_services, n_slices)))
+        return iter(sorted(self._table))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 class BeamformerSet:
-    """Zero-forcing precoders for every mappable (slice, service) pair,
-    and the mapping-linear coefficients built from them.
+    """Zero-forcing precoders of the (slice, service) pairs, and the
+    mapping-linear coefficients built from them.
+
+    A pair is zero-forced the first time something reads it: a lookup in
+    `w` or `unmappable`, `leakage`, or `require` (which the evaluators
+    below call on the pairs their mapping maps).  `built[s, v]` marks the
+    pairs done.
 
     `w[(slice_id, service_id)]` is the R_s x U_v precoder;
     `unmappable[(slice_id, service_id)]` records why a pair has none.
     The coefficient arrays (`gain` and `w2` are zero wherever a pair has
-    no precoder):
+    no precoder or is not built yet):
 
     * `slot_slice[k]`, `slot_ru[k]` and `slot_sigma[k]` are the slice,
       the RU id and the RU's quantization noise variance of (slice, RU)
       slot k, in `Scenario.ru_slots()` order;
-    * `leak[n]` is, per unit transmit power, the PRB-overlap weighted
-      leakage of pair (s, v)'s streams into UE u, excluding the UE's own
-      stream, where (s, v, u) is row n of `leak_rows`.  Rows are sorted
-      and exist only where u shares a PRB of slice s with a UE of a
-      mappable v, so a dedicated-PRB scenario stores none;
+    * slice s's slots are `first_slot[s]` up to `first_slot[s + 1]`, and
+      service v's UEs `first_ue[v]` up to `first_ue[v + 1]`;
+    * `leak[(s, v)]` is (victims, values): per unit transmit power, the
+      PRB-overlap weighted leakage of pair (s, v)'s streams into each
+      victim UE, excluding the UE's own stream, victims ascending.  Only
+      built pairs with a precoder whose UEs share a PRB of slice s with
+      some UE have an entry, so a dedicated-PRB scenario stores none;
     * `quant[s, u]` is the sum over the RUs r of slice s of
       sigma_r |h_{r,u}|^2;
     * `gain[s, u]` is UE u's own-stream |h^H w|^2 through slice s;
     * `w2[k, u]` is |w|^2 of UE u at slot k, whether mapped or not.
     """
 
-    w: dict[tuple[int, int], np.ndarray]
-    unmappable: dict[tuple[int, int], str]
-    slot_slice: np.ndarray        # (n_slots,)
-    slot_ru: np.ndarray           # (n_slots,)
-    slot_sigma: np.ndarray        # (n_slots,)
-    leak_rows: np.ndarray         # (n_leak, 3): slice, service, victim UE
-    leak: np.ndarray              # (n_leak,)
-    quant: np.ndarray             # (n_slices, n_ues)
-    gain: np.ndarray              # (n_slices, n_ues)
-    w2: np.ndarray                # (n_slots, n_ues)
+    def __init__(self, sc: Scenario, ch: ChannelSet):
+        self.sc, self.ch = sc, ch
+        slots = np.array(sc.ru_slots(), dtype=int).reshape(-1, 3)
+        self.slot_slice, self.slot_ru = slots[:, 0], slots[:, 2]
+        self.slot_sigma = sigma = np.array(
+            [sc.rus[rid].sigma_q2 for rid in self.slot_ru])
+        self.first_slot = first = np.cumsum([0] + [sl.n_rus
+                                                   for sl in sc.slices])
+        self.first_ue = np.cumsum([0] + [sv.n_ues for sv in sc.services])
+        self.quant = np.zeros((sc.n_slices, sc.n_ues))
+        with np.errstate(over="ignore"):    # noise beyond range drowns UEs
+            for s in range(sc.n_slices):
+                rus = slice(first[s], first[s + 1])
+                self.quant[s] = (sigma[rus]
+                                 @ np.abs(ch.gains[self.slot_ru[rus]]) ** 2)
+        self.gain = np.zeros((sc.n_slices, sc.n_ues))
+        self.w2 = np.zeros((len(slots), sc.n_ues))
+        self._sharing, self._sharing_at = _prb_sharing_pairs(sc)
+        self.built = np.zeros((sc.n_slices, sc.n_services), dtype=bool)
+        self.leak: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._w: dict[tuple[int, int], np.ndarray] = {}
+        self._unmappable: dict[tuple[int, int], str] = {}
+
+    # views made on each access, so the set holds no reference cycle and
+    # its arrays are freed as soon as the last caller drops it
+    @property
+    def w(self) -> PairTable:
+        return PairTable(self, self._w)
+
+    @property
+    def unmappable(self) -> PairTable:
+        return PairTable(self, self._unmappable)
+
+    def read(self, pair) -> None:
+        """Zero-force `pair` = (slice, service) unless it is built or not
+        a pair of the scenario."""
+        s, v = pair
+        n_slices, n_services = self.built.shape
+        if 0 <= s < n_slices and 0 <= v < n_services and not self.built[s, v]:
+            self._zero_force(int(s), int(v))
+
+    def require(self, a: np.ndarray) -> None:
+        """Zero-force every pair that the mapping matrix a[v, s] maps."""
+        for s, v in np.argwhere((a.T != 0) & ~self.built).tolist():
+            self._zero_force(s, v)
+
+    def leakage(self, s: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """`leak[(s, v)]`, or two empty arrays if the pair has none."""
+        self.read((s, v))
+        return self.leak.get((s, v), _NO_LEAK)
+
+    def _zero_force(self, s: int, v: int) -> None:
+        sc, ch = self.sc, self.ch
+        self.built[s, v] = True
+        slots = slice(self.first_slot[s], self.first_slot[s + 1])
+        ues = slice(self.first_ue[v], self.first_ue[v + 1])
+        rus = self.slot_ru[slots]
+        h = ch.gains[rus, ues]
+        (w,), errors = zf_beamformer(h[None])
+        if errors:
+            self._unmappable[(s, v)] = (f"{errors[0]} for slice {s}, "
+                                        f"service {v}")
+            return
+        self._w[(s, v)] = w
+        self.gain[s, ues] = np.abs(np.einsum("ru,ru->u", h.conj(), w)) ** 2
+        self.w2[slots, ues] = np.abs(w) ** 2
+        at = s * sc.n_services + v
+        rows = self._sharing[self._sharing_at[at]:self._sharing_at[at + 1]]
+        if rows.size:
+            counts = np.zeros((sc.n_ues, sc.services[v].n_ues))
+            counts[rows[:, 1], rows[:, 2] - ues.start] = rows[:, 3]
+            # products for all U rows, not only the victims: the matrix
+            # product rounds by shape, so a coefficient does not depend on
+            # which other UEs share a PRB
+            cross = np.abs(ch.gains[rus].conj().T @ w) ** 2 * counts
+            victims = rows[_run_starts(rows[:, 1]), 1]
+            self.leak[(s, v)] = (victims, cross[victims].sum(axis=1))
+
+
+_NO_LEAK = (np.zeros(0, dtype=int), np.zeros(0))
 
 
 def _run_starts(key: np.ndarray) -> np.ndarray:
@@ -131,10 +239,12 @@ def _run_starts(key: np.ndarray) -> np.ndarray:
     return first
 
 
-def _prb_sharing_pairs(sc: Scenario) -> np.ndarray:
-    """Rows (slice, victim UE, source UE, shared PRB count), sorted, for
-    every ordered pair of distinct UEs that may both use some PRB of the
-    slice; found by grouping the eligibility triples on (slice, PRB)."""
+def _prb_sharing_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (slice, victim UE, source UE, shared PRB count) for every
+    ordered pair of distinct UEs that may both use some PRB of the slice,
+    found by grouping the eligibility triples on (slice, PRB); sorted by
+    slice, the source UE's service and victim.  Also the row offsets of
+    each (slice, service) pair s * n_services + v."""
     t = sc.prb_assignment.triples
     t = t[np.lexsort((t[:, 0], t[:, 1], t[:, 2]))]   # by slice, PRB, UE
     start = np.flatnonzero(_run_starts(t[:, 2] * sc.prb_assignment.n_prbs
@@ -153,100 +263,19 @@ def _prb_sharing_pairs(sc: Scenario) -> np.ndarray:
     key = key[np.argsort(key, kind="stable")]
     runs = np.flatnonzero(_run_starts(key))
     key, counts = key[runs], np.diff(np.append(runs, key.size))
-    return np.column_stack([key // (n * n), key // n % n, key % n, counts])
-
-
-def _leakage(sc: Scenario, ch: ChannelSet,
-             w: dict[tuple[int, int], np.ndarray], mappable: np.ndarray,
-             first_ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`BeamformerSet.leak_rows` and `leak`, built only for the (slice,
-    service) pairs with a precoder (`mappable[s, v]`) whose UEs share a
-    PRB with some UE.  `first_ue[v]` is service v's first UE index."""
-    share = _prb_sharing_pairs(sc)
-    service = sc.ue_service[share[:, 2]]
-    keep = mappable[share[:, 0], service]
-    share, service = share[keep], service[keep]
-    order = np.lexsort((share[:, 1], service, share[:, 0]))
-    share, service = share[order], service[order]
-    pair_key = share[:, 0] * sc.n_services + service
-    key = pair_key * sc.n_ues + share[:, 1]
-    first = _run_starts(key)                     # first entry of each row
-    bounds = np.append(np.flatnonzero(_run_starts(pair_key)), len(share))
-    leak, last = [], -1
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        s, v = int(share[lo, 0]), int(service[lo])
-        if s != last:
-            last, h_conj = s, ch.gains[list(sc.slices[s].ru_ids)].conj().T
-        pair = share[lo:hi]
-        counts = np.zeros((sc.n_ues, sc.services[v].n_ues))
-        counts[pair[:, 1], pair[:, 2] - first_ue[v]] = pair[:, 3]
-        # products for all U rows, not only the victims: the matrix
-        # product rounds by shape, so a coefficient does not depend on
-        # which other UEs share a PRB
-        cross = np.abs(h_conj @ w[(s, v)]) ** 2 * counts
-        leak.append(cross[pair[first[lo:hi], 1]].sum(axis=1))
-    key = key[first]
-    rows = np.column_stack([key // sc.n_ues // sc.n_services,
-                            key // sc.n_ues % sc.n_services,
-                            key % sc.n_ues])
-    return rows, np.concatenate(leak) if leak else np.zeros(0)
+    share = np.column_stack([key // (n * n), key // n % n, key % n, counts])
+    pair = share[:, 0] * sc.n_services + sc.ue_service[share[:, 2]]
+    order = np.lexsort((share[:, 1], pair))
+    return share[order], np.searchsorted(
+        pair[order], np.arange(sc.n_slices * sc.n_services + 1))
 
 
 def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:
-    """Precoders and coefficients of a `BeamformerSet`.
-
-    The (slice, service) pairs are zero-forced in one stack per channel
-    shape (R_s, U_v).  Leakage is formed only for ordered UE pairs that
-    share a PRB of the slice, so without such pairs it costs nothing.
-    """
-    n_ues, n_services = sc.n_ues, sc.n_services
-    slots = np.array(sc.ru_slots(), dtype=int).reshape(-1, 3)
-    slot_sigma = np.array([sc.rus[rid].sigma_q2 for rid in slots[:, 2]])
-    first_slot = np.cumsum([0] + [sl.n_rus for sl in sc.slices])
-    quant = np.zeros((sc.n_slices, n_ues))
-    gain = np.zeros((sc.n_slices, n_ues))
-    w2 = np.zeros((len(slots), n_ues))
-    with np.errstate(over="ignore"):        # noise beyond range drowns UEs
-        for sl in sc.slices:
-            sigma = slot_sigma[first_slot[sl.id]:first_slot[sl.id + 1]]
-            quant[sl.id] = sigma @ np.abs(ch.gains[list(sl.ru_ids)]) ** 2
-
-    # UEs are in service order: service v's are first_ue[v], first_ue[v]+1..
-    first_ue = np.cumsum([0] + [sv.n_ues for sv in sc.services])
-    shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for sl in sc.slices:
-        for sv in sc.services:
-            shapes.setdefault((sl.n_rus, sv.n_ues), []).append((sl.id, sv.id))
-    found: dict[tuple[int, int], np.ndarray | str] = {}
-    mappable = np.zeros((sc.n_slices, n_services), dtype=bool)
-    for (n_rus, n_cols), members in shapes.items():
-        s_of, v_of = np.array(members).T
-        ru = np.array([sc.slices[s].ru_ids for s in s_of], dtype=int)
-        cols = first_ue[v_of, None] + np.arange(n_cols)
-        h = ch.gains[ru[:, :, None], cols[:, None, :]]
-        w_stack, errors = zf_beamformer(h)
-        found.update(zip(members, w_stack))
-        found.update((members[g], text) for g, text in errors.items())
-        ok = np.ones(len(members), dtype=bool)
-        ok[list(errors)] = False
-        mappable[s_of[ok], v_of[ok]] = True
-        gain[s_of[ok, None], cols[ok]] = np.abs(
-            np.einsum("gru,gru->gu", h[ok].conj(), w_stack[ok])) ** 2
-        slot_rows = first_slot[s_of[ok], None] + np.arange(n_rus)
-        w2[slot_rows[:, :, None], cols[ok, None, :]] = np.abs(
-            w_stack[ok]) ** 2
-    w: dict[tuple[int, int], np.ndarray] = {}
-    unmappable: dict[tuple[int, int], str] = {}
-    for (s, v), got in sorted(found.items()):
-        if isinstance(got, str):
-            unmappable[(s, v)] = f"{got} for slice {s}, service {v}"
-        else:
-            w[(s, v)] = got
-    leak_rows, leak = _leakage(sc, ch, w, mappable, first_ue)
-    return BeamformerSet(w=w, unmappable=unmappable, slot_slice=slots[:, 0],
-                         slot_ru=slots[:, 2], slot_sigma=slot_sigma,
-                         leak_rows=leak_rows, leak=leak,
-                         quant=quant, gain=gain, w2=w2)
+    """The `BeamformerSet` of a scenario and its channels: slot data and
+    quantization noise now, each (slice, service) pair when first read.
+    Leakage is formed only for ordered UE pairs that share a PRB of the
+    slice, so without such pairs it costs nothing."""
+    return BeamformerSet(sc, ch)
 
 
 @dataclass
@@ -301,12 +330,14 @@ def interference_upper_bound(sc: Scenario, mapping: SliceMapping,
 
     Every interfering transmit power is replaced by the per-RU cap, so
     the result does not depend on the power allocation.  The leakage sum
-    runs over the stored PRB-sharing rows only, adding them per UE in
-    (slice, service) order.
+    runs over the stored PRB-sharing rows of the mapped pairs only,
+    adding them per UE in (slice, service) order.
     """
     a = mapping.a
-    s, v, u = bf.leak_rows.T
-    leakage = np.bincount(u, weights=a[v, s] * bf.leak, minlength=sc.n_ues)
+    bf.require(a)
+    rows = [bf.leak[pair] for pair in sorted(bf.leak) if a[pair[1], pair[0]]]
+    victims, values = (np.concatenate(part) for part in zip(_NO_LEAK, *rows))
+    leakage = np.bincount(victims, weights=values, minlength=sc.n_ues)
     return (sc.params.p_max * leakage
             + np.einsum("us,su->u", a[sc.ue_service], bf.quant))
 
@@ -324,6 +355,7 @@ def beam_gains(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     value counts mapped slices; computed from the actual products so
     imperfect conditioning shows up honestly.
     """
+    bf.require(mapping.a)
     return np.einsum("us,su->u", mapping.a[sc.ue_service], bf.gain)
 
 
@@ -359,6 +391,7 @@ def slot_weight_matrix(sc: Scenario, mapping: SliceMapping,
     Only (slice, service) pairs that are actually mapped contribute, so
     `weights @ p + sigma_q2` yields every slot's transmit power at once.
     """
+    bf.require(mapping.a)
     return bf.w2 * mapping.a[sc.ue_service][:, bf.slot_slice].T
 
 

@@ -32,6 +32,11 @@ POISSON_LAM_MAX = (np.iinfo(np.int64).max
 # Range of normal doubles; squared channel gains must stay inside it.
 FLOAT = np.finfo(float)
 
+# A normal draw lies within this many standard deviations of its mean
+# but with probability below 1e-22, so mean * (1 + DRAW_SIGMAS * cv)
+# bounds the DC capacity and slice demand draws.
+DRAW_SIGMAS = 10
+
 # Fixed unit declarations written into every scenario file so readers do
 # not have to guess.  Values are strings, purely documentary.
 UNITS = {
@@ -384,12 +389,16 @@ class Scenario:
     def ru_positions(self) -> np.ndarray:
         return np.array([ru.position for ru in self.rus], dtype=float)
 
+    @functools.cached_property
     def ru_ue_distances(self) -> np.ndarray:
         """(n_rus, n_ues) distance from every RU to every UE, m; inf
-        where it is beyond the float range."""
+        where it is beyond the float range (read-only).  `validate` and
+        `radio.build_channels` share it."""
         with np.errstate(over="ignore"):
-            return np.linalg.norm(self.ru_positions()[:, None, :]
-                                  - self.ue_positions()[None, :, :], axis=2)
+            d = np.linalg.norm(self.ru_positions()[:, None, :]
+                               - self.ue_positions()[None, :, :], axis=2)
+        d.flags.writeable = False
+        return d
 
     @functools.cached_property
     def arrival_rates(self) -> np.ndarray:
@@ -474,6 +483,15 @@ class GeneratorConfig:
             raise ScenarioError(problems[0])
         if self.rus_per_slice > self.n_rus:
             raise ScenarioError("need 1 <= rus_per_slice <= n_rus")
+        for prefix in ("dc_", "slice_"):
+            cv = getattr(self, prefix + "cv")
+            for name in ("memory_gb", "storage_tb", "cpu_ghz"):
+                mean = getattr(self, prefix + name)
+                if mean * (1 + DRAW_SIGMAS * cv) > FLOAT.max:
+                    raise ScenarioError(
+                        f"{prefix}cv x {prefix}{name} must keep the draws "
+                        f"finite: {prefix}cv={cv!r} with {prefix}{name}="
+                        f"{mean!r} can draw beyond {FLOAT.max:.6g}")
         why = path_gain_problem(self.pl0, self.pl_d0_m, self.pl_d_min_m,
                                 self.pl_exponent,
                                 math.hypot(self.region_m, self.region_m),
@@ -610,7 +628,7 @@ def validate(sc: Scenario) -> list[str]:
     path_loss = (sc.channel.pl0, sc.channel.d0_m, sc.channel.d_min_m,
                  sc.channel.exponent)
     try:
-        d_far = float(np.max(sc.ru_ue_distances(), initial=0.0))
+        d_far = float(np.max(sc.ru_ue_distances, initial=0.0))
     except (TypeError, ValueError, IndexError):
         d_far = 0.0               # malformed positions are reported above
     if (all(map(is_real, path_loss))

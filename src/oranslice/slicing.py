@@ -147,10 +147,6 @@ class _SweepState:
         self.checked = np.zeros(sc.n_ues, dtype=bool)   # service covered
         self.cols = [np.array(sc.service_ue_indices(v), dtype=int)
                      for v in range(n_services)]
-        self.slots = np.searchsorted(bf.slot_slice, np.arange(n_slices + 1))
-        self.leak_at = np.searchsorted(
-            bf.leak_rows[:, 0] * n_services + bf.leak_rows[:, 1],
-            np.arange(n_slices * n_services + 1))
 
     def try_add(self, v: int, s: int) -> str | None:
         """The message `check_feasibility` would report first for the
@@ -158,12 +154,10 @@ class _SweepState:
         feasible."""
         sc, bf, params = self.sc, self.bf, self.sc.params
         p_max, cols = params.p_max, self.cols[v]
-        rows = slice(self.slots[s], self.slots[s + 1])
-        leak = slice(self.leak_at[s * sc.n_services + v],
-                     self.leak_at[s * sc.n_services + v + 1])
-        victims = bf.leak_rows[leak, 2]
+        rows = slice(bf.first_slot[s], bf.first_slot[s + 1])
+        victims, leak = bf.leakage(s, v)        # zero-forces the pair
         leakage = self.leakage.copy()
-        leakage[victims] += bf.leak[leak]
+        leakage[victims] += leak
         quant = self.quant.copy()
         quant[cols] += bf.quant[s, cols]
         gains = self.gains.copy()

@@ -165,8 +165,11 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
     ({"slice_memory_gb": -1}, [], "slice_memory_gb must be >= 0"),
     ({"dc_memory_gb": -5}, [], "dc_memory_gb must be >= 0"),
     ({"phi_idle": -1}, [], "phi_idle must be >= 0"),
-    ({"slice_cv": 1e308}, [], "draws an invalid scenario: slice 0"),
-    ({"dc_cv": 1e308}, [], "draws an invalid scenario: data center"),
+    ({"slice_cv": 1e308}, [],
+     "slice_cv x slice_memory_gb must keep the draws finite"),
+    ({"dc_cv": 1e308}, [], "dc_cv x dc_memory_gb must keep the draws finite"),
+    ({"arrival_rate_mean": 1.7e308}, [],
+     "draws an invalid scenario: service 0 UE"),
     ({"c_max": 10 ** 30}, [], "c_max must be finite, a float or an int64"),
 ], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
         "negative-region", "negative-arrival-mean", "wide-arrival-spread",
@@ -176,7 +179,7 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
         "overflowing-clamp-distance", "underflowing-squared-gain",
         "overflowing-squared-gain", "negative-slice-demand",
         "negative-dc-capacity", "negative-idle-power", "overflowing-slice-cv",
-        "overflowing-dc-cv", "int-beyond-int64"])
+        "overflowing-dc-cv", "overflowing-arrival-draw", "int-beyond-int64"])
 def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -760,11 +763,15 @@ def test_experiment_needs_output_path(tmp_path, capsys):
     {"kind": "admitted_vs_slices", "nu": 1e308},
     {"kind": "admitted_vs_slices", "overrides": {"dc_memory_gb": -5}},
     {"overrides": {"c_max": 10 ** 30}},
+    {"kind": "admitted_vs_slices", "x_values": [4], "series": [2],
+     "overrides": {"dc_cv": 1e308}},
+    {"kind": "consumption_vs_slices", "overrides": {"slice_cv": 1e308}},
 ], ids=["seed-string", "x-string", "x-negative", "series-zero",
         "override-unknown", "override-not-object", "nu-string",
         "x-beyond-poisson", "admitted-negative-slice-demand",
         "consumption-negative-slice-demand", "overflowing-power-model",
-        "overflowing-nu", "negative-dc-capacity", "int-beyond-int64"])
+        "overflowing-nu", "negative-dc-capacity", "int-beyond-int64",
+        "overflowing-dc-draw", "overflowing-slice-draw"])
 def test_experiment_rejects_malformed_spec(tmp_path, capsys, fields):
     out = tmp_path / "x.csv"
     spec = tmp_path / "spec.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,20 @@ def test_mm1_seed_reproducible():
     c = mm1_simulate(0.5, 1.0, 100_000, seed=8)
     assert a == b
     assert a != c
+
+
+def test_mm1_holds_one_n_sized_array():
+    # the 1M gaps take 8 MB; drawing the services as a second 1M array
+    # would double the peak.  A first call imports numpy.random, which is
+    # not the simulator's memory.
+    mm1_simulate(0.5, 1.0, 100_000, seed=0)
+    tracemalloc.start()
+    try:
+        mm1_simulate(0.5, 1.0, 1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
 
 
 def mm1_loop(arrival_rate, service_rate, n_arrivals, seed):

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oranslice import radio
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.radio import (CONDITION_CAP, PowerAllocation, SliceMapping,
                              achievable_rate, build_beamformers,
@@ -128,15 +129,147 @@ def test_zf_stack_matches_per_member_inverse(seed):
                 assert np.array_equal(w[g], ref)
 
 
+def read_every_pair(sc, bf):
+    bf.require(np.ones((sc.n_services, sc.n_slices), dtype=np.int8))
+    return bf
+
+
 def test_dedicated_prbs_store_no_leakage():
     cfg = GeneratorConfig(n_services=3, n_slices=4, mean_ues=3.0, max_ues=5,
                           n_rus=12, rus_per_slice=6)
     sc = generate_scenario(cfg, seed=2)
-    bf = build_beamformers(sc, build_channels(sc))
-    assert bf.leak.size == 0 and bf.leak_rows.size == 0
+    bf = read_every_pair(sc, build_beamformers(sc, build_channels(sc)))
+    assert bf.built.all() and not bf.leak
     shared = generate_scenario(dataclasses.replace(
         cfg, prb_mode="shared", prbs_per_slice=2, prbs_per_ue=2), seed=2)
-    assert build_beamformers(shared, build_channels(shared)).leak.size > 0
+    bf = read_every_pair(shared, build_beamformers(shared,
+                                                   build_channels(shared)))
+    assert sum(values.size for _victims, values in bf.leak.values()) > 0
+
+
+# --------------------------------------------------------------------------
+# zero-forcing on first read
+# --------------------------------------------------------------------------
+
+LAZY_CONFIGS = {
+    # services of up to 6 UEs on 4-RU slices: some pairs cannot zero-force
+    "dedicated": GeneratorConfig(n_services=4, n_slices=3, mean_ues=3.0,
+                                 max_ues=6, n_rus=10, rus_per_slice=4),
+    "shared": GeneratorConfig(n_services=4, n_slices=3, mean_ues=3.0,
+                              max_ues=6, n_rus=10, rus_per_slice=4,
+                              prb_mode="shared", prbs_per_slice=3,
+                              prbs_per_ue=2),
+}
+
+
+def batched_reference(sc, ch):
+    """Every pair's precoder, unmappable text, gain and w2 entries and
+    leakage, built in one zf_beamformer stack per channel shape (R_s, U_v)
+    with PRB overlaps counted from the eligibility triples here."""
+    first_ue = np.cumsum([0] + [sv.n_ues for sv in sc.services])
+    first_slot = np.cumsum([0] + [sl.n_rus for sl in sc.slices])
+    shapes = {}
+    for sl in sc.slices:
+        for sv in sc.services:
+            shapes.setdefault((sl.n_rus, sv.n_ues), []).append((sl.id, sv.id))
+    w, unmappable, leak = {}, {}, {}
+    gain = np.zeros((sc.n_slices, sc.n_ues))
+    w2 = np.zeros((len(sc.ru_slots()), sc.n_ues))
+    for (_n_rus, n_cols), members in shapes.items():
+        ru = np.array([sc.slices[s].ru_ids for s, _v in members], dtype=int)
+        cols = np.array([first_ue[v] for _s, v in members])[:, None] \
+            + np.arange(n_cols)
+        h = ch.gains[ru[:, :, None], cols[:, None, :]]
+        stack, errors = zf_beamformer(h)
+        gains = np.abs(np.einsum("gru,gru->gu", h.conj(), stack)) ** 2
+        for g, (s, v) in enumerate(members):
+            if g in errors:
+                unmappable[(s, v)] = f"{errors[g]} for slice {s}, service {v}"
+                continue
+            w[(s, v)] = stack[g]
+            gain[s, cols[g]] = gains[g]
+            slots = slice(first_slot[s], first_slot[s + 1])
+            w2[slots, cols[g]] = np.abs(stack[g]) ** 2
+    prbs = {}
+    for u, k, s in sc.prb_assignment.triples.tolist():
+        prbs.setdefault((s, u), set()).add(k)
+    for (s, v), wv in w.items():
+        counts = np.zeros((sc.n_ues, sc.services[v].n_ues))
+        for u in range(sc.n_ues):
+            for j, src in enumerate(sc.service_ue_indices(v)):
+                if src != u:
+                    counts[u, j] = len(prbs.get((s, u), set())
+                                       & prbs.get((s, src), set()))
+        victims = np.flatnonzero(counts.any(axis=1))
+        if victims.size:
+            h_conj = ch.gains[list(sc.slices[s].ru_ids)].conj().T
+            cross = np.abs(h_conj @ wv) ** 2 * counts
+            leak[(s, v)] = (victims, cross[victims].sum(axis=1))
+    return w, unmappable, gain, w2, leak
+
+
+@pytest.mark.parametrize("order", ["slice-major", "service-major-reversed"])
+@pytest.mark.parametrize("mode", sorted(LAZY_CONFIGS))
+def test_lazy_pairs_match_batched_reference(mode, order):
+    sc = generate_scenario(LAZY_CONFIGS[mode], seed=3)
+    ch = build_channels(sc)
+    w, unmappable, gain, w2, leak = batched_reference(sc, ch)
+    assert unmappable and w and (mode == "dedicated") == (not leak)
+    pairs = [(s, v) for s in range(sc.n_slices) for v in range(sc.n_services)]
+    if order != "slice-major":
+        pairs = sorted(pairs, key=lambda p: (p[1], p[0]), reverse=True)
+    bf = build_beamformers(sc, ch)
+    for s, v in pairs:
+        # each reader on its own pair: membership, item and leakage
+        assert ((s, v) in bf.unmappable) == ((s, v) in unmappable)
+        if (s, v) in unmappable:
+            assert bf.unmappable[(s, v)] == unmappable[(s, v)]
+            assert (s, v) not in bf.w
+        else:
+            assert np.array_equal(bf.w[(s, v)], w[(s, v)])
+        victims, values = bf.leakage(s, v)
+        want = leak.get((s, v), (np.zeros(0, int), np.zeros(0)))
+        assert np.array_equal(victims, want[0])
+        assert np.array_equal(values, want[1])
+    assert bf.built.all()
+    assert np.array_equal(bf.gain, gain) and np.array_equal(bf.w2, w2)
+    assert dict(bf.unmappable) == unmappable and sorted(bf.w) == sorted(w)
+    assert sorted(bf.leak) == sorted(leak)
+
+
+def test_reading_one_pair_zero_forces_only_that_pair(monkeypatch):
+    sc = generate_scenario(LAZY_CONFIGS["shared"], seed=3)
+    ch = build_channels(sc)
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return zf_beamformer(h)
+
+    monkeypatch.setattr(radio, "zf_beamformer", counted)
+    bf = build_beamformers(sc, ch)
+    assert not calls and not bf.built.any()
+    s, v = 1, min(range(sc.n_services), key=lambda v: sc.services[v].n_ues)
+    precoder = bf.w[(s, v)]
+    assert calls == [(1, sc.slices[s].n_rus, sc.services[v].n_ues)]
+    assert np.argwhere(bf.built).tolist() == [[s, v]]
+    cols = sc.service_ue_indices(v)
+    slots = np.flatnonzero(bf.slot_slice == s)
+    assert np.array_equal(np.argwhere(bf.gain).tolist(),
+                          [[s, u] for u in cols])
+    assert np.array_equal(np.flatnonzero(bf.w2.any(axis=1)), slots)
+    assert np.array_equal(np.flatnonzero(bf.w2.any(axis=0)), cols)
+    assert set(bf.leak) <= {(s, v)}
+    # a second read of the pair, by any reader, builds nothing
+    assert (s, v) not in bf.unmappable and bf.w[(s, v)] is precoder
+    bf.leakage(s, v)
+    assert len(calls) == 1
+    # an evaluator zero-forces the pairs its mapping maps, and only those
+    mapping = identity_mapping(sc)
+    interference_upper_bound(sc, mapping, ch, bf)
+    want = mapping.a.T.astype(bool)
+    want[s, v] = True
+    assert np.array_equal(bf.built, want)
 
 
 # --------------------------------------------------------------------------
