@@ -1,11 +1,13 @@
 """Placement heuristic: weighted demand, affine cost, three-phase packing."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import hand_scenario, identity_mapping
+from conftest import hand_scenario, identity_mapping, placement_config
+from oranslice.cli import _round_robin_mapping
 from oranslice.oracle import exhaustive_placement
 from oranslice.placement import (PlacementWeights, admitted_ratio, cost_phi,
                                  cost_psi, normalized_resource_consumption,
@@ -196,6 +198,175 @@ def test_place_residuals_and_coverage():
             assert np.allclose(got, sc.slices[s].total_demand())
         for s in placement.unadmitted:
             assert not placement.y[s].any()
+
+
+def hex_digest(lines):
+    """Short sha256 of text lines of floats written in hex."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def hex_line(values):
+    return ",".join(float(v).hex() for v in values)
+
+
+# `place` on the placement acceptance sizes, round-robin mapping, with
+# equal (dc_cv 0) and unequal (dc_cv 0.3) data centers: y rows, admitted
+# slices, phi, a digest of the contributions sorted by key and, at dc_cv
+# 0, of the residuals.  At dc_cv 0.3 phase 3 tries moves, and residuals
+# depend on the order in which contributions are subtracted.
+PINNED_PLACES = [
+    ((5, 2, 0.35), 0, 0.0, "split", "11,01,10,10,01", [0, 1, 2, 3, 4],
+     "0x1.1e237830e69cap+12", "fba28a2294fa2713", "018efc5c37f8d721"),
+    ((5, 2, 0.35), 0, 0.0, "single", "00,01,10,10,01", [1, 2, 3, 4],
+     "0x1.bc656ad40a4d7p+11", "845adc5eb6f2d36f", "109c420ef3dc432d"),
+    ((5, 2, 0.35), 0, 0.3, "split", "10,01,10,10,00", [0, 1, 2, 3],
+     "0x1.9fc5fe5e54836p+11", "320707db4d0ff0cb", None),
+    ((5, 2, 0.35), 0, 0.3, "single", "10,01,10,10,00", [0, 1, 2, 3],
+     "0x1.9fc5fe5e54836p+11", "320707db4d0ff0cb", None),
+    ((5, 2, 0.35), 1, 0.0, "split", "01,10,10,10,01", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617dp+11", "3f2677eddb9615b9", "dd1f070b906ac4a4"),
+    ((5, 2, 0.35), 1, 0.0, "single", "01,10,10,10,01", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617dp+11", "3f2677eddb9615b9", "dd1f070b906ac4a4"),
+    ((5, 2, 0.35), 1, 0.3, "split", "01,01,10,10,01", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617cp+11", "a03aac36b3cd79af", None),
+    ((5, 2, 0.35), 1, 0.3, "single", "01,01,10,10,01", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617cp+11", "a03aac36b3cd79af", None),
+    ((5, 2, 0.35), 2, 0.0, "split", "10,10,01,10,01", [0, 1, 2, 3, 4],
+     "0x1.8e011c5bac4a2p+11", "d787f6c8453efa1f", "9e031cf9736a5816"),
+    ((5, 2, 0.35), 2, 0.0, "single", "10,10,01,10,01", [0, 1, 2, 3, 4],
+     "0x1.8e011c5bac4a2p+11", "d787f6c8453efa1f", "9e031cf9736a5816"),
+    ((5, 2, 0.35), 2, 0.3, "split", "00,00,00,10,01", [3, 4],
+     "0x1.681d91a060daap+10", "c34489b75e62a5b1", None),
+    ((5, 2, 0.35), 2, 0.3, "single", "00,00,00,10,01", [3, 4],
+     "0x1.681d91a060daap+10", "c34489b75e62a5b1", None),
+    ((5, 3, 0.35), 0, 0.0, "split", "001,010,100,100,010", [0, 1, 2, 3, 4],
+     "0x1.0aab16cd75e1bp+12", "09f7ca12e4c2c0f3", "2ae666f61b6e811d"),
+    ((5, 3, 0.35), 0, 0.0, "single", "001,010,100,100,010", [0, 1, 2, 3, 4],
+     "0x1.0aab16cd75e1bp+12", "09f7ca12e4c2c0f3", "2ae666f61b6e811d"),
+    ((5, 3, 0.35), 0, 0.3, "split", "001,100,100,100,001", [0, 1, 2, 3, 4],
+     "0x1.fc562d9aebc35p+11", "5309388789db51dc", None),
+    ((5, 3, 0.35), 0, 0.3, "single", "001,100,100,100,001", [0, 1, 2, 3, 4],
+     "0x1.fc562d9aebc35p+11", "5309388789db51dc", None),
+    ((5, 3, 0.35), 1, 0.0, "split", "010,100,100,100,010", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617dp+11", "3f2677eddb9615b9", "12cd0864d64dbeeb"),
+    ((5, 3, 0.35), 1, 0.0, "single", "010,100,100,100,010", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617dp+11", "3f2677eddb9615b9", "12cd0864d64dbeeb"),
+    ((5, 3, 0.35), 1, 0.3, "split", "100,010,010,010,010", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617cp+11", "274ea21ea3c1dfc5", None),
+    ((5, 3, 0.35), 1, 0.3, "single", "100,010,010,010,010", [0, 1, 2, 3, 4],
+     "0x1.7b3408918617cp+11", "274ea21ea3c1dfc5", None),
+    ((5, 3, 0.35), 2, 0.0, "split", "100,100,010,100,010", [0, 1, 2, 3, 4],
+     "0x1.8e011c5bac4a2p+11", "d787f6c8453efa1f", "b0da215a4856f383"),
+    ((5, 3, 0.35), 2, 0.0, "single", "100,100,010,100,010", [0, 1, 2, 3, 4],
+     "0x1.8e011c5bac4a2p+11", "d787f6c8453efa1f", "b0da215a4856f383"),
+    ((5, 3, 0.35), 2, 0.3, "split", "011,001,100,001,100", [0, 1, 2, 3, 4],
+     "0x1.e43d90d50adfbp+11", "5a8d894ae775de1f", None),
+    ((5, 3, 0.35), 2, 0.3, "single", "000,001,100,001,100", [1, 2, 3, 4],
+     "0x1.50c4a7e24db48p+11", "871ce719b8568f0e", None),
+    ((6, 3, 0.2), 0, 0.0, "split", "100,010,001,111,000,000", [0, 1, 2, 3],
+     "0x1.2eeecec120d90p+12", "b3cffa09ab6617bc", "5a9245bb34b63377"),
+    ((6, 3, 0.2), 0, 0.0, "single", "100,010,001,000,000,000", [0, 1, 2],
+     "0x1.767ab372c2392p+11", "445cadf72c9a0115", "1da7c9f034a71334"),
+    ((6, 3, 0.2), 0, 0.3, "split", "100,001,010,111,000,000", [0, 1, 2, 3],
+     "0x1.2eeecec120d90p+12", "715a9e6863b8c858", None),
+    ((6, 3, 0.2), 0, 0.3, "single", "100,001,010,000,000,000", [0, 1, 2],
+     "0x1.767ab372c2392p+11", "8023562c06f2d982", None),
+    ((6, 3, 0.2), 1, 0.0, "split", "110,111,000,010,100,001", [0, 1, 3, 4, 5],
+     "0x1.4e90bee4cc547p+12", "87ef36b49fcaf187", "c8d88cb8e2af69b6"),
+    ((6, 3, 0.2), 1, 0.0, "single", "000,000,000,010,100,001", [3, 4, 5],
+     "0x1.3a769887cbeaap+11", "20681436f1613952", "bf1dc9c65fee2a45"),
+    ((6, 3, 0.2), 1, 0.3, "split", "101,111,000,100,001,010", [0, 1, 3, 4, 5],
+     "0x1.4e90bee4cc547p+12", "55256ca75378ed71", None),
+    ((6, 3, 0.2), 1, 0.3, "single", "000,000,000,100,001,010", [3, 4, 5],
+     "0x1.3a769887cbeaap+11", "4759491fc686d892", None),
+    ((6, 3, 0.2), 2, 0.0, "split", "110,100,001,010,001,000", [0, 1, 2, 3, 4],
+     "0x1.0336f11a7248bp+12", "040728af92fdaf53", "18641d2f5c8f5210"),
+    ((6, 3, 0.2), 2, 0.0, "single", "000,100,001,010,001,000", [1, 2, 3, 4],
+     "0x1.7f5fda166af9ap+11", "878259d6c7af19ef", "c1cbad0025958507"),
+    ((6, 3, 0.2), 2, 0.3, "split", "111,010,001,100,001,000", [0, 1, 2, 3, 4],
+     "0x1.24fa732210aeap+12", "85fd905dec07da0b", None),
+    ((6, 3, 0.2), 2, 0.3, "single", "000,010,001,100,001,000", [1, 2, 3, 4],
+     "0x1.7f5fda166af9ap+11", "22d2c5c9fbc18b92", None),
+    ((7, 3, 0.35), 0, 0.0, "split", "100,010,001,001,100,001,010",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.253634b8ca9f2p+12", "8e9c2f792d449434",
+     "d6792b6a8abca586"),
+    ((7, 3, 0.35), 0, 0.0, "single", "100,010,001,001,100,001,010",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.253634b8ca9f2p+12", "8e9c2f792d449434",
+     "d6792b6a8abca586"),
+    ((7, 3, 0.35), 0, 0.3, "split", "001,010,101,010,100,000,100",
+     [0, 1, 2, 3, 4, 6], "0x1.249d8fe9ff9d5p+12", "991bbce5b315722b", None),
+    ((7, 3, 0.35), 0, 0.3, "single", "001,010,000,010,100,000,100",
+     [0, 1, 3, 4, 6], "0x1.e15c79a3792b4p+11", "68314bdc8cff8610", None),
+    ((7, 3, 0.35), 1, 0.0, "split", "001,010,100,100,010,100,010",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.211b7b2028f40p+12", "6db6c0085043017e",
+     "e170ebf8fe286abe"),
+    ((7, 3, 0.35), 1, 0.0, "single", "001,010,100,100,010,100,010",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.211b7b2028f40p+12", "6db6c0085043017e",
+     "e170ebf8fe286abe"),
+    ((7, 3, 0.35), 1, 0.3, "split", "010,001,100,100,010,001,001",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.211b7b2028f40p+12", "1baa01609321ffd6", None),
+    ((7, 3, 0.35), 1, 0.3, "single", "010,001,100,100,010,001,001",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.211b7b2028f40p+12", "1baa01609321ffd6", None),
+    ((7, 3, 0.35), 2, 0.0, "split", "001,100,010,100,010,100,010",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.21530ea776ff6p+12", "e0920f002943bc5c",
+     "f07b54de626182f7"),
+    ((7, 3, 0.35), 2, 0.0, "single", "001,100,010,100,010,100,010",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.21530ea776ff6p+12", "e0920f002943bc5c",
+     "f07b54de626182f7"),
+    ((7, 3, 0.35), 2, 0.3, "split", "010,001,100,010,100,010,100",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.21530ea776ff6p+12", "be00ba054a0a560f", None),
+    ((7, 3, 0.35), 2, 0.3, "single", "010,001,100,010,100,010,100",
+     [0, 1, 2, 3, 4, 5, 6], "0x1.21530ea776ff6p+12", "be00ba054a0a560f", None),
+    ((6, 4, 1.0), 0, 0.0, "split", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.06e3959f6d971p+12", "303f611cb1ad8126",
+     "5494bcb508433492"),
+    ((6, 4, 1.0), 0, 0.0, "single", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.06e3959f6d971p+12", "303f611cb1ad8126",
+     "5494bcb508433492"),
+    ((6, 4, 1.0), 0, 0.3, "split", "0001,0001,0001,0001,0001,0001",
+     [0, 1, 2, 3, 4, 5], "0x1.06e3959f6d971p+12", "9bf654d91ab58cb0", None),
+    ((6, 4, 1.0), 0, 0.3, "single", "0001,0001,0001,0001,0001,0001",
+     [0, 1, 2, 3, 4, 5], "0x1.06e3959f6d971p+12", "9bf654d91ab58cb0", None),
+    ((6, 4, 1.0), 1, 0.0, "split", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.d4cb291ac7dbap+11", "770f84a95e32ed02",
+     "c0deaa3cd0cf49c9"),
+    ((6, 4, 1.0), 1, 0.0, "single", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.d4cb291ac7dbap+11", "770f84a95e32ed02",
+     "c0deaa3cd0cf49c9"),
+    ((6, 4, 1.0), 1, 0.3, "split", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.d4cb291ac7dbap+11", "770f84a95e32ed02", None),
+    ((6, 4, 1.0), 1, 0.3, "single", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.d4cb291ac7dbap+11", "770f84a95e32ed02", None),
+    ((6, 4, 1.0), 2, 0.0, "split", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.c286d8fde3e19p+11", "56cad1a5995f2a0c",
+     "e748654936c67632"),
+    ((6, 4, 1.0), 2, 0.0, "single", "1000,1000,1000,1000,1000,1000",
+     [0, 1, 2, 3, 4, 5], "0x1.c286d8fde3e19p+11", "56cad1a5995f2a0c",
+     "e748654936c67632"),
+    ((6, 4, 1.0), 2, 0.3, "split", "0010,0010,0010,0010,0010,0010",
+     [0, 1, 2, 3, 4, 5], "0x1.c286d8fde3e19p+11", "2b7cfb367522125e", None),
+    ((6, 4, 1.0), 2, 0.3, "single", "0010,0010,0010,0010,0010,0010",
+     [0, 1, 2, 3, 4, 5], "0x1.c286d8fde3e19p+11", "2b7cfb367522125e", None),
+]
+
+
+@pytest.mark.parametrize("size, seed, dc_cv, mode, y, admitted, phi,"
+                         " contributions, residuals", PINNED_PLACES)
+def test_place_pinned(size, seed, dc_cv, mode, y, admitted, phi,
+                      contributions, residuals):
+    sc = generate_scenario(replace(placement_config(*size), dc_cv=dc_cv),
+                           seed=seed)
+    placement = place(sc, _round_robin_mapping(sc),
+                      single_dc=mode == "single")
+    pieces = placement.contributions
+    rows = ",".join("".join(map(str, r)) for r in placement.y.tolist())
+    assert (rows, placement.admitted, cost_phi(sc, placement).hex(),
+            hex_digest(f"{s},{d}:{hex_line(pieces[s, d])}"
+                       for s, d in sorted(pieces))) \
+        == (y, admitted, phi, contributions)
+    if residuals is not None:
+        assert hex_digest(map(hex_line, placement.residuals(sc))) \
+            == residuals
 
 
 # ---------------------------------------------------------- normalization
