@@ -144,7 +144,7 @@ def cmd_generate(args) -> int:
     except ScenarioError as exc:
         raise CliError(2, f"bad config: {exc}")
     sc = generate_scenario(config, seed=args.seed)
-    # what was drawn can still overflow, as the arrival rates can
+    # GeneratorConfig bounds every draw; this is the backstop
     if problems := validate(sc):
         raise CliError(2, "bad config: it draws an "
                           + invalid_scenario_text(problems))
@@ -278,14 +278,14 @@ def cmd_place(args) -> int:
     payload = {
         "schema": 1,
         "y": placement.y.tolist(),
-        "admitted": sorted(placement.admitted),
-        "unadmitted": sorted(placement.unadmitted),
+        "admitted": placement.admitted,
+        "unadmitted": placement.unadmitted,
         "admitted_ratio": ratio,
         "phi_tot": phi,
         "psi_tot": psi,
         "consumption": normalized_resource_consumption(sc, placement),
-        "residuals": {str(d.id): placement.residuals(sc)[d.id].tolist()
-                      for d in sc.dcs},
+        "residuals": {str(d): row for d, row in
+                      enumerate(placement.residuals(sc).tolist())},
     }
 
     if args.oracle:

@@ -6,19 +6,18 @@ for ranking and for the affine power model.  The heuristic runs three
 phases: whole-slice first-fit by decreasing weighted demand, resource-
 wise splitting of whatever did not fit, and a consolidation pass that
 moves slices onto the smallest data center that can hold them entirely
-whenever that does not increase power draw.
+whenever that does not increase power draw.  Each split and move is
+judged before it is applied, so nothing is ever undone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import DataCenter, Scenario, Slice
 from .radio import SliceMapping
-
-RESOURCES = ("memory_gb", "storage_tb", "cpu_ghz")
 
 
 @dataclass(frozen=True)
@@ -33,26 +32,11 @@ class PlacementWeights:
         return self.w_mem * mem + self.w_sto * sto + self.w_cpu * cpu
 
 
-@dataclass(frozen=True)
-class SliceDemand:
-    slice_id: int
-    memory_gb: float
-    storage_tb: float
-    cpu_ghz: float
-    weighted: float
-
-    def triple(self) -> np.ndarray:
-        return np.array([self.memory_gb, self.storage_tb, self.cpu_ghz])
-
-
 def weighted_demand(sl: Slice,
                     weights: PlacementWeights = PlacementWeights(),
-                    ) -> SliceDemand:
-    """Total demand of one slice's VNF chain, plus its scalarization."""
-    mem, sto, cpu = sl.total_demand()
-    return SliceDemand(slice_id=sl.id, memory_gb=mem, storage_tb=sto,
-                       cpu_ghz=cpu,
-                       weighted=weights.combine(mem, sto, cpu))
+                    ) -> float:
+    """Scalarized total demand of one slice's VNF chain."""
+    return weights.combine(*sl.total_demand())
 
 
 def weighted_capacity(dc: DataCenter,
@@ -72,8 +56,10 @@ class Placement:
 
     `y[s, d] = 1` when DC d hosts (part of) slice s.  `contributions`
     maps (slice_id, dc_id) to the (memory, storage, cpu) amount actually
-    hosted there, so split slices are fully accounted.  `weights` records
-    the scalarization used, because the power model depends on it.
+    hosted there, in hosting order, so split slices are fully accounted.
+    `admitted` and `unadmitted` list the active slices with and without
+    a host, ascending.  `weights` records the scalarization used, because
+    the power model depends on it.
     """
 
     y: np.ndarray                         # (n_slices, n_dcs) int8
@@ -81,7 +67,6 @@ class Placement:
     admitted: list[int]
     unadmitted: list[int]
     weights: PlacementWeights
-    single_dc: bool = False
 
     def residuals(self, sc: Scenario) -> np.ndarray:
         """Remaining (memory, storage, cpu) per DC after all contributions."""
@@ -95,19 +80,27 @@ class Placement:
         return [d for d in range(self.y.shape[1]) if self.y[slice_id, d]]
 
 
+def _phi(sc: Scenario, y: np.ndarray, omega: list[float]) -> float:
+    """Power of hosting map y given each slice's weighted demand omega.
+
+    DCs are summed in id order and each DC's slices ascending, so equal
+    maps give bit-equal sums.
+    """
+    total = 0.0
+    for dc in sc.dcs:
+        hosted = np.flatnonzero(y[:, dc.id])
+        if hosted.size:
+            total += dc.phi_idle
+            for s in hosted:
+                total += dc.phi_per_unit * omega[s]
+    return total
+
+
 def cost_phi(sc: Scenario, placement: Placement) -> float:
     """Total placement power: idle draw once per active DC plus a
     per-unit charge of the full weighted demand at every hosting pair."""
-    demands = {sl.id: weighted_demand(sl, placement.weights)
-               for sl in sc.slices}
-    total = 0.0
-    for dc in sc.dcs:
-        hosted = [s for s in range(sc.n_slices) if placement.y[s, dc.id]]
-        if hosted:
-            total += dc.phi_idle
-            for s in hosted:
-                total += dc.phi_per_unit * demands[s].weighted
-    return total
+    return _phi(sc, placement.y, [weighted_demand(sl, placement.weights)
+                                  for sl in sc.slices])
 
 
 def cost_psi(sc: Scenario, mapping: SliceMapping, placement: Placement,
@@ -136,105 +129,80 @@ def place(sc: Scenario, mapping: SliceMapping,
     Phase 1 sorts slices by weighted demand (descending) and DCs by
     weighted capacity (descending), then first-fits each slice wholly
     into the first DC whose residuals cover all three resources.
-    Phase 2 (skipped in single-DC mode) splits each leftover slice
-    resource-wise across DCs in the same order, rolling back entirely if
-    the pooled residuals cannot finish it.  Phase 3 re-homes each placed
-    slice onto the smallest-capacity DC that can hold it in one piece,
-    accepting only moves that do not increase total power.  Ties
-    everywhere break on lower id.
+    Phase 2 (skipped in single-DC mode) works out a resource-wise split
+    of each leftover slice across DCs in the same order, and hosts it
+    only if the residuals cover the whole demand.  Phase 3 re-homes each
+    placed slice onto the smallest-capacity DC below its largest current
+    one that can hold it in one piece, if the move does not increase
+    total power.  Ties everywhere break on lower id.
     """
-    demands = {sl.id: weighted_demand(sl, weights) for sl in sc.slices}
-    order = sorted(active_slice_ids(sc, mapping),
-                   key=lambda s: (-demands[s].weighted, s))
-    dc_order = sorted(range(len(sc.dcs)),
-                      key=lambda d: (-weighted_capacity(sc.dcs[d], weights), d))
+    omega = [weighted_demand(sl, weights) for sl in sc.slices]
+    need = [np.array(sl.total_demand(), dtype=float) for sl in sc.slices]
+    caps = [weighted_capacity(dc, weights) for dc in sc.dcs]
+    active = active_slice_ids(sc, mapping)
+    order = sorted(active, key=lambda s: (-omega[s], s))
+    largest_first = sorted(range(len(sc.dcs)), key=lambda d: (-caps[d], d))
+    smallest_first = sorted(range(len(sc.dcs)), key=lambda d: (caps[d], d))
     residual = np.array([[dc.memory_gb, dc.storage_tb, dc.cpu_ghz]
                          for dc in sc.dcs], dtype=float)
-
-    placement = Placement(
-        y=np.zeros((sc.n_slices, len(sc.dcs)), dtype=np.int8),
-        contributions={}, admitted=[], unadmitted=[], weights=weights,
-        single_dc=single_dc)
+    y = np.zeros((sc.n_slices, len(sc.dcs)), dtype=np.int8)
+    contributions: dict[tuple[int, int], np.ndarray] = {}
 
     def host(s: int, d: int, amount: np.ndarray) -> None:
-        placement.y[s, d] = 1
-        placement.contributions[(s, d)] = amount.astype(float)
+        y[s, d] = 1
+        contributions[(s, d)] = amount
         residual[d] -= amount
 
     # Phase 1: whole-slice first fit, largest first.
-    leftover = []
     for s in order:
-        need = demands[s].triple()
-        for d in dc_order:
-            if np.all(residual[d] >= need - 1e-12):
-                host(s, d, need)
-                placement.admitted.append(s)
+        for d in largest_first:
+            if np.all(residual[d] >= need[s] - 1e-12):
+                host(s, d, need[s])
                 break
-        else:
-            leftover.append(s)
 
     # Phase 2: resource-wise split of whatever is left.
-    for s in ([] if single_dc else leftover):
-        need = demands[s].triple().copy()
-        taken: list[tuple[int, np.ndarray]] = []
-        for d in dc_order:
-            if np.all(need <= 1e-12):
+    for s in ([] if single_dc else order):
+        if y[s].any():
+            continue
+        rest, pieces = need[s], []
+        for d in largest_first:
+            if np.all(rest <= 1e-12):
                 break
-            give = np.minimum(np.maximum(residual[d], 0.0), need)
+            give = np.minimum(np.maximum(residual[d], 0.0), rest)
             if np.any(give > 1e-12):
-                taken.append((d, give.copy()))
-                residual[d] -= give
-                need -= give
-        if np.all(need <= 1e-12):
-            for d, give in taken:
-                placement.y[s, d] = 1
-                placement.contributions[(s, d)] = give
-            placement.admitted.append(s)
-        else:
-            for d, give in taken:      # roll back: no partial admissions
-                residual[d] += give
-    placement.unadmitted = [s for s in order if s not in placement.admitted]
+                pieces.append((d, give))
+                rest = rest - give
+        if np.all(rest <= 1e-12):          # no partial admissions
+            for d, give in pieces:
+                host(s, d, give)
 
     # Phase 3: consolidate onto the smallest DC that fits the whole slice.
     for s in order:
-        if s not in placement.admitted:
+        current = np.flatnonzero(y[s])
+        if not current.size:
             continue
-        current = placement.dcs_of_slice(s)
-        need = demands[s].triple()
-        current_max_cap = max(weighted_capacity(sc.dcs[d], weights)
-                              for d in current)
-        candidates = sorted(
-            range(len(sc.dcs)),
-            key=lambda d: (weighted_capacity(sc.dcs[d], weights), d))
-        for d in candidates:
-            cap_d = weighted_capacity(sc.dcs[d], weights)
-            if cap_d >= current_max_cap:
+        largest = max(caps[d] for d in current)
+        for d in smallest_first:
+            if caps[d] >= largest:
                 break
-            freed = placement.contributions.get((s, d), np.zeros(3))
-            if not np.all(residual[d] + freed >= need - 1e-12):
+            freed = contributions.get((s, d), 0.0)
+            if not np.all(residual[d] + freed >= need[s] - 1e-12):
                 continue
-            before = cost_phi(sc, placement)
-            saved = {dd: placement.contributions.pop((s, dd))
-                     for dd in current}
-            for dd, amount in saved.items():
-                residual[dd] += amount
-                placement.y[s, dd] = 0
-            host(s, d, need)
-            if cost_phi(sc, placement) <= before + 1e-12:
-                break
-            # revert: the move would cost power
-            placement.contributions.pop((s, d))
-            placement.y[s, d] = 0
-            residual[d] += need
-            for dd, amount in saved.items():
-                residual[dd] -= amount
-                placement.y[s, dd] = 1
-                placement.contributions[(s, dd)] = amount
+            moved = y.copy()
+            moved[s] = 0
+            moved[s, d] = 1
+            if _phi(sc, moved, omega) <= _phi(sc, y, omega) + 1e-12:
+                for dd in current:
+                    residual[dd] += contributions.pop((s, dd))
+                y[s] = 0
+                host(s, d, need[s])
             break
 
-    placement.admitted.sort()
-    placement.unadmitted.sort()
-    return placement
+    hosted = y.any(axis=1)
+    return Placement(y=y, contributions=contributions,
+                     admitted=[s for s in active if hosted[s]],
+                     unadmitted=[s for s in active if not hosted[s]],
+                     weights=weights)
 
 
 def admitted_ratio(sc: Scenario, mapping: SliceMapping, placement: Placement,
@@ -247,12 +215,9 @@ def admitted_ratio(sc: Scenario, mapping: SliceMapping, placement: Placement,
     active = active_slice_ids(sc, mapping)
     if not active:
         return 1.0
-    good = 0
-    for s in active:
-        hosts = placement.dcs_of_slice(s)
-        if s in placement.admitted and (len(hosts) == 1 or not single_dc_mode):
-            good += 1
-    return good / len(active)
+    hosts = placement.y[active].sum(axis=1)
+    good = hosts == 1 if single_dc_mode else hosts > 0
+    return int(good.sum()) / len(active)
 
 
 def normalized_resource_consumption(sc: Scenario, placement: Placement,

@@ -492,6 +492,13 @@ class GeneratorConfig:
                         f"{prefix}cv x {prefix}{name} must keep the draws "
                         f"finite: {prefix}cv={cv!r} with {prefix}{name}="
                         f"{mean!r} can draw beyond {FLOAT.max:.6g}")
+        if self.arrival_rate_mean * (1 + self.arrival_rate_spread) > FLOAT.max:
+            raise ScenarioError(
+                f"arrival_rate_mean x (1 + arrival_rate_spread) must keep "
+                f"the draws finite: arrival_rate_mean="
+                f"{self.arrival_rate_mean!r} with arrival_rate_spread="
+                f"{self.arrival_rate_spread!r} can draw beyond "
+                f"{FLOAT.max:.6g}")
         why = path_gain_problem(self.pl0, self.pl_d0_m, self.pl_d_min_m,
                                 self.pl_exponent,
                                 math.hypot(self.region_m, self.region_m),

@@ -169,7 +169,8 @@ def test_generate_rejects_non_object_config(tmp_path, capsys):
      "slice_cv x slice_memory_gb must keep the draws finite"),
     ({"dc_cv": 1e308}, [], "dc_cv x dc_memory_gb must keep the draws finite"),
     ({"arrival_rate_mean": 1.7e308}, [],
-     "draws an invalid scenario: service 0 UE"),
+     "arrival_rate_mean x (1 + arrival_rate_spread) must keep the draws "
+     "finite"),
     ({"c_max": 10 ** 30}, [], "c_max must be finite, a float or an int64"),
 ], ids=["float-count", "negative-power", "empty-prb-pool", "negative-seed",
         "negative-region", "negative-arrival-mean", "wide-arrival-spread",
@@ -188,6 +189,26 @@ def test_generate_rejects_bad_config(tmp_path, capsys, config, argv, needle):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and needle in err
+    assert not out.exists()
+
+
+def test_generate_validates_what_it_draws(tmp_path, capsys, monkeypatch):
+    # GeneratorConfig bounds every draw; should a draw still overflow,
+    # the drawn scenario's validation rejects it before anything is written
+    def overflowing(config, seed):
+        sc = generate_scenario(config, seed)
+        ue = dataclasses.replace(sc.services[0].ues[0],
+                                 arrival_rate=float("inf"))
+        service = dataclasses.replace(sc.services[0],
+                                      ues=(ue, *sc.services[0].ues[1:]))
+        return dataclasses.replace(sc, services=(service, *sc.services[1:]))
+
+    monkeypatch.setattr(cli, "generate_scenario", overflowing)
+    out = tmp_path / "sc.json"
+    code = main(["generate", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "draws an invalid scenario: service 0 UE" in err
     assert not out.exists()
 
 
@@ -766,12 +787,17 @@ def test_experiment_needs_output_path(tmp_path, capsys):
     {"kind": "admitted_vs_slices", "x_values": [4], "series": [2],
      "overrides": {"dc_cv": 1e308}},
     {"kind": "consumption_vs_slices", "overrides": {"slice_cv": 1e308}},
+    {"x_values": [2], "series": [3],
+     "overrides": {"arrival_rate_mean": 1.7e308}},
+    {"kind": "admitted_vs_slices", "x_values": [4], "series": [2],
+     "overrides": {"arrival_rate_mean": 1.7e308}},
 ], ids=["seed-string", "x-string", "x-negative", "series-zero",
         "override-unknown", "override-not-object", "nu-string",
         "x-beyond-poisson", "admitted-negative-slice-demand",
         "consumption-negative-slice-demand", "overflowing-power-model",
         "overflowing-nu", "negative-dc-capacity", "int-beyond-int64",
-        "overflowing-dc-draw", "overflowing-slice-draw"])
+        "overflowing-dc-draw", "overflowing-slice-draw",
+        "overflowing-arrival-draw", "placement-overflowing-arrival-draw"])
 def test_experiment_rejects_malformed_spec(tmp_path, capsys, fields):
     out = tmp_path / "x.csv"
     spec = tmp_path / "spec.json"

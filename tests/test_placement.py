@@ -1,6 +1,7 @@
 """Placement heuristic: weighted demand, affine cost, three-phase packing."""
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -28,19 +29,19 @@ def test_weighted_demand_mean_slice():
     # 100 + 1000 + 10240 = 11340; the mean DC is ten such slices
     sc = hand_scenario()
     d = weighted_demand(sc.slices[0])
-    assert d.weighted == pytest.approx(11340.0)
+    assert d == pytest.approx(11340.0)
     assert weighted_capacity(sc.dcs[0]) == pytest.approx(113400.0)
 
 
 def test_weighted_demand_memory_only():
     sc = hand_scenario()
     d = weighted_demand(sc.slices[0], PlacementWeights(1.0, 0.0, 0.0))
-    assert d.weighted == pytest.approx(100.0)
+    assert d == pytest.approx(100.0)
 
 
 def test_weighted_demand_zero():
     sc = hand_scenario(vnf_demand=(0.0, 0.0, 0.0))
-    assert weighted_demand(sc.slices[0]).weighted == 0.0
+    assert weighted_demand(sc.slices[0]) == 0.0
 
 
 # ------------------------------------------------------------------ cost
@@ -144,7 +145,7 @@ def test_place_consolidates_onto_smaller_dc():
     sc = consolidation_scenario(small_idle=1.0)
     placement = place(sc, one_on_one())
     assert placement.dcs_of_slice(0) == [1]
-    omega = weighted_demand(sc.slices[0]).weighted
+    omega = weighted_demand(sc.slices[0])
     assert cost_phi(sc, placement) == pytest.approx(1.0 + omega)
 
 
@@ -186,8 +187,11 @@ def test_place_deterministic():
 
 
 def test_place_residuals_and_coverage():
-    cfg = scarce_config()
-    for seed in range(8):
+    # the scarce config's two DCs are equal, so phase 3 never moves a
+    # slice there; with unequal DCs it applies 6 moves and rejects 14
+    unequal_dcs = replace(placement_config(5, 3, 0.35), dc_cv=0.3)
+    for cfg, seed in itertools.product((scarce_config(), unequal_dcs),
+                                       range(8)):
         sc = generate_scenario(cfg, seed=seed)
         mapping = identity_mapping(sc)
         placement = place(sc, mapping)
