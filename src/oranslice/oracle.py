@@ -81,26 +81,10 @@ def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     out = np.zeros(sc.n_ues)
     for sv in sc.services:
         v = sv.id
-        idx_v = sc.service_ue_indices(v)
-        for pos_i, u_i in enumerate(idx_v):
+        for u_i in sc.service_ue_indices(v):
             total = 0.0
-            # same-service leakage
-            for sl in sc.slices:
-                s = sl.id
-                if not mapping.a[v, s] or (s, v) not in bf.w:
-                    continue
-                for n in range(n_prbs):
-                    for pos_l, u_l in enumerate(idx_v):
-                        if pos_l == pos_i:
-                            continue
-                        if (u_i, n, s) in zeta and (u_l, n, s) in zeta:
-                            total += sc.params.p_max * _cross_gain(
-                                sc, ch, bf, s, u_i, v, pos_l)
-            # other-service leakage
-            for sy in sc.services:
-                y = sy.id
-                if y == v:
-                    continue
+            # leakage from the UE's own service first, then the others
+            for y in [v] + [sy.id for sy in sc.services if sy.id != v]:
                 idx_y = sc.service_ue_indices(y)
                 for sl in sc.slices:
                     s = sl.id
@@ -108,7 +92,8 @@ def _naive_interference(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                         continue
                     for n in range(n_prbs):
                         for pos_l, u_l in enumerate(idx_y):
-                            if (u_i, n, s) in zeta and (u_l, n, s) in zeta:
+                            if (u_l != u_i and (u_i, n, s) in zeta
+                                    and (u_l, n, s) in zeta):
                                 total += sc.params.p_max * _cross_gain(
                                     sc, ch, bf, s, u_i, y, pos_l)
             # quantization noise of serving slices
@@ -146,18 +131,30 @@ def _naive_rates(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     return out
 
 
-def _naive_slot_powers(sc: Scenario, mapping: SliceMapping,
-                       bf: BeamformerSet,
-                       powers: PowerAllocation) -> np.ndarray:
-    out = []
-    for s, j, rid in sc.ru_slots():
-        total = sc.rus[rid].sigma_q2
+def _naive_slot_weights(sc: Scenario, mapping: SliceMapping,
+                        bf: BeamformerSet) -> np.ndarray:
+    """weights[k, u] = |w|^2 of UE u at (slice, RU) slot k when UE u's
+    service is mapped to the slot's slice with a precoder, else 0.0."""
+    out = np.zeros((len(sc.ru_slots()), sc.n_ues))
+    for k, (s, j, rid) in enumerate(sc.ru_slots()):
         for sv in sc.services:
             if not mapping.a[sv.id, s] or (s, sv.id) not in bf.w:
                 continue
             w = bf.w[(s, sv.id)]
             for pos, u in enumerate(sc.service_ue_indices(sv.id)):
-                total += abs(w[j, pos]) ** 2 * powers.p[u]
+                out[k, u] += abs(w[j, pos]) ** 2
+    return out
+
+
+def _naive_slot_powers(sc: Scenario, mapping: SliceMapping,
+                       bf: BeamformerSet,
+                       powers: PowerAllocation) -> np.ndarray:
+    weights = _naive_slot_weights(sc, mapping, bf)
+    out = []
+    for k, (_s, _j, rid) in enumerate(sc.ru_slots()):
+        total = sc.rus[rid].sigma_q2
+        for u in range(sc.n_ues):
+            total += weights[k, u] * powers.p[u]
         out.append(total)
     return np.array(out)
 
@@ -205,6 +202,7 @@ def dual_bound(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         return -math.inf
     ibar = _naive_interference(sc, mapping, ch, bf)
     noise = params.bandwidth_hz * params.noise_psd
+    slot_w = _naive_slot_weights(sc, mapping, bf)
     total = 0.0
     for k, (s, j, rid) in enumerate(sc.ru_slots()):
         sigma = sc.rus[rid].sigma_q2
@@ -220,10 +218,8 @@ def dual_bound(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         for pos, u in enumerate(sc.service_ue_indices(sv.id)):
             g = _naive_beam_gain(sc, mapping, ch, bf, sv.id, pos, u)
             price = 0.0
-            for k, (s, j, rid) in enumerate(sc.ru_slots()):
-                if mapping.a[sv.id, s] and (s, sv.id) in bf.w:
-                    price += ((eta + mults.ru_cap_slot[k])
-                              * abs(bf.w[(s, sv.id)][j, pos]) ** 2)
+            for k in range(len(slot_w)):
+                price += (eta + mults.ru_cap_slot[k]) * slot_w[k, u]
             y = (weight + mults.rate_ue[u]) * params.bandwidth_hz
             z = noise + ibar[u]
             # y log2(1 + g p / z) - price p is concave in p: its maximizer
@@ -338,14 +334,7 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
             for sv in sc.services
             for pos, u in enumerate(sc.service_ue_indices(sv.id))])
         z = noise + ibar
-        slot_w = np.zeros((len(sc.ru_slots()), sc.n_ues))
-        for k, (s, j, rid) in enumerate(sc.ru_slots()):
-            for sv in sc.services:
-                if not mapping.a[sv.id, s] or (s, sv.id) not in bf.w:
-                    continue
-                w = bf.w[(s, sv.id)]
-                for pos, u in enumerate(sc.service_ue_indices(sv.id)):
-                    slot_w[k, u] += abs(w[j, pos]) ** 2
+        slot_w = _naive_slot_weights(sc, mapping, bf)
         sigma2 = np.array([sc.rus[rid].sigma_q2
                            for _s, _j, rid in sc.ru_slots()])
         fh_cap = sigma2 * np.exp2(params.c_max)

@@ -76,9 +76,6 @@ class Placement:
             out[d] -= amount
         return out
 
-    def dcs_of_slice(self, slice_id: int) -> list[int]:
-        return [d for d in range(self.y.shape[1]) if self.y[slice_id, d]]
-
 
 def _phi(sc: Scenario, y: np.ndarray, omega: list[float]) -> float:
     """Power of hosting map y given each slice's weighted demand omega.
@@ -220,22 +217,12 @@ def admitted_ratio(sc: Scenario, mapping: SliceMapping, placement: Placement,
     return int(good.sum()) / len(active)
 
 
-def normalized_resource_consumption(sc: Scenario, placement: Placement,
-                                    reference_phi: float | None = None,
-                                    ) -> float:
-    """Placement power relative to a reference.
-
-    With `reference_phi` given (e.g. an exhaustive-search optimum) the
-    value is heuristic/reference, 1.0 meaning parity.  Otherwise the
-    reference is the power of running every DC fully loaded, making the
-    value a capacity-utilization figure for large instances.
-    """
-    phi = cost_phi(sc, placement)
-    if reference_phi is None:
-        reference_phi = sum(
-            dc.phi_idle + dc.phi_per_unit * weighted_capacity(
-                dc, placement.weights)
-            for dc in sc.dcs)
-    if reference_phi <= 0:
+def normalized_resource_consumption(sc: Scenario,
+                                    placement: Placement) -> float:
+    """Placement power relative to the power of running every DC fully
+    loaded, a capacity-utilization figure for large instances."""
+    reference = sum(dc.phi_idle + dc.phi_per_unit * weighted_capacity(
+        dc, placement.weights) for dc in sc.dcs)
+    if reference <= 0:
         return 0.0
-    return phi / reference_phi
+    return cost_phi(sc, placement) / reference

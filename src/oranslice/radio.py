@@ -61,37 +61,28 @@ def build_channels(sc: Scenario) -> ChannelSet:
     return ChannelSet(gains=np.sqrt(large) * small)
 
 
-def zf_beamformer(h: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Zero-forcing precoders W = H (H^H H)^(-1) for a stack of R x U
-    channels, shape (n, R, U), with one product, eigenvalue and inverse
-    call each for the whole stack.
+def zf_beamformer(h: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+    """Zero-forcing precoder W = H (H^H H)^(-1) of an R x U channel.
 
-    Member g satisfies H^H W = I when R >= U and its normal matrix is
-    well conditioned: the ratio of the Hermitian normal matrix's extreme
-    eigenvalues is at most CONDITION_CAP.  Returns the stacked precoders
-    and, for each member that has none (its precoder is left zero), the
-    reason.
+    H^H W = I when R >= U and the normal matrix is well conditioned: the
+    ratio of the Hermitian normal matrix's extreme eigenvalues is at most
+    CONDITION_CAP.  Returns (W, None), or (None, the reason) when the
+    channel has no precoder.
     """
     h = np.asarray(h, dtype=complex)
-    n, n_rus, n_ues = h.shape
+    n_rus, n_ues = h.shape
     if n_rus < n_ues:
-        return np.zeros_like(h), dict.fromkeys(
-            range(n), f"{n_rus} radio units cannot zero-force {n_ues} UEs")
-    normal = h.conj().transpose(0, 2, 1) @ h
-    good = np.ones(n, dtype=bool)
+        return None, f"{n_rus} radio units cannot zero-force {n_ues} UEs"
+    normal = h.conj().T @ h
     if n_ues > 0:
         lam = np.linalg.eigvalsh(normal)            # ascending
-        lo, hi = lam[:, 0], lam[:, -1]
-        good = (lo > 0) & (hi <= CONDITION_CAP * lo)
-    if good.all():
-        return h @ np.linalg.inv(normal), {}
-    w = np.zeros_like(h)
-    w[good] = h[good] @ np.linalg.inv(normal[good])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond = np.where(lo > 0, hi / lo, np.inf)
-    return w, {int(g): f"channel normal matrix condition {cond[g]:.3g} "
-                       f"exceeds {CONDITION_CAP:.0e}"
-               for g in np.flatnonzero(~good)}
+        lo, hi = lam[0], lam[-1]
+        if not (lo > 0 and hi <= CONDITION_CAP * lo):
+            with np.errstate(over="ignore"):
+                cond = hi / lo if lo > 0 else np.inf
+            return None, (f"channel normal matrix condition {cond:.3g} "
+                          f"exceeds {CONDITION_CAP:.0e}")
+    return h @ np.linalg.inv(normal), None
 
 
 class PairTable(Mapping):
@@ -136,8 +127,7 @@ class BeamformerSet:
     * `slot_slice[k]`, `slot_ru[k]` and `slot_sigma[k]` are the slice,
       the RU id and the RU's quantization noise variance of (slice, RU)
       slot k, in `Scenario.ru_slots()` order;
-    * slice s's slots are `first_slot[s]` up to `first_slot[s + 1]`, and
-      service v's UEs `first_ue[v]` up to `first_ue[v + 1]`;
+    * slice s's slots are `first_slot[s]` up to `first_slot[s + 1]`;
     * `leak[(s, v)]` is (victims, values): per unit transmit power, the
       PRB-overlap weighted leakage of pair (s, v)'s streams into each
       victim UE, excluding the UE's own stream, victims ascending.  Only
@@ -157,7 +147,6 @@ class BeamformerSet:
             [sc.rus[rid].sigma_q2 for rid in self.slot_ru])
         self.first_slot = first = np.cumsum([0] + [sl.n_rus
                                                    for sl in sc.slices])
-        self.first_ue = np.cumsum([0] + [sv.n_ues for sv in sc.services])
         self.quant = np.zeros((sc.n_slices, sc.n_ues))
         with np.errstate(over="ignore"):    # noise beyond range drowns UEs
             for s in range(sc.n_slices):
@@ -204,13 +193,12 @@ class BeamformerSet:
         sc, ch = self.sc, self.ch
         self.built[s, v] = True
         slots = slice(self.first_slot[s], self.first_slot[s + 1])
-        ues = slice(self.first_ue[v], self.first_ue[v + 1])
+        ues = slice(sc.first_ue[v], sc.first_ue[v + 1])
         rus = self.slot_ru[slots]
         h = ch.gains[rus, ues]
-        (w,), errors = zf_beamformer(h[None])
-        if errors:
-            self._unmappable[(s, v)] = (f"{errors[0]} for slice {s}, "
-                                        f"service {v}")
+        w, why = zf_beamformer(h)
+        if w is None:
+            self._unmappable[(s, v)] = f"{why} for slice {s}, service {v}"
             return
         self._w[(s, v)] = w
         self.gain[s, ues] = np.abs(np.einsum("ru,ru->u", h.conj(), w)) ** 2
@@ -286,10 +274,6 @@ class SliceMapping:
 
     def __post_init__(self):
         self.a = np.ascontiguousarray(self.a, dtype=np.int8)
-
-    @classmethod
-    def empty(cls, sc: Scenario) -> "SliceMapping":
-        return cls(a=np.zeros((sc.n_services, sc.n_slices), dtype=np.int8))
 
     def covered(self) -> np.ndarray:
         return self.a.sum(axis=1) >= 1

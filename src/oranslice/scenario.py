@@ -348,19 +348,19 @@ class Scenario:
         return len(self.slices)
 
     @functools.cached_property
+    def first_ue(self) -> np.ndarray:
+        """Global index of each service's first UE, then n_ues: service
+        v's UEs are first_ue[v] up to first_ue[v + 1] (read-only)."""
+        return _frozen(np.cumsum([0] + [sv.n_ues for sv in self.services]),
+                       dtype=int)
+
+    @functools.cached_property
     def n_ues(self) -> int:
-        return sum(s.n_ues for s in self.services)
+        return int(self.first_ue[-1])
 
     def ue_keys(self) -> list[tuple[int, int]]:
         """Global UE order as (service_id, ue_id) pairs."""
         return [(sv.id, ue.id) for sv in self.services for ue in sv.ues]
-
-    def ue_index(self, service_id: int, ue_id: int) -> int:
-        return self._ue_lookup[(service_id, ue_id)]
-
-    @functools.cached_property
-    def _ue_lookup(self) -> dict[tuple[int, int], int]:
-        return {key: i for i, key in enumerate(self.ue_keys())}
 
     @functools.cached_property
     def ue_service(self) -> np.ndarray:
@@ -369,9 +369,8 @@ class Scenario:
                        dtype=int)
 
     def service_ue_indices(self, service_id: int) -> list[int]:
-        lookup = self._ue_lookup
-        sv = self.services[service_id]
-        return [lookup[(sv.id, ue.id)] for ue in sv.ues]
+        return list(range(self.first_ue[service_id],
+                          self.first_ue[service_id + 1]))
 
     def ru_slots(self) -> list[tuple[int, int, int]]:
         """All (slice_id, local_ru_index, ru_id) triples, slice-major.
@@ -382,21 +381,16 @@ class Scenario:
         return [(sl.id, j, rid)
                 for sl in self.slices for j, rid in enumerate(sl.ru_ids)]
 
-    def ue_positions(self) -> np.ndarray:
-        return np.array([ue.position for sv in self.services for ue in sv.ues],
-                        dtype=float)
-
-    def ru_positions(self) -> np.ndarray:
-        return np.array([ru.position for ru in self.rus], dtype=float)
-
     @functools.cached_property
     def ru_ue_distances(self) -> np.ndarray:
         """(n_rus, n_ues) distance from every RU to every UE, m; inf
         where it is beyond the float range (read-only).  `validate` and
         `radio.build_channels` share it."""
+        ues = np.array([ue.position for sv in self.services for ue in sv.ues],
+                       dtype=float)
+        rus = np.array([ru.position for ru in self.rus], dtype=float)
         with np.errstate(over="ignore"):
-            d = np.linalg.norm(self.ru_positions()[:, None, :]
-                               - self.ue_positions()[None, :, :], axis=2)
+            d = np.linalg.norm(rus[:, None, :] - ues[None, :, :], axis=2)
         d.flags.writeable = False
         return d
 
@@ -710,55 +704,44 @@ def invalid_scenario_text(problems: list[str], shown: int = 5) -> str:
 # --------------------------------------------------------------------------
 
 
+def _record(obj) -> dict:
+    """A record as its JSON object: each tuple field becomes a list."""
+    return asdict(obj, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in items})
+
+
 def scenario_to_dict(sc: Scenario) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "units": dict(UNITS),
-        "params": asdict(sc.params),
-        "channel": asdict(sc.channel),
-        "services": [
-            {"id": sv.id,
-             "ues": [{"id": ue.id, "arrival_rate": ue.arrival_rate,
-                      "position": list(ue.position)} for ue in sv.ues]}
-            for sv in sc.services
-        ],
-        "slices": [
-            {"id": sl.id, "ru_ids": list(sl.ru_ids),
-             "prb_ids": list(sl.prb_ids),
-             "m_du": sl.m_du, "m_cu": sl.m_cu,
-             "vnf_demands": [asdict(v) for v in sl.vnf_demands]}
-            for sl in sc.slices
-        ],
-        "rus": [{"id": ru.id, "position": list(ru.position),
-                 "sigma_q2": ru.sigma_q2} for ru in sc.rus],
+        "params": _record(sc.params),
+        "channel": _record(sc.channel),
+        **{name: [_record(x) for x in getattr(sc, name)]
+           for name in ("services", "slices", "rus", "dcs")},
         "prbs": {"count": sc.prb_assignment.n_prbs},
         "zeta": sc.prb_assignment.triples.tolist(),
-        "dcs": [asdict(dc) for dc in sc.dcs],
     }
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """The scenario of a file's JSON object.  Each record is built from
+    all of its keys, so an unknown key raises, and so does a missing one
+    that its dataclass has no default for."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported scenario schema {data.get('schema')!r}")
     params = SystemParams(**data["params"])
     channel = ChannelModel(**data["channel"])
-    services = tuple(
-        Service(id=sv["id"], ues=tuple(
-            UserEquipment(id=ue["id"], arrival_rate=ue["arrival_rate"],
-                          position=tuple(ue["position"]))
-            for ue in sv["ues"]))
-        for sv in data["services"]
-    )
-    slices = tuple(
-        Slice(id=sl["id"], ru_ids=tuple(sl["ru_ids"]),
-              prb_ids=tuple(sl["prb_ids"]), m_du=sl["m_du"], m_cu=sl["m_cu"],
-              vnf_demands=tuple(VnfRequirement(**v)
-                                for v in sl["vnf_demands"]))
-        for sl in data["slices"]
-    )
-    rus = tuple(RadioUnit(id=ru["id"], position=tuple(ru["position"]),
-                          sigma_q2=ru["sigma_q2"]) for ru in data["rus"])
+    services = tuple(Service(**{**sv, "ues": tuple(
+        UserEquipment(**{**ue, "position": tuple(ue["position"])})
+        for ue in sv["ues"])}) for sv in data["services"])
+    slices = tuple(Slice(**{
+        **sl, "ru_ids": tuple(sl["ru_ids"]), "prb_ids": tuple(sl["prb_ids"]),
+        "vnf_demands": tuple(VnfRequirement(**v) for v in sl["vnf_demands"])})
+        for sl in data["slices"])
+    rus = tuple(RadioUnit(**{**ru, "position": tuple(ru["position"])})
+                for ru in data["rus"])
     dcs = tuple(DataCenter(**dc) for dc in data["dcs"])
     n_prbs = data["prbs"]["count"]
     if (why := field_problem("PRB ", "count", n_prbs)) is not None:

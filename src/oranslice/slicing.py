@@ -145,15 +145,14 @@ class _SweepState:
         self.alpha = np.zeros(n_slices)
         self.r_tot = np.zeros(n_slices)
         self.checked = np.zeros(sc.n_ues, dtype=bool)   # service covered
-        self.cols = [np.array(sc.service_ue_indices(v), dtype=int)
-                     for v in range(n_services)]
 
     def try_add(self, v: int, s: int) -> str | None:
         """The message `check_feasibility` would report first for the
         mapping plus (v, s); None, after adding the pair, if it is
         feasible."""
         sc, bf, params = self.sc, self.bf, self.sc.params
-        p_max, cols = params.p_max, self.cols[v]
+        p_max = params.p_max
+        cols = np.arange(sc.first_ue[v], sc.first_ue[v + 1])
         rows = slice(bf.first_slot[s], bf.first_slot[s + 1])
         victims, leak = bf.leakage(s, v)        # zero-forces the pair
         leakage = self.leakage.copy()
@@ -203,9 +202,9 @@ def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
     Pass 1: walk slices in rank order; each slice tentatively serves the
     highest-ranked service that keeps the system feasible at full power
     and stops at the first success.  Pass 2: for each service still
-    uncovered, walk slices in rank order again and accept any additional
-    feasible assignment.  Services that remain uncovered are reported,
-    not raised.  Each candidate is judged as `check_feasibility` judges
+    uncovered, walk slices in rank order again and take the first
+    feasible one.  Services that remain uncovered are reported, not
+    raised.  Each candidate is judged as `check_feasibility` judges
     the tentative mapping, but only the quantities it changes are
     recomputed.
     """
@@ -232,8 +231,6 @@ def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
         if state.a[v].any():
             continue
         for s in slice_order:
-            if state.a[v, s]:
-                continue
             if try_pair(v, s):
                 break
 

@@ -40,7 +40,7 @@ def test_zero_forcing_identity_on_random_channels():
         u = int(rng.integers(1, r + 1))
         h = (rng.standard_normal((r, u))
              + 1j * rng.standard_normal((r, u))) / np.sqrt(2.0)
-        (w,), _ = zf_beamformer(h[None])
+        w, _ = zf_beamformer(h)
         err = np.abs(h.conj().T @ w - np.eye(u)).max()
         worst = max(worst, float(err))
     elapsed = time.perf_counter() - t0

@@ -372,6 +372,10 @@ NAN, INF = float("nan"), float("inf")
     (("channel", "pl0"), 1e300, "squared gain at d_min_m must be at most"),
     (("rus", 0, "position"), [1e308, 0.0], "squared gain at the largest"),
     (("dcs",), [], "no data center"),
+    *(((*record, "bogus"), 1.0, "unexpected keyword argument 'bogus'")
+      for record in (("params",), ("channel",), ("services", 0, "ues", 0),
+                     ("services", 0), ("slices", 0), ("rus", 0), ("dcs", 0),
+                     ("slices", 0, "vnf_demands", 0))),
 ], ids=["missing-fields", "zeta-ue-999", "zeta-ue-negative", "zeta-ue-float",
         "zeta-pair", "negative-prb-count", "nan-arrival", "inf-ue-position",
         "nan-ru-position", "nan-p-max", "zeta-ue-bool", "prb-id-float",
@@ -382,7 +386,10 @@ NAN, INF = float("nan"), float("inf")
         "negative-path-gain", "gain-growing-with-distance",
         "overflowing-exponent", "overflowing-clamp-distance",
         "underflowing-squared-gain", "overflowing-squared-gain",
-        "far-ru-position", "no-data-center"])
+        "far-ru-position", "no-data-center", "unknown-params-key",
+        "unknown-channel-key", "unknown-ue-key", "unknown-service-key",
+        "unknown-slice-key", "unknown-ru-key", "unknown-dc-key",
+        "unknown-vnf-demand-key"])
 def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
                                           keys, value, needle):
     """`keys` locates the field replaced by `value`; () replaces the whole

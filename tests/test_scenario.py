@@ -1,6 +1,7 @@
 """Scenario generation, validation, and serialization."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -140,7 +141,8 @@ def test_ue_counts_respect_cap():
 def test_positions_inside_region():
     cfg = GeneratorConfig(region_m=100.0)
     sc = generate_scenario(cfg, seed=2)
-    pos = np.vstack([sc.ue_positions(), sc.ru_positions()])
+    pos = np.array([ue.position for sv in sc.services for ue in sv.ues]
+                   + [ru.position for ru in sc.rus])
     assert (pos >= 0.0).all() and (pos <= 100.0).all()
 
 
@@ -161,6 +163,35 @@ def test_serialization_roundtrip(tmp_path):
     assert scenario_to_dict(back) == scenario_to_dict(sc)
 
 
+@pytest.mark.parametrize("prbs, digest", [
+    ("dedicated",
+     "c7feb450b46afbaba81d3ae6f34408392c71b21f138cd9088e78bced0078e58b"),
+    ("shared",
+     "cede817a59fc104ac99e22f9e5b43b804447a3c2bc76cd6d4405839894b894df"),
+])
+def test_scenario_file_bytes_pinned(tmp_path, prbs, digest):
+    """The bytes `save_scenario` writes for two hand-built scenarios, one
+    with a private PRB per UE per slice and one with two PRBs every UE
+    of a slice may use.  Hand scenarios draw nothing, so the digests do
+    not depend on the numpy version."""
+    if prbs == "dedicated":
+        sc = hand_scenario(
+            ue_counts=(2, 1), arrival_rates=(120.5, 80.25, 99.0),
+            slice_rus=((0, 1), (1, 2)), sigma_q2=(1e-4, 2e-4, 3e-4),
+            slice_prbs=((0, 1, 2), (0, 1, 2)),
+            vnf_demands=((100.0, 10.0, 32.0), (50.0, 5.0, 16.0)),
+            dc_specs=((1000.0, 100.0, 320.0), (500.0, 50.0, 160.0)),
+            phi_idle=200.0, phi_per_unit=0.05,
+            triples=[(u, u, s) for s in range(2) for u in range(3)])
+    else:
+        sc = hand_scenario(ue_counts=(2, 2), slice_rus=((0, 1), (0, 2)),
+                           slice_prbs=((0, 1), (0, 1)), m_du=2, m_cu=1)
+    path = tmp_path / "scenario.json"
+    save_scenario(sc, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert scenario_to_dict(load_scenario(str(path))) == scenario_to_dict(sc)
+
+
 def test_from_dict_rejects_unknown_schema():
     sc = generate_scenario(GeneratorConfig(), seed=0)
     data = scenario_to_dict(sc)
@@ -171,8 +202,9 @@ def test_from_dict_rejects_unknown_schema():
 
 def test_replace_gives_fresh_index_caches():
     sc = hand_scenario(ue_counts=(1, 2))
-    assert (sc.n_ues, sc.ue_index(1, 0)) == (3, 1)     # fills the caches
+    # fills the caches
+    assert (sc.n_ues, sc.service_ue_indices(1)[0]) == (3, 1)
     fewer = dataclasses.replace(sc, services=sc.services[1:])
-    assert (fewer.n_ues, fewer.ue_index(1, 0)) == (2, 0)
-    assert (sc.n_ues, sc.ue_index(1, 0)) == (3, 1)
+    assert (fewer.n_ues, fewer.service_ue_indices(0)[0]) == (2, 0)
+    assert (sc.n_ues, sc.service_ue_indices(1)[0]) == (3, 1)
 

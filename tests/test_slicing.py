@@ -160,7 +160,7 @@ def full_rebuild_sweep(sc, ch, bf):
     """The two-pass sweep with every candidate judged by
     check_feasibility on the whole tentative mapping."""
     service_order, slice_order = rank_services(sc), rank_slices(sc)
-    mapping = SliceMapping.empty(sc)
+    mapping = SliceMapping(a=np.zeros((sc.n_services, sc.n_slices)))
     rejections = []
 
     def try_pair(v, s):
