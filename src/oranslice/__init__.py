@@ -12,7 +12,7 @@ from .queueing import UnstableQueueError
 from .slicing import (FeasibilityReport, MappingResult, check_feasibility,
                       map_slices_to_services, rank_services, rank_slices)
 from .power import (InfeasibleMappingError, JointResult, SolverOptions,
-                    solve_joint)
+                    solve_joint, solve_power)
 from .placement import (Placement, PlacementWeights, admitted_ratio,
                         cost_phi, cost_psi, place)
 
@@ -29,6 +29,7 @@ __all__ = [
     "FeasibilityReport", "MappingResult", "check_feasibility",
     "map_slices_to_services", "rank_services", "rank_slices",
     "InfeasibleMappingError", "JointResult", "SolverOptions", "solve_joint",
+    "solve_power",
     "Placement", "PlacementWeights", "admitted_ratio", "cost_phi",
     "cost_psi", "place",
     "__version__",

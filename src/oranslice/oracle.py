@@ -20,6 +20,7 @@ import numpy as np
 from .scenario import Scenario
 from .radio import BeamformerSet, ChannelSet, PowerAllocation, SliceMapping
 from .placement import PlacementWeights
+from .power import SolverOptions, solve_power
 
 RTOL = 1e-9
 MM1_BLOCK = 8192               # customers per Lindley block
@@ -206,7 +207,10 @@ def dual_bound(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     total = 0.0
     for k, (s, j, rid) in enumerate(sc.ru_slots()):
         sigma = sc.rus[rid].sigma_q2
-        cap = min(params.p_max, sigma * 2.0 ** params.c_max)
+        try:
+            cap = min(params.p_max, sigma * 2.0 ** params.c_max)
+        except OverflowError:           # beyond the float range: never binds
+            cap = params.p_max
         total += mults.ru_cap_slot[k] * (cap - sigma) - eta * sigma
     for s, floor in floors.items():
         total -= mults.delay_slice[s] * floor
@@ -279,6 +283,29 @@ def _naive_delay_floors(sc: Scenario, mapping: SliceMapping,
     return floors
 
 
+def _coverage_complete_mappings(sc: Scenario, bf: BeamformerSet,
+                                ) -> list[SliceMapping]:
+    """Every mapping that gives each service a nonempty slice set and maps
+    no pair without a precoder, the services' slice subsets enumerated in
+    lexicographic order.  Guard: n_services * n_slices <= 12."""
+    n_v, n_s = sc.n_services, sc.n_slices
+    if n_v * n_s > 12:
+        raise OracleSizeError(
+            f"mapping enumeration limited to V*S <= 12, got {n_v * n_s}")
+    slice_subsets = [tuple(c)
+                     for r in range(1, n_s + 1)
+                     for c in itertools.combinations(range(n_s), r)]
+    out = []
+    for combo in itertools.product(slice_subsets, repeat=n_v):
+        a = np.zeros((n_v, n_s), dtype=np.int8)
+        for v, subset in enumerate(combo):
+            a[v, list(subset)] = 1
+        if not any((s, v) not in bf.w
+                   for v in range(n_v) for s in range(n_s) if a[v, s]):
+            out.append(SliceMapping(a=a))
+    return out
+
+
 def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
                         power_grid_n: int = 64) -> BruteForceResult:
     """Best (mapping, power) pair by full enumeration.
@@ -292,22 +319,17 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     overall.  Feasibility uses the worst-case interference bound,
     matching the solver's constraint set.
     """
-    n_v, n_s = sc.n_services, sc.n_slices
-    if n_v * n_s > 12:
-        raise OracleSizeError(
-            f"mapping enumeration limited to V*S <= 12, got {n_v * n_s}")
+    candidates = _coverage_complete_mappings(sc, bf)
     if sc.n_ues > 4:
         raise OracleSizeError(
             f"power grid limited to 4 UEs, got {sc.n_ues}")
     if power_grid_n < 2:
         raise ValueError("power_grid_n must be >= 2")
 
+    n_v = sc.n_services
     params = sc.params
     noise = params.bandwidth_hz * params.noise_psd
     grid = np.linspace(0.0, params.p_max, power_grid_n + 1)
-    slice_subsets = [tuple(c)
-                     for r in range(1, n_s + 1)
-                     for c in itertools.combinations(range(n_s), r)]
 
     best_eta = -np.inf
     best_mapping = None
@@ -315,15 +337,8 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     tried = 0
     feasible_mappings = 0
 
-    for combo in itertools.product(slice_subsets, repeat=n_v):
-        a = np.zeros((n_v, n_s), dtype=np.int8)
-        for v, subset in enumerate(combo):
-            a[v, list(subset)] = 1
-        if any((s, v) not in bf.w
-               for v in range(n_v) for s in range(n_s) if a[v, s]):
-            continue
+    for mapping in candidates:
         tried += 1
-        mapping = SliceMapping(a=a)
 
         floors = _naive_delay_floors(sc, mapping)
         if floors is None:
@@ -368,7 +383,7 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
             j = int(np.argmax(eta))
             if eta[j] > best_eta:
                 best_eta = float(eta[j])
-                best_mapping = SliceMapping(a=a.copy())
+                best_mapping = mapping
                 best_powers = PowerAllocation(p=chunk[ok][j].copy())
         if found:
             feasible_mappings += 1
@@ -379,6 +394,92 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
                             mapping=best_mapping, powers=best_powers,
                             mappings_tried=tried,
                             mappings_feasible=feasible_mappings)
+
+
+@dataclass
+class CertifiedMappingResult:
+    feasible: bool
+    eta: float                    # best efficiency found, bit/J
+    upper: float                  # certified bound on the optimum, bit/J
+    mapping: SliceMapping | None
+    powers: PowerAllocation | None
+    mappings_tried: int
+    mappings_feasible: int
+
+
+def _meets_floors(sc: Scenario, mapping: SliceMapping,
+                  floors: dict[int, float], rates: np.ndarray) -> bool:
+    """Every UE's rate reaches r_min and every active slice's summed rate
+    its delay floor (all services covered)."""
+    ok = all(r >= sc.params.r_min * (1 - RTOL) for r in rates)
+    for s, floor in floors.items():
+        total = 0.0
+        for v in range(sc.n_services):
+            if mapping.a[v, s]:
+                for u in sc.service_ue_indices(v):
+                    total += rates[u]
+        ok &= total >= floor * (1 - RTOL)
+    return ok
+
+
+def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
+                      opts: SolverOptions = SolverOptions(max_iters=2000),
+                      ) -> CertifiedMappingResult:
+    """Best mapping by full enumeration, as an interval [eta, upper].
+
+    Every coverage-complete mapping is solved by `power.solve_power`, and
+    the result is checked here: the efficiency is recomputed by naive
+    summation, and the powers must pass the naive rate, slot power,
+    fronthaul and delay constraints.  `eta` is the best efficiency that
+    passes.  Each mapping also gets an upper bound.  With F(eta) = max
+    R_tot - eta * P_tot over its feasible powers, `dual_bound` at the
+    solve's last multipliers gives D >= F(eta).  Every allocation pays at
+    least P_floor, the summed sigma_q^2 of every slot (P_tot charges
+    them all), so a feasible one has R/P = eta + (R - eta P)/P <= eta +
+    max(D, 0) / P_floor.  A mapping has no feasible allocation, and gets
+    no bound, when an active slice cannot meet its delay budget at any
+    rate, or when some rate floor fails with every UE at p_max (a UE's
+    rate depends only on its own power under the interference bound).
+    `upper` is the largest bound over the mappings, so the optimum lies
+    in [eta, upper]; it is -inf when no mapping can be feasible.  Guard:
+    n_services * n_slices <= 12, any number of UEs.
+    """
+    params = sc.params
+    slots = sc.ru_slots()
+    p_floor = sum(sc.rus[rid].sigma_q2 for _s, _j, rid in slots)
+    top = PowerAllocation.uniform(sc, params.p_max)
+    best = CertifiedMappingResult(feasible=False, eta=0.0, upper=-math.inf,
+                                  mapping=None, powers=None, mappings_tried=0,
+                                  mappings_feasible=0)
+    for mapping in _coverage_complete_mappings(sc, bf):
+        best.mappings_tried += 1
+        floors = _naive_delay_floors(sc, mapping)
+        if floors is None:
+            continue
+        ibar = _naive_interference(sc, mapping, ch, bf)
+        if not _meets_floors(sc, mapping, floors,
+                             _naive_rates(sc, mapping, ch, bf, top, ibar)):
+            continue
+        res = solve_power(sc, mapping, ch, bf, opts)
+        bound = dual_bound(sc, mapping, ch, bf, res.eta, res.mults)
+        best.upper = max(best.upper, res.eta + max(bound, 0.0) / p_floor)
+
+        rates = _naive_rates(sc, mapping, ch, bf, res.powers, ibar)
+        p_bar = _naive_slot_powers(sc, mapping, bf, res.powers)
+        ok = _meets_floors(sc, mapping, floors, rates)
+        ok &= all(0.0 <= p <= params.p_max for p in res.powers.p)
+        for k, (_s, _j, rid) in enumerate(slots):
+            ok &= p_bar[k] <= params.p_max * (1 + RTOL)
+            ok &= (math.log2(p_bar[k] / sc.rus[rid].sigma_q2)
+                   <= params.c_max * (1 + RTOL))
+        if not ok:
+            continue
+        best.mappings_feasible += 1
+        eta = float(rates.sum()) / float(p_bar.sum())
+        if not best.feasible or eta > best.eta:
+            best.feasible, best.eta = True, eta
+            best.mapping, best.powers = mapping, res.powers
+    return best
 
 
 # --------------------------------------------------------------------------

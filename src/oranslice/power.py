@@ -18,7 +18,7 @@ barrier path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
 T_STEP = 20.0        # barrier parameter growth per centering
 EPS_ETA = 1e-6       # outer stop: |F| and gap <= EPS_ETA * R_tot
 CONSTRAINT_RTOL = 1e-6   # feasibility slack, relative
-I_MAX = 50           # cap on the centred points of one solve_joint
+I_MAX = 50           # cap on the centred points of one solve_power
 
 
 class InfeasibleDelayError(ValueError):
@@ -300,7 +300,7 @@ def subgradient_solve(problem: PowerProblem, eta: float,
     and t = 1), until a centred point whose m/t <= gap_rtol * summed
     rate ("gap"), the Newton-step cap or a breakdown of the Newton step
     ("cap").  With gap_rtol = inf that is the first centred point, which
-    is how `solve_joint` moves eta along one path.  `gap` is the dual
+    is how `solve_power` moves eta along one path.  `gap` is the dual
     bound at the returned barrier duals minus `f_value`; it is infinite
     without duals.
     """
@@ -377,20 +377,9 @@ class JointResult:
 def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
                 ch: ChannelSet | None = None,
                 bf: BeamformerSet | None = None) -> JointResult:
-    """Full pipeline: map slices, then follow one barrier path for the
-    powers, raising eta to R/P at each of its centred points, until the
-    parametric objective crosses zero.
-
-    The mapping is computed once (its sweep is deterministic and does
-    not depend on eta or the powers), and so is the `PowerProblem` with
-    its phase-I point.  Eta starts at `PowerProblem.eta0`, R/P at the
-    rate-floor powers or the phase-I point.  The path grows t by T_STEP
-    only after a point whose F(eta) is within its certified gap, where
-    eta is as close to the root as that t can tell; otherwise it
-    recentres at the same t.  `converged` means the last point, computed
-    at the last eta, has dual gap and |F| both within EPS_ETA * R_tot.
-    The feasible set does not depend on eta, so a path that finds no
-    strictly feasible point ends the loop.
+    """Full pipeline: map slices with the greedy sweep, then `solve_power`
+    on that mapping.  The mapping is computed once: the sweep is
+    deterministic and does not depend on eta or the powers.
 
     Raises InfeasibleMappingError when any service ends up uncovered.
     """
@@ -401,8 +390,29 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
     mapping_result = map_slices_to_services(sc, bf)
     if mapping_result.uncovered_services:
         raise InfeasibleMappingError(mapping_result)
-    mapping = mapping_result.mapping
+    return replace(solve_power(sc, mapping_result.mapping, ch, bf, opts),
+                   mapping_result=mapping_result)
 
+
+def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
+                bf: BeamformerSet,
+                opts: SolverOptions = SolverOptions()) -> JointResult:
+    """Energy-efficient powers for a fixed mapping: follow one barrier
+    path, raising eta to R/P at each of its centred points, until the
+    parametric objective crosses zero.
+
+    The `PowerProblem` and its phase-I point are built once.  Eta starts
+    at `PowerProblem.eta0`, R/P at the rate-floor powers or the phase-I
+    point.  The path grows t by T_STEP only after a point whose F(eta) is
+    within its certified gap, where eta is as close to the root as that t
+    can tell; otherwise it recentres at the same t.  `converged` means the
+    last point, computed at the last eta, has dual gap and |F| both within
+    EPS_ETA * R_tot.  The feasible set does not depend on eta, so a path
+    that finds no strictly feasible point ends the loop.  The result's
+    `mapping_result` holds `mapping`, its uncovered services and no
+    rejections.  Raises as `delay_linearization` does when an active
+    slice cannot meet its delay budget at any rate.
+    """
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     problem = PowerProblem(sc, mapping, ch, bf, ibar, opts)
     eta = problem.eta0
@@ -421,8 +431,12 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
             eta = max(eta, r_tot / p_tot)
 
     final = check_feasibility(sc, ch, bf, mapping, powers)
-    return JointResult(mapping_result=mapping_result, powers=powers,
-                       eta=(r_tot / p_tot if p_tot > 0 else 0.0),
-                       r_tot=r_tot, p_tot=p_tot, converged=converged,
-                       trace=trace, feasible=final.ok and last.feasible,
-                       violations=final.violations, mults=last.mults)
+    uncovered = np.flatnonzero(~mapping.covered()).tolist()
+    return JointResult(
+        mapping_result=MappingResult(mapping=mapping,
+                                     uncovered_services=uncovered,
+                                     rejections=[]),
+        powers=powers, eta=(r_tot / p_tot if p_tot > 0 else 0.0),
+        r_tot=r_tot, p_tot=p_tot, converged=converged, trace=trace,
+        feasible=final.ok and last.feasible,
+        violations=final.violations, mults=last.mults)

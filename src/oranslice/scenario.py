@@ -724,15 +724,22 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def _whole_record(cls, obj: dict):
+    """`cls(**obj)`, with every field of `cls` required, defaults too."""
+    if missing := [f.name for f in fields(cls) if f.name not in obj]:
+        raise TypeError(f"{cls.__name__} record lacks {', '.join(missing)}")
+    return cls(**obj)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """The scenario of a file's JSON object.  Each record is built from
     all of its keys, so an unknown key raises, and so does a missing one
-    that its dataclass has no default for."""
+    (`params` and `channel` give no field a default here)."""
     if data.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported scenario schema {data.get('schema')!r}")
-    params = SystemParams(**data["params"])
-    channel = ChannelModel(**data["channel"])
+    params = _whole_record(SystemParams, data["params"])
+    channel = _whole_record(ChannelModel, data["channel"])
     services = tuple(Service(**{**sv, "ues": tuple(
         UserEquipment(**{**ue, "position": tuple(ue["position"])})
         for ue in sv["ues"])}) for sv in data["services"])

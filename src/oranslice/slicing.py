@@ -3,10 +3,12 @@
 Services are ranked by how demanding they are (UE count, then summed
 arrival rate); slices are ranked by a count of their resources (PRBs
 plus radio units plus VNFs).  The sweep walks slices in rank order and
-gives each slice to the first service for which the tentative assignment
-keeps the whole system feasible when every UE transmits at the per-RU
-power cap under the worst-case interference bound.  A second pass then
-tries to cover services that the first pass left without any slice.
+gives each slice to the first service that no slice covers yet and for
+which the tentative assignment keeps the whole system feasible when
+every UE transmits at the per-RU power cap under the worst-case
+interference bound.  A second pass then tries to cover services that the
+first pass left without any slice.  So each service gets at most one
+slice, and a sweep over V services makes about V checks.
 """
 
 from __future__ import annotations
@@ -200,13 +202,16 @@ def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
     """Two-pass greedy mapping sweep.
 
     Pass 1: walk slices in rank order; each slice tentatively serves the
-    highest-ranked service that keeps the system feasible at full power
-    and stops at the first success.  Pass 2: for each service still
-    uncovered, walk slices in rank order again and take the first
-    feasible one.  Services that remain uncovered are reported, not
-    raised.  Each candidate is judged as `check_feasibility` judges
-    the tentative mapping, but only the quantities it changes are
-    recomputed.
+    highest-ranked service that no slice covers yet and that keeps the
+    system feasible at full power, and stops at the first success.  (A
+    second slice for a covered service adds its slots' power and a
+    zero-forcing solve, and on the measured instances it lowered the
+    efficiency the power step reached; see the README.)  Pass 2: for
+    each service still uncovered, walk slices in rank order again and
+    take the first feasible one.  Services that remain uncovered are
+    reported, not raised.  Each candidate is judged as
+    `check_feasibility` judges the tentative mapping, but only the
+    quantities it changes are recomputed.
     """
     service_order = rank_services(sc)
     slice_order = rank_slices(sc)
@@ -224,6 +229,8 @@ def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
 
     for s in slice_order:
         for v in service_order:
+            if state.a[v].any():
+                continue
             if try_pair(v, s):
                 break
 

@@ -121,9 +121,8 @@ def small_joint_config():
     """Two services, two slices, sized for the brute-force mapping oracle.
 
     Both slices draw on the same large RU pool so its slot noise
-    dominates the power cost of the greedy sweep's habit of handing an
-    already-covered service to a second slice, and the 64-step power
-    grid can resolve the flat interior optimum.
+    dominates the power cost, and the 64-step power grid can resolve the
+    flat interior optimum.
     """
     from oranslice.scenario import GeneratorConfig
     return GeneratorConfig(n_services=2, mean_ues=1.0, max_ues=1,

@@ -335,6 +335,7 @@ def test_solve_rejects_missing_scenario(tmp_path, capsys):
 
 
 NAN, INF = float("nan"), float("inf")
+MISSING = object()      # deletes the key instead of replacing its value
 
 
 @pytest.mark.parametrize("keys, value, needle", [
@@ -372,6 +373,8 @@ NAN, INF = float("nan"), float("inf")
     (("channel", "pl0"), 1e300, "squared gain at d_min_m must be at most"),
     (("rus", 0, "position"), [1e308, 0.0], "squared gain at the largest"),
     (("dcs",), [], "no data center"),
+    (("params", "nu"), MISSING, "SystemParams record lacks nu"),
+    (("channel", "seed"), MISSING, "ChannelModel record lacks seed"),
     *(((*record, "bogus"), 1.0, "unexpected keyword argument 'bogus'")
       for record in (("params",), ("channel",), ("services", 0, "ues", 0),
                      ("services", 0), ("slices", 0), ("rus", 0), ("dcs", 0),
@@ -386,20 +389,25 @@ NAN, INF = float("nan"), float("inf")
         "negative-path-gain", "gain-growing-with-distance",
         "overflowing-exponent", "overflowing-clamp-distance",
         "underflowing-squared-gain", "overflowing-squared-gain",
-        "far-ru-position", "no-data-center", "unknown-params-key",
+        "far-ru-position", "no-data-center", "missing-params-key",
+        "missing-channel-key", "unknown-params-key",
         "unknown-channel-key", "unknown-ue-key", "unknown-service-key",
         "unknown-slice-key", "unknown-ru-key", "unknown-dc-key",
         "unknown-vnf-demand-key"])
 def test_solve_rejects_malformed_scenario(easy_scenario, tmp_path, capsys,
                                           keys, value, needle):
-    """`keys` locates the field replaced by `value`; () replaces the whole
-    document.  `place` loads the scenario the same way and must agree."""
+    """`keys` locates the field replaced by `value` (deleted if MISSING);
+    () replaces the whole document.  `place` loads the scenario the same
+    way and must agree."""
     data = json.loads(easy_scenario.read_text())
     if keys:
         node = data
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = value
+        if value is MISSING:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
     else:
         data = value
     bad = tmp_path / "bad.json"

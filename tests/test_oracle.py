@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
-                      identity_mapping, placement_config)
+                      identity_mapping, placement_config, small_joint_config)
 from oranslice.cli import _round_robin_mapping
 from oranslice.oracle import (MM1_BLOCK, OracleReport, OracleSizeError,
                               _children, _hall_table, _row_adds,
-                              brute_force_mapping, exhaustive_placement,
-                              mm1_simulate, summation_oracle)
+                              brute_force_mapping, certified_mapping,
+                              exhaustive_placement, mm1_simulate,
+                              summation_oracle)
 from oranslice.placement import PlacementWeights, cost_psi, place
 from oranslice.power import SolverOptions, solve_joint
 from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
@@ -78,6 +79,8 @@ def test_brute_force_size_guards():
     bf = build_beamformers(sc, ch)
     with pytest.raises(OracleSizeError, match="12"):
         brute_force_mapping(sc, ch, bf)
+    with pytest.raises(OracleSizeError, match="12"):
+        certified_mapping(sc, ch, bf)
 
     sc5 = hand_scenario(ue_counts=(5,), slice_rus=((0, 1, 2, 3, 4),))
     ch5 = channels_from_matrix(sc5, np.eye(5))
@@ -88,6 +91,49 @@ def test_brute_force_size_guards():
     sc1, ch1, bf1 = easy_1x1()
     with pytest.raises(ValueError, match="power_grid_n"):
         brute_force_mapping(sc1, ch1, bf1, power_grid_n=1)
+
+
+def power_grid_instances():
+    """The U <= 4 instances the tests check against the power-grid oracle:
+    the 1x1 hand case, its unreachable-rate twin, `small_joint_config`
+    seed 13 and the acceptance test's single-slice pool, seeds 0-24."""
+    yield "1x1", easy_1x1(sigma_q2=0.05, p_max=0.5)
+    yield "1x1-unreachable", easy_1x1(r_min=1e7)
+    cfgs = [(small_joint_config(), 13)] + [
+        (GeneratorConfig(n_services=2, mean_ues=1.0, max_ues=1, n_slices=1,
+                         n_rus=30, rus_per_slice=30, p_max=0.5,
+                         sigma_q_frac=3.5e-4, r_min_per_hz=2.0,
+                         region_m=100.0), seed) for seed in range(25)]
+    for cfg, seed in cfgs:
+        sc = generate_scenario(cfg, seed=seed)
+        ch = build_channels(sc)
+        yield f"{cfg.n_slices}-slice-seed-{seed}", (
+            sc, ch, build_beamformers(sc, ch))
+
+
+def test_certified_mapping_agrees_with_power_grid():
+    # the grid's best point is feasible, so it lies under the certified
+    # upper end; the certified best is within the grid's 2 % resolution
+    for name, (sc, ch, bf) in power_grid_instances():
+        cert = certified_mapping(sc, ch, bf)
+        grid = brute_force_mapping(sc, ch, bf, power_grid_n=64)
+        assert cert.feasible == grid.feasible, name
+        assert cert.mappings_tried == grid.mappings_tried, name
+        if not grid.feasible:
+            assert cert.upper == -math.inf and cert.mapping is None, name
+            continue
+        assert cert.eta <= cert.upper <= cert.eta * (1 + 1e-5), name
+        assert grid.eta <= cert.upper, name
+        assert cert.eta == pytest.approx(grid.eta, rel=0.02), name
+
+
+def test_certified_mapping_takes_a_fronthaul_cap_beyond_float_range():
+    # 2^2000 overflows a float; a cap that large never binds, so the
+    # interval is that of the default 200 bit/s/Hz cap
+    base = certified_mapping(*easy_1x1(sigma_q2=0.05, p_max=0.5))
+    huge = certified_mapping(*easy_1x1(sigma_q2=0.05, p_max=0.5,
+                                       c_max=2000.0))
+    assert (huge.eta, huge.upper) == (base.eta, base.upper)
 
 
 # ------------------------------------------------- exhaustive placement

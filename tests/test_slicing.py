@@ -6,9 +6,11 @@ import pytest
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
                              build_channels)
-from oranslice.slicing import (check_feasibility, map_slices_to_services,
-                               rank_services, rank_slices)
+from oranslice.slicing import (_SweepState, check_feasibility,
+                               map_slices_to_services, rank_services,
+                               rank_slices)
 from oranslice.power import SolverOptions, solve_joint
+from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
@@ -84,12 +86,12 @@ def fronthaul_split_instance(swap=False):
     """One service; one slice's RU quantizes so finely that its fronthaul
     rate at full power exceeds the cap, the other slice is clean.
 
-    The clean slice owns two PRBs so it outranks the dirty one and the
-    outcome does not hinge on tie-breaks.  With swap=True the slice ids
-    are exchanged, contents unchanged.
+    The dirty slice owns two PRBs so it outranks the clean one: the sweep
+    tries it first, and the outcome does not hinge on tie-breaks.  With
+    swap=True the slice ids are exchanged, contents unchanged.
     """
-    dirty = dict(rus=(0,), prbs=(0,), sigma=1e-61)
-    clean = dict(rus=(1,), prbs=(1, 2), sigma=1e-4)
+    dirty = dict(rus=(0,), prbs=(0, 1), sigma=1e-61)
+    clean = dict(rus=(1,), prbs=(2,), sigma=1e-4)
     first, second = (clean, dirty) if swap else (dirty, clean)
     sc = hand_scenario(
         ue_counts=(1,),
@@ -107,6 +109,29 @@ def test_map_excludes_fronthaul_violator():
     assert result.mapping.a.tolist() == [[0, 1]]
     assert not result.uncovered_services
     assert any("fronthaul" in reason for _, _, reason in result.rejections)
+
+
+def test_sweep_covers_each_service_once_at_u147():
+    # ee_vs_mean_ues at U=147 (12 services, 13 dedicated-PRB slices): pass
+    # 1 offers each slice only services that no slice covers yet, so the
+    # sweep makes one check per service and rejects none (38 checks, 14 of
+    # them rejected, with every slice active, when it offered covered ones)
+    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+    bf = build_beamformers(sc, build_channels(sc))
+    checks = []
+    try_add = _SweepState.try_add
+
+    def counted(state, v, s):
+        checks.append((s, v))
+        return try_add(state, v, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SweepState, "try_add", counted)
+        result = map_slices_to_services(sc, bf)
+    assert len(checks) == 12
+    assert result.rejections == [] and result.uncovered_services == []
+    assert result.mapping.a.sum(axis=1).tolist() == [1] * 12
+    assert result.mapping.a.any(axis=0).sum() == 12
 
 
 def test_map_equivariant_under_key_preserving_relabel():
@@ -158,7 +183,8 @@ def test_map_all_assignments_remain_feasible_together():
 
 def full_rebuild_sweep(sc, ch, bf):
     """The two-pass sweep with every candidate judged by
-    check_feasibility on the whole tentative mapping."""
+    check_feasibility on the whole tentative mapping.  Pass 1 offers each
+    slice only the services no slice covers yet."""
     service_order, slice_order = rank_services(sc), rank_slices(sc)
     mapping = SliceMapping(a=np.zeros((sc.n_services, sc.n_slices)))
     rejections = []
@@ -177,7 +203,7 @@ def full_rebuild_sweep(sc, ch, bf):
 
     for s in slice_order:
         for v in service_order:
-            if try_pair(v, s):
+            if not mapping.covered()[v] and try_pair(v, s):
                 break
     for v in service_order:
         if mapping.covered()[v]:
@@ -240,6 +266,23 @@ def test_incremental_sweep_matches_full_rebuild(configs):
     if configs is shared_configs:
         assert families >= {"RU power cap", "minimum rate", "fronthaul cap",
                             "delay budget", "delay"}
+
+
+# uncovered services per shared-30 config, seeds 0-29, when pass 1 of the
+# sweep still offered covered services; none of the soundness-200 configs
+# left any uncovered
+SHARED_UNCOVERED_BEFORE = (2, 2, 3, 2, 3, 2, 2, 3, 3, 2, 3, 2, 2, 2, 3,
+                           2, 3, 2, 2, 2, 3, 2, 3, 2, 2, 2, 3, 2, 3, 2)
+
+
+def test_sweep_leaves_no_more_services_uncovered():
+    for configs, before in ((soundness_configs, (0,) * 200),
+                            (shared_configs, SHARED_UNCOVERED_BEFORE)):
+        for seed, cfg in configs():
+            sc = generate_scenario(cfg, seed=seed)
+            bf = build_beamformers(sc, build_channels(sc))
+            got = map_slices_to_services(sc, bf).uncovered_services
+            assert len(got) <= before[seed], f"{configs.__name__} {seed}"
 
 
 def test_sweep_reports_violations_already_present_first():
