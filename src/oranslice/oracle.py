@@ -319,12 +319,12 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     overall.  Feasibility uses the worst-case interference bound,
     matching the solver's constraint set.
     """
-    candidates = _coverage_complete_mappings(sc, bf)
     if sc.n_ues > 4:
         raise OracleSizeError(
             f"power grid limited to 4 UEs, got {sc.n_ues}")
     if power_grid_n < 2:
         raise ValueError("power_grid_n must be >= 2")
+    candidates = _coverage_complete_mappings(sc, bf)
 
     n_v = sc.n_services
     params = sc.params
@@ -402,9 +402,7 @@ class CertifiedMappingResult:
     eta: float                    # best efficiency found, bit/J
     upper: float                  # certified bound on the optimum, bit/J
     mapping: SliceMapping | None
-    powers: PowerAllocation | None
     mappings_tried: int
-    mappings_feasible: int
 
 
 def _meets_floors(sc: Scenario, mapping: SliceMapping,
@@ -423,7 +421,6 @@ def _meets_floors(sc: Scenario, mapping: SliceMapping,
 
 
 def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
-                      opts: SolverOptions = SolverOptions(max_iters=2000),
                       ) -> CertifiedMappingResult:
     """Best mapping by full enumeration, as an interval [eta, upper].
 
@@ -449,8 +446,7 @@ def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     p_floor = sum(sc.rus[rid].sigma_q2 for _s, _j, rid in slots)
     top = PowerAllocation.uniform(sc, params.p_max)
     best = CertifiedMappingResult(feasible=False, eta=0.0, upper=-math.inf,
-                                  mapping=None, powers=None, mappings_tried=0,
-                                  mappings_feasible=0)
+                                  mapping=None, mappings_tried=0)
     for mapping in _coverage_complete_mappings(sc, bf):
         best.mappings_tried += 1
         floors = _naive_delay_floors(sc, mapping)
@@ -460,7 +456,7 @@ def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
         if not _meets_floors(sc, mapping, floors,
                              _naive_rates(sc, mapping, ch, bf, top, ibar)):
             continue
-        res = solve_power(sc, mapping, ch, bf, opts)
+        res = solve_power(sc, mapping, ch, bf, SolverOptions(max_iters=2000))
         bound = dual_bound(sc, mapping, ch, bf, res.eta, res.mults)
         best.upper = max(best.upper, res.eta + max(bound, 0.0) / p_floor)
 
@@ -474,11 +470,9 @@ def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
                    <= params.c_max * (1 + RTOL))
         if not ok:
             continue
-        best.mappings_feasible += 1
         eta = float(rates.sum()) / float(p_bar.sum())
         if not best.feasible or eta > best.eta:
-            best.feasible, best.eta = True, eta
-            best.mapping, best.powers = mapping, res.powers
+            best.feasible, best.eta, best.mapping = True, eta, mapping
     return best
 
 

@@ -408,8 +408,9 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     can tell; otherwise it recentres at the same t.  `converged` means the
     last point, computed at the last eta, has dual gap and |F| both within
     EPS_ETA * R_tot.  The feasible set does not depend on eta, so a path
-    that finds no strictly feasible point ends the loop.  The result's
-    `mapping_result` holds `mapping`, its uncovered services and no
+    that finds no strictly feasible point ends the loop.  `mapping` is
+    taken to cover every service (the caller checks); the result's
+    `mapping_result` holds it with no uncovered services and no
     rejections.  Raises as `delay_linearization` does when an active
     slice cannot meet its delay budget at any rate.
     """
@@ -431,10 +432,8 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
             eta = max(eta, r_tot / p_tot)
 
     final = check_feasibility(sc, ch, bf, mapping, powers)
-    uncovered = np.flatnonzero(~mapping.covered()).tolist()
     return JointResult(
-        mapping_result=MappingResult(mapping=mapping,
-                                     uncovered_services=uncovered,
+        mapping_result=MappingResult(mapping=mapping, uncovered_services=[],
                                      rejections=[]),
         powers=powers, eta=(r_tot / p_tot if p_tot > 0 else 0.0),
         r_tot=r_tot, p_tot=p_tot, converged=converged, trace=trace,

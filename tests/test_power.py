@@ -368,12 +368,14 @@ def one_path_solve(n_services, mean_ues, overrides, seed):
 def test_solve_joint_starts_feasible_and_warm_starts():
     # ee_vs_mean_ues at U=147: a fresh barrier solved to a 1e-8 gap at
     # each of 4 Dinkelbach steps takes 114 Newton steps; one path takes
-    # 32.  eta0 is the ratio of a feasible point, so some point of the
-    # path at eta0 has F >= 0: here the second (the first centred point,
-    # at t = 1, reads F = -1 % of R_tot, within its gap)
+    # 32.  eta0 is the ratio of a feasible point, so F(eta0) >= 0: the
+    # first centred point, at t = 1, reads F = -1 % of R_tot, within its
+    # gap, so the path recentres at eta0 and the second point reads F >= 0
     res, steps = one_path_solve(12, 12, {}, 0)
-    eta0 = res.trace[0].eta
-    assert max(row.f_value for row in res.trace if row.eta == eta0) >= 0
+    first, second = res.trace[0], res.trace[1]
+    assert -first.gap <= first.f_value < 0
+    assert second.eta == first.eta
+    assert second.f_value >= 0
     assert steps <= 42
     assert res.eta == pytest.approx(3.1564514e8, rel=1e-6)
 
