@@ -352,7 +352,8 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
         slot_w = _naive_slot_weights(sc, mapping, bf)
         sigma2 = np.array([sc.rus[rid].sigma_q2
                            for _s, _j, rid in sc.ru_slots()])
-        fh_cap = sigma2 * np.exp2(params.c_max)
+        with np.errstate(over="ignore"):    # beyond range: never binds
+            fh_cap = sigma2 * np.exp2(params.c_max)
         slice_rows = {
             s: [u for v in range(n_v) if mapping.a[v, s]
                 for u in sc.service_ue_indices(v)]

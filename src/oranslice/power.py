@@ -110,78 +110,102 @@ class SubgradientResult:
     violated: list[str]
 
 
+def _barrier(q, rho_min, M, floor, W, b, p_max, n_x):
+    """A `_central_path` problem over x of n_x entries, built once: data,
+    R with its cap rows set, upper bounds, whether I + Rs Rs^T is diagonal
+    (each UE in one floor row, no cap row kept), and the buffers of one
+    path at a time: slacks, trial slack ratios and the trial step."""
+    n_p, n_f, n = q.size, len(floor), q.size + len(floor) + len(b) + n_x
+    rows = np.zeros((len(floor) + len(b), n_x))
+    rows[n_f:, :n_p], rows[n_f:, n_p:] = W, b[:, None]
+    return (q, rho_min, M, floor, W, b, rows,
+            np.where(np.arange(n_x) < n_p, p_max, 1.0),
+            len(b) == 0 and bool(np.all(M.sum(axis=0) == 1)),
+            np.empty(n), np.empty(n), np.empty(n_x))
+
+
 def _central_path(x, lin, rate_w, prob, budget, t=1.0):
     """Log-barrier method, as a generator: maximizes lin @ x + rate_w *
     sum(rho), rho_u = ln(1 + q_u p_u), subject to rho_u > rho_min,
     M @ rho > floor, W @ p < b * (1 - s), p < p_max and s < 1, with
-    x = p (phase II) or x = (p, s) (phase I).  From barrier parameter t,
-    yields (x, t, duals 1/(t * slack) in that constraint order, Newton
-    steps) at each centred point, then grows t by T_STEP.  Once `budget`
-    steps are spent it yields the point it reached, centred or not, and
-    returns.  A non-finite Newton decrement (a zero slack, say) ends the
-    path at the last finite x, yielded with duals None: no certificate."""
-    q, rho_min, M, floor, W, b, p_max = prob
+    x = p (phase II) or (p, s) (phase I), `prob` from `_barrier`.  From
+    barrier parameter t, yields (x, t, duals 1/(t * slack) in that order,
+    Newton steps) at each centred point, then grows t by T_STEP.  Once
+    `budget` steps are spent it yields the point it reached, centred or
+    not, and returns.  A non-finite Newton decrement (a zero slack, say)
+    ends the path at the last finite x, yielded with duals None."""
+    q, rho_min, M, floor, W, b, rows, hi, diag, sl, ratio, step = prob
     n_p, n_f = q.size, len(floor)
-    n_r = n_f + len(b)                    # rows of R: floors, then caps
-    hi = np.where(np.arange(x.size) < n_p, p_max, 1.0)
+    c, k = n_p + n_f, n_p + len(rows)     # slacks: floors, caps, box
 
     def slacks(x):
         rho = np.log1p(q * x[:n_p])
-        return rho, np.concatenate([rho - rho_min, M @ rho - floor,
-                                    b * (1.0 - x[n_p:].sum()) - W @ x[:n_p],
-                                    hi - x])
+        sl[:n_p], sl[n_p:c], sl[k:] = rho - rho_min, M @ rho - floor, hi - x
+        if b.size:
+            sl[c:k] = b * (1.0 - x[n_p:].sum()) - W @ x[:n_p]
+        return rho
 
-    def gain(rho, sl, dx):
-        """Barrier increase along dx, formed from differences."""
-        drho = np.log1p(q * dx[:n_p] * np.exp(-rho))
-        dsl = np.concatenate([drho, M @ drho, -b * dx[n_p:].sum()
-                              - W @ dx[:n_p], -dx])
+    def gain(e, dx):
+        """Barrier increase along dx, formed from differences; -inf as
+        soon as a UE's rate reaches its floor."""
+        drho = np.log1p(q * dx[:n_p] * e)
+        if not np.minimum.reduce(np.divide(drho, sl[:n_p], out=ratio[:n_p]),
+                                 initial=np.inf) > -1.0:
+            return -np.inf
+        ratio[n_p:c], ratio[k:] = M @ drho, -dx
+        if b.size:
+            ratio[c:k] = -b * dx[n_p:].sum() - W @ dx[:n_p]
+        np.divide(ratio[n_p:], sl[n_p:], out=ratio[n_p:])
         out = (t * (lin @ dx + rate_w * drho.sum())
-               + np.log1p(dsl / sl).sum())
+               + np.log1p(ratio, out=ratio).sum())
         return out if np.isfinite(out) else -np.inf
 
     steps, lam2 = 0, 0.0
     while True:
         with np.errstate(divide="ignore", invalid="ignore"):
             while steps < budget:
-                rho, sl = slacks(x)
-                d1 = q * np.exp(-rho)                 # d rho / d p
+                rho = slacks(x)
+                e = np.exp(-rho)
+                d1 = q * e                            # d rho / d p
                 inv = 1.0 / sl
-                ue, box = inv[:n_p], inv[n_p + n_r:]
-                wsum = t * rate_w + ue + M.T @ inv[n_p:n_p + n_f]
+                ue, cap, box = inv[:n_p], inv[c:k], inv[k:]
+                wsum = t * rate_w + ue + M.T @ inv[n_p:c]
                 grad = t * lin - box
-                grad[:n_p] += wsum * d1 - W.T @ inv[n_p + n_f:n_p + n_r]
-                grad[n_p:] -= b @ inv[n_p + n_f:n_p + n_r]
+                grad[:n_p] += wsum * d1 - W.T @ cap if b.size else wsum * d1
+                grad[n_p:] -= b @ cap
                 # -Hessian = diag(d) + R^T R with one row of R per slice
                 # floor and kept cap; solved as D^1/2 (I + Rs^T Rs) D^1/2,
                 # through the smaller of the two Gram matrices
                 d = box ** 2
                 d[:n_p] += wsum * d1 ** 2 + (ue * d1) ** 2
-                rows = np.zeros((n_r, x.size))
-                rows[:n_f, :n_p] = M * d1
-                rows[n_f:, :n_p] = W
-                rows[n_f:, n_p:] = b[:, None]
-                rs = rows * inv[n_p:n_p + n_r, None] / np.sqrt(d)
-                gs = grad / np.sqrt(d)
-                if len(rs) < x.size:
+                np.multiply(M, d1, out=rows[:n_f, :n_p])
+                sd = np.sqrt(d)
+                rs = rows * inv[n_p:k, None] / sd
+                gs = grad / sd
+                if len(rs) >= x.size:
+                    gs = np.linalg.solve(np.eye(x.size) + rs.T @ rs, gs)
+                elif diag:
+                    gs -= rs.T @ (rs @ gs / (1.0 + (rs @ rs.T).diagonal()))
+                else:
                     gs -= rs.T @ np.linalg.solve(np.eye(len(rs)) + rs @ rs.T,
                                                  rs @ gs)
-                else:
-                    gs = np.linalg.solve(np.eye(x.size) + rs.T @ rs, gs)
-                dx = gs / np.sqrt(d)
+                dx = gs / sd
                 lam2 = float(grad @ dx)
                 alpha = 1.0
                 while (lam2 > 2 * CENTER_TOL and alpha > 1e-10
-                       and gain(rho, sl, alpha * dx) < 0.25 * alpha * lam2):
+                       and gain(e, np.multiply(alpha, dx, out=step))
+                       < 0.25 * alpha * lam2):
                     alpha /= 2
                 if not lam2 > 2 * CENTER_TOL or alpha <= 1e-10:
                     break
-                x = x + alpha * dx
+                x = x + step
                 steps += 1
+            else:
+                slacks(x)           # x moved since its slacks were formed
         if not np.isfinite(lam2):
             yield x, t, None, steps
             return
-        yield x, t, 1.0 / (t * slacks(x)[1]), steps
+        yield x, t, 1.0 / (t * sl), steps
         if steps >= budget:
             return
         t *= T_STEP
@@ -224,7 +248,8 @@ class PowerProblem:
         self.cost = weights[:, idx].sum(axis=0)      # d P_tot / d p, per UE
         W, b = weights[self.keep][:, idx], self.room[self.keep]
         rho_min, M = params.r_min / nat, self.member[idx].T
-        self.prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
+        prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
+        self.prob = _barrier(*prob, idx.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
         x, self.p = None, np.full(idx.size, params.p_max)
@@ -238,7 +263,8 @@ class PowerProblem:
         if x is not None and np.any(W @ x >= b):
             z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
             for z, t, duals, self.steps in _central_path(
-                    z, np.eye(z.size)[-1], 0.0, self.prob, opts.max_iters):
+                    z, np.eye(z.size)[-1], 0.0, _barrier(*prob, z.size),
+                    opts.max_iters):
                 if z[-1] > 0 or duals is None or z[-1] + duals.size / t <= 0:
                     break
             self.p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
@@ -252,22 +278,25 @@ class PowerProblem:
             nat * np.log1p(q * start).sum()
             / (self.cost @ start + sigma2.sum()))
 
-    def closed_form_power(self, eta: float, mults: Multipliers) -> np.ndarray:
+    def closed_form_power(self, eta: float, mults: Multipliers,
+                          terms: tuple | None = None) -> np.ndarray:
         """Maximizer over [0, p_max] of each UE's Lagrangian term.
 
-        With rate weight y = (1 + the UE's rate multiplier + the delay
-        multipliers of the slices serving it) * B/ln2, beam gain g,
-        noise-plus-interference z and price x = sum over slots of (cap
-        multiplier + eta) * gated |w|^2, the water-filling maximizer is
-        max(0, (y*g - x*z) / (x*g)), clipped at p_max.  Unserved UEs get
-        zero power and a served UE with zero price rides the cap.  Every
-        served UE has a positive gain, since phase I found a point.
+        With rate weight y = lam * B/ln2, lam = 1 + the UE's rate
+        multiplier + the delay multipliers of the slices serving it, beam
+        gain g, noise-plus-interference z and price x = sum over slots of
+        (cap multiplier + eta) * gated |w|^2, the water-filling maximizer
+        is max(0, (y*g - x*z) / (x*g)), clipped at p_max.  Unserved UEs
+        get zero power and a served UE with zero price rides the cap.
+        Every served UE has a positive gain, since phase I found a point.
+        `terms` is (x, lam) when the caller has formed them.
         """
         params, gains, denom = self.sc.params, self.gains, self.denom
         active = self.active_ue
-        price = self.weights.T @ (mults.ru_cap_slot + eta)
-        y = ((1.0 + mults.rate_ue + self.served @ mults.delay_slice)
-             * params.bandwidth_hz / math.log(2.0))
+        price, lam = terms or (self.weights.T @ (mults.ru_cap_slot + eta),
+                               1.0 + mults.rate_ue
+                               + self.served @ mults.delay_slice)
+        y = lam * params.bandwidth_hz / math.log(2.0)
         p = np.zeros(self.sc.n_ues)
         good = active & (price > 0)
         p[good] = np.maximum(
@@ -281,10 +310,10 @@ class PowerProblem:
         R_tot - eta * P_tot over the feasible powers.  Each UE's term is
         maximized by `closed_form_power`."""
         sc, nat, served = self.sc, self.nat, self.served
-        p = self.closed_form_power(eta, mults)
-        y = nat * (1.0 + mults.rate_ue + served @ mults.delay_slice)
         price = self.weights.T @ (mults.ru_cap_slot + eta)
-        return float((y * np.log1p(p * self.gains / self.denom)
+        lam = 1.0 + mults.rate_ue + served @ mults.delay_slice
+        p = self.closed_form_power(eta, mults, (price, lam))
+        return float((nat * lam * np.log1p(p * self.gains / self.denom)
                       - price * p).sum() - eta * self.sigma2.sum()
                      + mults.ru_cap_slot @ self.room
                      - sc.params.r_min * mults.rate_ue[self.idx].sum()

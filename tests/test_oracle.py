@@ -129,11 +129,14 @@ def test_certified_mapping_agrees_with_power_grid():
 
 def test_certified_mapping_takes_a_fronthaul_cap_beyond_float_range():
     # 2^2000 overflows a float; a cap that large never binds, so the
-    # interval is that of the default 200 bit/s/Hz cap
-    base = certified_mapping(*easy_1x1(sigma_q2=0.05, p_max=0.5))
-    huge = certified_mapping(*easy_1x1(sigma_q2=0.05, p_max=0.5,
-                                       c_max=2000.0))
-    assert (huge.eta, huge.upper) == (base.eta, base.upper)
+    # interval, and the grid oracle's best eta, are those of the default
+    # 200 bit/s/Hz cap
+    base = easy_1x1(sigma_q2=0.05, p_max=0.5)
+    huge = easy_1x1(sigma_q2=0.05, p_max=0.5, c_max=2000.0)
+    cert = certified_mapping(*base), certified_mapping(*huge)
+    assert (cert[1].eta, cert[1].upper) == (cert[0].eta, cert[0].upper)
+    grid = brute_force_mapping(*base), brute_force_mapping(*huge)
+    assert grid[1].eta == grid[0].eta
 
 
 # ------------------------------------------------- exhaustive placement

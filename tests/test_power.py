@@ -12,8 +12,9 @@ from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
 from oranslice.power import (EPS_ETA, InfeasibleDelayError,
                              InfeasibleMappingError, Multipliers, PowerProblem,
-                             SolverOptions, _central_path, delay_linearization,
-                             solve_joint, subgradient_solve)
+                             SolverOptions, _barrier, _central_path,
+                             delay_linearization, solve_joint,
+                             subgradient_solve)
 from oranslice.queueing import layer_delays
 from oranslice.radio import (PowerAllocation, SliceMapping, beam_gains,
                              build_beamformers, build_channels,
@@ -225,12 +226,77 @@ def test_central_path_stops_on_a_nan_newton_step():
     # NaN: the path must end there without a certificate, not spend its
     # budget stepping into NaN
     q, x = np.ones(1), np.ones(1)
-    prob = (q, 0.0, np.ones((1, 1)), np.log1p(q * x), np.zeros((0, 1)),
-            np.zeros(0), 2.0)
+    prob = _barrier(q, 0.0, np.ones((1, 1)), np.log1p(q * x),
+                    np.zeros((0, 1)), np.zeros(0), 2.0, 1)
     points = list(_central_path(x, np.zeros(1), 1.0, prob, 50))
     assert all(np.all(np.isfinite(p)) for p, *_ in points)
     _p, _t, duals, steps = points[-1]
     assert duals is None and steps < 50
+
+
+def newton_solves(monkeypatch):
+    """Sizes of the systems handed to np.linalg.solve from now on."""
+    sizes, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: sizes.append(len(a)) or solve(a, b))
+    return sizes
+
+
+def mapped_problem(sc, mapping, ch):
+    bf = build_beamformers(sc, ch)
+    ibar = interference_upper_bound(sc, mapping, ch, bf)
+    return PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
+
+
+def test_diagonal_newton_step_matches_the_gram_solve(monkeypatch):
+    # each active UE sits in one slice-floor row and no cap row is kept,
+    # so I + Rs Rs^T is diagonal: dividing by its diagonal must give the
+    # step that the general solve gives, without calling it
+    sc = generate_scenario(_ee_config(3, 8, SHARED_PRBS), seed=2)
+    ch = build_channels(sc)
+    mapping = map_slices_to_services(sc, build_beamformers(sc, ch)).mapping
+    pb = mapped_problem(sc, mapping, ch)
+    q, rho_min, M, floor, W, b, rows, hi, is_diag, *buffers = pb.prob
+    general = (q, rho_min, M, floor, W, b, rows, hi, False, *buffers)
+    lin = -pb.eta0 / pb.nat * pb.cost
+    sizes = newton_solves(monkeypatch)
+    x_diag = next(_central_path(pb.x, lin, 1.0, pb.prob, 1))[0]
+    assert is_diag and sizes == []
+    x_general = next(_central_path(pb.x, lin, 1.0, general, 1))[0]
+    assert sizes == [len(floor)]
+    assert not np.allclose(x_diag, pb.x)
+    np.testing.assert_allclose(x_diag, x_general, rtol=1e-12, atol=0)
+
+
+def overlapping_floor_rows():
+    # service 0 on slices 0 and 1: its UEs sit in two slice-floor rows
+    sc = generate_scenario(_ee_config(2, 4, {}), seed=1)
+    a = np.zeros((2, 3), dtype=np.int8)
+    a[0, :2] = a[1, 2] = 1
+    return mapped_problem(sc, SliceMapping(a=a), build_channels(sc))
+
+
+def kept_cap_row():
+    # three UEs on one slice, one per RU; |h|^2 = 1/2 makes RU 0's slot
+    # weight 2, so its cap can bind and its row is kept
+    sc = hand_scenario(ue_counts=(3,), slice_rus=((0, 1, 2),))
+    ch = channels_from_matrix(sc, np.diag([1.0 / math.sqrt(2.0),
+                                           math.sqrt(2.0), math.sqrt(2.0)]))
+    return mapped_problem(sc, one_on_one(), ch)
+
+
+@pytest.mark.parametrize("build", [overlapping_floor_rows, kept_cap_row],
+                         ids=["overlapping-floors", "kept-cap"])
+def test_general_newton_solve_still_stops_on_a_certificate(build,
+                                                           monkeypatch):
+    pb = build()
+    q, _rho_min, _M, floor, _W, b, _rows, _hi, is_diag, *_ = pb.prob
+    assert not is_diag and len(floor) + len(b) < q.size
+    sizes = newton_solves(monkeypatch)
+    res = subgradient_solve(pb, pb.eta0)
+    assert sizes and set(sizes) == {len(floor) + len(b)}
+    assert res.stop == "gap" and res.converged and res.feasible
+    assert 0 <= res.gap <= 1e-6 * res.r_tot
 
 
 def test_inner_solve_reports_a_breakdown_as_cap():

@@ -250,8 +250,19 @@ def shared_configs():
         yield seed, GeneratorConfig(**fields)
 
 
-@pytest.mark.parametrize("configs", [soundness_configs, shared_configs],
-                         ids=["soundness-200", "shared-30"])
+def ee_shared_configs():
+    # the shared-PRB ee_vs_mean_ues point at 3 services and 8 mean UEs:
+    # U = 18-30, and every seed accepts three pairs that leak into other
+    # UEs on shared PRBs, so the state after a second and a third such
+    # pair is checked too
+    for seed in range(10):
+        yield seed, _ee_config(3, 8, {"prb_mode": "shared",
+                                      "prbs_per_slice": 16, "prbs_per_ue": 2})
+
+
+@pytest.mark.parametrize(
+    "configs", [soundness_configs, shared_configs, ee_shared_configs],
+    ids=["soundness-200", "shared-30", "ee-shared-10"])
 def test_incremental_sweep_matches_full_rebuild(configs):
     families = set()
     for seed, cfg in configs():
@@ -263,6 +274,10 @@ def test_incremental_sweep_matches_full_rebuild(configs):
         assert (got.mapping.a.tolist(), got.uncovered_services,
                 got.rejections) == want, f"seed {seed}"
         families |= {reason.split(":")[0] for _s, _v, reason in want[2]}
+        if configs is ee_shared_configs:
+            leaking = [(s, v) for v, s in zip(*np.nonzero(got.mapping.a))
+                       if (s, v) in bf.leak]
+            assert len(leaking) >= 2, f"seed {seed}"
     if configs is shared_configs:
         assert families >= {"RU power cap", "minimum rate", "fronthaul cap",
                             "delay budget", "delay"}
