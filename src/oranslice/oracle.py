@@ -24,6 +24,7 @@ from .power import SolverOptions, solve_power
 
 RTOL = 1e-9
 MM1_BLOCK = 8192               # customers per Lindley block
+GRID_POINTS_MAX = 2 ** 25      # power-grid points per mapping; 65^4 fits
 
 
 class OracleSizeError(ValueError):
@@ -315,13 +316,15 @@ def brute_force_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     efficiency is kept.  The grid has power_grid_n uniform steps
     (power_grid_n + 1 points including both endpoints) so that doubling
     power_grid_n refines the grid in place and can only improve the
-    result.  Guards: n_services * n_slices <= 12 and at most 4 UEs
-    overall.  Feasibility uses the worst-case interference bound,
-    matching the solver's constraint set.
+    result.  Guards: n_services * n_slices <= 12, at most 4 UEs overall
+    and at most GRID_POINTS_MAX grid points per mapping, checked before
+    anything is allocated.  Feasibility uses the worst-case interference
+    bound, matching the solver's constraint set.
     """
-    if sc.n_ues > 4:
+    if sc.n_ues > 4 or (power_grid_n + 1) ** sc.n_ues > GRID_POINTS_MAX:
         raise OracleSizeError(
-            f"power grid limited to 4 UEs, got {sc.n_ues}")
+            f"power grid limited to 4 UEs and {GRID_POINTS_MAX} points per "
+            f"mapping, got {sc.n_ues} UEs x {power_grid_n + 1} points")
     if power_grid_n < 2:
         raise ValueError("power_grid_n must be >= 2")
     candidates = _coverage_complete_mappings(sc, bf)

@@ -27,9 +27,8 @@ from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
                     beam_gains, build_beamformers, build_channels,
                     interference_upper_bound, slot_weight_matrix)
 from .queueing import UnstableQueueError, layer_delays, slice_loads
-from .slicing import MappingResult, check_feasibility, map_slices_to_services
+from .slicing import MappingResult, map_slices_to_services, verdict
 
-GAP_RTOL = 1e-8      # barrier stop: m/t <= GAP_RTOL * summed rate in nats
 CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
 T_STEP = 20.0        # barrier parameter growth per centering
 EPS_ETA = 1e-6       # outer stop: |F| and gap <= EPS_ETA * R_tot
@@ -213,20 +212,27 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
 
 class PowerProblem:
     """The eta-independent part of one mapping's inner problem, built once
-    per Dinkelbach loop.  Phase I (floors only rise with power) steps from
+    per Dinkelbach loop from one interference bound, one set of beam gains
+    and one slot-weight matrix; `evaluate` gives the UE rates and slot
+    powers at any powers from them.  The mapping must give every service
+    a slice (ValueError otherwise), so every UE is served and carries a
+    power variable.  Phase I (floors only rise with power) steps from
     p_max towards the per-UE floor powers `p_lo` while every slice floor
     holds; if a slot cap fails there, it maximizes s with the caps shrunk
     to b * (1 - s) until s > 0 or the barrier bound rules it out.  The
     phase-II path stands at (`x`, `t`), where each solve resumes it; `x`
     is None without a strictly feasible point, and a solve then reports
     `p` and `stop`.  `steps` holds phase-I Newton steps not yet charged to
-    a solve.  `eta0` is R/P at `p_lo` if those powers meet every floor and cap, else
-    at the phase-I point: a feasible ratio, so F(eta0) >= 0.  Phase I
-    and each `subgradient_solve` spend at most `opts.max_iters` Newton
-    steps."""
+    a solve.  `eta0` is R/P at `p_lo` if those powers meet every floor and
+    cap, else at the phase-I point: a feasible ratio, so F(eta0) >= 0.
+    Phase I and each `subgradient_solve` spend at most `opts.max_iters`
+    Newton steps."""
 
     def __init__(self, sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                  bf: BeamformerSet, ibar: np.ndarray, opts: SolverOptions):
+        uncovered = np.flatnonzero(~mapping.covered()).tolist()
+        if uncovered:
+            raise ValueError(f"services {uncovered} have no slice")
         self.sc, params = sc, sc.params
         self.max_iters = opts.max_iters
         self.sigma2 = sigma2 = bf.slot_sigma
@@ -240,19 +246,20 @@ class PowerProblem:
         self.floors = floors = np.array(list(self.dfrak.values()), float)
         self.served = mapping.a[sc.ue_service]
         self.member = self.served[:, list(self.dfrak)].astype(float)
-        self.active_ue = self.served.any(axis=1)
-        self.idx = idx = np.flatnonzero(self.active_ue)
-        q = gains[idx] / denom[idx]
+        q = gains / denom
         self.room = np.minimum(params.p_max, self.fh_power_cap) - sigma2
-        self.keep = weights[:, idx].sum(axis=1) * params.p_max > self.room
-        self.cost = weights[:, idx].sum(axis=0)      # d P_tot / d p, per UE
-        W, b = weights[self.keep][:, idx], self.room[self.keep]
-        rho_min, M = params.r_min / nat, self.member[idx].T
+        # the sums and W are column-major: the rounding of `cost`, and so
+        # every trace, depends on the layout
+        wf = np.asfortranarray(weights)
+        self.keep = wf.sum(axis=1) * params.p_max > self.room
+        self.cost = wf.sum(axis=0)                   # d P_tot / d p, per UE
+        W, b = np.asfortranarray(weights[self.keep]), self.room[self.keep]
+        rho_min, M = params.r_min / nat, np.asfortranarray(self.member.T)
         prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
-        self.prob = _barrier(*prob, idx.size)
+        self.prob = _barrier(*prob, sc.n_ues)
         with np.errstate(divide="ignore", invalid="ignore"):
             p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
-        x, self.p = None, np.full(idx.size, params.p_max)
+        x, self.p = None, np.full(sc.n_ues, params.p_max)
         self.stop, self.steps, self.t = "infeasible", 0, 1.0
         if np.all(p_lo < params.p_max) and np.all(b > 0):
             for theta in 0.5 ** np.arange(1, 40):
@@ -286,24 +293,30 @@ class PowerProblem:
         multiplier + the delay multipliers of the slices serving it, beam
         gain g, noise-plus-interference z and price x = sum over slots of
         (cap multiplier + eta) * gated |w|^2, the water-filling maximizer
-        is max(0, (y*g - x*z) / (x*g)), clipped at p_max.  Unserved UEs
-        get zero power and a served UE with zero price rides the cap.
-        Every served UE has a positive gain, since phase I found a point.
-        `terms` is (x, lam) when the caller has formed them.
+        is max(0, (y*g - x*z) / (x*g)), clipped at p_max.  A UE with zero
+        price rides the cap.  Every UE has a positive gain, since phase I
+        found a point.  `terms` is (x, lam) when the caller has formed
+        them.
         """
         params, gains, denom = self.sc.params, self.gains, self.denom
-        active = self.active_ue
         price, lam = terms or (self.weights.T @ (mults.ru_cap_slot + eta),
                                1.0 + mults.rate_ue
                                + self.served @ mults.delay_slice)
         y = lam * params.bandwidth_hz / math.log(2.0)
         p = np.zeros(self.sc.n_ues)
-        good = active & (price > 0)
+        good = price > 0
         p[good] = np.maximum(
             0.0, (y[good] * gains[good] - price[good] * denom[good])
             / (price[good] * gains[good]))
-        p[active & (price <= 0)] = params.p_max
+        p[price <= 0] = params.p_max
         return np.minimum(p, params.p_max)
+
+    def evaluate(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(UE rates in bit/s, slot powers in W) at UE powers `p`, under
+        the problem's interference bound."""
+        return (self.sc.params.bandwidth_hz
+                * np.log2(1.0 + p * self.gains / self.denom),
+                self.weights @ p + self.sigma2)
 
     def dual_bound(self, eta: float, mults: Multipliers) -> float:
         """Lagrangian dual function at `mults`, bit/s: an upper bound on
@@ -316,54 +329,39 @@ class PowerProblem:
         return float((nat * lam * np.log1p(p * self.gains / self.denom)
                       - price * p).sum() - eta * self.sigma2.sum()
                      + mults.ru_cap_slot @ self.room
-                     - sc.params.r_min * mults.rate_ue[self.idx].sum()
+                     - sc.params.r_min * mults.rate_ue.sum()
                      - mults.delay_slice[list(self.dfrak)] @ self.floors)
 
 
-def subgradient_solve(problem: PowerProblem, eta: float,
-                      gap_rtol: float = GAP_RTOL) -> SubgradientResult:
+def subgradient_solve(problem: PowerProblem,
+                      eta: float) -> SubgradientResult:
     """Maximize R_tot - eta * P_tot over the powers, with a certificate.
 
     Follows the problem's barrier path with eta held, from the point and
     t where the last call left it (a fresh `problem`: the phase-I point
-    and t = 1), until a centred point whose m/t <= gap_rtol * summed
-    rate ("gap"), the Newton-step cap or a breakdown of the Newton step
-    ("cap").  With gap_rtol = inf that is the first centred point, which
-    is how `solve_power` moves eta along one path.  `gap` is the dual
-    bound at the returned barrier duals minus `f_value`; it is infinite
-    without duals.
+    and t = 1), to its next centred point ("gap"), unless the Newton-step
+    cap or a breakdown of the Newton step comes first ("cap").  The
+    caller moves eta and t between calls, which is how `solve_power`
+    walks one path.  `gap` is the dual bound at the returned barrier
+    duals minus `f_value`; it is infinite without duals.
     """
-    pb, sc = problem, problem.sc
-    params, nat, idx, weights = sc.params, pb.nat, pb.idx, pb.weights
+    pb, sc, params, nat = problem, problem.sc, problem.sc.params, problem.nat
     x, p, stop, steps, duals = pb.x, pb.p, pb.stop, pb.steps, None
     if x is not None:
-        # duals: per-UE floors, slice floors, kept slot caps, box
-        cuts = np.cumsum([idx.size, len(pb.floors), pb.keep.sum(), idx.size])
         budget = pb.max_iters - steps
-        for x, t, duals, more in _central_path(
-                x, -eta / nat * pb.cost, 1.0, pb.prob, budget, pb.t):
-            stop = "cap"
-            if duals is None:
-                break
-            # m/t bounds the gap only at a centred point; the point where
-            # the budget ran out is not known to be one
-            if more < budget and (duals.size / t <= gap_rtol
-                                  * np.log1p(pb.prob[0] * x).sum()):
-                stop = "gap"
-                break
+        x, t, duals, more = next(_central_path(
+            x, -eta / nat * pb.cost, 1.0, pb.prob, budget, pb.t))
+        # m/t bounds the gap only at a centred point; the point where the
+        # budget ran out is not known to be one
+        stop = "gap" if duals is not None and more < budget else "cap"
         p, steps = x, steps + more
         pb.x, pb.t, pb.steps = x, t, 0
 
-    powers = PowerAllocation(p=np.zeros(sc.n_ues))
-    powers.p[idx] = p
-    rates = params.bandwidth_hz * np.log2(1.0 + powers.p * pb.gains
-                                          / pb.denom)
-    p_bar = weights @ powers.p + pb.sigma2
+    rates, p_bar = pb.evaluate(p)
     r_tot, p_tot = float(rates.sum()), float(p_bar.sum())
     f_val = r_tot - eta * p_tot
     with np.errstate(over="ignore"):    # tiny limits: infinite violations
-        worst = {"minimum rate": np.where(pb.active_ue, (params.r_min - rates)
-                                          / params.r_min, 0.0),
+        worst = {"minimum rate": (params.r_min - rates) / params.r_min,
                  "RU power cap": (p_bar - params.p_max) / params.p_max,
                  "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
                  "delay budget": (pb.floors - rates @ pb.member) / pb.floors}
@@ -373,16 +371,18 @@ def subgradient_solve(problem: PowerProblem, eta: float,
                         delay_slice=np.zeros(sc.n_slices))
     gap = math.inf
     if duals is not None:
-        mults.rate_ue[idx] = duals[:cuts[0]]
-        mults.delay_slice[list(pb.dfrak)] = duals[cuts[0]:cuts[1]]
-        mults.ru_cap_slot[pb.keep] = nat * duals[cuts[1]:cuts[2]]
+        # duals: per-UE floors, slice floors, kept slot caps, box
+        n, f = sc.n_ues, sc.n_ues + len(pb.floors)
+        mults.rate_ue[:] = duals[:n]
+        mults.delay_slice[list(pb.dfrak)] = duals[n:f]
+        mults.ru_cap_slot[pb.keep] = nat * duals[f:f + pb.keep.sum()]
         gap = pb.dual_bound(eta, mults) - f_val
     return SubgradientResult(
-        eta=eta, powers=powers, mults=mults, converged=stop == "gap",
-        iterations=steps, feasible=max(worst.values()) <= CONSTRAINT_RTOL,
-        f_value=f_val, r_tot=r_tot, p_tot=p_tot,
-        max_violation=max(worst.values()), gap=gap, stop=stop,
-        violated=[k for k, v in worst.items() if v > 0])
+        eta=eta, powers=PowerAllocation(p=p), mults=mults,
+        converged=stop == "gap", iterations=steps,
+        feasible=max(worst.values()) <= CONSTRAINT_RTOL, f_value=f_val,
+        r_tot=r_tot, p_tot=p_tot, max_violation=max(worst.values()),
+        gap=gap, stop=stop, violated=[k for k, v in worst.items() if v > 0])
 
 
 @dataclass
@@ -437,18 +437,19 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     can tell; otherwise it recentres at the same t.  `converged` means the
     last point, computed at the last eta, has dual gap and |F| both within
     EPS_ETA * R_tot.  The feasible set does not depend on eta, so a path
-    that finds no strictly feasible point ends the loop.  `mapping` is
-    taken to cover every service (the caller checks); the result's
-    `mapping_result` holds it with no uncovered services and no
-    rejections.  Raises as `delay_linearization` does when an active
-    slice cannot meet its delay budget at any rate.
+    that finds no strictly feasible point ends the loop.  `feasible` and
+    `violations` are what `check_feasibility` reports at the returned
+    powers.  `mapping` must cover every service (ValueError otherwise);
+    the result's `mapping_result` holds it with no uncovered services
+    and no rejections.  Raises as `delay_linearization` does when an
+    active slice cannot meet its delay budget at any rate.
     """
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     problem = PowerProblem(sc, mapping, ch, bf, ibar, opts)
     eta = problem.eta0
     trace: list[SubgradientResult] = []
     for _ in range(I_MAX):
-        last = subgradient_solve(problem, eta, gap_rtol=math.inf)
+        last = subgradient_solve(problem, eta)
         powers, r_tot, p_tot = last.powers, last.r_tot, last.p_tot
         trace.append(last)
         tol = EPS_ETA * max(r_tot, 1.0)
@@ -460,11 +461,10 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         if p_tot > 0:
             eta = max(eta, r_tot / p_tot)
 
-    final = check_feasibility(sc, ch, bf, mapping, powers)
+    final = verdict(sc, bf, mapping, *problem.evaluate(powers.p))
     return JointResult(
         mapping_result=MappingResult(mapping=mapping, uncovered_services=[],
                                      rejections=[]),
         powers=powers, eta=(r_tot / p_tot if p_tot > 0 else 0.0),
         r_tot=r_tot, p_tot=p_tot, converged=converged, trace=trace,
-        feasible=final.ok and last.feasible,
-        violations=final.violations, mults=last.mults)
+        feasible=final.ok, violations=final.violations, mults=last.mults)

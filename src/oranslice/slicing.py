@@ -89,6 +89,19 @@ def _violations(sc: Scenario, bf: BeamformerSet, p_bar: np.ndarray,
                f"{params.d_max:.6g} s")
 
 
+def verdict(sc: Scenario, bf: BeamformerSet, mapping: SliceMapping,
+            rates: np.ndarray, p_bar: np.ndarray) -> FeasibilityReport:
+    """Every violation of the mapped system at UE rates `rates` and slot
+    powers `p_bar`, in `_violations` order: the minimum rate of each UE
+    whose service is mapped and the delay budget of each active slice."""
+    served = mapping.a[sc.ue_service]
+    violations = list(_violations(
+        sc, bf, p_bar, rates, mapping.covered()[sc.ue_service],
+        served.any(axis=0), slice_loads(sc, served),
+        slice_sums(rates, served)))
+    return FeasibilityReport(ok=not violations, violations=violations)
+
+
 def check_feasibility(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
                       mapping: SliceMapping,
                       powers: PowerAllocation | None = None,
@@ -110,14 +123,10 @@ def check_feasibility(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
         return FeasibilityReport(ok=False, violations=[
             f"negative transmit power at UE index {bad}"])
 
-    served = mapping.a[sc.ue_service]
     ibar = interference_upper_bound(sc, mapping, ch, bf)
-    rates = ue_rates(sc, mapping, ch, bf, powers, ibar)
-    violations = list(_violations(
-        sc, bf, ru_powers_all(sc, mapping, bf, powers), rates,
-        mapping.covered()[sc.ue_service], served.any(axis=0),
-        slice_loads(sc, served), slice_sums(rates, served)))
-    return FeasibilityReport(ok=not violations, violations=violations)
+    return verdict(sc, bf, mapping,
+                   ue_rates(sc, mapping, ch, bf, powers, ibar),
+                   ru_powers_all(sc, mapping, bf, powers))
 
 
 @dataclass

@@ -298,6 +298,19 @@ def test_solve_oracle_too_large_exits_4(tmp_path, capsys):
     assert "error:" in err and "12" in err
 
 
+def test_solve_oracle_grid_too_large_exits_4(tmp_path, capsys):
+    # (10^12 + 1)^2 grid points per mapping cannot be held in memory: the
+    # oracle refuses the grid before allocating it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EASY_CONFIG, "c_max": 2000.0}))
+    sc = tmp_path / "sc.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(sc)]) == 0
+    code = main(["solve", str(sc), "--oracle", "--grid-n", "1000000000000"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "error:" in err and "power grid" in err
+
+
 def test_solve_rejects_bad_packet_size(easy_scenario, capsys):
     code = main(["solve", str(easy_scenario), "--packet-size", "-1"])
     assert code == 2

@@ -8,12 +8,13 @@ import pytest
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
                       small_joint_config)
+from oranslice import power, radio, slicing
 from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
 from oranslice.power import (EPS_ETA, InfeasibleDelayError,
                              InfeasibleMappingError, Multipliers, PowerProblem,
-                             SolverOptions, _barrier, _central_path,
-                             delay_linearization, solve_joint,
+                             SolverOptions, T_STEP, _barrier, _central_path,
+                             delay_linearization, solve_joint, solve_power,
                              subgradient_solve)
 from oranslice.queueing import layer_delays
 from oranslice.radio import (PowerAllocation, SliceMapping, beam_gains,
@@ -21,7 +22,7 @@ from oranslice.radio import (PowerAllocation, SliceMapping, beam_gains,
                              interference_upper_bound, ru_powers_all,
                              slot_weight_matrix, ue_rates)
 from oranslice.scenario import GeneratorConfig, generate_scenario
-from oranslice.slicing import map_slices_to_services
+from oranslice.slicing import check_feasibility, map_slices_to_services
 
 
 def one_on_one():
@@ -103,6 +104,17 @@ def inner_solve(sc, mapping, ch, bf, eta, max_iters=5000):
                                           SolverOptions(max_iters)), eta)
 
 
+def solve_to_gap(pb, eta):
+    """`subgradient_solve` at a fixed eta, solved to its gap: t grows by
+    T_STEP after each centred point until the dual gap is within 1e-8 of
+    R_tot, or a solve stops short of a centred point."""
+    while True:
+        res = subgradient_solve(pb, eta)
+        if res.stop != "gap" or res.gap <= 1e-8 * res.r_tot:
+            return res
+        pb.t *= T_STEP
+
+
 def test_closed_form_hand_unit_coefficients():
     # y=2 (lam=1), w=1 (h=1 so the precoder is 1), x=1 (eta=1, |w|^2=1),
     # z=1 -> p* = (y*w - x*z)/(x*w) = 1
@@ -169,7 +181,8 @@ def test_subgradient_eta_zero_rides_the_ru_cap():
     bf = build_beamformers(sc, ch)
     mapping = one_on_one()
     ibar = interference_upper_bound(sc, mapping, ch, bf)
-    res = inner_solve(sc, mapping, ch, bf, eta=0.0, max_iters=20000)
+    res = solve_to_gap(PowerProblem(sc, mapping, ch, bf, ibar,
+                                    SolverOptions(20000)), 0.0)
     sq = bf.slot_sigma[0]
     p_cap = (sc.params.p_max - sq) / 2.0
     assert res.feasible and res.converged
@@ -198,10 +211,10 @@ def test_subgradient_reports_unreachable_rate_floor():
     assert res.max_violation > 0
 
 
-def test_subgradient_phase1_reports_cap_blocked_floor():
-    # |w|^2 = 2 caps the slot at p = (p_max - sigma_q^2)/2, and the rate
-    # floor needs 3/4 of p_max: the floor alone is reachable below p_max,
-    # so only phase I can show that no strictly feasible point exists
+def cap_blocked_instance():
+    """|w|^2 = 2 caps the slot at p = (p_max - sigma_q^2)/2, and the rate
+    floor needs 3/4 of p_max: the floor alone is reachable below p_max,
+    so only phase I can show that no strictly feasible point exists."""
     def instance(r_min):
         sc = hand_scenario(ue_counts=(1,), slice_rus=((0,),),
                            params=default_params(r_min=r_min))
@@ -212,13 +225,58 @@ def test_subgradient_phase1_reports_cap_blocked_floor():
     sc, ch, bf, ibar = instance(1.0)
     g = beam_gains(sc, one_on_one(), ch, bf)[0]
     z = sc.params.bandwidth_hz * sc.params.noise_psd + ibar[0]
-    sc, ch, bf, ibar = instance(sc.params.bandwidth_hz * math.log2(
-        1.0 + 0.75 * sc.params.p_max * g / z))
+    return instance(sc.params.bandwidth_hz * math.log2(
+        1.0 + 0.75 * sc.params.p_max * g / z))[:3]
+
+
+def test_subgradient_phase1_reports_cap_blocked_floor():
+    sc, ch, bf = cap_blocked_instance()
     res = inner_solve(sc, one_on_one(), ch, bf, eta=0.0)
     assert res.stop == "infeasible"
     assert not res.feasible and not res.converged
     assert res.violated == ["RU power cap"]
     assert res.iterations < 200
+
+
+def test_solve_power_verdict_is_check_feasibility_on_its_powers():
+    # the final verdict comes from the problem's own arrays; on the
+    # cap-blocked instance it lists a violation
+    sc, ch, bf = cap_blocked_instance()
+    res = solve_power(sc, one_on_one(), ch, bf)
+    report = check_feasibility(sc, ch, bf, one_on_one(), res.powers)
+    assert res.violations
+    assert (res.feasible, res.violations) == (report.ok, report.violations)
+
+
+def test_solve_power_rejects_a_mapping_that_leaves_a_service_out():
+    sc = hand_scenario(ue_counts=(1, 1), slice_rus=((0,),))
+    ch = channels_from_matrix(sc, [[math.sqrt(2.0), math.sqrt(2.0)]])
+    a = np.zeros((2, 1), dtype=np.int8)
+    a[0, 0] = 1
+    with pytest.raises(ValueError, match=r"services \[1\] have no slice"):
+        solve_power(sc, SliceMapping(a=a), ch, build_beamformers(sc, ch))
+
+
+def test_solve_power_builds_each_part_once(monkeypatch):
+    # the interference bound, the beam gains and the slot weights are
+    # built once per solve, however many points the path takes and
+    # although the final verdict reads rates and slot powers again
+    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+    ch = build_channels(sc)
+    bf = build_beamformers(sc, ch)
+    mapping = map_slices_to_services(sc, bf).mapping
+    names = ("interference_upper_bound", "beam_gains", "slot_weight_matrix")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(radio, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        for module in (radio, power, slicing):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    res = solve_power(sc, mapping, ch, bf, SolverOptions(max_iters=1500))
+    assert len(res.trace) > 1
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_central_path_stops_on_a_nan_newton_step():
@@ -293,7 +351,7 @@ def test_general_newton_solve_still_stops_on_a_certificate(build,
     q, _rho_min, _M, floor, _W, b, _rows, _hi, is_diag, *_ = pb.prob
     assert not is_diag and len(floor) + len(b) < q.size
     sizes = newton_solves(monkeypatch)
-    res = subgradient_solve(pb, pb.eta0)
+    res = solve_to_gap(pb, pb.eta0)
     assert sizes and set(sizes) == {len(floor) + len(b)}
     assert res.stop == "gap" and res.converged and res.feasible
     assert 0 <= res.gap <= 1e-6 * res.r_tot

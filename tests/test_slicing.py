@@ -9,7 +9,7 @@ from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
 from oranslice.slicing import (_SweepState, check_feasibility,
                                map_slices_to_services, rank_services,
                                rank_slices)
-from oranslice.power import SolverOptions, solve_joint
+from oranslice.power import SolverOptions, solve_joint, solve_power
 from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
 
@@ -281,6 +281,27 @@ def test_incremental_sweep_matches_full_rebuild(configs):
     if configs is shared_configs:
         assert families >= {"RU power cap", "minimum rate", "fronthaul cap",
                             "delay budget", "delay"}
+
+
+@pytest.mark.parametrize("configs", [soundness_configs, ee_shared_configs],
+                         ids=["soundness-200", "ee-shared-10"])
+def test_solve_power_verdict_matches_check_feasibility(configs):
+    # shared-30 is left out: the sweep covers every service in none of
+    # its configs
+    solved = 0
+    for seed, cfg in configs():
+        sc = generate_scenario(cfg, seed=seed)
+        ch = build_channels(sc)
+        bf = build_beamformers(sc, ch)
+        got = map_slices_to_services(sc, bf)
+        if got.uncovered_services:
+            continue
+        res = solve_power(sc, got.mapping, ch, bf, SolverOptions(1500))
+        report = check_feasibility(sc, ch, bf, got.mapping, res.powers)
+        assert (res.feasible, res.violations) == (
+            report.ok, report.violations), f"seed {seed}"
+        solved += 1
+    assert solved
 
 
 # uncovered services per shared-30 config, seeds 0-29, when pass 1 of the
