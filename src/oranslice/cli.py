@@ -3,12 +3,14 @@
 Subcommands: `generate` (scenario files), `solve` (joint mapping and
 power control), `place` (VNF placement), `experiment` (seeded Monte
 Carlo sweeps written as tidy CSV).  Exit codes: 0 success, 2 invalid
-input, 3 infeasible model, 4 exhaustive-search size guard.
+input or an output file that cannot be written, 3 infeasible model, 4
+exhaustive-search size guard.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -85,9 +87,18 @@ def _load_scenario(path: str) -> Scenario:
         raise CliError(2, f"cannot read {path}: {exc}")
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Exit 2 with a message when writing output file `path` fails."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(2, f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_csv(path: str, header: str, lines) -> None:
     """A CSV file: the schema line, `header`, then `lines`."""
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(f"{CSV_SCHEMA_LINE}\n{header}\n")
         fh.writelines(line + "\n" for line in lines)
 
@@ -114,7 +125,7 @@ def _run_oracle(args, kind: str, name: str, search,
     path = args.oracle_out or args.scenario + ".oracle.csv"
     header = ("" if os.path.exists(path)
               else f"{CSV_SCHEMA_LINE}\n{OracleReport.CSV_HEADER}\n")
-    with open(path, "a") as fh:
+    with _writing(path), open(path, "a") as fh:
         fh.write(header + report.csv_row() + "\n")
     print(f"oracle {name}={getattr(ref, name):.6g} "
           f"rel_gap={report.rel_gap:.3e}")
@@ -148,7 +159,8 @@ def cmd_generate(args) -> int:
     if problems := validate(sc):
         raise CliError(2, "bad config: it draws an "
                           + invalid_scenario_text(problems))
-    save_scenario(sc, args.out)
+    with _writing(args.out):
+        save_scenario(sc, args.out)
     with open(args.out, "rb") as fh:
         sha = hashlib.sha256(fh.read()).hexdigest()[:12]
     print(f"scenario {args.out}: services={sc.n_services} "
@@ -209,7 +221,8 @@ def cmd_solve(args) -> int:
         }
 
     if args.out:
-        write_json(args.out, payload)
+        with _writing(args.out):
+            write_json(args.out, payload)
     if args.trace:
         _write_csv(args.trace,
                    "iteration,eta,f_value,max_violation,inner_iterations,"
@@ -298,7 +311,8 @@ def cmd_place(args) -> int:
                              "rel_gap": _json_number(report.rel_gap)}
 
     if args.out:
-        write_json(args.out, payload)
+        with _writing(args.out):
+            write_json(args.out, payload)
     print(f"admitted={len(placement.admitted)}/"
           f"{len(placement.admitted) + len(placement.unadmitted)} "
           f"ratio={ratio:.4g} phi={phi:.6g} psi={psi:.6g}")
@@ -392,7 +406,8 @@ def _emit_plot_script(csv_path: str, series_values: list,
     plots = ", ".join(
         f"'{csv_path}' using (column(1)=={val}?column(2):1/0):(column(4)) "
         f"with linespoints title 'series {val}'" for val in series_values)
-    with open(csv_path + ".gnuplot", "w") as fh:
+    path = csv_path + ".gnuplot"
+    with _writing(path), open(path, "w") as fh:
         fh.write(f"set datafile separator ','\nset title '{title}'\n"
                  f"set key outside\nplot {plots}\n")
 

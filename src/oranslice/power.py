@@ -432,9 +432,10 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
 
     The `PowerProblem` and its phase-I point are built once.  Eta starts
     at `PowerProblem.eta0`, R/P at the rate-floor powers or the phase-I
-    point.  The path grows t by T_STEP only after a point whose F(eta) is
-    within its certified gap, where eta is as close to the root as that t
-    can tell; otherwise it recentres at the same t.  `converged` means the
+    point.  The path grows t by T_STEP after every point whose certified
+    gap is above the stop tolerance EPS_ETA * max(R_tot, 1), so t rises
+    until the certificate can stop the loop; after a point within it, the
+    path recentres at the same t.  `converged` means the
     last point, computed at the last eta, has dual gap and |F| both within
     EPS_ETA * R_tot.  The feasible set does not depend on eta, so a path
     that finds no strictly feasible point ends the loop.  `feasible` and
@@ -456,7 +457,7 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         converged = abs(last.f_value) <= tol and last.gap <= tol
         if converged or last.stop == "infeasible":
             break
-        if last.f_value <= last.gap:
+        if last.gap > tol:
             problem.t *= T_STEP
         if p_tot > 0:
             eta = max(eta, r_tot / p_tot)

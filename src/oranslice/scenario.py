@@ -520,6 +520,41 @@ def _positive_draw(rng: np.random.Generator, mean: float, cv: float,
     return np.maximum(draws, 0.1 * mean)
 
 
+def draw_subsets(rng: np.random.Generator,
+                 groups: list[tuple[int, int, int]]) -> list[np.ndarray]:
+    """For each (n, k, m) of `groups`, an (m, k) array whose rows, sorted,
+    are the sets that m successive `rng.choice(n, k, replace=False)` calls
+    draw, taken from one `rng.integers` call that leaves `rng` where those
+    calls, group after group, would.  Needs 1 <= k <= n <= 10,000 where
+    m > 0: there numpy's `choice` is Floyd's sampler, a bounded draw in
+    [0, j] for j = n - k, ..., n - 1 that takes j in place of a value
+    already taken, then a Fisher-Yates pass, bounded draws in [0, i] for
+    i = k - 1, ..., 1 that only reorder the set (read here, not used)."""
+    bounds = [np.tile(np.r_[n - k + 1:n + 1, k:1:-1], m) for n, k, m in groups]
+    draws = rng.integers(0, np.concatenate(bounds))
+    out, at = [], 0
+    for (n, k, m), span in zip(groups, map(len, bounds)):
+        v = draws[at:at + span].reshape(m, 2 * k - 1)[:, :k]
+        at += span
+        # Floyd across all rows: draw t gives way to j_t when an earlier
+        # step took its value, that is, when it repeats an earlier draw or
+        # equals the j of an earlier step that gave way itself.  Those
+        # steps chain back through the row; pointer doubling follows every
+        # chain at once.  Indices are flat, into the row-major m x k block.
+        j, row = n - k + np.arange(k), k * np.arange(m)[:, None]
+        order = np.argsort(v, axis=1, kind="stable") + row
+        ordered = v.ravel()[order]
+        replaced = np.zeros(m * k, dtype=bool)
+        replaced[order[:, 1:]] = ordered[:, 1:] == ordered[:, :-1]
+        back = (np.where((v >= n - k) & (v < j), v - (n - k), np.arange(k))
+                + row).ravel()
+        for _ in range(int(k).bit_length()):
+            replaced |= replaced[back]
+            back = back[back]
+        out.append(np.sort(np.where(replaced.reshape(m, k), j, v), axis=1))
+    return out
+
+
 def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
     """Draw a random scenario; a pure function of (config, seed)."""
     rng = np.random.default_rng(seed)
@@ -557,10 +592,17 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
                for mean in (config.slice_memory_gb, config.slice_storage_tb,
                             config.slice_cpu_ghz)]
 
+    # every slice's RUs, then in shared mode each (slice, UE) pair's
+    # eligible PRBs, drawn without replacement
+    n_pairs = (config.n_slices * n_ues_total if config.prb_mode == "shared"
+               else 0)
+    ru_sets, prb_sets = draw_subsets(rng, [
+        (config.n_rus, config.rus_per_slice, config.n_slices),
+        (n_prbs, min(config.prbs_per_ue, n_prbs), n_pairs)])
+
     slices = []
     for s in range(config.n_slices):
-        ru_ids = tuple(sorted(rng.choice(config.n_rus, config.rus_per_slice,
-                                         replace=False).tolist()))
+        ru_ids = tuple(ru_sets[s].tolist())
         n_vnfs = config.m_du + config.m_cu
         # Per-VNF demands split the slice total evenly; only totals matter
         # to placement.
@@ -577,10 +619,9 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
                           config.n_slices)
         triples = np.column_stack([ue, ue, s])
     else:
-        triples = [(u, int(k), s) for s in range(config.n_slices)
-                   for u in range(n_ues_total)
-                   for k in rng.choice(n_prbs, min(config.prbs_per_ue, n_prbs),
-                                       replace=False)]
+        s, ue = np.divmod(np.repeat(np.arange(n_pairs), prb_sets.shape[1]),
+                          n_ues_total)
+        triples = np.column_stack([ue, prb_sets.ravel(), s])
     prb_assignment = PrbAssignment(n_prbs=n_prbs, triples=triples)
 
     capacities = [_positive_draw(rng, mean, config.dc_cv, config.n_dcs)

@@ -347,6 +347,27 @@ def test_solve_rejects_missing_scenario(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--out"), ("solve", "--out"), ("solve", "--trace"),
+    ("place", "--out"), ("experiment", "--out"),
+])
+def test_unwritable_output_exits_2(easy_scenario, tmp_path, capsys, command,
+                                   flag):
+    # the output's directory does not exist: a message, not a traceback
+    target = tmp_path / "missing" / "out"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "kind": "ee_vs_mean_ues", "x_values": [1], "series": [1],
+        "seeds": [0],
+        "overrides": {"n_rus": 8, "rus_per_slice": 8, "max_ues": 3}}))
+    first = {"generate": [], "solve": [str(easy_scenario)],
+             "place": [str(easy_scenario)], "experiment": [str(spec)]}
+    code = main([command, *first[command], flag, str(target)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {target}: No such file or directory\n")
+
+
 NAN, INF = float("nan"), float("inf")
 MISSING = object()      # deletes the key instead of replacing its value
 

@@ -492,9 +492,10 @@ def one_path_solve(n_services, mean_ues, overrides, seed):
 def test_solve_joint_starts_feasible_and_warm_starts():
     # ee_vs_mean_ues at U=147: a fresh barrier solved to a 1e-8 gap at
     # each of 4 Dinkelbach steps takes 114 Newton steps; one path takes
-    # 32.  eta0 is the ratio of a feasible point, so F(eta0) >= 0: the
+    # 28.  eta0 is the ratio of a feasible point, so F(eta0) >= 0: the
     # first centred point, at t = 1, reads F = -1 % of R_tot, within its
-    # gap, so the path recentres at eta0 and the second point reads F >= 0
+    # gap, so the path recentres at eta0 (at t = T_STEP, since that gap is
+    # above the stop tolerance) and the second point reads F >= 0
     res, steps = one_path_solve(12, 12, {}, 0)
     first, second = res.trace[0], res.trace[1]
     assert -first.gap <= first.f_value < 0
@@ -502,6 +503,16 @@ def test_solve_joint_starts_feasible_and_warm_starts():
     assert second.f_value >= 0
     assert steps <= 42
     assert res.eta == pytest.approx(3.1564514e8, rel=1e-6)
+
+
+def test_t_grows_until_the_certificate_is_tight():
+    # t grows by T_STEP after every centred point whose certified gap is
+    # above the stop tolerance: 6 centred points at U=147 (8 when t grew
+    # only after a point with F <= gap)
+    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+    res = solve_joint(sc, SolverOptions(max_iters=1500))
+    assert [row.iterations for row in res.trace] == [9, 4, 5, 5, 3, 2]
+    assert res.eta == pytest.approx(3.156451436345847e8, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_services, mean_ues, overrides, seed, eta, steps", [
@@ -512,8 +523,8 @@ def test_solve_joint_starts_feasible_and_warm_starts():
 def test_one_path_keeps_the_dinkelbach_eta(n_services, mean_ues, overrides,
                                            seed, eta, steps):
     # eta as a fresh barrier solved to a 1e-8 gap at each Dinkelbach step
-    # gives it, in 83, 202 and 199 Newton steps; one path takes 22, 48
-    # and 54
+    # gives it, in 83, 202 and 199 Newton steps; one path takes 18, 43
+    # and 47
     res, spent = one_path_solve(n_services, mean_ues, overrides, seed)
     assert spent <= steps
     assert res.eta == pytest.approx(eta, rel=1e-6)

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from oranslice import scenario
 from oranslice.scenario import (RULES, ChannelModel, DataCenter,
                                 GeneratorConfig, RadioUnit, ScenarioError,
                                 SystemParams, UserEquipment, VnfRequirement,
-                                generate_scenario, load_scenario,
-                                save_scenario, scenario_from_dict,
-                                scenario_to_dict, validate)
+                                draw_subsets, generate_scenario,
+                                load_scenario, save_scenario,
+                                scenario_from_dict, scenario_to_dict,
+                                validate)
 
 from conftest import hand_scenario
 
@@ -29,6 +31,47 @@ def test_different_seed_differs():
     a = generate_scenario(cfg, seed=1)
     b = generate_scenario(cfg, seed=2)
     assert scenario_to_dict(a) != scenario_to_dict(b)
+
+
+def per_set_choice(rng, groups):
+    """`draw_subsets` as one `rng.choice` call per set."""
+    return [np.sort(np.reshape([rng.choice(n, k, replace=False)
+                                for _ in range(m)], (m, k)), axis=1)
+            for n, k, m in groups]
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 64, 10_000])
+def test_one_draw_equals_per_set_choice(n):
+    # the sets and the generator state both match the installed numpy's
+    # `choice`; each case starts after one uint32 draw, so PCG64's
+    # buffered half-word is in play
+    for k in sorted({1, 2, 3, n // 2, n} & set(range(1, n + 1))):
+        for seed in range(10):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for gen in (ref, rng):
+                gen.integers(2 ** 32, dtype=np.uint32)
+            groups = [(n, k, 2), (5, 2, 3)]
+            want = per_set_choice(ref, groups)
+            got = draw_subsets(rng, groups)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"prb_mode": "shared", "prbs_per_ue": 1},
+    {"prb_mode": "shared", "prbs_per_ue": 2},
+    {"prb_mode": "shared", "prbs_per_ue": 3},
+    {"prb_mode": "shared", "prbs_per_ue": 16},
+], ids=["dedicated", "shared-1", "shared-2", "shared-3", "shared-all"])
+def test_generator_draws_as_per_set_choice(monkeypatch, overrides):
+    # the DC draws come after the sets, so they see the generator state
+    cfg = GeneratorConfig(n_services=3, mean_ues=4.0, n_slices=5,
+                          prbs_per_slice=16, dc_cv=0.2, **overrides)
+    one_call = [scenario_to_dict(generate_scenario(cfg, seed))
+                for seed in range(3)]
+    monkeypatch.setattr(scenario, "draw_subsets", per_set_choice)
+    assert [scenario_to_dict(generate_scenario(cfg, seed))
+            for seed in range(3)] == one_call
 
 
 def test_default_radio_parameters():
