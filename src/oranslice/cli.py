@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -94,6 +95,15 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise CliError(2, f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_dirs(*paths: str | None) -> None:
+    """Exit 2, as writing would, when an output file's directory does
+    not exist, so a bad path fails before any work."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(2, f"cannot write {path}: "
+                              f"{os.strerror(errno.ENOENT)}")
 
 
 def _write_csv(path: str, header: str, lines) -> None:
@@ -182,6 +192,7 @@ def cmd_solve(args) -> int:
         _require("", "--packet-size", args.packet_size)
         sc = dataclasses.replace(sc, params=dataclasses.replace(
             sc.params, packet_size_bits=args.packet_size))
+    _check_dirs(args.out, args.trace, args.oracle_out)
     opts = SolverOptions(max_iters=args.max_iters)
     try:
         result = solve_joint(sc, opts)
@@ -463,6 +474,7 @@ def _parse_spec(spec: dict, out: str | None) -> tuple:
 def cmd_experiment(args) -> int:
     kind, seeds, out, xs, series, overrides, nu = _parse_spec(
         _load_json(args.spec), args.out)
+    _check_dirs(out)
     points = [(v, x, s) for v in series for x in xs for s in seeds]
     if kind == "ee_vs_mean_ues":
         values = [_ee_point(v, x, s, overrides) for v, x, s in points]

@@ -434,13 +434,15 @@ def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     fronthaul and delay constraints.  `eta` is the best efficiency that
     passes.  Each mapping also gets an upper bound.  With F(eta) = max
     R_tot - eta * P_tot over its feasible powers, `dual_bound` at the
-    solve's last multipliers gives D >= F(eta).  Every allocation pays at
-    least P_floor, the summed sigma_q^2 of every slot (P_tot charges
-    them all), so a feasible one has R/P = eta + (R - eta P)/P <= eta +
-    max(D, 0) / P_floor.  A mapping has no feasible allocation, and gets
-    no bound, when an active slice cannot meet its delay budget at any
-    rate, or when some rate floor fails with every UE at p_max (a UE's
-    rate depends only on its own power under the interference bound).
+    solve's last multipliers gives D >= F(eta) at any eta; it is taken
+    at the recomputed efficiency, so that efficiency is within its own
+    bound.  Every allocation pays at least P_floor, the summed sigma_q^2
+    of every slot (P_tot charges them all), so a feasible one has R/P =
+    eta + (R - eta P)/P <= eta + max(D, 0) / P_floor.  A mapping has no
+    feasible allocation, and gets no bound, when an active slice cannot
+    meet its delay budget at any rate, or when some rate floor fails
+    with every UE at p_max (a UE's rate depends only on its own power
+    under the interference bound).
     `upper` is the largest bound over the mappings, so the optimum lies
     in [eta, upper]; it is -inf when no mapping can be feasible.  Guard:
     n_services * n_slices <= 12, any number of UEs.
@@ -461,11 +463,12 @@ def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
                              _naive_rates(sc, mapping, ch, bf, top, ibar)):
             continue
         res = solve_power(sc, mapping, ch, bf, SolverOptions(max_iters=2000))
-        bound = dual_bound(sc, mapping, ch, bf, res.eta, res.mults)
-        best.upper = max(best.upper, res.eta + max(bound, 0.0) / p_floor)
-
         rates = _naive_rates(sc, mapping, ch, bf, res.powers, ibar)
         p_bar = _naive_slot_powers(sc, mapping, bf, res.powers)
+        eta = float(rates.sum()) / float(p_bar.sum())
+        bound = dual_bound(sc, mapping, ch, bf, eta, res.mults)
+        best.upper = max(best.upper, eta + max(bound, 0.0) / p_floor)
+
         ok = _meets_floors(sc, mapping, floors, rates)
         ok &= all(0.0 <= p <= params.p_max for p in res.powers.p)
         for k, (_s, _j, rid) in enumerate(slots):
@@ -474,7 +477,6 @@ def certified_mapping(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
                    <= params.c_max * (1 + RTOL))
         if not ok:
             continue
-        eta = float(rates.sum()) / float(p_bar.sum())
         if not best.feasible or eta > best.eta:
             best.feasible, best.eta, best.mapping = True, eta, mapping
     return best

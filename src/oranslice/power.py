@@ -7,12 +7,12 @@ eta <- R_tot/P_tot converges superlinearly when each inner maximization
 is exact (Dinkelbach, 1967).  With eta and the interference bound fixed
 the inner problem is concave (rates, the mapping-gated power charge, the
 per-UE rate floors, per-slot RU and fronthaul caps, per-slice delay rate
-floors) and is solved by a log-barrier interior-point method (Boyd &
-Vandenberghe, Convex Optimization, 2004, ch. 11) whose duals certify it.
-Its feasible set does not depend on eta, so phase I runs once per solve;
-eta starts at the ratio of a feasible point, which keeps F >= 0 and eta
-monotone (Schaible, 1976), and moves at every centred point of a single
-barrier path.
+floors), and duals certify it.  If each UE sits in one slice floor and
+no slot cap can bind (every sweep mapping), it splits into one clipped
+water-filling per slice (Boyd & Vandenberghe, Convex Optimization, 2004,
+sec. 5.5.3), solved exactly; else a log-barrier method (ibid., ch. 11)
+solves it along one path.  Eta starts at a feasible ratio, so F >= 0 and
+eta is monotone (Schaible, 1976).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Multipliers:
 
 @dataclass
 class SolverOptions:
-    max_iters: int = 5000         # Newton-step cap per subgradient_solve
+    max_iters: int = 5000         # barrier Newton steps per point
 
 
 def delay_linearization(sc: Scenario, mapping: SliceMapping,
@@ -97,8 +97,8 @@ class SubgradientResult:
     eta: float
     powers: PowerAllocation
     mults: Multipliers
-    converged: bool               # the barrier stopped on its gap test
-    iterations: int               # Newton steps, phase I included
+    converged: bool               # stopped on its gap test
+    iterations: int               # 1 if exact, else Newton steps (+ phase I)
     feasible: bool
     f_value: float                # R_tot - eta * P_tot at the returned powers
     r_tot: float                  # summed rate, bit/s
@@ -111,16 +111,34 @@ class SubgradientResult:
 
 def _barrier(q, rho_min, M, floor, W, b, p_max, n_x):
     """A `_central_path` problem over x of n_x entries, built once: data,
-    R with its cap rows set, upper bounds, whether I + Rs Rs^T is diagonal
-    (each UE in one floor row, no cap row kept), and the buffers of one
-    path at a time: slacks, trial slack ratios and the trial step."""
+    R with its cap rows set, upper bounds, and the buffers of one path at
+    a time: slacks, trial slack ratios and the trial step."""
     n_p, n_f, n = q.size, len(floor), q.size + len(floor) + len(b) + n_x
     rows = np.zeros((len(floor) + len(b), n_x))
     rows[n_f:, :n_p], rows[n_f:, n_p:] = W, b[:, None]
     return (q, rho_min, M, floor, W, b, rows,
             np.where(np.arange(n_x) < n_p, p_max, 1.0),
-            len(b) == 0 and bool(np.all(M.sum(axis=0) == 1)),
             np.empty(n), np.empty(n), np.empty(n_x))
+
+
+def _levels(row, lo, hi, a, target):
+    """Per floor row s, the least y with sum over its UEs (row == s) of
+    clip(y + a_u, lo, hi_u) >= target_s (-inf if lo meets it; a = inf sits
+    at hi): one sort of the breakpoints of that piecewise-linear sum."""
+    free = np.isfinite(a)
+    base = np.bincount(row, np.where(free, lo, hi), len(target))
+    a, r = a[free], np.tile(row[free], 2)
+    y = np.concatenate([lo - a, hi[free] - a])
+    order = np.lexsort((y, r))
+    r, y, dn = r[order], y[order], np.repeat([1.0, -1.0], a.size)[order]
+    n, c = np.cumsum(dn), np.cumsum(-dn * y)    # the sum is base + c + n y
+    c -= (c + dn * y)[np.searchsorted(r, r)]    # past each breakpoint
+    v = base[r] + c + n * y                     # the sum at each breakpoint
+    k = np.bincount(r, v < target[r], len(target)).astype(int)
+    level, s = np.full(len(target), -np.inf), np.flatnonzero(k)
+    j = np.searchsorted(r, s) + k[s] - 1    # the segment past j brackets it
+    level[s] = y[j] + np.maximum(target[s] - v[j], 0.0) / np.maximum(n[j], 1)
+    return level
 
 
 def _central_path(x, lin, rate_w, prob, budget, t=1.0):
@@ -133,7 +151,7 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
     `budget` steps are spent it yields the point it reached, centred or
     not, and returns.  A non-finite Newton decrement (a zero slack, say)
     ends the path at the last finite x, yielded with duals None."""
-    q, rho_min, M, floor, W, b, rows, hi, diag, sl, ratio, step = prob
+    q, rho_min, M, floor, W, b, rows, hi, sl, ratio, step = prob
     n_p, n_f = q.size, len(floor)
     c, k = n_p + n_f, n_p + len(rows)     # slacks: floors, caps, box
 
@@ -183,8 +201,6 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
                 gs = grad / sd
                 if len(rs) >= x.size:
                     gs = np.linalg.solve(np.eye(x.size) + rs.T @ rs, gs)
-                elif diag:
-                    gs -= rs.T @ (rs @ gs / (1.0 + (rs @ rs.T).diagonal()))
                 else:
                     gs -= rs.T @ np.linalg.solve(np.eye(len(rs)) + rs @ rs.T,
                                                  rs @ gs)
@@ -216,17 +232,18 @@ class PowerProblem:
     and one slot-weight matrix; `evaluate` gives the UE rates and slot
     powers at any powers from them.  The mapping must give every service
     a slice (ValueError otherwise), so every UE is served and carries a
-    power variable.  Phase I (floors only rise with power) steps from
-    p_max towards the per-UE floor powers `p_lo` while every slice floor
-    holds; if a slot cap fails there, it maximizes s with the caps shrunk
-    to b * (1 - s) until s > 0 or the barrier bound rules it out.  The
-    phase-II path stands at (`x`, `t`), where each solve resumes it; `x`
-    is None without a strictly feasible point, and a solve then reports
-    `p` and `stop`.  `steps` holds phase-I Newton steps not yet charged to
-    a solve.  `eta0` is R/P at `p_lo` if those powers meet every floor and
-    cap, else at the phase-I point: a feasible ratio, so F(eta0) >= 0.
-    Phase I and each `subgradient_solve` spend at most `opts.max_iters`
-    Newton steps."""
+    power variable.  Slice-separable (one floor row per UE, no cap kept),
+    it is feasible iff all `p_lo` <= p_max and all floors hold at p_max,
+    and `level` holds each row's eta-free level (else None).  Else phase
+    I steps from p_max towards the rate-floor powers `p_lo` while every
+    slice floor holds; if a slot cap fails there, it maximizes s with the
+    caps shrunk to b * (1 - s) until s > 0 or the barrier rules it out.
+    The phase-II path stands at (`x`, `t`), where each solve resumes it;
+    `x` is None without a strictly feasible point, and a solve then
+    reports `p` and `stop`.  `steps` holds phase-I Newton steps (at most
+    `opts.max_iters`) not yet charged to a solve.  `eta0` is a feasible
+    R/P, so F(eta0) >= 0: at `level_power(inf)`, else at `p_lo` if those
+    meet every floor and cap, else at the phase-I point."""
 
     def __init__(self, sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                  bf: BeamformerSet, ibar: np.ndarray, opts: SolverOptions):
@@ -246,7 +263,7 @@ class PowerProblem:
         self.floors = floors = np.array(list(self.dfrak.values()), float)
         self.served = mapping.a[sc.ue_service]
         self.member = self.served[:, list(self.dfrak)].astype(float)
-        q = gains / denom
+        q, floor = gains / denom, floors / nat
         self.room = np.minimum(params.p_max, self.fh_power_cap) - sigma2
         # the sums and W are column-major: the rounding of `cost`, and so
         # every trace, depends on the layout
@@ -255,18 +272,24 @@ class PowerProblem:
         self.cost = wf.sum(axis=0)                   # d P_tot / d p, per UE
         W, b = np.asfortranarray(weights[self.keep]), self.room[self.keep]
         rho_min, M = params.r_min / nat, np.asfortranarray(self.member.T)
-        prob = (q, rho_min, M, floors / nat, W, b, params.p_max)
-        self.prob = _barrier(*prob, sc.n_ues)
         with np.errstate(divide="ignore", invalid="ignore"):
             p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
-        x, self.p = None, np.full(sc.n_ues, params.p_max)
-        self.stop, self.steps, self.t = "infeasible", 0, 1.0
-        if np.all(p_lo < params.p_max) and np.all(b > 0):
-            for theta in 0.5 ** np.arange(1, 40):
-                p = params.p_max - theta * (params.p_max - p_lo)
-                if np.all(M @ np.log1p(q * p) > floors / nat):
-                    x = p
-                    break
+        x, self.p, self.level = None, np.full(sc.n_ues, params.p_max), None
+        self.stop, self.steps, self.t, start = "infeasible", 0, 1.0, None
+        prob = (q, rho_min, M, floor, W, b, params.p_max)
+        if not b.size and np.all(M.sum(axis=0) == 1):   # slice-separable
+            self.q, self.p_lo, self.row = q, p_lo, M.argmax(axis=0)
+            hi = np.log1p(q * params.p_max)
+            if np.all(p_lo <= params.p_max) and np.all(M @ hi >= floor):
+                with np.errstate(divide="ignore"):
+                    a = np.log(q * nat / self.cost)
+                self.level = _levels(self.row, rho_min, hi, a, floor)
+                start = self.level_power(math.inf)
+        elif np.all(p_lo < params.p_max) and np.all(b > 0):
+            trials = (params.p_max - theta * (params.p_max - p_lo)
+                      for theta in 0.5 ** np.arange(1, 40))
+            x = next((p for p in trials
+                      if np.all(M @ np.log1p(q * p) > floor)), None)
         if x is not None and np.any(W @ x >= b):
             z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
             for z, t, duals, self.steps in _central_path(
@@ -277,13 +300,24 @@ class PowerProblem:
             self.p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
             if self.steps >= opts.max_iters or duals is None:
                 self.stop = "cap"
+        if self.level is None:
+            self.prob = _barrier(*prob, sc.n_ues)
+            lo_ok = (np.all(p_lo <= params.p_max) and np.all(W @ p_lo <= b)
+                     and np.all(M @ np.log1p(q * p_lo) >= floor))
+            start = p_lo if lo_ok else x
         self.x = x
-        lo_ok = (np.all(p_lo <= params.p_max) and np.all(W @ p_lo <= b)
-                 and np.all(M @ np.log1p(q * p_lo) >= floors / nat))
-        start = p_lo if lo_ok else x
         self.eta0 = 0.0 if start is None else float(
             nat * np.log1p(q * start).sum()
             / (self.cost @ start + sigma2.sum()))
+
+    def level_power(self, eta: float) -> np.ndarray:
+        """Exact-path powers at (1 + mu_s)/eta = max(1/eta, e^level_s), in
+        [p_lo, p_max] (p_max at zero `cost`); at inf, the cheapest ones."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.maximum(np.reciprocal(eta), np.exp(self.level))
+            p = z[self.row] * self.nat / self.cost - 1.0 / self.q
+        p_max = self.sc.params.p_max
+        return np.where(self.cost > 0, np.clip(p, self.p_lo, p_max), p_max)
 
     def closed_form_power(self, eta: float, mults: Multipliers,
                           terms: tuple | None = None) -> np.ndarray:
@@ -294,9 +328,8 @@ class PowerProblem:
         gain g, noise-plus-interference z and price x = sum over slots of
         (cap multiplier + eta) * gated |w|^2, the water-filling maximizer
         is max(0, (y*g - x*z) / (x*g)), clipped at p_max.  A UE with zero
-        price rides the cap.  Every UE has a positive gain, since phase I
-        found a point.  `terms` is (x, lam) when the caller has formed
-        them.
+        price rides the cap.  Every UE has a positive gain on a feasible
+        problem.  `terms` is (x, lam) when the caller has formed them.
         """
         params, gains, denom = self.sc.params, self.gains, self.denom
         price, lam = terms or (self.weights.T @ (mults.ru_cap_slot + eta),
@@ -337,17 +370,27 @@ def subgradient_solve(problem: PowerProblem,
                       eta: float) -> SubgradientResult:
     """Maximize R_tot - eta * P_tot over the powers, with a certificate.
 
-    Follows the problem's barrier path with eta held, from the point and
-    t where the last call left it (a fresh `problem`: the phase-I point
-    and t = 1), to its next centred point ("gap"), unless the Newton-step
-    cap or a breakdown of the Newton step comes first ("cap").  The
-    caller moves eta and t between calls, which is how `solve_power`
-    walks one path.  `gap` is the dual bound at the returned barrier
-    duals minus `f_value`; it is infinite without duals.
+    The exact path takes lam_s = 1 + mu_s = max(1, eta e^level_s), and
+    each UE's power and floor multiplier, in closed form: one iteration,
+    stop "gap".  Else it follows the barrier path with eta held, from the
+    point and t where the last call left it (a fresh `problem`: the
+    phase-I point and t = 1), to its next centred point ("gap"), unless
+    the Newton-step cap or a breakdown of the Newton step comes first
+    ("cap").  The caller moves eta and t between calls, which is how
+    `solve_power` walks one path.  `gap` is the dual bound at the returned
+    multipliers minus `f_value`; it is infinite without them.
     """
     pb, sc, params, nat = problem, problem.sc, problem.sc.params, problem.nat
     x, p, stop, steps, duals = pb.x, pb.p, pb.stop, pb.steps, None
-    if x is not None:
+    mults = Multipliers(np.zeros(sc.n_ues), np.zeros(len(pb.sigma2)),
+                        np.zeros(sc.n_slices))
+    if pb.level is not None:
+        lam, p = np.maximum(1.0, eta * np.exp(pb.level)), pb.level_power(eta)
+        mults.rate_ue[:] = np.maximum(0.0, eta * pb.cost * (
+            pb.p_lo + 1.0 / pb.q) / nat - lam[pb.row])
+        mults.delay_slice[list(pb.dfrak)] = lam - 1.0
+        stop, steps, duals = "gap", 1, lam
+    elif x is not None:
         budget = pb.max_iters - steps
         x, t, duals, more = next(_central_path(
             x, -eta / nat * pb.cost, 1.0, pb.prob, budget, pb.t))
@@ -356,6 +399,12 @@ def subgradient_solve(problem: PowerProblem,
         stop = "gap" if duals is not None and more < budget else "cap"
         p, steps = x, steps + more
         pb.x, pb.t, pb.steps = x, t, 0
+        if duals is not None:
+            # duals: per-UE floors, slice floors, kept slot caps, box
+            n, f = sc.n_ues, sc.n_ues + len(pb.floors)
+            mults.rate_ue[:] = duals[:n]
+            mults.delay_slice[list(pb.dfrak)] = duals[n:f]
+            mults.ru_cap_slot[pb.keep] = nat * duals[f:f + pb.keep.sum()]
 
     rates, p_bar = pb.evaluate(p)
     r_tot, p_tot = float(rates.sum()), float(p_bar.sum())
@@ -366,23 +415,14 @@ def subgradient_solve(problem: PowerProblem,
                  "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
                  "delay budget": (pb.floors - rates @ pb.member) / pb.floors}
     worst = {k: float(v.max(initial=0.0)) for k, v in worst.items()}
-    mults = Multipliers(rate_ue=np.zeros(sc.n_ues),
-                        ru_cap_slot=np.zeros(len(p_bar)),
-                        delay_slice=np.zeros(sc.n_slices))
-    gap = math.inf
-    if duals is not None:
-        # duals: per-UE floors, slice floors, kept slot caps, box
-        n, f = sc.n_ues, sc.n_ues + len(pb.floors)
-        mults.rate_ue[:] = duals[:n]
-        mults.delay_slice[list(pb.dfrak)] = duals[n:f]
-        mults.ru_cap_slot[pb.keep] = nat * duals[f:f + pb.keep.sum()]
-        gap = pb.dual_bound(eta, mults) - f_val
+    gap = math.inf if duals is None else pb.dual_bound(eta, mults) - f_val
     return SubgradientResult(
         eta=eta, powers=PowerAllocation(p=p), mults=mults,
         converged=stop == "gap", iterations=steps,
         feasible=max(worst.values()) <= CONSTRAINT_RTOL, f_value=f_val,
         r_tot=r_tot, p_tot=p_tot, max_violation=max(worst.values()),
-        gap=gap, stop=stop, violated=[k for k, v in worst.items() if v > 0])
+        gap=gap, stop=stop,
+        violated=[k for k, v in worst.items() if v > CONSTRAINT_RTOL])
 
 
 @dataclass
@@ -426,19 +466,19 @@ def solve_joint(sc: Scenario, opts: SolverOptions = SolverOptions(),
 def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
                 bf: BeamformerSet,
                 opts: SolverOptions = SolverOptions()) -> JointResult:
-    """Energy-efficient powers for a fixed mapping: follow one barrier
-    path, raising eta to R/P at each of its centred points, until the
-    parametric objective crosses zero.
+    """Energy-efficient powers for a fixed mapping: raise eta to R/P at
+    each point of `subgradient_solve` until the parametric objective
+    crosses zero, from `PowerProblem.eta0`; the problem is built once.
 
-    The `PowerProblem` and its phase-I point are built once.  Eta starts
-    at `PowerProblem.eta0`, R/P at the rate-floor powers or the phase-I
-    point.  The path grows t by T_STEP after every point whose certified
-    gap is above the stop tolerance EPS_ETA * max(R_tot, 1), so t rises
-    until the certificate can stop the loop; after a point within it, the
-    path recentres at the same t.  `converged` means the
-    last point, computed at the last eta, has dual gap and |F| both within
-    EPS_ETA * R_tot.  The feasible set does not depend on eta, so a path
-    that finds no strictly feasible point ends the loop.  `feasible` and
+    A slice-separable mapping (each one the sweep makes) takes the exact
+    path, one iteration per point.  Otherwise the points are the centred
+    points of one barrier path, and `iterations` counts Newton steps: t
+    grows by T_STEP after every point whose certified gap is above the
+    stop tolerance EPS_ETA * max(R_tot, 1), and after a point within it
+    the path recentres at the same t.  `converged` means the last point,
+    computed at the last eta, has dual gap and |F| both within EPS_ETA *
+    R_tot.  The feasible set does not depend on eta, so a problem with no
+    (strictly, on the barrier) feasible point ends the loop.  `feasible` and
     `violations` are what `check_feasibility` reports at the returned
     powers.  `mapping` must cover every service (ValueError otherwise);
     the result's `mapping_result` holds it with no uncovered services

@@ -133,7 +133,8 @@ def check_feasibility(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
 class MappingResult:
     mapping: SliceMapping
     uncovered_services: list[int]
-    rejections: list[tuple[int, int, str]]   # (slice, service, first reason)
+    rejections: list[tuple[int, int, str]]   # (slice, service, first reason),
+                                             # once per pair
 
 
 class _SweepState:
@@ -218,22 +219,23 @@ def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
     efficiency the power step reached; see the README.)  Pass 2: for
     each service still uncovered, walk slices in rank order again and
     take the first feasible one.  Services that remain uncovered are
-    reported, not raised.  Each candidate is judged as
+    reported, not raised, and each rejected pair is recorded once, with
+    the reason of its first rejection.  Each candidate is judged as
     `check_feasibility` judges the tentative mapping, but only the
     quantities it changes are recomputed.
     """
     service_order = rank_services(sc)
     slice_order = rank_slices(sc)
     state = _SweepState(sc, bf)
-    rejections: list[tuple[int, int, str]] = []
+    rejections: dict[tuple[int, int], str] = {}     # the first per pair
 
     def try_pair(v: int, s: int) -> bool:
         if (s, v) in bf.unmappable:
-            rejections.append((s, v, bf.unmappable[(s, v)]))
+            rejections.setdefault((s, v), bf.unmappable[(s, v)])
             return False
         reason = state.try_add(v, s)
         if reason is not None:
-            rejections.append((s, v, reason))
+            rejections.setdefault((s, v), reason)
         return reason is None
 
     for s in slice_order:
@@ -253,4 +255,5 @@ def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
     mapping = SliceMapping(a=state.a)
     uncovered = [v for v in service_order if not mapping.covered()[v]]
     return MappingResult(mapping=mapping, uncovered_services=sorted(uncovered),
-                         rejections=rejections)
+                         rejections=[(s, v, why) for (s, v), why
+                                     in rejections.items()])

@@ -284,6 +284,23 @@ def test_solve_exit_3_reports_uncovered_services(tmp_path, capsys):
     assert "service 0 uncovered" in err
 
 
+def test_solve_exit_3_lists_each_slice_once(tmp_path, capsys):
+    # the sweep offers service 0 every slice in both passes; each slice's
+    # reason is listed once
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prb_mode": "shared", "prbs_per_slice": 16,
+                               "prbs_per_ue": 2}))
+    sc = tmp_path / "sc.json"
+    assert main(["generate", "--config", str(cfg), "--seed", "0",
+                 "--out", str(sc)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(sc)]) == 3
+    line, = [row for row in capsys.readouterr().err.splitlines()
+             if "service 0 uncovered" in row]
+    slices = re.findall(r"slice (\d+): minimum rate", line)
+    assert sorted(slices) == ["0", "1", "2", "3"]
+
+
 def test_solve_oracle_too_large_exits_4(tmp_path, capsys):
     # 13 slices push the mapping space past the exhaustive-search guard
     cfg = tmp_path / "cfg.json"
@@ -349,11 +366,15 @@ def test_solve_rejects_missing_scenario(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("generate", "--out"), ("solve", "--out"), ("solve", "--trace"),
-    ("place", "--out"), ("experiment", "--out"),
+    ("solve", "--oracle-out"), ("place", "--out"), ("experiment", "--out"),
 ])
-def test_unwritable_output_exits_2(easy_scenario, tmp_path, capsys, command,
-                                   flag):
-    # the output's directory does not exist: a message, not a traceback
+def test_unwritable_output_exits_2(easy_scenario, tmp_path, capsys,
+                                   monkeypatch, command, flag):
+    # the output's directory does not exist: a message, not a traceback,
+    # and before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_joint ran before the output check")
+    monkeypatch.setattr(cli, "solve_joint", no_solve)
     target = tmp_path / "missing" / "out"
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -362,7 +383,8 @@ def test_unwritable_output_exits_2(easy_scenario, tmp_path, capsys, command,
         "overrides": {"n_rus": 8, "rus_per_slice": 8, "max_ues": 3}}))
     first = {"generate": [], "solve": [str(easy_scenario)],
              "place": [str(easy_scenario)], "experiment": [str(spec)]}
-    code = main([command, *first[command], flag, str(target)])
+    oracle = ["--oracle"] if flag == "--oracle-out" else []
+    code = main([command, *first[command], *oracle, flag, str(target)])
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: cannot write {target}: No such file or directory\n")

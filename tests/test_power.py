@@ -1,10 +1,12 @@
 """Power solver: delay linearization, the dual bound's closed-form powers,
-the barrier inner solve and its breakdown guard, Dinkelbach."""
+the exact per-slice inner solve and its agreement with the barrier, the
+barrier inner solve and its breakdown guard, Dinkelbach."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
                       small_joint_config)
@@ -23,6 +25,7 @@ from oranslice.radio import (PowerAllocation, SliceMapping, beam_gains,
                              slot_weight_matrix, ue_rates)
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.slicing import check_feasibility, map_slices_to_services
+from test_slicing import ee_shared_configs, soundness_configs
 
 
 def one_on_one():
@@ -306,26 +309,6 @@ def mapped_problem(sc, mapping, ch):
     return PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
 
 
-def test_diagonal_newton_step_matches_the_gram_solve(monkeypatch):
-    # each active UE sits in one slice-floor row and no cap row is kept,
-    # so I + Rs Rs^T is diagonal: dividing by its diagonal must give the
-    # step that the general solve gives, without calling it
-    sc = generate_scenario(_ee_config(3, 8, SHARED_PRBS), seed=2)
-    ch = build_channels(sc)
-    mapping = map_slices_to_services(sc, build_beamformers(sc, ch)).mapping
-    pb = mapped_problem(sc, mapping, ch)
-    q, rho_min, M, floor, W, b, rows, hi, is_diag, *buffers = pb.prob
-    general = (q, rho_min, M, floor, W, b, rows, hi, False, *buffers)
-    lin = -pb.eta0 / pb.nat * pb.cost
-    sizes = newton_solves(monkeypatch)
-    x_diag = next(_central_path(pb.x, lin, 1.0, pb.prob, 1))[0]
-    assert is_diag and sizes == []
-    x_general = next(_central_path(pb.x, lin, 1.0, general, 1))[0]
-    assert sizes == [len(floor)]
-    assert not np.allclose(x_diag, pb.x)
-    np.testing.assert_allclose(x_diag, x_general, rtol=1e-12, atol=0)
-
-
 def overlapping_floor_rows():
     # service 0 on slices 0 and 1: its UEs sit in two slice-floor rows
     sc = generate_scenario(_ee_config(2, 4, {}), seed=1)
@@ -348,8 +331,8 @@ def kept_cap_row():
 def test_general_newton_solve_still_stops_on_a_certificate(build,
                                                            monkeypatch):
     pb = build()
-    q, _rho_min, _M, floor, _W, b, _rows, _hi, is_diag, *_ = pb.prob
-    assert not is_diag and len(floor) + len(b) < q.size
+    q, _rho_min, _M, floor, _W, b, *_ = pb.prob
+    assert pb.level is None and len(floor) + len(b) < q.size
     sizes = newton_solves(monkeypatch)
     res = solve_to_gap(pb, pb.eta0)
     assert sizes and set(sizes) == {len(floor) + len(b)}
@@ -360,23 +343,18 @@ def test_general_newton_solve_still_stops_on_a_certificate(build,
 def test_inner_solve_reports_a_breakdown_as_cap():
     # a start on the p_max bound has a zero box slack, so the first
     # Newton direction is NaN
-    sc, ch, bf = easy_1x1()
-    mapping = one_on_one()
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    pb = PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
-    pb.x = np.full(1, sc.params.p_max)
+    pb = kept_cap_row()
+    pb.x = np.full(pb.sc.n_ues, pb.sc.params.p_max)
     res = subgradient_solve(pb, pb.eta0)
     assert res.stop == "cap" and not res.converged
     assert np.all(np.isfinite(res.powers.p)) and res.gap == math.inf
 
 
 def test_inner_solve_that_spends_its_budget_reports_cap():
-    # with 4 Newton steps per centring, the first, second, fourth and
-    # sixth points of this instance's path spend their whole budget; a
-    # point where the budget ran out is not centred, so m/t certifies
-    # nothing there and the stop is the cap
-    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
-    res = solve_joint(sc, SolverOptions(max_iters=4))
+    # with 4 Newton steps per centring, all 7 points of this instance's
+    # path spend their whole budget; a point where the budget ran out is
+    # not centred, so m/t certifies nothing there and the stop is the cap
+    res = coupled_u147(max_iters=4)
     spent = [row for row in res.trace if row.iterations >= 4]
     assert len(spent) >= 3
     assert all(row.stop == "cap" and not row.converged for row in spent)
@@ -463,9 +441,9 @@ def test_one_step_from_eta0_is_not_converged():
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     pb = PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
     res = subgradient_solve(pb, pb.eta0)
-    # eta starts at R/P of the phase-I point (the rate-floor powers miss
-    # the delay floor here), where F(eta0) is still 87 % of R_tot: one
-    # step is nowhere near the root
+    # eta starts at R/P of the cheapest powers that meet every floor (the
+    # rate-floor powers miss the delay floor here), where F(eta0) is still
+    # 65 % of R_tot: one step is nowhere near the root
     assert res.eta == pb.eta0
     assert abs(res.f_value) > EPS_ETA * max(res.r_tot, 1.0)
 
@@ -473,14 +451,10 @@ def test_one_step_from_eta0_is_not_converged():
 SHARED_PRBS = {"prb_mode": "shared", "prbs_per_slice": 16, "prbs_per_ue": 2}
 
 
-def one_path_solve(n_services, mean_ues, overrides, seed):
-    """solve_joint on an ee_vs_mean_ues point, checking what every path
-    must do: start at a feasible ratio, so that the dual bound on F(eta0)
-    is >= 0, keep eta nondecreasing and converge.  Returns the result and
-    its Newton steps."""
-    sc = generate_scenario(_ee_config(n_services, mean_ues, overrides),
-                           seed=seed)
-    res = solve_joint(sc, SolverOptions(max_iters=1500))
+def one_path(res):
+    """What every path must do: start at a feasible ratio, so that the
+    dual bound on F(eta0) is >= 0, keep eta nondecreasing and converge.
+    Returns the result and its inner iterations."""
     first = res.trace[0]
     assert first.eta > 0 and first.f_value + first.gap >= 0
     etas = [row.eta for row in res.trace]
@@ -489,30 +463,59 @@ def one_path_solve(n_services, mean_ues, overrides, seed):
     return res, sum(row.iterations for row in res.trace)
 
 
+def one_path_solve(n_services, mean_ues, overrides, seed):
+    """`one_path` of solve_joint on an ee_vs_mean_ues point."""
+    sc = generate_scenario(_ee_config(n_services, mean_ues, overrides),
+                           seed=seed)
+    return one_path(solve_joint(sc, SolverOptions(max_iters=1500)))
+
+
+def coupled_u147(max_iters=1500):
+    """solve_power on the U=147 ee_vs_mean_ues point (seed 0), on the
+    sweep's mapping with service 1 also on slice 4: its UEs sit in two
+    slice-floor rows, so the power step takes the barrier."""
+    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+    ch = build_channels(sc)
+    bf = build_beamformers(sc, ch)
+    mapping = map_slices_to_services(sc, bf).mapping
+    mapping.a[1, 4] = 1
+    assert mapped_problem(sc, mapping, ch).level is None
+    return solve_power(sc, mapping, ch, bf, SolverOptions(max_iters))
+
+
 def test_solve_joint_starts_feasible_and_warm_starts():
-    # ee_vs_mean_ues at U=147: a fresh barrier solved to a 1e-8 gap at
-    # each of 4 Dinkelbach steps takes 114 Newton steps; one path takes
-    # 28.  eta0 is the ratio of a feasible point, so F(eta0) >= 0: the
-    # first centred point, at t = 1, reads F = -1 % of R_tot, within its
-    # gap, so the path recentres at eta0 (at t = T_STEP, since that gap is
-    # above the stop tolerance) and the second point reads F >= 0
-    res, steps = one_path_solve(12, 12, {}, 0)
+    # the coupled U=147 instance, whose one path takes 36 Newton steps.
+    # eta0 is the ratio of a feasible point, so F(eta0) >= 0: the first
+    # centred point, at t = 1, reads F < 0 within its gap, so the path
+    # recentres at eta0 (at t = T_STEP, since that gap is above the stop
+    # tolerance) and the second point reads F >= 0
+    res, steps = one_path(coupled_u147())
     first, second = res.trace[0], res.trace[1]
     assert -first.gap <= first.f_value < 0
     assert second.eta == first.eta
     assert second.f_value >= 0
     assert steps <= 42
-    assert res.eta == pytest.approx(3.1564514e8, rel=1e-6)
+    assert res.eta == pytest.approx(3.0732407e8, rel=1e-6)
 
 
 def test_t_grows_until_the_certificate_is_tight():
     # t grows by T_STEP after every centred point whose certified gap is
-    # above the stop tolerance: 6 centred points at U=147 (8 when t grew
-    # only after a point with F <= gap)
+    # above the stop tolerance: 6 centred points on the coupled U=147
+    # instance
+    res = coupled_u147()
+    assert [row.iterations for row in res.trace] == [9, 4, 5, 5, 7, 6]
+    assert res.eta == pytest.approx(3.073240744917153e8, rel=1e-12)
+
+
+def test_exact_power_step_pinned():
+    # the sweep's mapping at U=147 is slice-separable: each Dinkelbach
+    # point is one exact maximization, and 4 reach the root
     sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
     res = solve_joint(sc, SolverOptions(max_iters=1500))
-    assert [row.iterations for row in res.trace] == [9, 4, 5, 5, 3, 2]
-    assert res.eta == pytest.approx(3.156451436345847e8, rel=1e-12)
+    assert [row.iterations for row in res.trace] == [1, 1, 1, 1]
+    assert all(row.stop == "gap" for row in res.trace)
+    assert res.converged and res.feasible
+    assert res.eta == pytest.approx(3.156451436381245e8, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_services, mean_ues, overrides, seed, eta, steps", [
@@ -523,11 +526,109 @@ def test_t_grows_until_the_certificate_is_tight():
 def test_one_path_keeps_the_dinkelbach_eta(n_services, mean_ues, overrides,
                                            seed, eta, steps):
     # eta as a fresh barrier solved to a 1e-8 gap at each Dinkelbach step
-    # gives it, in 83, 202 and 199 Newton steps; one path takes 18, 43
-    # and 47
+    # gives it, in 83, 202 and 199 Newton steps; one barrier path took 18,
+    # 43 and 47, and the exact path takes 4 points on each
     res, spent = one_path_solve(n_services, mean_ues, overrides, seed)
     assert spent <= steps
     assert res.eta == pytest.approx(eta, rel=1e-6)
+
+
+def on_the_barrier(mp):
+    """Put every PowerProblem that would take the exact path on the
+    barrier instead: its problem's barrier data, and the strictly
+    feasible start phase I takes (p_max stepped towards p_lo until every
+    slice floor holds strictly)."""
+    real = power.PowerProblem
+
+    def barrier_problem(sc, *args):
+        pb = real(sc, *args)
+        if pb.level is not None:
+            p_max, floor = sc.params.p_max, pb.floors / pb.nat
+            M = np.asfortranarray(pb.member.T)
+            pb.prob = _barrier(pb.q, sc.params.r_min / pb.nat, M, floor,
+                               np.zeros((0, sc.n_ues)), np.zeros(0), p_max,
+                               sc.n_ues)
+            starts = (p_max - theta * (p_max - pb.p_lo)
+                      for theta in 0.5 ** np.arange(1, 40))
+            pb.x = next(p for p in starts
+                        if np.all(M @ np.log1p(pb.q * p) > floor))
+            pb.level = None
+        return pb
+    mp.setattr(power, "PowerProblem", barrier_problem)
+
+
+def free_ue0(mp):
+    """Give UE 0 a zero power price c_0: its stream charges no slot."""
+    real = power.slot_weight_matrix
+
+    def weights(*args):
+        w = real(*args).copy()
+        w[:, 0] = 0.0
+        return w
+    mp.setattr(power, "slot_weight_matrix", weights)
+
+
+def exact_agrees_with_barrier(sc, free=False):
+    """The sweep's mapping solved by the exact path and by the barrier on
+    the same problem: the exact eta is not below the barrier's (1e-9
+    relative) and within 1e-6 of it, every exact point is certified
+    within the stop tolerance, a UE with c_u = 0 rides p_max, and a slice
+    whose UE floors meet its floor has no slice multiplier."""
+    ch = build_channels(sc)
+    bf = build_beamformers(sc, ch)
+    mres = map_slices_to_services(sc, bf)
+    if mres.uncovered_services:
+        return False
+    results = []
+    for barrier in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if free:
+                free_ue0(mp)
+            if barrier:
+                on_the_barrier(mp)
+            results.append(solve_power(sc, mres.mapping, ch, bf,
+                                       SolverOptions(1500)))
+    exact, barrier = results
+    assert all(row.iterations == 1 for row in exact.trace)
+    assert exact.converged and barrier.converged
+    assert exact.feasible == barrier.feasible
+    assert all(row.gap <= EPS_ETA * row.r_tot for row in exact.trace)
+    assert exact.eta >= barrier.eta * (1 - 1e-9)
+    assert exact.eta == pytest.approx(barrier.eta, rel=1e-6)
+    if free:
+        assert exact.powers.p[0] == sc.params.p_max
+    floors = delay_linearization(sc, mres.mapping)
+    n_ues = mres.mapping.a[sc.ue_service].sum(axis=0)
+    for s, floor in floors.items():
+        if n_ues[s] * sc.params.r_min >= floor:
+            assert exact.mults.delay_slice[s] == 0.0
+    return True
+
+
+@pytest.mark.parametrize("configs", [soundness_configs, ee_shared_configs],
+                         ids=["soundness-200", "ee-shared-10"])
+def test_exact_power_step_agrees_with_the_barrier(configs):
+    solved = [exact_agrees_with_barrier(generate_scenario(cfg, seed=seed))
+              for seed, cfg in configs()]
+    assert all(solved)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_services=st.integers(1, 3),
+       n_slices=st.integers(1, 3), mean_ues=st.floats(1.0, 4.0),
+       r_min_per_hz=st.sampled_from([0.5, 2.0, 8.0]),
+       region_m=st.sampled_from([100.0, 300.0]),
+       packet_size_bits=st.sampled_from([1.0, 2e3, 8e3]), free=st.booleans())
+def test_exact_power_step_agrees_with_the_barrier_on_small_instances(
+        seed, n_services, n_slices, mean_ues, r_min_per_hz, region_m,
+        packet_size_bits, free):
+    # large packets raise the slice delay floors above the UE floors, so
+    # the slice levels bind
+    cfg = GeneratorConfig(n_services=n_services, n_slices=n_slices,
+                          mean_ues=mean_ues, max_ues=4, n_rus=12,
+                          rus_per_slice=6, r_min_per_hz=r_min_per_hz,
+                          region_m=region_m, packet_size_bits=packet_size_bits)
+    exact_agrees_with_barrier(generate_scenario(cfg, seed=seed), free)
 
 
 def test_solve_joint_raises_on_uncovered_services():

@@ -184,21 +184,26 @@ def test_map_all_assignments_remain_feasible_together():
 def full_rebuild_sweep(sc, ch, bf):
     """The two-pass sweep with every candidate judged by
     check_feasibility on the whole tentative mapping.  Pass 1 offers each
-    slice only the services no slice covers yet."""
+    slice only the services no slice covers yet; a pair rejected in both
+    passes is recorded once, with its pass-1 reason."""
     service_order, slice_order = rank_services(sc), rank_slices(sc)
     mapping = SliceMapping(a=np.zeros((sc.n_services, sc.n_slices)))
     rejections = []
 
+    def reject(s, v, reason):
+        if all((s, v) != (s2, v2) for s2, v2, _why in rejections):
+            rejections.append((s, v, reason))
+
     def try_pair(v, s):
         if (s, v) in bf.unmappable:
-            rejections.append((s, v, bf.unmappable[(s, v)]))
+            reject(s, v, bf.unmappable[(s, v)])
             return False
         mapping.a[v, s] = 1
         report = check_feasibility(sc, ch, bf, mapping)
         if report.ok:
             return True
         mapping.a[v, s] = 0
-        rejections.append((s, v, report.violations[0]))
+        reject(s, v, report.violations[0])
         return False
 
     for s in slice_order:
