@@ -4,9 +4,9 @@ control and VNF placement for disaggregated RAN deployments."""
 from .scenario import (GeneratorConfig, Scenario, ScenarioError,
                        SystemParams, generate_scenario, load_scenario,
                        save_scenario, validate)
-from .radio import (BeamformerSet, ChannelSet, PowerAllocation,
-                    SliceMapping, build_beamformers, build_channels,
-                    energy_efficiency, interference_upper_bound, ue_rates,
+from .radio import (BeamformerSet, ChannelSet, MappingEvaluator,
+                    PowerAllocation, SliceMapping, build_beamformers,
+                    build_channels, interference_upper_bound,
                     zf_beamformer)
 from .queueing import UnstableQueueError
 from .slicing import (FeasibilityReport, MappingResult, check_feasibility,
@@ -21,10 +21,10 @@ __version__ = "0.1.0"
 __all__ = [
     "GeneratorConfig", "Scenario", "ScenarioError", "SystemParams",
     "generate_scenario", "load_scenario", "save_scenario", "validate",
-    "BeamformerSet", "ChannelSet", "PowerAllocation",
+    "BeamformerSet", "ChannelSet", "MappingEvaluator", "PowerAllocation",
     "SliceMapping", "build_beamformers",
-    "build_channels", "energy_efficiency", "interference_upper_bound",
-    "ue_rates", "zf_beamformer",
+    "build_channels", "interference_upper_bound",
+    "zf_beamformer",
     "UnstableQueueError",
     "FeasibilityReport", "MappingResult", "check_feasibility",
     "map_slices_to_services", "rank_services", "rank_slices",

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .scenario import Scenario
-from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
-                    beam_gains, build_beamformers, build_channels,
-                    interference_upper_bound, slot_weight_matrix)
-from .queueing import UnstableQueueError, layer_delays, slice_loads
+from .radio import (BeamformerSet, ChannelSet, MappingEvaluator,
+                    PowerAllocation, SliceMapping, build_beamformers,
+                    build_channels)
+from .queueing import UnstableQueueError, layer_delays, slice_sums
 from .slicing import MappingResult, map_slices_to_services, verdict
 
 CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
@@ -75,11 +75,10 @@ def delay_linearization(sc: Scenario, mapping: SliceMapping,
     lowest such slice, if an active slice's layers are unstable or alone
     eat the budget.
     """
-    served = mapping.a[sc.ue_service]
-    alpha = slice_loads(sc, served)
+    alpha = slice_sums(sc.arrival_rates, mapping.incidence(sc), sc.n_slices)
     du, cu, unstable = layer_delays(sc, alpha)
     slack = sc.params.d_max - du - cu
-    active = np.flatnonzero(served.any(axis=0))
+    active = np.flatnonzero(mapping.a.any(axis=0))
     bad = active[np.isin(active, list(unstable)) | (slack[active] <= 0)]
     if bad.size:
         s = int(bad[0])
@@ -228,79 +227,84 @@ def _central_path(x, lin, rate_w, prob, budget, t=1.0):
 
 class PowerProblem:
     """The eta-independent part of one mapping's inner problem, built once
-    per Dinkelbach loop from one interference bound, one set of beam gains
-    and one slot-weight matrix; `evaluate` gives the UE rates and slot
-    powers at any powers from them.  The mapping must give every service
-    a slice (ValueError otherwise), so every UE is served and carries a
-    power variable.  Slice-separable (one floor row per UE, no cap kept),
-    it is feasible iff all `p_lo` <= p_max and all floors hold at p_max,
-    and `level` holds each row's eta-free level (else None).  Else phase
-    I steps from p_max towards the rate-floor powers `p_lo` while every
-    slice floor holds; if a slot cap fails there, it maximizes s with the
-    caps shrunk to b * (1 - s) until s > 0 or the barrier rules it out.
-    The phase-II path stands at (`x`, `t`), where each solve resumes it;
-    `x` is None without a strictly feasible point, and a solve then
-    reports `p` and `stop`.  `steps` holds phase-I Newton steps (at most
-    `opts.max_iters`) not yet charged to a solve.  `eta0` is a feasible
-    R/P, so F(eta0) >= 0: at `level_power(inf)`, else at `p_lo` if those
-    meet every floor and cap, else at the phase-I point."""
+    per Dinkelbach loop from the mapping's evaluator `ev`, which gives the
+    UE rates and slot powers at any powers.  The mapping must give every
+    service a slice (ValueError otherwise), so every UE is served and
+    carries a power variable.  Slice-separable (one floor row per UE, no
+    cap kept), it is feasible iff all `p_lo` <= p_max and all floors hold
+    at p_max, and `level` holds each row's eta-free level (else None).
+    Else phase I steps from p_max towards the rate-floor powers `p_lo`
+    while every slice floor holds; if a slot cap fails there, it
+    maximizes s with the caps shrunk to b * (1 - s) until s > 0 or the
+    barrier rules it out.  The phase-II path stands at (`x`, `t`), where
+    each solve resumes it; `x` is None without a strictly feasible point,
+    and a solve then reports `p` and `stop`.  `steps` holds phase-I
+    Newton steps (at most `opts.max_iters`) not yet charged to a solve.
+    `eta0` is a feasible R/P, so F(eta0) >= 0: at `level_power(inf)`,
+    else at `p_lo` if those meet every floor and cap, else at the
+    phase-I point."""
 
-    def __init__(self, sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-                 bf: BeamformerSet, ibar: np.ndarray, opts: SolverOptions):
+    def __init__(self, ev: MappingEvaluator, opts: SolverOptions):
+        sc, mapping = ev.sc, SliceMapping(a=ev.a)
         uncovered = np.flatnonzero(~mapping.covered()).tolist()
         if uncovered:
             raise ValueError(f"services {uncovered} have no slice")
-        self.sc, params = sc, sc.params
+        self.sc, self.ev, params = sc, ev, sc.params
         self.max_iters = opts.max_iters
-        self.sigma2 = sigma2 = bf.slot_sigma
+        self.sigma2 = sigma2 = ev.bf.slot_sigma
         self.nat = nat = params.bandwidth_hz / math.log(2.0)  # bit/s per nat
-        self.gains = gains = beam_gains(sc, mapping, ch, bf)
-        self.denom = denom = params.bandwidth_hz * params.noise_psd + ibar
-        self.weights = weights = slot_weight_matrix(sc, mapping, bf)
+        self.denom = denom = params.bandwidth_hz * params.noise_psd + (
+            ev.interference)
         with np.errstate(over="ignore"):    # beyond range: never binds
             self.fh_power_cap = sigma2 * np.exp2(params.c_max)
         self.dfrak = delay_linearization(sc, mapping)
         self.floors = floors = np.array(list(self.dfrak.values()), float)
-        self.served = mapping.a[sc.ue_service]
-        self.member = self.served[:, list(self.dfrak)].astype(float)
-        q, floor = gains / denom, floors / nat
-        self.room = np.minimum(params.p_max, self.fh_power_cap) - sigma2
-        # the sums and W are column-major: the rounding of `cost`, and so
-        # every trace, depends on the layout
-        wf = np.asfortranarray(weights)
-        self.keep = wf.sum(axis=1) * params.p_max > self.room
-        self.cost = wf.sum(axis=0)                   # d P_tot / d p, per UE
-        W, b = np.asfortranarray(weights[self.keep]), self.room[self.keep]
-        rho_min, M = params.r_min / nat, np.asfortranarray(self.member.T)
+        ue, slc = ev.incidence
+        q, floor, rho_min = ev.gain / denom, floors / nat, params.r_min / nat
+        cap = np.minimum(params.p_max, self.fh_power_cap)
+        # keep the slot caps that can bind below p_max
+        self.room, self.keep = cap - sigma2, ev.full > cap
+        self.cost = ev.price(np.ones(sigma2.size))     # d P_tot / d p, per UE
         with np.errstate(divide="ignore", invalid="ignore"):
             p_lo = np.expm1(rho_min) / q              # per-UE rate-floor power
         x, self.p, self.level = None, np.full(sc.n_ues, params.p_max), None
         self.stop, self.steps, self.t, start = "infeasible", 0, 1.0, None
-        prob = (q, rho_min, M, floor, W, b, params.p_max)
-        if not b.size and np.all(M.sum(axis=0) == 1):   # slice-separable
-            self.q, self.p_lo, self.row = q, p_lo, M.argmax(axis=0)
+        # each incidence entry's slice floor row
+        self.row = row = np.searchsorted(list(self.dfrak), slc)
+        if not self.keep.any() and np.array_equal(ue, np.arange(sc.n_ues)):
+            # slice-separable: each UE in one slice floor row
+            self.q, self.p_lo = q, p_lo
             hi = np.log1p(q * params.p_max)
-            if np.all(p_lo <= params.p_max) and np.all(M @ hi >= floor):
+            if (np.all(p_lo <= params.p_max) and np.all(
+                    np.bincount(row, hi, len(floor)) >= floor)):
                 with np.errstate(divide="ignore"):
                     a = np.log(q * nat / self.cost)
-                self.level = _levels(self.row, rho_min, hi, a, floor)
+                self.level = _levels(row, rho_min, hi, a, floor)
                 start = self.level_power(math.inf)
-        elif np.all(p_lo < params.p_max) and np.all(b > 0):
-            trials = (params.p_max - theta * (params.p_max - p_lo)
-                      for theta in 0.5 ** np.arange(1, 40))
-            x = next((p for p in trials
-                      if np.all(M @ np.log1p(q * p) > floor)), None)
-        if x is not None and np.any(W @ x >= b):
-            z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
-            for z, t, duals, self.steps in _central_path(
-                    z, np.eye(z.size)[-1], 0.0, _barrier(*prob, z.size),
-                    opts.max_iters):
-                if z[-1] > 0 or duals is None or z[-1] + duals.size / t <= 0:
-                    break
-            self.p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
-            if self.steps >= opts.max_iters or duals is None:
-                self.stop = "cap"
-        if self.level is None:
+        else:
+            # the barrier's dense rows, slice floors and kept caps, are
+            # column-major: the rounding of the Newton step's products, and
+            # so every barrier trace, depends on the layout
+            member = np.zeros((sc.n_ues, len(floors)))
+            member[ue, row] = 1.0
+            M, W, b = member.T, ev.weight_rows(self.keep), self.room[self.keep]
+            prob = (q, rho_min, M, floor, W, b, params.p_max)
+            if np.all(p_lo < params.p_max) and np.all(b > 0):
+                trials = (params.p_max - theta * (params.p_max - p_lo)
+                          for theta in 0.5 ** np.arange(1, 40))
+                x = next((p for p in trials
+                          if np.all(M @ np.log1p(q * p) > floor)), None)
+            if x is not None and np.any(W @ x >= b):
+                z = np.append(x, np.min(1.0 - W @ x / b) - 1.0)
+                for z, t, duals, self.steps in _central_path(
+                        z, np.eye(z.size)[-1], 0.0, _barrier(*prob, z.size),
+                        opts.max_iters):
+                    if (z[-1] > 0 or duals is None
+                            or z[-1] + duals.size / t <= 0):
+                        break
+                self.p, x = z[:-1], (z[:-1] if z[-1] > 0 else None)
+                if self.steps >= opts.max_iters or duals is None:
+                    self.stop = "cap"
             self.prob = _barrier(*prob, sc.n_ues)
             lo_ok = (np.all(p_lo <= params.p_max) and np.all(W @ p_lo <= b)
                      and np.all(M @ np.log1p(q * p_lo) >= floor))
@@ -309,6 +313,15 @@ class PowerProblem:
         self.eta0 = 0.0 if start is None else float(
             nat * np.log1p(q * start).sum()
             / (self.cost @ start + sigma2.sum()))
+
+    def terms(self, eta: float, mults: Multipliers) -> tuple:
+        """Per UE, the price x = W^T (mu + eta) = W^T mu + eta c of its
+        power and its rate weight lam = 1 + its rate multiplier + the
+        delay multipliers of the slices serving it."""
+        (ue, slc), mu = self.ev.incidence, mults.ru_cap_slot
+        return (eta * self.cost + (self.ev.price(mu) if mu.any() else 0.0),
+                1.0 + mults.rate_ue + np.bincount(
+                    ue, mults.delay_slice[slc], self.sc.n_ues))
 
     def level_power(self, eta: float) -> np.ndarray:
         """Exact-path powers at (1 + mu_s)/eta = max(1/eta, e^level_s), in
@@ -329,12 +342,10 @@ class PowerProblem:
         (cap multiplier + eta) * gated |w|^2, the water-filling maximizer
         is max(0, (y*g - x*z) / (x*g)), clipped at p_max.  A UE with zero
         price rides the cap.  Every UE has a positive gain on a feasible
-        problem.  `terms` is (x, lam) when the caller has formed them.
+        problem.  `terms` is `self.terms` when the caller has formed them.
         """
-        params, gains, denom = self.sc.params, self.gains, self.denom
-        price, lam = terms or (self.weights.T @ (mults.ru_cap_slot + eta),
-                               1.0 + mults.rate_ue
-                               + self.served @ mults.delay_slice)
+        params, gains, denom = self.sc.params, self.ev.gain, self.denom
+        price, lam = terms or self.terms(eta, mults)
         y = lam * params.bandwidth_hz / math.log(2.0)
         p = np.zeros(self.sc.n_ues)
         good = price > 0
@@ -344,22 +355,14 @@ class PowerProblem:
         p[price <= 0] = params.p_max
         return np.minimum(p, params.p_max)
 
-    def evaluate(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(UE rates in bit/s, slot powers in W) at UE powers `p`, under
-        the problem's interference bound."""
-        return (self.sc.params.bandwidth_hz
-                * np.log2(1.0 + p * self.gains / self.denom),
-                self.weights @ p + self.sigma2)
-
     def dual_bound(self, eta: float, mults: Multipliers) -> float:
         """Lagrangian dual function at `mults`, bit/s: an upper bound on
         R_tot - eta * P_tot over the feasible powers.  Each UE's term is
         maximized by `closed_form_power`."""
-        sc, nat, served = self.sc, self.nat, self.served
-        price = self.weights.T @ (mults.ru_cap_slot + eta)
-        lam = 1.0 + mults.rate_ue + served @ mults.delay_slice
+        sc, nat = self.sc, self.nat
+        price, lam = self.terms(eta, mults)
         p = self.closed_form_power(eta, mults, (price, lam))
-        return float((nat * lam * np.log1p(p * self.gains / self.denom)
+        return float((nat * lam * np.log1p(p * self.ev.gain / self.denom)
                       - price * p).sum() - eta * self.sigma2.sum()
                      + mults.ru_cap_slot @ self.room
                      - sc.params.r_min * mults.rate_ue.sum()
@@ -406,14 +409,16 @@ def subgradient_solve(problem: PowerProblem,
             mults.delay_slice[list(pb.dfrak)] = duals[n:f]
             mults.ru_cap_slot[pb.keep] = nat * duals[f:f + pb.keep.sum()]
 
-    rates, p_bar = pb.evaluate(p)
+    rates, p_bar = pb.ev.at(p)
     r_tot, p_tot = float(rates.sum()), float(p_bar.sum())
     f_val = r_tot - eta * p_tot
     with np.errstate(over="ignore"):    # tiny limits: infinite violations
         worst = {"minimum rate": (params.r_min - rates) / params.r_min,
                  "RU power cap": (p_bar - params.p_max) / params.p_max,
                  "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
-                 "delay budget": (pb.floors - rates @ pb.member) / pb.floors}
+                 "delay budget": (pb.floors - np.bincount(
+                     pb.row, rates[pb.ev.incidence[0]], pb.floors.size))
+                 / pb.floors}
     worst = {k: float(v.max(initial=0.0)) for k, v in worst.items()}
     gap = math.inf if duals is None else pb.dual_bound(eta, mults) - f_val
     return SubgradientResult(
@@ -485,8 +490,8 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     and no rejections.  Raises as `delay_linearization` does when an
     active slice cannot meet its delay budget at any rate.
     """
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    problem = PowerProblem(sc, mapping, ch, bf, ibar, opts)
+    ev = MappingEvaluator(sc, bf, mapping)
+    problem = PowerProblem(ev, opts)
     eta = problem.eta0
     trace: list[SubgradientResult] = []
     for _ in range(I_MAX):
@@ -502,7 +507,7 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         if p_tot > 0:
             eta = max(eta, r_tot / p_tot)
 
-    final = verdict(sc, bf, mapping, *problem.evaluate(powers.p))
+    final = verdict(ev, *ev.at(powers.p))
     return JointResult(
         mapping_result=MappingResult(mapping=mapping, uncovered_services=[],
                                      rejections=[]),

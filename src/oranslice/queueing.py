@@ -7,8 +7,9 @@ each layer behaves as an M/M/1 queue with arrival rate alpha/M and mean
 sojourn 1/(mu - alpha/M).  A third stage models radio transmission as an
 M/M/1 queue whose service capacity is the slice's summed downlink rate.
 
-Every function works on all slices at once.  `served[u, s]` is 1 when
-slice s serves UE u's service (`mapping.a[sc.ue_service]`).
+Every function works on all slices at once.  A mapping's `incidence`
+lists (UE u, slice s) for every slice s serving u's service
+(`SliceMapping.incidence`), each slice's UEs in ascending order.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ class UnstableQueueError(ValueError):
     """A queueing stage is at or beyond its stability limit."""
 
 
-def slice_sums(x: np.ndarray, served: np.ndarray) -> np.ndarray:
+def slice_sums(x: np.ndarray, incidence: tuple[np.ndarray, np.ndarray],
+               n_slices: int) -> np.ndarray:
     """Per slice, the sum of x[u] over the UEs it serves.
 
-    A running sum from zero in ascending UE order, so each slice's total
-    is rounded exactly as a loop over its UEs would round it.
+    A running sum from zero in the incidence's ascending UE order, so
+    each slice's total is rounded exactly as a loop over its UEs would
+    round it.
     """
-    terms = np.vstack([np.zeros(served.shape[1]), x[:, None] * served])
-    return np.cumsum(terms, axis=0)[-1]
+    ue, slc = incidence
+    return np.bincount(slc, weights=x[ue], minlength=n_slices)
 
-
-def slice_loads(sc: Scenario, served: np.ndarray) -> np.ndarray:
-    """Pooled packet arrival rate of every slice, packet/s."""
-    return slice_sums(sc.arrival_rates, served)
 
 
 def layer_delays(sc: Scenario, alpha: np.ndarray,
@@ -65,8 +64,8 @@ def slice_delays(sc: Scenario, alpha: np.ndarray, r_tot: np.ndarray,
                             dict[int, str]]:
     """Mean sojourn (DU, CU, transmission) of every slice, s.
 
-    `alpha` and `r_tot` are every slice's pooled packet arrivals
-    (`slice_loads`) and summed UE rate in bit/s (`slice_sums` of the
+    `alpha` and `r_tot` are every slice's pooled packet arrivals and
+    summed UE rate in bit/s (`slice_sums` of the arrival rates and of the
     rates); `active` marks the slices that serve a service.  Packet
     arrivals are converted to bits with the configured packet size before
     the transmission stage, which is stable only while the slice's summed

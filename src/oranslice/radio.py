@@ -11,16 +11,17 @@ charged at the full per-RU power cap, which makes the bound independent
 of the power allocation and lets the admission and power stages reason
 about worst-case rates.
 
-With the precoders fixed, every radio quantity is linear in the mapping
-matrix a[v, s].  The `BeamformerSet` of a (scenario, channels) holds
-the coefficients of those linear forms, computing a (slice, service)
-pair's share the first time the pair is read; the evaluators below
-zero-force the pairs their mapping maps, then contract the coefficients
-with it.
+With the precoders fixed, every radio quantity is a sum over the mapped
+(slice, service) pairs.  The `BeamformerSet` of a (scenario, channels)
+holds each pair's share, computed the first time the pair is read.  A
+`MappingEvaluator` adds up the shares of one mapping's pairs, one pair at
+a time: it gives UE rates and slot powers at any powers, and the mapping
+sweep extends it by one candidate pair at the cost of that pair alone.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -102,8 +103,8 @@ class PairTable(Mapping):
         return self._table[pair]
 
     def __iter__(self):
-        n_slices, n_services = self._bf.built.shape
-        self._bf.require(np.ones((n_services, n_slices)))
+        for pair in np.ndindex(self._bf.built.shape):
+            self._bf.read(pair)
         return iter(sorted(self._table))
 
     def __len__(self) -> int:
@@ -115,14 +116,15 @@ class BeamformerSet:
     mapping-linear coefficients built from them.
 
     A pair is zero-forced the first time something reads it: a lookup in
-    `w` or `unmappable`, `leakage`, or `require` (which the evaluators
-    below call on the pairs their mapping maps).  `built[s, v]` marks the
-    pairs done.
+    `w`, `w2` or `unmappable` (iterating one reads every pair), or
+    `leakage`, which `MappingEvaluator` calls on each pair it adds.
+    `built[s, v]` marks the pairs done.
 
-    `w[(slice_id, service_id)]` is the R_s x U_v precoder;
+    `w[(slice_id, service_id)]` is the R_s x U_v precoder and
+    `w2[(slice_id, service_id)]` its entries' |w|^2;
     `unmappable[(slice_id, service_id)]` records why a pair has none.
-    The coefficient arrays (`gain` and `w2` are zero wherever a pair has
-    no precoder or is not built yet):
+    The coefficient arrays (`gain` is zero wherever a pair has no
+    precoder or is not built yet):
 
     * `slot_slice[k]`, `slot_ru[k]` and `slot_sigma[k]` are the slice,
       the RU id and the RU's quantization noise variance of (slice, RU)
@@ -135,8 +137,7 @@ class BeamformerSet:
       some UE have an entry, so a dedicated-PRB scenario stores none;
     * `quant[s, u]` is the sum over the RUs r of slice s of
       sigma_r |h_{r,u}|^2;
-    * `gain[s, u]` is UE u's own-stream |h^H w|^2 through slice s;
-    * `w2[k, u]` is |w|^2 of UE u at slot k, whether mapped or not.
+    * `gain[s, u]` is UE u's own-stream |h^H w|^2 through slice s.
     """
 
     def __init__(self, sc: Scenario, ch: ChannelSet):
@@ -154,11 +155,11 @@ class BeamformerSet:
                 self.quant[s] = (sigma[rus]
                                  @ np.abs(ch.gains[self.slot_ru[rus]]) ** 2)
         self.gain = np.zeros((sc.n_slices, sc.n_ues))
-        self.w2 = np.zeros((len(slots), sc.n_ues))
         self._sharing, self._sharing_at = _prb_sharing_pairs(sc)
         self.built = np.zeros((sc.n_slices, sc.n_services), dtype=bool)
         self.leak: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._w: dict[tuple[int, int], np.ndarray] = {}
+        self._w2: dict[tuple[int, int], np.ndarray] = {}
         self._unmappable: dict[tuple[int, int], str] = {}
 
     # views made on each access, so the set holds no reference cycle and
@@ -166,6 +167,10 @@ class BeamformerSet:
     @property
     def w(self) -> PairTable:
         return PairTable(self, self._w)
+
+    @property
+    def w2(self) -> PairTable:
+        return PairTable(self, self._w2)
 
     @property
     def unmappable(self) -> PairTable:
@@ -179,11 +184,6 @@ class BeamformerSet:
         if 0 <= s < n_slices and 0 <= v < n_services and not self.built[s, v]:
             self._zero_force(int(s), int(v))
 
-    def require(self, a: np.ndarray) -> None:
-        """Zero-force every pair that the mapping matrix a[v, s] maps."""
-        for s, v in np.argwhere((a.T != 0) & ~self.built).tolist():
-            self._zero_force(s, v)
-
     def leakage(self, s: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         """`leak[(s, v)]`, or two empty arrays if the pair has none."""
         self.read((s, v))
@@ -192,9 +192,8 @@ class BeamformerSet:
     def _zero_force(self, s: int, v: int) -> None:
         sc, ch = self.sc, self.ch
         self.built[s, v] = True
-        slots = slice(self.first_slot[s], self.first_slot[s + 1])
         ues = slice(sc.first_ue[v], sc.first_ue[v + 1])
-        rus = self.slot_ru[slots]
+        rus = self.slot_ru[self.first_slot[s]:self.first_slot[s + 1]]
         h = ch.gains[rus, ues]
         w, why = zf_beamformer(h)
         if w is None:
@@ -202,7 +201,7 @@ class BeamformerSet:
             return
         self._w[(s, v)] = w
         self.gain[s, ues] = np.abs(np.einsum("ru,ru->u", h.conj(), w)) ** 2
-        self.w2[slots, ues] = np.abs(w) ** 2
+        self._w2[(s, v)] = np.abs(w) ** 2
         at = s * sc.n_services + v
         rows = self._sharing[self._sharing_at[at]:self._sharing_at[at + 1]]
         if rows.size:
@@ -278,6 +277,15 @@ class SliceMapping:
     def covered(self) -> np.ndarray:
         return self.a.sum(axis=1) >= 1
 
+    def incidence(self, sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+        """(UE, slice) index arrays, one entry per UE and slice serving
+        the UE's service; each slice's UEs ascend."""
+        v, s = np.divmod(np.flatnonzero(self.a != 0), self.a.shape[1])
+        n = sc.first_ue[v + 1] - sc.first_ue[v]
+        start = np.cumsum(n) - n                # of each pair's entries
+        return (np.arange(n.sum()) + np.repeat(sc.first_ue[v] - start, n),
+                np.repeat(s, n))
+
 
 @dataclass
 class PowerAllocation:
@@ -293,9 +301,99 @@ class PowerAllocation:
         return cls(p=np.full(sc.n_ues, float(level)))
 
 
-# --------------------------------------------------------------------------
-# Interference
-# --------------------------------------------------------------------------
+class MappingEvaluator:
+    """The operating point of one mapping: the mapped pairs' shares of
+    every radio quantity, added up one (slice, service) pair at a time.
+
+    Per UE, `gain` is the own-stream |h^H w|^2 summed over the slices
+    serving it; `quant` and `leak` are the quantization-noise and the
+    per-unit-power PRB-sharing leakage parts of the interference bound
+    (`interference`, which charges every interfering stream the per-RU
+    cap).  `a` is the mapping matrix and `incidence` its
+    `SliceMapping.incidence`.  `blocks` holds (slot rows, UE columns,
+    |w|^2) of each mapped pair with a precoder, and `full` the slot
+    powers that `at` gives with every UE at p_max, updated as each pair
+    is added.  `extend` adds one pair in a copy, touching only that
+    pair's UEs, its block and its leakage rows; a mapping's evaluator
+    adds its pairs in (slice, service) order.
+    """
+
+    def __init__(self, sc: Scenario, bf: BeamformerSet,
+                 mapping: SliceMapping | None = None):
+        self.sc, self.bf = sc, bf
+        self.a = np.zeros((sc.n_services, sc.n_slices), dtype=np.int8)
+        self.blocks: list[tuple[slice, slice, np.ndarray]] = []
+        self.gain, self.quant, self.leak = np.zeros((3, sc.n_ues))
+        self.full = bf.slot_sigma.copy()
+        if mapping is not None:
+            for s, v in np.argwhere(mapping.a.T).tolist():
+                self._add(s, v)
+
+    @functools.cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        return SliceMapping(a=self.a).incidence(self.sc)
+
+    @functools.cached_property
+    def interference(self) -> np.ndarray:
+        """Worst-case co-channel interference per UE, W."""
+        return self.sc.params.p_max * self.leak + self.quant
+
+    def extend(self, s: int, v: int) -> "MappingEvaluator":
+        """A copy with service v also on slice s."""
+        new = MappingEvaluator(self.sc, self.bf)
+        for name in ("a", "blocks", "gain", "quant", "leak", "full"):
+            setattr(new, name, getattr(self, name).copy())
+        new._add(s, v)
+        return new
+
+    def _add(self, s: int, v: int) -> None:
+        sc, bf = self.sc, self.bf
+        victims, values = bf.leakage(s, v)          # zero-forces the pair
+        ues = slice(sc.first_ue[v], sc.first_ue[v + 1])
+        self.a[v, s] = 1
+        self.leak[victims] += values
+        self.quant[ues] += bf.quant[s, ues]
+        self.gain[ues] += bf.gain[s, ues]
+        w2 = bf.w2.get((s, v))
+        if w2 is not None:
+            rows = slice(bf.first_slot[s], bf.first_slot[s + 1])
+            self.blocks.append((rows, ues, w2))
+            # a p_max near the float limit overflows to an infinite slot
+            # power, which the RU power cap rejects
+            with np.errstate(over="ignore"):
+                self.full[rows] += w2 @ np.full(w2.shape[1], sc.params.p_max)
+
+    def at(self, p: np.ndarray | None = None,
+           ) -> tuple[np.ndarray, np.ndarray]:
+        """(UE rates in bit/s, slot powers in W) at UE powers `p`, under
+        the interference bound; None puts every UE at p_max.  Rates are
+        B log2(1 + p g / (noise + interference))."""
+        params = self.sc.params
+        power = np.full(self.sc.n_ues, params.p_max) if p is None else p
+        with np.errstate(over="ignore"):    # p_max near the float limit
+            rates = params.bandwidth_hz * np.log2(1.0 + power * self.gain / (
+                params.bandwidth_hz * params.noise_psd + self.interference))
+        if p is None:
+            return rates, self.full
+        slots = self.bf.slot_sigma.copy()
+        for rows, ues, w2 in self.blocks:
+            slots[rows] += w2 @ p[ues]
+        return rates, slots
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """Per UE u, the sum over slots k of |w|^2 y[k] (W^T y)."""
+        out = np.zeros(self.sc.n_ues)
+        for rows, ues, w2 in self.blocks:
+            out[ues] += y[rows] @ w2
+        return out
+
+    def weight_rows(self, keep: np.ndarray) -> np.ndarray:
+        """The dense |w|^2 rows of the slots marked `keep`, slots x UEs,
+        column-major."""
+        out, at = np.zeros((self.sc.n_ues, keep.sum())), np.cumsum(keep) - 1
+        for rows, ues, w2 in self.blocks:
+            out[ues, at[rows][keep[rows]]] = w2[keep[rows]].T
+        return out.T
 
 
 def interference_upper_bound(sc: Scenario, mapping: SliceMapping,
@@ -317,77 +415,12 @@ def interference_upper_bound(sc: Scenario, mapping: SliceMapping,
     runs over the stored PRB-sharing rows of the mapped pairs only,
     adding them per UE in (slice, service) order.
     """
-    a = mapping.a
-    bf.require(a)
-    rows = [bf.leak[pair] for pair in sorted(bf.leak) if a[pair[1], pair[0]]]
-    victims, values = (np.concatenate(part) for part in zip(_NO_LEAK, *rows))
-    leakage = np.bincount(victims, weights=values, minlength=sc.n_ues)
-    return (sc.params.p_max * leakage
-            + np.einsum("us,su->u", a[sc.ue_service], bf.quant))
-
-
-# --------------------------------------------------------------------------
-# Signal model
-# --------------------------------------------------------------------------
-
-
-def beam_gains(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-               bf: BeamformerSet) -> np.ndarray:
-    """Per-UE sum of |h^H w|^2 over the slices mapped to the UE's service.
-
-    Under exact zero-forcing each mapped slice contributes 1, so the
-    value counts mapped slices; computed from the actual products so
-    imperfect conditioning shows up honestly.
-    """
-    bf.require(mapping.a)
-    return np.einsum("us,su->u", mapping.a[sc.ue_service], bf.gain)
-
-
-def achievable_rate(rho: float | np.ndarray,
-                    bandwidth_hz: float) -> float | np.ndarray:
-    """Shannon rate B log2(1 + rho) in bit/s; rho must be >= 0."""
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
-        raise ValueError("SINR must be nonnegative")
-    out = bandwidth_hz * np.log2(1.0 + rho_arr)
-    return float(out) if np.isscalar(rho) else out
-
-
-def ue_rates(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-             bf: BeamformerSet, powers: PowerAllocation,
-             interference: np.ndarray) -> np.ndarray:
-    """Vector of per-UE rates under the given interference budget."""
-    gains = beam_gains(sc, mapping, ch, bf)
-    noise = sc.params.bandwidth_hz * sc.params.noise_psd
-    rho = powers.p * gains / (noise + interference)
-    return achievable_rate(rho, sc.params.bandwidth_hz)
-
-
-# --------------------------------------------------------------------------
-# RU power and fronthaul
-# --------------------------------------------------------------------------
-
-
-def slot_weight_matrix(sc: Scenario, mapping: SliceMapping,
-                       bf: BeamformerSet) -> np.ndarray:
-    """weights[slot, u] = |w|^2 of UE u at that (slice, RU) slot.
-
-    Only (slice, service) pairs that are actually mapped contribute, so
-    `weights @ p + sigma_q2` yields every slot's transmit power at once.
-    """
-    bf.require(mapping.a)
-    return bf.w2 * mapping.a[sc.ue_service][:, bf.slot_slice].T
-
-
-def ru_powers_all(sc: Scenario, mapping: SliceMapping, bf: BeamformerSet,
-                  powers: PowerAllocation) -> np.ndarray:
-    """Vector of every (slice, RU) slot's transmit power, W."""
-    return slot_weight_matrix(sc, mapping, bf) @ powers.p + bf.slot_sigma
+    return MappingEvaluator(sc, bf, mapping).interference
 
 
 def fronthaul_rates_all(bf: BeamformerSet, p_bar: np.ndarray) -> np.ndarray:
-    """Fronthaul load of every (slice, RU) slot at slot powers `p_bar`
-    (from `ru_powers_all`), bit/s/Hz.
+    """Fronthaul load of every (slice, RU) slot at slot powers `p_bar`,
+    bit/s/Hz.
 
     log2 of one plus the ratio of beamformed signal power to the RU's
     quantization noise; equals log2(p_bar / sigma_q2) since the slot
@@ -398,22 +431,3 @@ def fronthaul_rates_all(bf: BeamformerSet, p_bar: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return np.log2(1.0 + (p_bar - sigma2) / sigma2)
 
-
-# --------------------------------------------------------------------------
-# Energy efficiency
-# --------------------------------------------------------------------------
-
-
-def energy_efficiency(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
-                      bf: BeamformerSet, powers: PowerAllocation,
-                      ) -> tuple[float, float, float]:
-    """(eta, total_rate, total_power) for the whole system.
-
-    Rates use the interference upper bound; total power sums every
-    (slice, RU) slot.
-    """
-    interference = interference_upper_bound(sc, mapping, ch, bf)
-    rates = ue_rates(sc, mapping, ch, bf, powers, interference)
-    r_tot = float(rates.sum())
-    p_tot = float(ru_powers_all(sc, mapping, bf, powers).sum())
-    return (r_tot / p_tot if p_tot > 0 else 0.0, r_tot, p_tot)

@@ -126,7 +126,6 @@ RULES = {
     **dict.fromkeys(("seed", "--seed", "count"), Rule(integer=True, lo=0)),
     **dict.fromkeys(("rus_per_slice", "--max-iters"),
                     Rule(integer=True, lo=1)),
-    "--grid-n": Rule(integer=True, lo=2),
     "arrival_rate_spread": Rule(lo=0, hi=1),
     "mean_ues": Rule(lo=1, hi=POISSON_LAM_MAX),
     # radio coefficients grow as slices x RUs x UEs

@@ -9,6 +9,11 @@ every UE transmits at the per-RU power cap under the worst-case
 interference bound.  A second pass then tries to cover services that the
 first pass left without any slice.  So each service gets at most one
 slice, and a sweep over V services makes about V checks.
+
+Every check is `verdict` on a `MappingEvaluator`: the sweep extends the
+accepted mapping's evaluator by the candidate pair, and
+`check_feasibility` builds one from the whole mapping, so both judge the
+same operating point through the same code.
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ from typing import Iterator
 import numpy as np
 
 from .scenario import Scenario
-from .radio import (BeamformerSet, ChannelSet, PowerAllocation, SliceMapping,
-                    achievable_rate, fronthaul_rates_all,
-                    interference_upper_bound, ru_powers_all, ue_rates)
-from .queueing import slice_delays, slice_loads, slice_sums
+from .radio import (BeamformerSet, ChannelSet, MappingEvaluator,
+                    PowerAllocation, SliceMapping, fronthaul_rates_all)
+from .queueing import slice_delays, slice_sums
 
 # Relative slack applied to every feasibility comparison so boundary
 # cases (a rate exactly at the minimum, a RU exactly at its cap) are not
@@ -58,16 +62,16 @@ class FeasibilityReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _violations(sc: Scenario, bf: BeamformerSet, p_bar: np.ndarray,
-                rates: np.ndarray, checked: np.ndarray, active: np.ndarray,
-                alpha: np.ndarray, r_tot: np.ndarray) -> Iterator[str]:
-    """Violation messages of one operating point, lazily and in report
-    order: per-slot RU power cap, per-UE minimum rate (only the UEs
-    marked `checked`), per-slot fronthaul cap, then per-slice delay
-    budget (only `active` slices).  `p_bar` holds the slot powers,
-    `rates` the UE rates, `alpha` and `r_tot` the slice loads and summed
-    rates."""
-    params = sc.params
+def _violations(ev: MappingEvaluator, rates: np.ndarray,
+                p_bar: np.ndarray) -> Iterator[str]:
+    """Violation messages of the evaluator's mapped system at UE rates
+    `rates` and slot powers `p_bar`, lazily and in report order: per-slot
+    RU power cap, minimum rate of each UE whose service is mapped,
+    per-slot fronthaul cap, then the delay budget of each active slice."""
+    sc, bf, a, params = ev.sc, ev.bf, ev.a, ev.sc.params
+    checked, active = a.any(axis=1)[sc.ue_service], a.any(axis=0)
+    alpha, r_tot = (slice_sums(x, ev.incidence, sc.n_slices)
+                    for x in (sc.arrival_rates, rates))
     for k in np.flatnonzero(p_bar > params.p_max * (1.0 + CHECK_RTOL)):
         yield (f"RU power cap: slice {bf.slot_slice[k]} RU {bf.slot_ru[k]} "
                f"at {p_bar[k]:.6g} W > {params.p_max:.6g} W")
@@ -89,16 +93,11 @@ def _violations(sc: Scenario, bf: BeamformerSet, p_bar: np.ndarray,
                f"{params.d_max:.6g} s")
 
 
-def verdict(sc: Scenario, bf: BeamformerSet, mapping: SliceMapping,
-            rates: np.ndarray, p_bar: np.ndarray) -> FeasibilityReport:
-    """Every violation of the mapped system at UE rates `rates` and slot
-    powers `p_bar`, in `_violations` order: the minimum rate of each UE
-    whose service is mapped and the delay budget of each active slice."""
-    served = mapping.a[sc.ue_service]
-    violations = list(_violations(
-        sc, bf, p_bar, rates, mapping.covered()[sc.ue_service],
-        served.any(axis=0), slice_loads(sc, served),
-        slice_sums(rates, served)))
+def verdict(ev: MappingEvaluator, rates: np.ndarray,
+            p_bar: np.ndarray) -> FeasibilityReport:
+    """Every violation of the evaluator's mapped system at UE rates
+    `rates` and slot powers `p_bar`, in `_violations` order."""
+    violations = list(_violations(ev, rates, p_bar))
     return FeasibilityReport(ok=not violations, violations=violations)
 
 
@@ -109,24 +108,21 @@ def check_feasibility(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
     """Evaluate the mapped system against all operating constraints.
 
     With no explicit power allocation every UE is charged the per-RU
-    cap, matching how the mapping sweep judges candidates.  A negative
-    power leaves the rates undefined, so it is reported alone.  Otherwise
-    the checks run, in order: per-slot RU power cap, per-UE minimum rate
-    (only UEs whose service is mapped somewhere), per-slot fronthaul cap,
-    and per-active-slice delay budget.  Rates use the interference upper
-    bound, so a pass here is conservative.
+    cap, matching how the mapping sweep judges candidates.  A power that
+    is negative or NaN leaves the rates undefined, so it is reported
+    alone.  Otherwise the checks run, in order: per-slot RU power cap,
+    per-UE minimum rate (only UEs whose service is mapped somewhere),
+    per-slot fronthaul cap, and per-active-slice delay budget.  Rates use
+    the interference upper bound, so a pass here is conservative.
     """
-    if powers is None:
-        powers = PowerAllocation.uniform(sc, sc.params.p_max)
-    if np.any(powers.p < 0):
-        bad = np.flatnonzero(powers.p < 0).tolist()
+    p = None if powers is None else powers.p
+    if p is not None and not np.all(p >= 0):
+        bad = {"negative": p < 0, "NaN": np.isnan(p)}
         return FeasibilityReport(ok=False, violations=[
-            f"negative transmit power at UE index {bad}"])
-
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    return verdict(sc, bf, mapping,
-                   ue_rates(sc, mapping, ch, bf, powers, ibar),
-                   ru_powers_all(sc, mapping, bf, powers))
+            f"{kind} transmit power at UE index {np.flatnonzero(m).tolist()}"
+            for kind, m in bad.items() if m.any()])
+    ev = MappingEvaluator(sc, bf, mapping)
+    return verdict(ev, *ev.at(p))
 
 
 @dataclass
@@ -135,77 +131,6 @@ class MappingResult:
     uncovered_services: list[int]
     rejections: list[tuple[int, int, str]]   # (slice, service, first reason),
                                              # once per pair
-
-
-class _SweepState:
-    """The full-power operating point of the sweep's accepted mapping,
-    with every quantity `check_feasibility` derives from it: slot powers,
-    the leakage and quantization parts of the interference bound, beam
-    gains, rates, and slice loads and rate sums.  `try_add` updates only
-    what a candidate (service, slice) pair touches."""
-
-    def __init__(self, sc: Scenario, bf: BeamformerSet):
-        self.sc, self.bf = sc, bf
-        n_slices, n_services = sc.n_slices, sc.n_services
-        self.a = np.zeros((n_services, n_slices), dtype=np.int8)
-        self.served = np.zeros((sc.n_ues, n_slices), dtype=np.int8)
-        self.p_bar = bf.slot_sigma.copy()
-        self.leakage = np.zeros(sc.n_ues)
-        self.quant = np.zeros(sc.n_ues)
-        self.gains = np.zeros(sc.n_ues)
-        self.rates = np.zeros(sc.n_ues)
-        self.alpha = np.zeros(n_slices)
-        self.r_tot = np.zeros(n_slices)
-        self.checked = np.zeros(sc.n_ues, dtype=bool)   # service covered
-
-    def try_add(self, v: int, s: int) -> str | None:
-        """The message `check_feasibility` would report first for the
-        mapping plus (v, s); None, after adding the pair, if it is
-        feasible."""
-        sc, bf, params = self.sc, self.bf, self.sc.params
-        p_max = params.p_max
-        cols = np.arange(sc.first_ue[v], sc.first_ue[v + 1])
-        rows = slice(bf.first_slot[s], bf.first_slot[s + 1])
-        victims, leak = bf.leakage(s, v)        # zero-forces the pair
-        leakage = self.leakage.copy()
-        leakage[victims] += leak
-        quant = self.quant.copy()
-        quant[cols] += bf.quant[s, cols]
-        gains = self.gains.copy()
-        gains[cols] += bf.gain[s, cols]
-        touched = np.concatenate([cols, victims])   # repeats are harmless
-        rates = self.rates.copy()
-        # a p_max near the float limit overflows to an infinite slot power
-        # and rate; the RU power cap then rejects the pair
-        p_bar = self.p_bar.copy()
-        with np.errstate(over="ignore"):
-            p_bar[rows] += bf.w2[rows, cols] @ np.full(cols.size, p_max)
-            rho = (p_max * gains[touched]
-                   / (params.bandwidth_hz * params.noise_psd
-                      + (p_max * leakage[touched] + quant[touched])))
-        rates[touched] = achievable_rate(rho, params.bandwidth_hz)
-        a = self.a.copy()
-        a[v, s] = 1
-        # slices whose rate sum moves: those serving a touched UE
-        moved = np.flatnonzero(a[sc.ue_service[touched]].any(axis=0))
-        at_s = np.searchsorted(moved, s)
-        served = self.served[:, moved]
-        served[cols, at_s] = 1
-        r_tot = self.r_tot.copy()
-        r_tot[moved] = slice_sums(rates, served)
-        alpha = self.alpha.copy()
-        alpha[s] = slice_sums(sc.arrival_rates, served[:, at_s, None])[0]
-        checked = self.checked.copy()
-        checked[cols] = True
-        reason = next(_violations(sc, bf, p_bar, rates, checked,
-                                  a.any(axis=0), alpha, r_tot), None)
-        if reason is None:
-            (self.a, self.p_bar, self.leakage, self.quant, self.gains,
-             self.rates, self.r_tot, self.alpha, self.checked) = (
-                a, p_bar, leakage, quant, gains, rates, r_tot, alpha,
-                checked)
-            self.served[cols, s] = 1
-        return reason
 
 
 def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
@@ -220,40 +145,39 @@ def map_slices_to_services(sc: Scenario, bf: BeamformerSet) -> MappingResult:
     each service still uncovered, walk slices in rank order again and
     take the first feasible one.  Services that remain uncovered are
     reported, not raised, and each rejected pair is recorded once, with
-    the reason of its first rejection.  Each candidate is judged as
-    `check_feasibility` judges the tentative mapping, but only the
-    quantities it changes are recomputed.
+    the reason of its first rejection.  Each candidate is judged by
+    `verdict` at full power on the accepted mapping's evaluator extended
+    by the candidate pair.
     """
-    service_order = rank_services(sc)
+    left = rank_services(sc)    # services no slice covers yet, in rank order
     slice_order = rank_slices(sc)
-    state = _SweepState(sc, bf)
+    ev = MappingEvaluator(sc, bf)
     rejections: dict[tuple[int, int], str] = {}     # the first per pair
 
     def try_pair(v: int, s: int) -> bool:
+        nonlocal ev
         if (s, v) in bf.unmappable:
             rejections.setdefault((s, v), bf.unmappable[(s, v)])
             return False
-        reason = state.try_add(v, s)
-        if reason is not None:
-            rejections.setdefault((s, v), reason)
-        return reason is None
+        trial = ev.extend(s, v)
+        report = verdict(trial, *trial.at())
+        if report.ok:
+            ev = trial
+        else:
+            rejections.setdefault((s, v), report.violations[0])
+        return report.ok
 
     for s in slice_order:
-        for v in service_order:
-            if state.a[v].any():
-                continue
+        for v in left:
             if try_pair(v, s):
+                left.remove(v)
                 break
 
-    for v in service_order:
-        if state.a[v].any():
-            continue
+    for v in list(left):
         for s in slice_order:
             if try_pair(v, s):
+                left.remove(v)
                 break
 
-    mapping = SliceMapping(a=state.a)
-    uncovered = [v for v in service_order if not mapping.covered()[v]]
-    return MappingResult(mapping=mapping, uncovered_services=sorted(uncovered),
-                         rejections=[(s, v, why) for (s, v), why
-                                     in rejections.items()])
+    return MappingResult(SliceMapping(a=ev.a), sorted(left),
+                         [(s, v, why) for (s, v), why in rejections.items()])

@@ -18,9 +18,8 @@ from oranslice.oracle import (brute_force_mapping, certified_mapping,
 from oranslice.placement import (active_slice_ids, admitted_ratio, cost_psi,
                                  place)
 from oranslice.power import InfeasibleMappingError, SolverOptions, solve_joint
-from oranslice.radio import (PowerAllocation, build_beamformers,
-                             build_channels, energy_efficiency,
-                             interference_upper_bound, ru_powers_all,
+from oranslice.radio import (MappingEvaluator, PowerAllocation,
+                             build_beamformers, build_channels,
                              zf_beamformer)
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.slicing import check_feasibility, map_slices_to_services
@@ -366,11 +365,12 @@ def test_vectorized_radio_matches_naive_summation():
         mapping = _round_robin_mapping(sc)
         powers = PowerAllocation(rng.uniform(0.0, sc.params.p_max, sc.n_ues))
 
-        fast_i = interference_upper_bound(sc, mapping, ch, bf)
+        ev = MappingEvaluator(sc, bf, mapping)
+        fast_i = ev.interference
         slow_i = summation_oracle("interference", sc, mapping, ch, bf, powers)
-        fast_p = ru_powers_all(sc, mapping, bf, powers)
+        rates, fast_p = ev.at(powers.p)
         slow_p = summation_oracle("ru_power", sc, mapping, ch, bf, powers)
-        fast_e = energy_efficiency(sc, mapping, ch, bf, powers)[0]
+        fast_e = rates.sum() / fast_p.sum()
         slow_e = summation_oracle("ee", sc, mapping, ch, bf, powers)
 
         for fast, slow in ((fast_i, slow_i), (fast_p, slow_p),

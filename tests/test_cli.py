@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import hand_scenario, placement_config
 from oranslice import cli
 from oranslice.cli import main
-from oranslice.oracle import BruteForceResult
+from oranslice.oracle import CertifiedMappingResult
 from oranslice.scenario import (RULES, GeneratorConfig, generate_scenario,
                                 load_scenario, save_scenario,
                                 scenario_to_dict)
@@ -256,19 +256,41 @@ def test_solve_oracle_appends_gap_rows(easy_scenario, workdir, capsys):
 
 def test_solve_oracle_infeasible_grid_writes_strict_json(
         easy_scenario, tmp_path, monkeypatch, capsys):
-    # a grid with no feasible point reports eta 0, so the gap is infinite
-    monkeypatch.setattr(cli, "brute_force_mapping", lambda *a, **k:
-                        BruteForceResult(feasible=False, eta=0.0, mapping=None,
-                                         powers=None, mappings_tried=1,
-                                         mappings_feasible=0))
+    # an oracle with no feasible mapping reports eta 0 and an upper bound
+    # of -inf, so the gap is infinite
+    monkeypatch.setattr(cli, "certified_mapping", lambda *a, **k:
+                        CertifiedMappingResult(
+                            feasible=False, eta=0.0, upper=-float("inf"),
+                            mapping=None, mappings_tried=1))
     out = tmp_path / "result.json"
     code = main(["solve", str(easy_scenario), "--oracle", "--out", str(out),
                  "--oracle-out", str(tmp_path / "gaps.csv"),
                  "--max-iters", "2000"])
     capsys.readouterr()
     assert code == 0
-    assert strict_json(out)["oracle"] == {"eta": 0.0, "rel_gap": None,
+    assert strict_json(out)["oracle"] == {"eta": 0.0, "upper": None,
+                                          "rel_gap": None,
                                           "mappings_tried": 1}
+
+
+def test_solve_oracle_is_the_certified_best_mapping(tmp_path, capsys):
+    # 2 services and 3 slices: the oracle solves all 49 coverage-complete
+    # mappings, and the solver's eta lies below the certified upper bound
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_services": 2, "n_slices": 3,
+                               "mean_ues": 4.0, **cli._EE_OVERRIDES}))
+    sc = tmp_path / "sc.json"
+    out = tmp_path / "result.json"
+    assert main(["generate", "--config", str(cfg), "--out", str(sc)]) == 0
+    code = main(["solve", str(sc), "--oracle", "--out", str(out),
+                 "--oracle-out", str(tmp_path / "gaps.csv")])
+    assert code == 0
+    assert "oracle eta=" in capsys.readouterr().out
+    payload = strict_json(out)
+    oracle = payload["oracle"]
+    assert oracle["mappings_tried"] == 49
+    assert oracle["eta"] <= oracle["upper"]
+    assert payload["eta_bit_per_joule"] <= oracle["upper"]
 
 
 def test_solve_exit_3_reports_uncovered_services(tmp_path, capsys):
@@ -315,19 +337,6 @@ def test_solve_oracle_too_large_exits_4(tmp_path, capsys):
     assert "error:" in err and "12" in err
 
 
-def test_solve_oracle_grid_too_large_exits_4(tmp_path, capsys):
-    # (10^12 + 1)^2 grid points per mapping cannot be held in memory: the
-    # oracle refuses the grid before allocating it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**EASY_CONFIG, "c_max": 2000.0}))
-    sc = tmp_path / "sc.json"
-    assert main(["generate", "--config", str(cfg), "--out", str(sc)]) == 0
-    code = main(["solve", str(sc), "--oracle", "--grid-n", "1000000000000"])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert "error:" in err and "power grid" in err
-
-
 def test_solve_rejects_bad_packet_size(easy_scenario, capsys):
     code = main(["solve", str(easy_scenario), "--packet-size", "-1"])
     assert code == 2
@@ -339,14 +348,13 @@ def test_solve_rejects_bad_packet_size(easy_scenario, capsys):
     ("solve", ["--packet-size", "inf"], "--packet-size"),
     ("solve", ["--max-iters", "0"], "--max-iters"),
     ("solve", ["--max-iters=-5"], "--max-iters"),
-    ("solve", ["--oracle", "--grid-n", "1"], "--grid-n"),
     ("place", ["--weights=nan,1,1"], "--weights"),
     ("place", ["--weights=inf,1,1"], "--weights"),
     ("place", ["--weights=-1,1,1"], "--weights"),
     ("place", ["--nu=-5"], "--nu"),
     ("place", ["--nu", "nan"], "--nu"),
 ], ids=["packet-size-nan", "packet-size-inf", "max-iters-zero",
-        "max-iters-negative", "grid-n-one", "weights-nan", "weights-inf",
+        "max-iters-negative", "weights-nan", "weights-inf",
         "weights-negative", "nu-negative", "nu-nan"])
 def test_solve_and_place_reject_bad_arguments(easy_scenario, tmp_path, capsys,
                                               command, argv, needle):
@@ -830,6 +838,24 @@ def test_experiment_empty_seeds_exits_2(tmp_path, capsys):
     code = main(["experiment", str(spec)])
     assert code == 2
     assert "nonempty 'seeds'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, values", [
+    ("seeds", [0, 0]), ("x_values", [4, 4]), ("series", [2, 5, 2])])
+def test_experiment_rejects_a_repeated_value(tmp_path, capsys, key, values):
+    # a repeated point would run twice and count twice in the mean and
+    # the std
+    out = tmp_path / "x.csv"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "admitted_vs_slices", "seeds": [0],
+                                "x_values": [4], "series": [2],
+                                "out": str(out), key: values}))
+    code = main(["experiment", str(spec)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: experiment '{key}' lists {values[-1]!r} "
+                   f"twice\n")
+    assert not out.exists()
 
 
 def test_experiment_needs_output_path(tmp_path, capsys):

@@ -93,6 +93,20 @@ def test_brute_force_size_guards():
         brute_force_mapping(sc1, ch1, bf1, power_grid_n=1)
 
 
+def test_brute_force_refuses_a_grid_too_large_to_hold():
+    # (10^12 + 1)^2 grid points per mapping cannot be held in memory: the
+    # oracle refuses the grid before allocating it
+    cfg = GeneratorConfig(n_services=2, mean_ues=1.0, max_ues=1, n_slices=1,
+                          n_rus=30, rus_per_slice=30, p_max=0.5,
+                          sigma_q_frac=3.5e-4, r_min_per_hz=2.0,
+                          region_m=100.0, c_max=2000.0)
+    sc = generate_scenario(cfg, seed=0)
+    ch = build_channels(sc)
+    bf = build_beamformers(sc, ch)
+    with pytest.raises(OracleSizeError, match="power grid"):
+        brute_force_mapping(sc, ch, bf, power_grid_n=10 ** 12)
+
+
 def power_grid_instances():
     """The U <= 4 instances the tests check against the power-grid oracle:
     the 1x1 hand case, its unreachable-rate twin, `small_joint_config`

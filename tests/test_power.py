@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
                       small_joint_config)
-from oranslice import power, radio, slicing
+from oranslice import power, radio
 from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
 from oranslice.power import (EPS_ETA, InfeasibleDelayError,
@@ -19,10 +19,8 @@ from oranslice.power import (EPS_ETA, InfeasibleDelayError,
                              delay_linearization, solve_joint, solve_power,
                              subgradient_solve)
 from oranslice.queueing import layer_delays
-from oranslice.radio import (PowerAllocation, SliceMapping, beam_gains,
-                             build_beamformers, build_channels,
-                             interference_upper_bound, ru_powers_all,
-                             slot_weight_matrix, ue_rates)
+from oranslice.radio import (MappingEvaluator, SliceMapping,
+                             build_beamformers, build_channels)
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.slicing import check_feasibility, map_slices_to_services
 from test_slicing import ee_shared_configs, soundness_configs
@@ -81,10 +79,12 @@ def test_delay_floor_includes_offered_load():
 
 
 def unit_coefficient_scenario():
-    """Bandwidth ln2 and noise 1/ln2 make y = (1+lam+kap) and z = 1."""
+    """Bandwidth ln2 and noise 1/ln2 make y = (1+lam+kap), and with no
+    quantization noise z = 1."""
     params = default_params(bandwidth_hz=math.log(2.0),
                             noise_psd=1.0 / math.log(2.0))
-    return hand_scenario(ue_counts=(1,), slice_rus=((0,),), params=params)
+    return hand_scenario(ue_counts=(1,), slice_rus=((0,),), params=params,
+                         sigma_q2=0.0)
 
 
 def zero_mults(sc):
@@ -93,18 +93,21 @@ def zero_mults(sc):
                        delay_slice=np.zeros(sc.n_slices))
 
 
-def closed_form(sc, mapping, ch, bf, ibar, eta, mults=None):
+def problem(sc, mapping, bf, max_iters=5000):
+    """A PowerProblem on the mapping's evaluator."""
+    return PowerProblem(MappingEvaluator(sc, bf, mapping),
+                        SolverOptions(max_iters))
+
+
+def closed_form(sc, mapping, bf, eta, mults=None):
     """PowerProblem.closed_form_power of the mapped instance."""
-    pb = PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
-    return pb.closed_form_power(
+    return problem(sc, mapping, bf).closed_form_power(
         eta, mults if mults is not None else zero_mults(sc))
 
 
 def inner_solve(sc, mapping, ch, bf, eta, max_iters=5000):
     """One inner solve on a fresh PowerProblem."""
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    return subgradient_solve(PowerProblem(sc, mapping, ch, bf, ibar,
-                                          SolverOptions(max_iters)), eta)
+    return subgradient_solve(problem(sc, mapping, bf, max_iters), eta)
 
 
 def solve_to_gap(pb, eta):
@@ -126,7 +129,7 @@ def test_closed_form_hand_unit_coefficients():
     bf = build_beamformers(sc, ch)
     mults = zero_mults(sc)
     mults.rate_ue[0] = 1.0
-    out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 1.0, mults)
+    out = closed_form(sc, one_on_one(), bf, 1.0, mults)
     assert out[0] == pytest.approx(1.0)
 
 
@@ -134,7 +137,7 @@ def test_closed_form_clamps_to_zero_at_large_eta():
     sc = unit_coefficient_scenario()
     ch = channels_from_matrix(sc, [[1.0]])
     bf = build_beamformers(sc, ch)
-    out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 1e30)
+    out = closed_form(sc, one_on_one(), bf, 1e30)
     assert out[0] == 0.0
 
 
@@ -144,7 +147,7 @@ def test_closed_form_zero_price_degenerate():
     sc = unit_coefficient_scenario()
     ch = channels_from_matrix(sc, [[1.0]])
     bf = build_beamformers(sc, ch)
-    out = closed_form(sc, one_on_one(), ch, bf, np.zeros(1), 0.0)
+    out = closed_form(sc, one_on_one(), bf, 0.0)
     assert out[0] == sc.params.p_max
 
 
@@ -155,13 +158,13 @@ def test_closed_form_waterfilling_against_grid():
     ch = channels_from_matrix(sc, [[math.sqrt(2.0)]])
     bf = build_beamformers(sc, ch)
     mapping = one_on_one()
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
+    ev = MappingEvaluator(sc, bf, mapping)
     eta = 1e5
-    p_star = closed_form(sc, mapping, ch, bf, ibar, eta)[0]
+    p_star = closed_form(sc, mapping, bf, eta)[0]
     assert 0.0 < p_star < sc.params.p_max
 
-    g = beam_gains(sc, mapping, ch, bf)[0]
-    z = sc.params.bandwidth_hz * sc.params.noise_psd + ibar[0]
+    g = ev.gain[0]
+    z = sc.params.bandwidth_hz * sc.params.noise_psd + ev.interference[0]
     x_price = float(np.sum(np.abs(bf.w[(0, 0)]) ** 2)) * eta
 
     def objective(p):
@@ -183,9 +186,8 @@ def test_subgradient_eta_zero_rides_the_ru_cap():
     ch = channels_from_matrix(sc, [[1.0 / math.sqrt(2.0)]])
     bf = build_beamformers(sc, ch)
     mapping = one_on_one()
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    res = solve_to_gap(PowerProblem(sc, mapping, ch, bf, ibar,
-                                    SolverOptions(20000)), 0.0)
+    ev = MappingEvaluator(sc, bf, mapping)
+    res = solve_to_gap(PowerProblem(ev, SolverOptions(20000)), 0.0)
     sq = bf.slot_sigma[0]
     p_cap = (sc.params.p_max - sq) / 2.0
     assert res.feasible and res.converged
@@ -193,8 +195,8 @@ def test_subgradient_eta_zero_rides_the_ru_cap():
     assert res.powers.p[0] == pytest.approx(p_cap, rel=1e-4)
 
     # grid oracle over slot-feasible powers: the optimum is the cap
-    g = beam_gains(sc, mapping, ch, bf)[0]
-    z = sc.params.bandwidth_hz * sc.params.noise_psd + ibar[0]
+    g = ev.gain[0]
+    z = sc.params.bandwidth_hz * sc.params.noise_psd + ev.interference[0]
     grid = np.linspace(0.0, sc.params.p_max, 4001)
     rates = sc.params.bandwidth_hz * np.log2(1.0 + grid * g / z)
     ok = 2.0 * grid + sq <= sc.params.p_max * (1.0 + 1e-6)
@@ -223,11 +225,11 @@ def cap_blocked_instance():
                            params=default_params(r_min=r_min))
         ch = channels_from_matrix(sc, [[1.0 / math.sqrt(2.0)]])
         bf = build_beamformers(sc, ch)
-        return sc, ch, bf, interference_upper_bound(sc, one_on_one(), ch, bf)
+        return sc, ch, bf, MappingEvaluator(sc, bf, one_on_one())
 
-    sc, ch, bf, ibar = instance(1.0)
-    g = beam_gains(sc, one_on_one(), ch, bf)[0]
-    z = sc.params.bandwidth_hz * sc.params.noise_psd + ibar[0]
+    sc, ch, bf, ev = instance(1.0)
+    g = ev.gain[0]
+    z = sc.params.bandwidth_hz * sc.params.noise_psd + ev.interference[0]
     return instance(sc.params.bandwidth_hz * math.log2(
         1.0 + 0.75 * sc.params.p_max * g / z))[:3]
 
@@ -242,7 +244,7 @@ def test_subgradient_phase1_reports_cap_blocked_floor():
 
 
 def test_solve_power_verdict_is_check_feasibility_on_its_powers():
-    # the final verdict comes from the problem's own arrays; on the
+    # the final verdict comes from the solve's own evaluator; on the
     # cap-blocked instance it lists a violation
     sc, ch, bf = cap_blocked_instance()
     res = solve_power(sc, one_on_one(), ch, bf)
@@ -261,25 +263,24 @@ def test_solve_power_rejects_a_mapping_that_leaves_a_service_out():
 
 
 def test_solve_power_builds_each_part_once(monkeypatch):
-    # the interference bound, the beam gains and the slot weights are
-    # built once per solve, however many points the path takes and
-    # although the final verdict reads rates and slot powers again
+    # the mapping's evaluator (interference bound, beam gains and |w|^2
+    # blocks) is built once per solve, however many points the path
+    # takes and although the final verdict reads rates and slot powers
+    # again
     sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
     ch = build_channels(sc)
     bf = build_beamformers(sc, ch)
     mapping = map_slices_to_services(sc, bf).mapping
-    names = ("interference_upper_bound", "beam_gains", "slot_weight_matrix")
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _fn=getattr(radio, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        for module in (radio, power, slicing):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    builds = []
+    init = radio.MappingEvaluator.__init__
+
+    def counted(ev, *args):
+        builds.append(args)
+        init(ev, *args)
+    monkeypatch.setattr(radio.MappingEvaluator, "__init__", counted)
     res = solve_power(sc, mapping, ch, bf, SolverOptions(max_iters=1500))
     assert len(res.trace) > 1
-    assert calls == dict.fromkeys(names, 1)
+    assert len(builds) == 1
 
 
 def test_central_path_stops_on_a_nan_newton_step():
@@ -304,9 +305,7 @@ def newton_solves(monkeypatch):
 
 
 def mapped_problem(sc, mapping, ch):
-    bf = build_beamformers(sc, ch)
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    return PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
+    return problem(sc, mapping, build_beamformers(sc, ch))
 
 
 def overlapping_floor_rows():
@@ -373,13 +372,16 @@ def seed21_instance():
     return sc, ch, bf, mres.mapping
 
 
-def grid_search_f(sc, ch, bf, mapping, ibar, eta, n=200):
+def grid_search_f(sc, ch, bf, mapping, eta, n=200):
     """Exhaustive F = R - eta*P over an n x n power grid, honoring the
     rate floors, slot power caps, fronthaul caps, and slice delay floors."""
     params = sc.params
-    gains = beam_gains(sc, mapping, ch, bf)
-    z = params.bandwidth_hz * params.noise_psd + ibar
-    w2 = slot_weight_matrix(sc, mapping, bf)
+    ev = MappingEvaluator(sc, bf, mapping)
+    gains = ev.gain
+    z = params.bandwidth_hz * params.noise_psd + ev.interference
+    w2 = np.zeros((len(bf.slot_sigma), sc.n_ues))
+    for rows, ues, block in ev.blocks:
+        w2[rows, ues] += block
     sigma2 = bf.slot_sigma
     fh_cap = sigma2 * 2.0 ** params.c_max
 
@@ -405,15 +407,13 @@ def grid_search_f(sc, ch, bf, mapping, ibar, eta, n=200):
 
 def test_subgradient_2ue_matches_grid_search():
     sc, ch, bf, mapping = seed21_instance()
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
     # fix eta at the rate/power ratio of the uniform full-power point
-    pw0 = PowerAllocation.uniform(sc, sc.params.p_max)
-    r0 = float(ue_rates(sc, mapping, ch, bf, pw0, ibar).sum())
-    eta = r0 / float(ru_powers_all(sc, mapping, bf, pw0).sum())
+    rates, slots = MappingEvaluator(sc, bf, mapping).at()
+    eta = float(rates.sum()) / float(slots.sum())
 
     res = inner_solve(sc, mapping, ch, bf, eta=eta, max_iters=4000)
     assert res.feasible
-    f_grid = grid_search_f(sc, ch, bf, mapping, ibar, eta)
+    f_grid = grid_search_f(sc, ch, bf, mapping, eta)
     assert res.f_value == pytest.approx(f_grid, rel=0.01)
 
 
@@ -437,9 +437,7 @@ def test_solve_joint_1x1_converges_to_root():
 
 def test_one_step_from_eta0_is_not_converged():
     sc, ch, bf = easy_1x1()
-    mapping = one_on_one()
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    pb = PowerProblem(sc, mapping, ch, bf, ibar, SolverOptions())
+    pb = problem(sc, one_on_one(), bf)
     res = subgradient_solve(pb, pb.eta0)
     # eta starts at R/P of the cheapest powers that meet every floor (the
     # rate-floor powers miss the delay floor here), where F(eta0) is still
@@ -540,11 +538,13 @@ def on_the_barrier(mp):
     slice floor holds strictly)."""
     real = power.PowerProblem
 
-    def barrier_problem(sc, *args):
-        pb = real(sc, *args)
+    def barrier_problem(ev, *args):
+        pb = real(ev, *args)
         if pb.level is not None:
+            sc = pb.sc
             p_max, floor = sc.params.p_max, pb.floors / pb.nat
-            M = np.asfortranarray(pb.member.T)
+            M = np.asfortranarray(np.arange(len(floor))[:, None] == pb.row,
+                                  dtype=float)
             pb.prob = _barrier(pb.q, sc.params.r_min / pb.nat, M, floor,
                                np.zeros((0, sc.n_ues)), np.zeros(0), p_max,
                                sc.n_ues)
@@ -559,13 +559,15 @@ def on_the_barrier(mp):
 
 def free_ue0(mp):
     """Give UE 0 a zero power price c_0: its stream charges no slot."""
-    real = power.slot_weight_matrix
+    real = power.MappingEvaluator
 
-    def weights(*args):
-        w = real(*args).copy()
-        w[:, 0] = 0.0
-        return w
-    mp.setattr(power, "slot_weight_matrix", weights)
+    def free(*args):
+        ev = real(*args)
+        ev.blocks = [(rows, ues, np.where(np.arange(ues.start, ues.stop) == 0,
+                                          0.0, block))
+                     for rows, ues, block in ev.blocks]
+        return ev
+    mp.setattr(power, "MappingEvaluator", free)
 
 
 def exact_agrees_with_barrier(sc, free=False):
@@ -598,7 +600,8 @@ def exact_agrees_with_barrier(sc, free=False):
     if free:
         assert exact.powers.p[0] == sc.params.p_max
     floors = delay_linearization(sc, mres.mapping)
-    n_ues = mres.mapping.a[sc.ue_service].sum(axis=0)
+    n_ues = np.bincount(mres.mapping.incidence(sc)[1],
+                        minlength=sc.n_slices)
     for s, floor in floors.items():
         if n_ues[s] * sc.params.r_min >= floor:
             assert exact.mults.delay_slice[s] == 0.0
@@ -668,5 +671,5 @@ def test_solve_joint_eta_trace_nondecreasing(joint13):
 def test_solve_joint_power_bounds(joint13):
     sc, ch, bf, res = joint13
     assert np.all(res.powers.p >= 0.0)
-    slot_p = ru_powers_all(sc, res.mapping, bf, res.powers)
+    slot_p = MappingEvaluator(sc, bf, res.mapping).at(res.powers.p)[1]
     assert np.all(slot_p <= sc.params.p_max * (1.0 + 1e-6))

@@ -7,23 +7,29 @@ from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.radio import SliceMapping
 from oranslice.power import delay_linearization
 from oranslice.queueing import (UnstableQueueError, layer_delays, slice_delays,
-                                slice_loads, slice_sums)
+                                slice_sums)
 
 from conftest import default_params, full_mapping, hand_scenario
 
 
 def served_by(sc, mapping):
-    return mapping.a[sc.ue_service]
+    return mapping.incidence(sc)
+
+
+def slice_loads(sc, incidence):
+    """Pooled packet arrivals of every slice, packet/s."""
+    return slice_sums(sc.arrival_rates, incidence, sc.n_slices)
 
 
 def one_ue_delays(arrival, rate, **params):
     """slice_delays of one UE on one slice, at the given rate, bit/s."""
     sc = hand_scenario(arrival_rates=[arrival],
                        params=default_params(**params))
-    served = served_by(sc, full_mapping(sc))
+    mapping = full_mapping(sc)
+    served = served_by(sc, mapping)
     return slice_delays(sc, slice_loads(sc, served),
-                        slice_sums(np.array([rate]), served),
-                        served.any(axis=0))
+                        slice_sums(np.array([rate]), served, 1),
+                        mapping.a.any(axis=0))
 
 
 def test_arrival_rate_unmapped_slice_is_zero():
@@ -62,12 +68,13 @@ def test_slice_sums_round_like_a_loop(rng, n_slices):
     # contiguous, so only a running sum keeps the loop's rounding
     x = rng.uniform(0.0, 1e7, 300) * rng.uniform(0.5, 2.0, 300)
     served = (rng.random((300, n_slices)) < 0.7).astype(np.int8)
-    for s, got in enumerate(slice_sums(x, served)):
+    for s, got in enumerate(slice_sums(x, np.nonzero(served), n_slices)):
         ref = 0.0
         for u in np.flatnonzero(served[:, s]):
             ref += float(x[u])
         assert got == ref
-    assert slice_sums(x[:0], served[:0]).tolist() == [0.0] * n_slices
+    assert slice_sums(x[:0], np.nonzero(served[:0]),
+                      n_slices).tolist() == [0.0] * n_slices
 
 
 def test_layer_delays_empty_system():
@@ -145,7 +152,7 @@ def test_slice_rate_total_counts_mapped_services_only():
     a = np.zeros((2, 2), dtype=np.int8)
     a[0, 0] = 1
     rates = np.array([5.0, 7.0])
-    r_tot = slice_sums(rates, served_by(sc, SliceMapping(a=a)))
+    r_tot = slice_sums(rates, served_by(sc, SliceMapping(a=a)), 2)
     assert r_tot[0] == pytest.approx(5.0)
     assert r_tot[1] == 0.0
 

@@ -12,11 +12,11 @@ import pytest
 
 from oranslice import radio
 from oranslice.scenario import GeneratorConfig, generate_scenario
-from oranslice.radio import (CONDITION_CAP, PowerAllocation, SliceMapping,
-                             achievable_rate, build_beamformers,
-                             build_channels, energy_efficiency,
-                             fronthaul_rates_all, interference_upper_bound,
-                             ru_powers_all, ue_rates, zf_beamformer)
+from oranslice.radio import (CONDITION_CAP, MappingEvaluator,
+                             PowerAllocation, SliceMapping,
+                             build_beamformers, build_channels,
+                             fronthaul_rates_all,
+                             interference_upper_bound, zf_beamformer)
 from oranslice.oracle import summation_oracle
 
 from conftest import channels_from_matrix, full_mapping, hand_scenario, \
@@ -128,7 +128,7 @@ def test_zf_stack_matches_per_member_inverse(seed):
 
 
 def read_every_pair(sc, bf):
-    bf.require(np.ones((sc.n_services, sc.n_slices), dtype=np.int8))
+    list(bf.w)              # iterating a pair table reads every pair
     return bf
 
 
@@ -161,19 +161,17 @@ LAZY_CONFIGS = {
 
 
 def batched_reference(sc, ch):
-    """Every pair's precoder, unmappable text, gain and w2 entries and
-    leakage, with the precoders of each channel shape (R_s, U_v) stacked
-    for one gain product and PRB overlaps counted from the eligibility
-    triples here."""
+    """Every pair's precoder, unmappable text, gain entries, |w|^2 block
+    and leakage, with the precoders of each channel shape (R_s, U_v)
+    stacked for one gain product and PRB overlaps counted from the
+    eligibility triples here."""
     first_ue = np.cumsum([0] + [sv.n_ues for sv in sc.services])
-    first_slot = np.cumsum([0] + [sl.n_rus for sl in sc.slices])
     shapes = {}
     for sl in sc.slices:
         for sv in sc.services:
             shapes.setdefault((sl.n_rus, sv.n_ues), []).append((sl.id, sv.id))
-    w, unmappable, leak = {}, {}, {}
+    w, w2, unmappable, leak = {}, {}, {}, {}
     gain = np.zeros((sc.n_slices, sc.n_ues))
-    w2 = np.zeros((len(sc.ru_slots()), sc.n_ues))
     for (_n_rus, n_cols), members in shapes.items():
         ru = np.array([sc.slices[s].ru_ids for s, _v in members], dtype=int)
         cols = np.array([first_ue[v] for _s, v in members])[:, None] \
@@ -191,8 +189,7 @@ def batched_reference(sc, ch):
                 continue
             w[(s, v)] = stack[g]
             gain[s, cols[g]] = gains[g]
-            slots = slice(first_slot[s], first_slot[s + 1])
-            w2[slots, cols[g]] = np.abs(stack[g]) ** 2
+            w2[(s, v)] = np.abs(stack[g]) ** 2
     prbs = {}
     for u, k, s in sc.prb_assignment.triples.tolist():
         prbs.setdefault((s, u), set()).add(k)
@@ -227,16 +224,18 @@ def test_lazy_pairs_match_batched_reference(mode, order):
         assert ((s, v) in bf.unmappable) == ((s, v) in unmappable)
         if (s, v) in unmappable:
             assert bf.unmappable[(s, v)] == unmappable[(s, v)]
-            assert (s, v) not in bf.w
+            assert (s, v) not in bf.w and (s, v) not in bf.w2
         else:
             assert np.array_equal(bf.w[(s, v)], w[(s, v)])
+            assert np.array_equal(bf.w2[(s, v)], w2[(s, v)])
         victims, values = bf.leakage(s, v)
         want = leak.get((s, v), (np.zeros(0, int), np.zeros(0)))
         assert np.array_equal(victims, want[0])
         assert np.array_equal(values, want[1])
     assert bf.built.all()
-    assert np.array_equal(bf.gain, gain) and np.array_equal(bf.w2, w2)
+    assert np.array_equal(bf.gain, gain)
     assert dict(bf.unmappable) == unmappable and sorted(bf.w) == sorted(w)
+    assert sorted(bf.w2) == sorted(w2)
     assert sorted(bf.leak) == sorted(leak)
 
 
@@ -257,11 +256,11 @@ def test_reading_one_pair_zero_forces_only_that_pair(monkeypatch):
     assert calls == [(sc.slices[s].n_rus, sc.services[v].n_ues)]
     assert np.argwhere(bf.built).tolist() == [[s, v]]
     cols = sc.service_ue_indices(v)
-    slots = np.flatnonzero(bf.slot_slice == s)
     assert np.array_equal(np.argwhere(bf.gain).tolist(),
                           [[s, u] for u in cols])
-    assert np.array_equal(np.flatnonzero(bf.w2.any(axis=1)), slots)
-    assert np.array_equal(np.flatnonzero(bf.w2.any(axis=0)), cols)
+    # the |w|^2 store holds that pair's R_s x U_v block and nothing else
+    assert list(bf._w2) == [(s, v)]
+    assert np.array_equal(bf.w2[(s, v)], np.abs(precoder) ** 2)
     assert set(bf.leak) <= {(s, v)}
     # a second read of the pair, by any reader, builds nothing
     assert (s, v) not in bf.unmappable and bf.w[(s, v)] is precoder
@@ -327,9 +326,9 @@ def test_interference_matches_summation_oracle_shared_prbs(seed):
             sc.params, p_max=0.5 * sc.params.p_max)), mapping, ch, bf)
     assert leakage.max() > 0
     assert fast == pytest.approx(slow, rel=1e-9)
-    assert ru_powers_all(sc, mapping, bf, powers) == pytest.approx(
+    assert slot_powers(sc, mapping, bf, powers) == pytest.approx(
         summation_oracle("ru_power", sc, mapping, ch, bf, powers), rel=1e-9)
-    assert energy_efficiency(sc, mapping, ch, bf, powers)[0] == pytest.approx(
+    assert energy_efficiency(sc, mapping, bf, powers)[0] == pytest.approx(
         summation_oracle("ee", sc, mapping, ch, bf, powers), rel=1e-9)
 
 
@@ -345,26 +344,40 @@ def unit_gain_instance():
     return sc, ch, bf
 
 
-def sinr(sc, mapping, ch, bf, powers, ibar):
+def rates_at(sc, mapping, bf, powers):
+    """Per-UE rates of the mapping's evaluator at `powers`."""
+    return MappingEvaluator(sc, bf, mapping).at(powers.p)[0]
+
+
+def slot_powers(sc, mapping, bf, powers):
+    """Slot powers of the mapping's evaluator at `powers`."""
+    return MappingEvaluator(sc, bf, mapping).at(powers.p)[1]
+
+
+def energy_efficiency(sc, mapping, bf, powers):
+    """(eta, summed rate, summed slot power) of the mapping's evaluator
+    at `powers`."""
+    rates, slots = MappingEvaluator(sc, bf, mapping).at(powers.p)
+    r_tot, p_tot = float(rates.sum()), float(slots.sum())
+    return r_tot / p_tot, r_tot, p_tot
+
+
+def sinr(sc, mapping, bf, powers):
     """Per-UE SINR read back from the rate: 2^(r/B) - 1."""
-    rates = ue_rates(sc, mapping, ch, bf, powers, ibar)
+    rates = rates_at(sc, mapping, bf, powers)
     return np.exp2(rates / sc.params.bandwidth_hz) - 1.0
 
 
 def test_snr_zero_power():
     sc, ch, bf = unit_gain_instance()
     mapping = full_mapping(sc)
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    assert sinr(sc, mapping, ch, bf, PowerAllocation(p=np.zeros(1)),
-                ibar)[0] == 0.0
+    assert sinr(sc, mapping, bf, PowerAllocation(p=np.zeros(1)))[0] == 0.0
 
 
 def test_snr_unmapped_service_is_zero():
     sc, ch, bf = unit_gain_instance()
     mapping = SliceMapping(a=np.zeros((1, 1), dtype=np.int8))
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    assert sinr(sc, mapping, ch, bf, PowerAllocation(p=np.ones(1)),
-                ibar)[0] == 0.0
+    assert sinr(sc, mapping, bf, PowerAllocation(p=np.ones(1)))[0] == 0.0
 
 
 def test_snr_unity_at_matched_power():
@@ -372,14 +385,18 @@ def test_snr_unity_at_matched_power():
     mapping = full_mapping(sc)
     ibar = interference_upper_bound(sc, mapping, ch, bf)
     p = sc.params.bandwidth_hz * sc.params.noise_psd + ibar[0]
-    got = sinr(sc, mapping, ch, bf, PowerAllocation(p=np.array([p])), ibar)[0]
+    got = sinr(sc, mapping, bf, PowerAllocation(p=np.array([p])))[0]
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_achievable_rate_values():
-    assert achievable_rate(0.0, 120e3) == 0.0
-    assert achievable_rate(1.0, 120e3) == pytest.approx(120e3)
-    assert achievable_rate(3.0, 2.0) == pytest.approx(4.0)
+    # rates are B log2(1 + SINR): 0, B and 2B at SINR 0, 1 and 3
+    sc, ch, bf = unit_gain_instance()
+    ev = MappingEvaluator(sc, bf, full_mapping(sc))
+    z = sc.params.bandwidth_hz * sc.params.noise_psd + ev.interference
+    for rho, bits in ((0.0, 0.0), (1.0, 1.0), (3.0, 2.0)):
+        rate = ev.at(rho * z / ev.gain)[0][0]
+        assert rate == pytest.approx(bits * sc.params.bandwidth_hz)
 
 
 def test_rate_monotone_in_power(rng):
@@ -389,13 +406,12 @@ def test_rate_monotone_in_power(rng):
     ch = build_channels(sc)
     bf = build_beamformers(sc, ch)
     mapping = full_mapping(sc)
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
     p = rng.uniform(0.1, 1.0, sc.n_ues)
-    base = ue_rates(sc, mapping, ch, bf, PowerAllocation(p=p), ibar)
+    base = rates_at(sc, mapping, bf, PowerAllocation(p=p))
     for u in range(sc.n_ues):
         bumped = p.copy()
         bumped[u] *= 1.5
-        after = ue_rates(sc, mapping, ch, bf, PowerAllocation(p=bumped), ibar)
+        after = rates_at(sc, mapping, bf, PowerAllocation(p=bumped))
         assert after[u] >= base[u]
         assert np.all(after >= -1e-12)
 
@@ -403,9 +419,8 @@ def test_rate_monotone_in_power(rng):
 def test_doubling_bandwidth_doubles_rate_consistently():
     sc, ch, bf = unit_gain_instance()
     mapping = full_mapping(sc)
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
     p = PowerAllocation(p=np.array([2.0]))
-    r1 = ue_rates(sc, mapping, ch, bf, p, ibar)[0]
+    r1 = rates_at(sc, mapping, bf, p)[0]
 
     import dataclasses
     sc2 = dataclasses.replace(
@@ -414,7 +429,7 @@ def test_doubling_bandwidth_doubles_rate_consistently():
     ch2 = channels_from_matrix(sc2, [[1.0 + 0.0j]])
     bf2 = build_beamformers(sc2, ch2)
     ibar2 = interference_upper_bound(sc2, mapping, ch2, bf2)
-    r2 = ue_rates(sc2, mapping, ch2, bf2, p, ibar2)[0]
+    r2 = rates_at(sc2, mapping, bf2, p)[0]
 
     # recompose from the SNR definition: noise term scales with B while
     # the numerator stays put
@@ -432,7 +447,7 @@ def test_doubling_bandwidth_doubles_rate_consistently():
 def test_ru_power_zero_allocation_is_quantization_floor():
     sc, ch, bf = unit_gain_instance()
     mapping = full_mapping(sc)
-    got = ru_powers_all(sc, mapping, bf, PowerAllocation(p=np.zeros(1)))[0]
+    got = slot_powers(sc, mapping, bf, PowerAllocation(p=np.zeros(1)))[0]
     assert got == pytest.approx(sc.rus[0].sigma_q2, rel=1e-12)
 
 
@@ -442,7 +457,7 @@ def test_ru_power_scalar_expansion():
     ch = channels_from_matrix(sc, [[np.sqrt(2.0) + 0.0j]])
     bf = build_beamformers(sc, ch)
     mapping = full_mapping(sc)
-    got = ru_powers_all(sc, mapping, bf, PowerAllocation(p=np.array([2.0])))[0]
+    got = slot_powers(sc, mapping, bf, PowerAllocation(p=np.array([2.0])))[0]
     assert got == pytest.approx(1.0 + sc.rus[0].sigma_q2, rel=1e-12)
 
 
@@ -455,14 +470,14 @@ def test_ru_powers_match_summation_oracle():
     mapping = full_mapping(sc)
     rng = np.random.default_rng(5)
     powers = PowerAllocation(p=rng.uniform(0, sc.params.p_max, sc.n_ues))
-    fast = ru_powers_all(sc, mapping, bf, powers)
+    fast = slot_powers(sc, mapping, bf, powers)
     slow = summation_oracle("ru_power", sc, mapping, ch, bf, powers)
     assert fast.sum() == pytest.approx(slow.sum(), rel=1e-9)
     assert fast == pytest.approx(slow, rel=1e-9)
 
 
 def fronthaul(sc, mapping, bf, powers):
-    return fronthaul_rates_all(bf, ru_powers_all(sc, mapping, bf, powers))
+    return fronthaul_rates_all(bf, slot_powers(sc, mapping, bf, powers))
 
 
 def test_fronthaul_zero_power_zero_rate():
@@ -510,7 +525,7 @@ def test_fronthaul_monotone_in_power(rng):
 
 def test_ee_zero_power_zero_eta():
     sc, ch, bf = unit_gain_instance()
-    eta, r_tot, p_tot = energy_efficiency(sc, full_mapping(sc), ch, bf,
+    eta, r_tot, p_tot = energy_efficiency(sc, full_mapping(sc), bf,
                                           PowerAllocation(p=np.zeros(1)))
     assert eta == 0.0 and r_tot == 0.0
     assert p_tot == pytest.approx(sc.rus[0].sigma_q2)
@@ -520,10 +535,9 @@ def test_ee_is_rate_over_power_on_unit_instance():
     sc, ch, bf = unit_gain_instance()
     mapping = full_mapping(sc)
     powers = PowerAllocation(p=np.array([4.0]))
-    eta, r_tot, p_tot = energy_efficiency(sc, mapping, ch, bf, powers)
-    ibar = interference_upper_bound(sc, mapping, ch, bf)
-    rate = ue_rates(sc, mapping, ch, bf, powers, ibar)[0]
-    slot = ru_powers_all(sc, mapping, bf, powers)[0]
+    eta, r_tot, p_tot = energy_efficiency(sc, mapping, bf, powers)
+    rate = rates_at(sc, mapping, bf, powers)[0]
+    slot = slot_powers(sc, mapping, bf, powers)[0]
     assert r_tot == pytest.approx(rate, rel=1e-12)
     assert p_tot == pytest.approx(slot, rel=1e-12)
     assert eta == pytest.approx(rate / slot, rel=1e-12)
@@ -538,6 +552,6 @@ def test_ee_matches_summation_oracle():
     mapping = full_mapping(sc)
     rng = np.random.default_rng(9)
     powers = PowerAllocation(p=rng.uniform(0, sc.params.p_max, sc.n_ues))
-    eta, _, _ = energy_efficiency(sc, mapping, ch, bf, powers)
+    eta, _, _ = energy_efficiency(sc, mapping, bf, powers)
     slow = summation_oracle("ee", sc, mapping, ch, bf, powers)
     assert eta == pytest.approx(slow, rel=1e-9)

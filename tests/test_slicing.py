@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oranslice.scenario import GeneratorConfig, generate_scenario
-from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
-                             build_channels)
-from oranslice.slicing import (_SweepState, check_feasibility,
-                               map_slices_to_services, rank_services,
-                               rank_slices)
+from oranslice.radio import (MappingEvaluator, PowerAllocation,
+                             SliceMapping, build_beamformers, build_channels)
+from oranslice import slicing
+from oranslice.slicing import (check_feasibility, map_slices_to_services,
+                               rank_services, rank_slices)
 from oranslice.power import SolverOptions, solve_joint, solve_power
 from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
@@ -119,14 +119,14 @@ def test_sweep_covers_each_service_once_at_u147():
     sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
     bf = build_beamformers(sc, build_channels(sc))
     checks = []
-    try_add = _SweepState.try_add
+    verdict = slicing.verdict
 
-    def counted(state, v, s):
-        checks.append((s, v))
-        return try_add(state, v, s)
+    def counted(ev, *point):
+        checks.append(ev.a.copy())
+        return verdict(ev, *point)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_SweepState, "try_add", counted)
+        mp.setattr(slicing, "verdict", counted)
         result = map_slices_to_services(sc, bf)
     assert len(checks) == 12
     assert result.rejections == [] and result.uncovered_services == []
@@ -288,6 +288,46 @@ def test_incremental_sweep_matches_full_rebuild(configs):
                             "delay budget", "delay"}
 
 
+@pytest.mark.parametrize("configs", [shared_configs, ee_shared_configs],
+                         ids=["shared-30", "ee-shared-10"])
+def test_sweep_evaluator_matches_a_rebuild(configs):
+    # the evaluator the sweep ends with, extended one accepted pair at a
+    # time, and the one built from its final mapping give the same
+    # interference bound, and the same rates and slot powers at p_max
+    # (kept up to date as pairs are added, or summed at the powers) and
+    # at random powers
+    rng = np.random.default_rng(0)
+    compared = 0
+    for seed, cfg in configs():
+        sc = generate_scenario(cfg, seed=seed)
+        bf = build_beamformers(sc, build_channels(sc))
+        accepted = []
+
+        def judged(ev, *point, _verdict=slicing.verdict):
+            report = _verdict(ev, *point)
+            if report.ok:
+                accepted.append(ev)
+            return report
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slicing, "verdict", judged)
+            result = map_slices_to_services(sc, bf)
+        if not accepted:
+            continue
+        swept = accepted[-1]
+        rebuilt = MappingEvaluator(sc, bf, result.mapping)
+        assert np.array_equal(swept.a, result.mapping.a), f"seed {seed}"
+        assert swept.interference == pytest.approx(
+            rebuilt.interference, rel=1e-12, abs=0)
+        p_max = np.full(sc.n_ues, sc.params.p_max)
+        p = rng.uniform(0, sc.params.p_max, sc.n_ues)
+        for mine, theirs in ((None, None), (None, p_max), (p_max, None),
+                             (p, p)):
+            for x, y in zip(swept.at(mine), rebuilt.at(theirs)):
+                assert x == pytest.approx(y, rel=1e-12, abs=0), f"seed {seed}"
+        compared += 1
+    assert compared >= 10
+
+
 @pytest.mark.parametrize("configs", [soundness_configs, ee_shared_configs],
                          ids=["soundness-200", "ee-shared-10"])
 def test_solve_power_verdict_matches_check_feasibility(configs):
@@ -411,3 +451,8 @@ def test_check_feasibility_reports_negative_power():
     report = check_feasibility(sc, ch, bf, mapping, PowerAllocation(p=p))
     assert not report.ok
     assert report.violations[0] == "negative transmit power at UE index [0]"
+    # a NaN power is no more a power than a negative one, and is named
+    p[0] = np.nan
+    report = check_feasibility(sc, ch, bf, mapping, PowerAllocation(p=p))
+    assert (report.ok, report.violations) == (
+        False, ["NaN transmit power at UE index [0]"])
