@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
 import hashlib
 import itertools
 import json
@@ -33,7 +34,7 @@ from .power import InfeasibleMappingError, SolverOptions, solve_joint
 from .placement import (PlacementWeights, admitted_ratio, cost_psi,
                         normalized_resource_consumption, place)
 from .oracle import (OracleReport, OracleSizeError, certified_mapping,
-                     exhaustive_placement)
+                     check_mapping_space, exhaustive_placement)
 
 CSV_SCHEMA_LINE = "# schema=1"
 
@@ -118,16 +119,24 @@ def _json_number(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
+@contextlib.contextmanager
+def _oracle_size():
+    """Exit 4 with its message when an exhaustive search refuses the
+    instance's size."""
+    try:
+        yield
+    except OracleSizeError as exc:
+        raise CliError(4, str(exc))
+
+
 def _run_oracle(args, kind: str, name: str, search,
                 heuristic_value: float) -> tuple:
     """Time the exhaustive `search` (exit 4 when it refuses the size),
     append its gap row to the oracle CSV, print its value `name` and
     return (result, report)."""
     t0 = time.perf_counter()
-    try:
+    with _oracle_size():
         ref = search()
-    except OracleSizeError as exc:
-        raise CliError(4, str(exc))
     report = OracleReport(
         instance=os.path.basename(args.scenario), kind=kind,
         oracle_value=getattr(ref, name), heuristic_value=heuristic_value,
@@ -192,6 +201,9 @@ def cmd_solve(args) -> int:
         sc = dataclasses.replace(sc, params=dataclasses.replace(
             sc.params, packet_size_bits=args.packet_size))
     _check_dirs(args.out, args.trace, args.oracle_out)
+    if args.oracle:
+        with _oracle_size():
+            check_mapping_space(sc)
     opts = SolverOptions(max_iters=args.max_iters)
     try:
         result = solve_joint(sc, opts)
@@ -513,6 +525,7 @@ def cmd_experiment(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache           # parse_args leaves the tree as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oranslice",

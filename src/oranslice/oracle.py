@@ -284,15 +284,21 @@ def _naive_delay_floors(sc: Scenario, mapping: SliceMapping,
     return floors
 
 
+def check_mapping_space(sc: Scenario) -> None:
+    """Raise OracleSizeError unless n_services * n_slices <= 12, the
+    mapping enumeration's guard."""
+    if sc.n_services * sc.n_slices > 12:
+        raise OracleSizeError(f"mapping enumeration limited to V*S <= 12, "
+                              f"got {sc.n_services * sc.n_slices}")
+
+
 def _coverage_complete_mappings(sc: Scenario, bf: BeamformerSet,
                                 ) -> list[SliceMapping]:
     """Every mapping that gives each service a nonempty slice set and maps
     no pair without a precoder, the services' slice subsets enumerated in
     lexicographic order.  Guard: n_services * n_slices <= 12."""
+    check_mapping_space(sc)
     n_v, n_s = sc.n_services, sc.n_slices
-    if n_v * n_s > 12:
-        raise OracleSizeError(
-            f"mapping enumeration limited to V*S <= 12, got {n_v * n_s}")
     slice_subsets = [tuple(c)
                      for r in range(1, n_s + 1)
                      for c in itertools.combinations(range(n_s), r)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -142,18 +143,20 @@ class BeamformerSet:
 
     def __init__(self, sc: Scenario, ch: ChannelSet):
         self.sc, self.ch = sc, ch
-        slots = np.array(sc.ru_slots(), dtype=int).reshape(-1, 3)
-        self.slot_slice, self.slot_ru = slots[:, 0], slots[:, 2]
+        ru_ids = [sl.ru_ids for sl in sc.slices]
+        n_rus = np.fromiter(map(len, ru_ids), int, sc.n_slices)
+        self.first_slot = first = np.concatenate([[0], np.cumsum(n_rus)])
+        self.slot_slice = np.repeat(np.arange(sc.n_slices), n_rus)
+        self.slot_ru = np.fromiter(chain.from_iterable(ru_ids), int,
+                                   first[-1])
         self.slot_sigma = sigma = np.array(
-            [sc.rus[rid].sigma_q2 for rid in self.slot_ru])
-        self.first_slot = first = np.cumsum([0] + [sl.n_rus
-                                                   for sl in sc.slices])
+            [ru.sigma_q2 for ru in sc.rus])[self.slot_ru]
         self.quant = np.zeros((sc.n_slices, sc.n_ues))
         with np.errstate(over="ignore"):    # noise beyond range drowns UEs
+            g2 = np.abs(ch.gains) ** 2
             for s in range(sc.n_slices):
                 rus = slice(first[s], first[s + 1])
-                self.quant[s] = (sigma[rus]
-                                 @ np.abs(ch.gains[self.slot_ru[rus]]) ** 2)
+                self.quant[s] = sigma[rus] @ g2[self.slot_ru[rus]]
         self.gain = np.zeros((sc.n_slices, sc.n_ues))
         self._sharing, self._sharing_at = _prb_sharing_pairs(sc)
         self.built = np.zeros((sc.n_slices, sc.n_services), dtype=bool)
@@ -238,6 +241,9 @@ def _prb_sharing_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
                                        + t[:, 1]))
     size = np.diff(np.append(start, len(t)))
     start, size = start[size > 1], size[size > 1]
+    if not size.size:             # no two UEs share a PRB: dedicated PRBs
+        return (np.zeros((0, 4), dtype=np.int64),
+                np.zeros(sc.n_slices * sc.n_services + 1, dtype=np.intp))
     # a group of n rows gives n * n (victim, source) offsets, n of them equal
     sq = size * size
     grp = np.repeat(np.arange(size.size), sq)

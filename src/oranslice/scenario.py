@@ -14,11 +14,13 @@ memory in GB, storage in TB, CPU in GHz.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -175,6 +177,60 @@ def field_problems(label: str, obj) -> list[str]:
     return problems
 
 
+def _suspects(rule: Rule, values: list) -> np.ndarray:
+    """Mask of the `values` of a field with real (not integer) rule `rule`
+    that `field_problem` may reject: all that it rejects, and perhaps a
+    few that it accepts.  A value other than a float, or an int that a
+    double holds exactly (|x| <= 2**53), is always marked."""
+    n = len(values)
+    if set(map(type, values)) <= {float}:
+        x, odd = np.fromiter(values, float, n), np.zeros(n, dtype=bool)
+    else:
+        odd = np.fromiter((not (type(v) is float or type(v) is int
+                                and -2**53 <= v <= 2**53) for v in values),
+                          bool, n)
+        x = np.fromiter((0.0 if o else v for v, o in zip(values, odd)),
+                        float, n)
+    bad = odd | ~np.isfinite(x)
+    if rule.lo is not None:
+        bad |= x <= rule.lo if rule.strict else x < rule.lo
+    if rule.hi is not None:
+        bad |= x > rule.hi
+    if rule.normal:
+        bad |= x < FLOAT.tiny
+    return bad
+
+
+def _position_suspects(positions: list) -> np.ndarray:
+    """`_suspects` of a position column: a position that is not an (x, y)
+    tuple, or that has a suspect coordinate, is marked."""
+    n = len(positions)
+    tuples = set(map(type, positions)) == {tuple}
+    if tuples and set(map(len, positions)) == {2}:
+        pair, xy = np.ones(n, dtype=bool), list(chain.from_iterable(positions))
+    else:
+        pair = np.fromiter((type(p) is tuple and len(p) == 2
+                            for p in positions), bool, n)
+        xy = list(chain.from_iterable(p if ok else (0.0, 0.0)
+                                      for p, ok in zip(positions, pair)))
+    return ~pair | _suspects(RULES["position"], xy).reshape(n, 2).any(axis=1)
+
+
+def _column_problems(cls, records: list, label) -> list[str]:
+    """`field_problems(label(i), records[i])` of every record of type
+    `cls`, whose ruled fields are all real, in order.  Each ruled field
+    is checked as one column first, and only the records some column
+    marks are asked."""
+    marked = np.zeros(len(records), dtype=bool)
+    for f in fields(cls):
+        if f.name in RULES:
+            column = list(map(operator.attrgetter(f.name), records))
+            marked |= (_position_suspects(column) if f.name == "position"
+                       else _suspects(RULES[f.name], column))
+    return [why for i in np.flatnonzero(marked).tolist()
+            for why in field_problems(label(i), records[i])]
+
+
 # --------------------------------------------------------------------------
 # Core value types
 # --------------------------------------------------------------------------
@@ -311,19 +367,25 @@ def path_gain_problem(pl0: float, d0_m: float, d_min_m: float,
 class PrbAssignment:
     """PRB eligibility zeta: row (u, k, s) of `triples` means UE u may use
     PRB k of slice s.  UEs are in global order (services sorted by id, UEs
-    by id within each service).  Rows are sorted, unique and read-only.
+    by id within each service).  Rows are sorted, unique and read-only;
+    int64 rows given already in that order are kept, not copied.
     """
 
     n_prbs: int
     triples: np.ndarray           # int64, shape (n, 3): (ue, prb, slice)
 
     def __post_init__(self):
-        t = np.array(self.triples, dtype=np.int64).reshape(-1, 3)
-        t = t[np.lexsort(t.T[::-1])]          # row order, as np.argwhere
-        first = np.ones(len(t), dtype=bool)   # drop repeated rows
-        first[1:] = (t[1:] != t[:-1]).any(axis=1)
-        self.triples = t[first]
-        self.triples.flags.writeable = False
+        t = np.asarray(self.triples, dtype=np.int64).reshape(-1, 3)
+        a, b = t[1:], t[:-1]
+        ascending = (a[:, 0] > b[:, 0]) | (a[:, 0] == b[:, 0]) & (
+            (a[:, 1] > b[:, 1]) | (a[:, 1] == b[:, 1]) & (a[:, 2] > b[:, 2]))
+        if not ascending.all():
+            t = t[np.lexsort(t.T[::-1])]      # row order, as np.argwhere
+            first = np.ones(len(t), dtype=bool)   # drop repeated rows
+            first[1:] = (t[1:] != t[:-1]).any(axis=1)
+            t = t[first]
+        t.flags.writeable = False
+        self.triples = t
 
 
 @dataclass
@@ -389,7 +451,12 @@ class Scenario:
                        dtype=float)
         rus = np.array([ru.position for ru in self.rus], dtype=float)
         with np.errstate(over="ignore"):
-            d = np.linalg.norm(rus[:, None, :] - ues[None, :, :], axis=2)
+            if ues.shape[1:] == rus.shape[1:] == (2,):
+                dx = rus[:, 0, None] - ues[:, 0]
+                dy = rus[:, 1, None] - ues[:, 1]
+                d = np.sqrt(dx * dx + dy * dy)  # the bits of the norm below
+            else:   # positions that are not pairs, which validate reports
+                d = np.linalg.norm(rus[:, None, :] - ues[None, :, :], axis=2)
         d.flags.writeable = False
         return d
 
@@ -646,6 +713,39 @@ def generate_scenario(config: GeneratorConfig, seed: int) -> Scenario:
 # --------------------------------------------------------------------------
 
 
+def _id_list_flags(lists: list, known: int | set) -> tuple[np.ndarray, ...]:
+    """Per id list (a slice's RU or PRB ids): its length, whether every
+    id is an integer and not a bool, whether it lists an id twice, and
+    whether it lists an id that is not an integer or not in `known` (the
+    range [0, known), or a set).  The lists are checked as one int64
+    array, or one by one where an id is not an int64 or `known` a set."""
+    n = len(lists)
+    sizes = np.fromiter(map(len, lists), np.int64, n)
+    flat = None
+    if type(known) is int and all_integers(chain.from_iterable(lists)):
+        with contextlib.suppress(OverflowError):    # an id beyond int64
+            flat = np.fromiter(chain.from_iterable(lists), np.int64,
+                               int(sizes.sum()))
+    if flat is None:
+        in_known = (known.issuperset if isinstance(known, set) else
+                    lambda ids: (0 <= min(ids, default=0)
+                                 and max(ids, default=-1) < known))
+        typed = np.fromiter(map(all_integers, lists), bool, n)
+        twice = [t and len(set(ids)) != len(ids)
+                 for t, ids in zip(typed, lists)]
+        unknown = [not (t and in_known(ids)) for t, ids in zip(typed, lists)]
+        return sizes, typed, np.array(twice, bool), np.array(unknown, bool)
+    owner = np.repeat(np.arange(n), sizes)
+    unknown = np.zeros(n, dtype=bool)
+    unknown[owner[(flat < 0) | (flat >= known)]] = True
+    inner = owner[1:] == owner[:-1]
+    if not (flat[1:] > flat[:-1])[inner].all():     # not ascending: sort
+        flat = flat[np.lexsort((flat, owner))]
+    twice = np.zeros(n, dtype=bool)
+    twice[owner[1:][inner & (flat[1:] == flat[:-1])]] = True
+    return sizes, np.ones(n, dtype=bool), twice, unknown
+
+
 def validate(sc: Scenario) -> list[str]:
     """Structural checks; returns a list of human-readable violations.
 
@@ -656,16 +756,21 @@ def validate(sc: Scenario) -> list[str]:
     may only be eligible for a PRB of a slice if that slice actually
     owns the PRB).
     """
-    problems = [why for sv in sc.services for ue in sv.ues
-                for why in field_problems(f"service {sv.id} UE {ue.id} ", ue)]
-    for ru in sc.rus:
-        problems += field_problems(f"radio unit {ru.id} ", ru)
-    for sl in sc.slices:
-        for k, vnf in enumerate(sl.vnf_demands):
-            problems += field_problems(f"slice {sl.id} VNF {k} ", vnf)
-    for dc in sc.dcs:
-        problems += field_problems(f"data center {dc.id} ", dc)
-    problems += field_problems("channel ", sc.channel)
+    ues = [(sv, ue) for sv in sc.services for ue in sv.ues]
+    vnfs = [(sl, k, vnf) for sl in sc.slices
+            for k, vnf in enumerate(sl.vnf_demands)]
+    problems = [
+        *_column_problems(UserEquipment, [ue for _sv, ue in ues],
+                          lambda i: f"service {ues[i][0].id} UE "
+                                    f"{ues[i][1].id} "),
+        *_column_problems(RadioUnit, sc.rus,
+                          lambda i: f"radio unit {sc.rus[i].id} "),
+        *_column_problems(VnfRequirement, [vnf for *_at, vnf in vnfs],
+                          lambda i: f"slice {vnfs[i][0].id} VNF "
+                                    f"{vnfs[i][1]} "),
+        *_column_problems(DataCenter, sc.dcs,
+                          lambda i: f"data center {sc.dcs[i].id} "),
+        *field_problems("channel ", sc.channel)]
     path_loss = (sc.channel.pl0, sc.channel.d0_m, sc.channel.d_min_m,
                  sc.channel.exponent)
     try:
@@ -676,15 +781,17 @@ def validate(sc: Scenario) -> list[str]:
             and (why := path_gain_problem(*path_loss, d_far)) is not None):
         problems.append(f"channel model {why}")
 
-    def check_dense_ids(items, label):
+    def check_dense_ids(items, label) -> bool:
         ids = [it.id for it in items]
-        if not all_integers(ids) or ids != list(range(len(ids))):
+        dense = all_integers(ids) and ids == list(range(len(ids)))
+        if not dense:
             problems.append(f"{label} ids must be the integers "
                             f"0..{len(ids) - 1}, got {ids}")
+        return dense
 
     check_dense_ids(sc.services, "service")
     check_dense_ids(sc.slices, "slice")
-    check_dense_ids(sc.rus, "radio unit")
+    rus_dense = check_dense_ids(sc.rus, "radio unit")
     check_dense_ids(sc.dcs, "data center")
     if not sc.dcs:
         problems.append("scenario has no data center")
@@ -694,19 +801,19 @@ def validate(sc: Scenario) -> list[str]:
             problems.append(f"service {sv.id} has no UEs")
         check_dense_ids(sv.ues, f"service {sv.id} UE")
 
-    ru_ids = {ru.id for ru in sc.rus}
     n_prbs = sc.prb_assignment.n_prbs
-    for sl in sc.slices:
-        for what, ids, known in (
-                ("radio unit", sl.ru_ids, ru_ids.issuperset),
-                ("PRB", sl.prb_ids, lambda ids: 0 <= min(ids, default=0)
-                 and max(ids, default=-1) < n_prbs)):
-            typed = all_integers(ids)
-            if not ids:
+    flags = {
+        "radio unit": _id_list_flags(
+            [sl.ru_ids for sl in sc.slices],
+            len(sc.rus) if rus_dense else {ru.id for ru in sc.rus}),
+        "PRB": _id_list_flags([sl.prb_ids for sl in sc.slices], n_prbs)}
+    for i, sl in enumerate(sc.slices):
+        for what, (sizes, _typed, twice, unknown) in flags.items():
+            if not sizes[i]:
                 problems.append(f"slice {sl.id} owns no {what}s")
-            if typed and len(set(ids)) != len(ids):
+            if twice[i]:
                 problems.append(f"slice {sl.id} lists a {what} twice")
-            if not (typed and known(ids)):
+            if unknown[i]:
                 problems.append(f"slice {sl.id} references unknown {what}s")
         if sl.m_du < 1 or sl.m_cu < 1:
             problems.append(f"slice {sl.id} needs at least one VNF per layer")
@@ -720,14 +827,19 @@ def validate(sc: Scenario) -> list[str]:
     if not inside.all():
         problems.append(f"zeta entries must be [ue, prb, slice] index "
                         f"triples within {dims}")
-    t = triples[inside]
-    t = t[np.argsort(t[:, 2], kind="stable")]     # grouped by slice
-    cuts = np.searchsorted(t[:, 2], np.arange(1, sc.n_slices))
-    for sl, listed in zip(sc.slices, np.split(t[:, 1], cuts)):
-        if (all_integers(sl.prb_ids)
-                and not set(listed.tolist()) <= set(sl.prb_ids)):
-            problems.append(
-                f"slice {sl.id}: zeta marks PRBs the slice does not own")
+    # a slice that owns every PRB owns those zeta marks; the others are
+    # checked against their own lists
+    sizes, typed, twice, unknown = flags["PRB"]
+    partial = typed & (twice | unknown | (sizes != n_prbs))
+    if partial.any():
+        t = triples[inside]
+        t = t[np.argsort(t[:, 2], kind="stable")]     # grouped by slice
+        cuts = np.searchsorted(t[:, 2], np.arange(1, sc.n_slices))
+        listed = np.split(t[:, 1], cuts)
+        for i in np.flatnonzero(partial).tolist():
+            if not set(listed[i].tolist()) <= set(sc.slices[i].prb_ids):
+                problems.append(f"slice {sc.slices[i].id}: zeta marks PRBs "
+                                f"the slice does not own")
 
     return problems
 
@@ -794,12 +906,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     if (why := field_problem("PRB ", "count", n_prbs)) is not None:
         raise ScenarioError(why)
     rows = data["zeta"]
-    if (not all_integers(itertools.chain.from_iterable(rows))
+    if (not all_integers(chain.from_iterable(rows))
             or set(map(len, rows)) - {3}):
         raise ScenarioError("zeta entries must be [ue, prb, slice] integer "
                             "index triples")
+    triples = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows))
     sc = Scenario(params=params, services=services, slices=slices, rus=rus,
-                  dcs=dcs, prb_assignment=PrbAssignment(n_prbs, rows),
+                  dcs=dcs, prb_assignment=PrbAssignment(n_prbs, triples),
                   channel=channel)
     if problems := validate(sc):
         raise ScenarioError(invalid_scenario_text(problems))

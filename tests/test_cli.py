@@ -4,7 +4,10 @@ import dataclasses
 import functools
 import json
 import operator
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -323,18 +326,48 @@ def test_solve_exit_3_lists_each_slice_once(tmp_path, capsys):
     assert sorted(slices) == ["0", "1", "2", "3"]
 
 
-def test_solve_oracle_too_large_exits_4(tmp_path, capsys):
-    # 13 slices push the mapping space past the exhaustive-search guard
+def test_solve_oracle_too_large_exits_4(tmp_path, capsys, monkeypatch):
+    # 13 slices push the mapping space past the exhaustive-search guard,
+    # which refuses before any solve and writes nothing
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**EASY_CONFIG, "n_services": 1,
                                "n_slices": 13, "rus_per_slice": 2,
                                "r_min_per_hz": 0.01}))
     sc = tmp_path / "sc.json"
     assert main(["generate", "--config", str(cfg), "--out", str(sc)]) == 0
-    code = main(["solve", str(sc), "--oracle", "--max-iters", "300"])
-    err = capsys.readouterr().err
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_joint ran before the oracle size check")
+    monkeypatch.setattr(cli, "solve_joint", no_solve)
+    out = tmp_path / "result.json"
+    code = main(["solve", str(sc), "--oracle", "--max-iters", "300",
+                 "--out", str(out)])
     assert code == 4
-    assert "error:" in err and "12" in err
+    assert capsys.readouterr() == (
+        "", "error: mapping enumeration limited to V*S <= 12, got 13\n")
+    assert not out.exists()
+
+
+def test_argparse_exit_leaves_the_parser_fresh(easy_scenario, tmp_path,
+                                               capsys):
+    # the parser is built once per process; after one call exits on a
+    # bad flag, the next solves as a new process does
+    with pytest.raises(SystemExit) as exc:
+        main(["place", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    args = ["solve", str(easy_scenario), "--max-iters", "300", "--out"]
+    assert main([*args, str(tmp_path / "here.json")]) == 0
+    here = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "oranslice.cli", *args,
+         str(tmp_path / "fresh.json")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, *here)
+    assert ((tmp_path / "here.json").read_bytes()
+            == (tmp_path / "fresh.json").read_bytes())
 
 
 def test_solve_rejects_bad_packet_size(easy_scenario, capsys):

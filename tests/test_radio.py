@@ -21,6 +21,7 @@ from oranslice.oracle import summation_oracle
 
 from conftest import channels_from_matrix, full_mapping, hand_scenario, \
     identity_mapping
+from test_slicing import shared_configs, soundness_configs
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +144,48 @@ def test_dedicated_prbs_store_no_leakage():
     bf = read_every_pair(shared, build_beamformers(shared,
                                                    build_channels(shared)))
     assert sum(values.size for _victims, values in bf.leak.values()) > 0
+
+
+def test_dedicated_prbs_have_no_sharing_rows():
+    sc = generate_scenario(GeneratorConfig(n_services=3, n_slices=4), seed=2)
+    rows, at = radio._prb_sharing_pairs(sc)
+    assert rows.shape == (0, 4) and rows.dtype == np.int64
+    assert at.tolist() == [0] * (sc.n_slices * sc.n_services + 1)
+
+
+def slot_tables_from_ru_slots(sc):
+    """(slot_slice, slot_ru, slot_sigma, first_slot) as lists, read off
+    `Scenario.ru_slots()` one slot at a time."""
+    slots = sc.ru_slots()
+    first = [0]
+    for sl in sc.slices:
+        first.append(first[-1] + sl.n_rus)
+    return ([s for s, _j, _rid in slots], [rid for _s, _j, rid in slots],
+            [sc.rus[rid].sigma_q2 for _s, _j, rid in slots], first)
+
+
+def shared_ru_scenario():
+    """RU 1 belongs to both slices; the RUs' noise levels differ."""
+    return hand_scenario(ue_counts=(1, 1), slice_rus=((0, 1), (2, 1)),
+                         sigma_q2=[1e-4, 2e-4, 3e-4])
+
+
+def generated(configs):
+    return lambda: [generate_scenario(cfg, seed=seed)
+                    for seed, cfg in configs()]
+
+
+@pytest.mark.parametrize("scenarios", [
+    generated(soundness_configs), generated(shared_configs),
+    lambda: [shared_ru_scenario()]],
+    ids=["soundness-200", "shared-30", "ru-in-two-slices"])
+def test_slot_tables_match_ru_slots(scenarios):
+    for sc in scenarios():
+        bf = build_beamformers(sc, build_channels(sc))
+        tables = (bf.slot_slice, bf.slot_ru, bf.slot_sigma, bf.first_slot)
+        assert [t.tolist() for t in tables] == list(
+            slot_tables_from_ru_slots(sc))
+        assert [t.dtype.kind for t in tables] == ["i", "i", "f", "i"]
 
 
 # --------------------------------------------------------------------------

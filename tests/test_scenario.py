@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oranslice import scenario
 from oranslice.scenario import (RULES, ChannelModel, DataCenter,
@@ -251,3 +252,232 @@ def test_replace_gives_fresh_index_caches():
     assert (fewer.n_ues, fewer.service_ue_indices(0)[0]) == (2, 0)
     assert (sc.n_ues, sc.service_ue_indices(1)[0]) == (3, 1)
 
+
+# --------------------------------------------------------------------------
+# validate against a record-by-record reference
+# --------------------------------------------------------------------------
+
+
+def norm_distances(sc):
+    """RU-UE distances as the norm over the coordinate axis."""
+    ues = np.array([ue.position for sv in sc.services for ue in sv.ues],
+                   dtype=float)
+    rus = np.array([ru.position for ru in sc.rus], dtype=float)
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(rus[:, None, :] - ues[None, :, :], axis=2)
+
+
+def reference_validate(sc):
+    """`validate` written as one `field_problems` call per record and
+    Python sets per slice; the column and array checks must agree."""
+    problems = [why for sv in sc.services for ue in sv.ues for why in
+                scenario.field_problems(f"service {sv.id} UE {ue.id} ", ue)]
+    for ru in sc.rus:
+        problems += scenario.field_problems(f"radio unit {ru.id} ", ru)
+    for sl in sc.slices:
+        for k, vnf in enumerate(sl.vnf_demands):
+            problems += scenario.field_problems(f"slice {sl.id} VNF {k} ",
+                                                vnf)
+    for dc in sc.dcs:
+        problems += scenario.field_problems(f"data center {dc.id} ", dc)
+    problems += scenario.field_problems("channel ", sc.channel)
+    path_loss = (sc.channel.pl0, sc.channel.d0_m, sc.channel.d_min_m,
+                 sc.channel.exponent)
+    try:
+        d_far = float(np.max(norm_distances(sc), initial=0.0))
+    except (TypeError, ValueError, IndexError):
+        d_far = 0.0
+    if all(map(scenario.is_real, path_loss)):
+        why = scenario.path_gain_problem(*path_loss, d_far)
+        if why is not None:
+            problems.append(f"channel model {why}")
+
+    def check_dense_ids(items, label):
+        ids = [it.id for it in items]
+        if not scenario.all_integers(ids) or ids != list(range(len(ids))):
+            problems.append(f"{label} ids must be the integers "
+                            f"0..{len(ids) - 1}, got {ids}")
+
+    for items, label in ((sc.services, "service"), (sc.slices, "slice"),
+                         (sc.rus, "radio unit"), (sc.dcs, "data center")):
+        check_dense_ids(items, label)
+    if not sc.dcs:
+        problems.append("scenario has no data center")
+    for sv in sc.services:
+        if sv.n_ues < 1:
+            problems.append(f"service {sv.id} has no UEs")
+        check_dense_ids(sv.ues, f"service {sv.id} UE")
+
+    ru_ids = {ru.id for ru in sc.rus}
+    n_prbs = sc.prb_assignment.n_prbs
+    for sl in sc.slices:
+        for what, ids, known in (
+                ("radio unit", sl.ru_ids, ru_ids.issuperset),
+                ("PRB", sl.prb_ids, lambda ids: 0 <= min(ids, default=0)
+                 and max(ids, default=-1) < n_prbs)):
+            typed = scenario.all_integers(ids)
+            if not ids:
+                problems.append(f"slice {sl.id} owns no {what}s")
+            if typed and len(set(ids)) != len(ids):
+                problems.append(f"slice {sl.id} lists a {what} twice")
+            if not (typed and known(ids)):
+                problems.append(f"slice {sl.id} references unknown {what}s")
+        if sl.m_du < 1 or sl.m_cu < 1:
+            problems.append(f"slice {sl.id} needs at least one VNF per layer")
+        if len(sl.vnf_demands) != sl.m_du + sl.m_cu:
+            problems.append(
+                f"slice {sl.id} must list exactly m_du+m_cu VNF demands")
+
+    triples = sc.prb_assignment.triples
+    dims = (sc.n_ues, n_prbs, sc.n_slices)
+    inside = ((triples >= 0) & (triples < dims)).all(axis=1)
+    if not inside.all():
+        problems.append(f"zeta entries must be [ue, prb, slice] index "
+                        f"triples within {dims}")
+    for s, sl in enumerate(sc.slices):
+        listed = {k for _u, k, t in triples[inside].tolist() if t == s}
+        if scenario.all_integers(sl.prb_ids) and not listed <= set(sl.prb_ids):
+            problems.append(
+                f"slice {sl.id}: zeta marks PRBs the slice does not own")
+    return problems
+
+
+def outcome(check, sc):
+    """What `check(sc)` returns, or the type and text of what it raises."""
+    try:
+        return check(sc)
+    except Exception as exc:      # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+
+
+# dedicated and shared PRBs; slices share RUs
+DIFFERENTIAL_BASES = (
+    generate_scenario(GeneratorConfig(n_services=3, n_slices=3, mean_ues=2.0,
+                                      max_ues=3, n_rus=6, rus_per_slice=4),
+                      seed=5),
+    generate_scenario(GeneratorConfig(n_services=2, n_slices=3, mean_ues=2.0,
+                                      max_ues=3, n_rus=5, rus_per_slice=3,
+                                      prb_mode="shared", prbs_per_slice=4,
+                                      prbs_per_ue=2), seed=6),
+)
+
+ODD_NUMBERS = st.one_of(
+    st.floats(), st.integers(-3, 3),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                     -1e-310, 1.7976931348623157e308, 2**53 + 1, -2**53 - 1,
+                     2**63, -2**63 - 1, 2**64, 10**30, 10**400]),
+    st.booleans(), st.none(), st.just("1"), st.just(np.float64(2.5)))
+POSITIONS = st.one_of(
+    st.tuples(ODD_NUMBERS, ODD_NUMBERS),
+    st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=3).map(tuple),
+    st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2),
+    st.tuples(st.floats(1e150, 1e300), st.floats(-1e300, -1e150)))
+IDS = st.one_of(st.integers(-1, 8), st.booleans(), st.floats(-1.0, 8.0),
+                st.sampled_from([2**63, -2**63 - 1, 10**30, "0", None]))
+EDITS = st.one_of(
+    st.tuples(st.just("ue"), st.integers(0, 8),
+              st.sampled_from(["arrival_rate", "position"]), ODD_NUMBERS),
+    st.tuples(st.just("ue"), st.integers(0, 8), st.just("position"),
+              POSITIONS),
+    st.tuples(st.just("ru"), st.integers(0, 5),
+              st.sampled_from(["sigma_q2", "position", "id"]), ODD_NUMBERS),
+    st.tuples(st.just("ru"), st.integers(0, 5), st.just("position"),
+              POSITIONS),
+    st.tuples(st.just("vnf"), st.integers(0, 11),
+              st.sampled_from(["memory_gb", "storage_tb", "cpu_ghz"]),
+              ODD_NUMBERS),
+    st.tuples(st.just("dc"), st.integers(0, 1),
+              st.sampled_from(["memory_gb", "storage_tb", "cpu_ghz",
+                               "phi_idle", "phi_per_unit"]), ODD_NUMBERS),
+    st.tuples(st.just("slice"), st.integers(0, 2),
+              st.sampled_from(["ru_ids", "prb_ids"]),
+              st.one_of(st.lists(st.integers(-1, 6), max_size=6),
+                        st.lists(IDS, max_size=5)).map(tuple)),
+    st.tuples(st.just("prbs"), st.just(0), st.just("n_prbs"),
+              st.sampled_from([0, 1, 3, 2**63, 2**70, 4.0])))
+
+
+def edited(sc, kind, i, name, value):
+    """`sc` with field `name` of its i-th record of `kind` set to
+    `value` (i taken modulo the number of such records)."""
+    replace = dataclasses.replace
+    if kind == "prbs":
+        return replace(sc, prb_assignment=replace(sc.prb_assignment,
+                                                  **{name: value}))
+    if kind in ("ru", "dc"):
+        key = {"ru": "rus", "dc": "dcs"}[kind]
+        records = list(getattr(sc, key))
+        i %= len(records)
+        records[i] = replace(records[i], **{name: value})
+        return replace(sc, **{key: tuple(records)})
+    if kind == "slice":
+        slices = list(sc.slices)
+        i %= len(slices)
+        slices[i] = replace(slices[i], **{name: value})
+        return replace(sc, slices=tuple(slices))
+    owners = sc.services if kind == "ue" else sc.slices
+    field_name = "ues" if kind == "ue" else "vnf_demands"
+    at = [(j, k) for j, owner in enumerate(owners)
+          for k in range(len(getattr(owner, field_name)))]
+    j, k = at[i % len(at)]
+    records = list(getattr(owners[j], field_name))
+    records[k] = replace(records[k], **{name: value})
+    owner = replace(owners[j], **{field_name: tuple(records)})
+    owners = owners[:j] + (owner,) + owners[j + 1:]
+    return replace(sc, **{"services" if kind == "ue" else "slices": owners})
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(base=st.sampled_from(DIFFERENTIAL_BASES),
+       edits=st.lists(EDITS, min_size=1, max_size=4))
+def test_validate_matches_record_by_record_reference(base, edits):
+    sc = base
+    for edit in edits:
+        sc = edited(sc, *edit)
+    fresh = dataclasses.replace(sc)       # no cached distances
+    assert outcome(validate, sc) == outcome(reference_validate, fresh)
+
+
+def test_reference_validate_sees_every_edit_kind():
+    # the differential test compares problem lists, not empty ones
+    base = DIFFERENTIAL_BASES[1]
+    for edit, needle in (
+            (("ue", 0, "arrival_rate", -1.0), "arrival_rate must be >= 0"),
+            (("ue", 1, "position", (1.0,)), "must be an (x, y) pair"),
+            (("ru", 2, "sigma_q2", 5e-324), "must be a normal float"),
+            (("vnf", 3, "cpu_ghz", 2**63), "finite, a float or an int64"),
+            (("dc", 1, "phi_idle", "1"), "has the wrong type"),
+            (("slice", 1, "prb_ids", (0, 0)), "lists a PRB twice"),
+            (("slice", 2, "ru_ids", (9,)), "unknown radio units"),
+            (("slice", 0, "prb_ids", (0, 1)), "does not own"),
+            # as many ids as PRBs, one of them unknown
+            (("slice", 0, "prb_ids", (0, 1, 2, 7)), "does not own")):
+        problems = validate(edited(base, *edit))
+        assert any(needle in p for p in problems), (edit, problems)
+        assert problems == reference_validate(edited(base, *edit))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distances_equal_the_norm_form(seed):
+    rng = np.random.default_rng(seed)
+    sc = generate_scenario(GeneratorConfig(n_rus=30, rus_per_slice=5,
+                                           mean_ues=5.0, max_ues=9), seed)
+    scale = [1.0, 1e150, 1e154, 1e300][seed]    # up to overflowing squares
+
+    def moved(record):
+        xy = tuple((rng.uniform(-1.0, 1.0, 2) * scale).tolist())
+        return dataclasses.replace(record, position=xy)
+    sc = dataclasses.replace(
+        sc, rus=tuple(map(moved, sc.rus)), services=tuple(
+            dataclasses.replace(sv, ues=tuple(map(moved, sv.ues)))
+            for sv in sc.services))
+    d, want = sc.ru_ue_distances, norm_distances(sc)
+    assert d.tobytes() == want.tobytes() and not d.flags.writeable
+    # positions that are not pairs keep the norm over every coordinate
+    sc = dataclasses.replace(sc, rus=tuple(
+        dataclasses.replace(ru, position=(*ru.position, 1.0))
+        for ru in sc.rus))
+    with pytest.raises(ValueError):
+        norm_distances(sc)
+    with pytest.raises(ValueError):
+        sc.ru_ue_distances
