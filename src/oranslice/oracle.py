@@ -23,7 +23,7 @@ from .placement import PlacementWeights
 from .power import SolverOptions, solve_power
 
 RTOL = 1e-9
-MM1_BLOCK = 8192               # customers per Lindley block
+MM1_SLAB = (32, 2048)          # (rows, columns) of customers per Lindley slab
 GRID_POINTS_MAX = 2 ** 25      # power-grid points per mapping; 65^4 fits
 
 
@@ -698,35 +698,57 @@ def mm1_simulate(arrival_rate: float, service_rate: float,
 
     Single-server dynamics via Lindley's waiting-time recursion: each
     customer's wait is the previous customer's wait plus service, minus
-    the interarrival gap, floored at zero; sojourn is wait plus own
-    service.  The recursion is solved in closed form block by block:
-    with S the carried wait plus the running sum of (service - gap), the
-    waits are S minus the running minimum of min(S, 0).  The generator
-    yields every interarrival gap before the first service, so the gaps
-    are drawn at once and the services one block at a time, in the same
-    stream order; only the gaps take n-sized memory.  Requires a stable
-    queue and at least 1e5 arrivals for a meaningful average.
+    the gap between their arrivals, floored at zero; sojourn is wait plus
+    own service.  Customers come in slabs of MM1_SLAB = (m, w): column j
+    of a slab holds m consecutive customers, so the customer order is the
+    column-major flattening, and a final partial slab is one row.  Each
+    slab draws its gaps (each the gap to the next arrival) and then its
+    services as (m, w) standard exponentials times the mean.  Within a
+    column, with C the running sum of (service - gap) from 0 and M the
+    running minimum of C, a customer entering behind a wait v waits
+    max(v + C, C - M); both run down the rows one vector step at a time.
+    A column so maps v to max(v + a, a - min M) (a its sum), and the same
+    closed form one level up carries the wait across the columns.  Memory
+    is about three slabs whatever n_arrivals.  Requires a stable queue and
+    an integer of at least 1e5 arrivals for a meaningful average.
     """
-    if arrival_rate <= 0 or service_rate <= 0:
-        raise ValueError("rates must be positive")
+    if not (arrival_rate > 0 and service_rate > 0):
+        raise ValueError(f"rates must be positive, got {arrival_rate!r} "
+                         f"and {service_rate!r}")
     if arrival_rate >= service_rate:
         raise ValueError(
             f"unstable queue: arrival rate {arrival_rate} >= service rate "
             f"{service_rate}")
+    if not isinstance(n_arrivals, (int, np.integer)):
+        raise ValueError(f"n_arrivals must be an integer, got {n_arrivals!r}")
     if n_arrivals < 100_000:
         raise ValueError("need at least 1e5 arrivals")
     rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / arrival_rate, n_arrivals)
+    m, w = MM1_SLAB
+    slabs = np.empty((3, m * w))
     wait = total = 0.0                  # the first customer never waits
-    for lo in range(0, n_arrivals, MM1_BLOCK):
-        services = rng.exponential(1.0 / service_rate,
-                                   min(MM1_BLOCK, n_arrivals - lo))
-        total += float(services.sum())
-        # customers lo + 1 .. hi - 1 wait behind services lo .. hi - 2
-        hi = min(lo + 1 + MM1_BLOCK, n_arrivals)
-        if hi > lo + 1:
-            path = wait + np.cumsum(services[:hi - lo - 1] - gaps[lo + 1:hi])
-            waits = path - np.minimum.accumulate(np.minimum(path, 0.0))
-            total += float(waits.sum())
-            wait = float(waits[-1])
+    for lo in range(0, n_arrivals, m * w):
+        size = min(m * w, n_arrivals - lo)
+        shape = (m, w) if size == m * w else (1, size)
+        step, service, low = (a[:size].reshape(shape) for a in slabs)
+        rng.standard_exponential(out=step)
+        step *= 1.0 / arrival_rate
+        rng.standard_exponential(out=service)
+        service *= 1.0 / service_rate
+        total += float(service.sum())
+        np.subtract(service, step, out=step)
+        # row i of step becomes C of the column's customer i + 1 (the sum
+        # over customers 0..i), and row i of low min(0, step[0..i])
+        np.minimum(step[0], 0.0, out=low[0])
+        for i in range(1, len(step)):
+            np.add(step[i - 1], step[i], out=step[i])
+            np.minimum(low[i - 1], step[i], out=low[i])
+        reach = np.cumsum(step[-1])
+        exits = reach + np.maximum.accumulate(
+            np.maximum(step[-1] - low[-1] - reach, wait))
+        enter = np.concatenate(([wait], exits[:-1]))
+        wait = float(exits[-1])
+        # row 0 waits `enter`, row i + 1 waits step[i] - min(low[i], -enter)
+        np.minimum(low[:-1], -enter, out=low[:-1])
+        total += float(enter.sum() + step[:-1].sum() - low[:-1].sum())
     return total / n_arrivals

@@ -10,7 +10,7 @@ import pytest
 from conftest import (channels_from_matrix, default_params, hand_scenario,
                       identity_mapping, placement_config, small_joint_config)
 from oranslice.cli import _round_robin_mapping
-from oranslice.oracle import (MM1_BLOCK, OracleReport, OracleSizeError,
+from oranslice.oracle import (MM1_SLAB, OracleReport, OracleSizeError,
                               _children, _hall_table, _row_adds,
                               brute_force_mapping, certified_mapping,
                               exhaustive_placement, mm1_simulate,
@@ -466,37 +466,59 @@ def test_mm1_seed_reproducible():
     assert a != c
 
 
-def test_mm1_holds_one_n_sized_array():
-    # the 1M gaps take 8 MB; drawing the services as a second 1M array
-    # would double the peak.  A first call imports numpy.random, which is
-    # not the simulator's memory.
-    mm1_simulate(0.5, 1.0, 100_000, seed=0)
+def mm1_peak(n_arrivals):
+    """tracemalloc's peak over one simulation of n_arrivals customers."""
     tracemalloc.start()
     try:
-        mm1_simulate(0.5, 1.0, 1_000_000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
+        mm1_simulate(0.5, 1.0, n_arrivals, seed=0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9e6
+
+
+def test_mm1_holds_no_n_sized_array():
+    # one 1M-float array alone would take 8 MB; three (32, 2048) slabs
+    # take 1.6 MB, and a peak of 2.1 MB was measured at 1M arrivals.  A
+    # first call imports numpy.random, which is not the simulator's memory.
+    mm1_simulate(0.5, 1.0, 100_000, seed=0)
+    peak = mm1_peak(1_000_000)
+    assert peak < 3e6
+    assert mm1_peak(4_000_000) <= 1.1 * peak
 
 
 def mm1_loop(arrival_rate, service_rate, n_arrivals, seed):
-    """The waiting-time recursion one customer at a time, as reference."""
+    """The waiting-time recursion one customer at a time, as reference.
+
+    It replays the simulator's draws: slab by slab, the gaps and then the
+    services, each slab's columns flattened in customer order."""
     rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / arrival_rate, n_arrivals)
-    services = rng.exponential(1.0 / service_rate, n_arrivals)
+    m, w = MM1_SLAB
+    gaps, services = [], []
+    for lo in range(0, n_arrivals, m * w):
+        size = min(m * w, n_arrivals - lo)
+        shape = (m, w) if size == m * w else (1, size)
+        for out, scale in ((gaps, 1.0 / arrival_rate),
+                           (services, 1.0 / service_rate)):
+            out.extend((rng.standard_exponential(shape) * scale)
+                       .ravel(order="F").tolist())
     wait = 0.0
     total = 0.0
     for k in range(n_arrivals):
         if k:
-            wait = max(0.0, wait + services[k - 1] - gaps[k])
+            wait = max(0.0, wait + services[k - 1] - gaps[k - 1])
         total += wait + services[k]
     return total / n_arrivals
 
 
+MM1_L = MM1_SLAB[0] * MM1_SLAB[1]
+MM1_EDGE = -(-100_000 // MM1_L) * MM1_L    # whole slabs past the 1e5 minimum
+
+
 @pytest.mark.parametrize("rho, n_arrivals", [
     (0.3, 200_000), (0.5, 200_000), (0.8, 200_000), (0.95, 200_000),
-    (0.8, 1 + 13 * MM1_BLOCK), (0.95, 2 + 13 * MM1_BLOCK)])
+    (0.8, 106_497), (0.95, 106_498),
+    (0.95, MM1_EDGE), (0.8, MM1_EDGE + 1), (0.5, MM1_EDGE + 2),
+    (0.95, MM1_EDGE + MM1_L - 1)])
 def test_mm1_blocked_recursion_matches_loop(rho, n_arrivals):
     sim = mm1_simulate(rho, 1.0, n_arrivals, seed=4)
     assert type(sim) is float
@@ -509,8 +531,14 @@ def test_mm1_rejects_bad_inputs():
         mm1_simulate(2.0, 2.0)
     with pytest.raises(ValueError, match="positive"):
         mm1_simulate(0.0, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        mm1_simulate(float("nan"), 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        mm1_simulate(0.5, float("nan"))
     with pytest.raises(ValueError, match="1e5"):
         mm1_simulate(0.5, 1.0, n_arrivals=10)
+    with pytest.raises(ValueError, match="integer"):
+        mm1_simulate(0.5, 1.0, n_arrivals=1e6)
 
 
 # ---------------------------------------------------------- report type
