@@ -142,10 +142,10 @@ def _run_oracle(args, kind: str, name: str, search,
         oracle_value=getattr(ref, name), heuristic_value=heuristic_value,
         wall_time_s=time.perf_counter() - t0)
     path = args.oracle_out or args.scenario + ".oracle.csv"
-    header = ("" if os.path.exists(path)
-              else f"{CSV_SCHEMA_LINE}\n{OracleReport.CSV_HEADER}\n")
     with _writing(path), open(path, "a") as fh:
-        fh.write(header + report.csv_row() + "\n")
+        if not fh.tell():       # a missing or empty file gets the header
+            fh.write(f"{CSV_SCHEMA_LINE}\n{OracleReport.CSV_HEADER}\n")
+        fh.write(report.csv_row() + "\n")
     print(f"oracle {name}={getattr(ref, name):.6g} "
           f"rel_gap={report.rel_gap:.3e}")
     return ref, report

@@ -51,8 +51,11 @@ class OracleReport:
     CSV_HEADER = "instance,kind,oracle_value,heuristic_value,rel_gap,wall_time_s"
 
     def csv_row(self) -> str:
+        name = self.instance        # quoted as the csv module quotes it
+        if any(c in name for c in ',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
         # numpy scalars sneak in from callers; float() keeps the CSV parseable
-        return (f"{self.instance},{self.kind},{float(self.oracle_value)!r},"
+        return (f"{name},{self.kind},{float(self.oracle_value)!r},"
                 f"{float(self.heuristic_value)!r},{float(self.rel_gap)!r},"
                 f"{self.wall_time_s:.3f}")
 

@@ -26,13 +26,12 @@ from .scenario import Scenario
 from .radio import (BeamformerSet, ChannelSet, MappingEvaluator,
                     PowerAllocation, SliceMapping, build_beamformers,
                     build_channels)
-from .queueing import UnstableQueueError, layer_delays, slice_sums
+from .queueing import UnstableQueueError
 from .slicing import MappingResult, map_slices_to_services, verdict
 
 CENTER_TOL = 1e-6    # centering stop: half the squared Newton decrement
 T_STEP = 20.0        # barrier parameter growth per centering
 EPS_ETA = 1e-6       # outer stop: |F| and gap <= EPS_ETA * R_tot
-CONSTRAINT_RTOL = 1e-6   # feasibility slack, relative
 I_MAX = 50           # cap on the centred points of one solve_power
 
 
@@ -64,9 +63,9 @@ class SolverOptions:
     max_iters: int = 5000         # barrier Newton steps per point
 
 
-def delay_linearization(sc: Scenario, mapping: SliceMapping,
-                        ) -> dict[int, float]:
-    """Rate floor per active slice that guarantees its delay budget.
+def delay_linearization(ev: MappingEvaluator) -> dict[int, float]:
+    """Rate floor per active slice of the evaluator's mapping that
+    guarantees its delay budget.
 
     The two VNF-layer delays are power-independent, so the budget minus
     them bounds the transmission delay, which converts into a floor on
@@ -75,10 +74,10 @@ def delay_linearization(sc: Scenario, mapping: SliceMapping,
     lowest such slice, if an active slice's layers are unstable or alone
     eat the budget.
     """
-    alpha = slice_sums(sc.arrival_rates, mapping.incidence(sc), sc.n_slices)
-    du, cu, unstable = layer_delays(sc, alpha)
+    sc = ev.sc
+    _served, active, alpha, du, cu, unstable = ev.delay_terms
     slack = sc.params.d_max - du - cu
-    active = np.flatnonzero(mapping.a.any(axis=0))
+    active = np.flatnonzero(active)
     bad = active[np.isin(active, list(unstable)) | (slack[active] <= 0)]
     if bad.size:
         s = int(bad[0])
@@ -98,14 +97,14 @@ class SubgradientResult:
     mults: Multipliers
     converged: bool               # stopped on its gap test
     iterations: int               # 1 if exact, else Newton steps (+ phase I)
-    feasible: bool
+    feasible: bool                # `verdict` at the returned powers: ok,
+    violations: list[str]         # its messages
+    max_violation: float          # and its largest relative excess
     f_value: float                # R_tot - eta * P_tot at the returned powers
     r_tot: float                  # summed rate, bit/s
     p_tot: float                  # summed slot power, W
-    max_violation: float          # largest normalized constraint violation
     gap: float                    # dual bound minus f_value, bit/s
     stop: str                     # "gap", "cap" or "infeasible"
-    violated: list[str]
 
 
 def _barrier(q, rho_min, M, floor, W, b, p_max, n_x):
@@ -256,12 +255,11 @@ class PowerProblem:
         self.denom = denom = params.bandwidth_hz * params.noise_psd + (
             ev.interference)
         with np.errstate(over="ignore"):    # beyond range: never binds
-            self.fh_power_cap = sigma2 * np.exp2(params.c_max)
-        self.dfrak = delay_linearization(sc, mapping)
+            cap = np.minimum(params.p_max, sigma2 * np.exp2(params.c_max))
+        self.dfrak = delay_linearization(ev)
         self.floors = floors = np.array(list(self.dfrak.values()), float)
         ue, slc = ev.incidence
         q, floor, rho_min = ev.gain / denom, floors / nat, params.r_min / nat
-        cap = np.minimum(params.p_max, self.fh_power_cap)
         # keep the slot caps that can bind below p_max
         self.room, self.keep = cap - sigma2, ev.full > cap
         self.cost = ev.price(np.ones(sigma2.size))     # d P_tot / d p, per UE
@@ -381,9 +379,10 @@ def subgradient_solve(problem: PowerProblem,
     the Newton-step cap or a breakdown of the Newton step comes first
     ("cap").  The caller moves eta and t between calls, which is how
     `solve_power` walks one path.  `gap` is the dual bound at the returned
-    multipliers minus `f_value`; it is infinite without them.
+    multipliers minus `f_value`; it is infinite without them.  The point
+    is judged once, by `verdict` on the problem's evaluator.
     """
-    pb, sc, params, nat = problem, problem.sc, problem.sc.params, problem.nat
+    pb, sc, nat = problem, problem.sc, problem.nat
     x, p, stop, steps, duals = pb.x, pb.p, pb.stop, pb.steps, None
     mults = Multipliers(np.zeros(sc.n_ues), np.zeros(len(pb.sigma2)),
                         np.zeros(sc.n_slices))
@@ -412,22 +411,13 @@ def subgradient_solve(problem: PowerProblem,
     rates, p_bar = pb.ev.at(p)
     r_tot, p_tot = float(rates.sum()), float(p_bar.sum())
     f_val = r_tot - eta * p_tot
-    with np.errstate(over="ignore"):    # tiny limits: infinite violations
-        worst = {"minimum rate": (params.r_min - rates) / params.r_min,
-                 "RU power cap": (p_bar - params.p_max) / params.p_max,
-                 "fronthaul cap": (p_bar - pb.fh_power_cap) / params.p_max,
-                 "delay budget": (pb.floors - np.bincount(
-                     pb.row, rates[pb.ev.incidence[0]], pb.floors.size))
-                 / pb.floors}
-    worst = {k: float(v.max(initial=0.0)) for k, v in worst.items()}
+    report = verdict(pb.ev, rates, p_bar)
     gap = math.inf if duals is None else pb.dual_bound(eta, mults) - f_val
     return SubgradientResult(
         eta=eta, powers=PowerAllocation(p=p), mults=mults,
-        converged=stop == "gap", iterations=steps,
-        feasible=max(worst.values()) <= CONSTRAINT_RTOL, f_value=f_val,
-        r_tot=r_tot, p_tot=p_tot, max_violation=max(worst.values()),
-        gap=gap, stop=stop,
-        violated=[k for k, v in worst.items() if v > CONSTRAINT_RTOL])
+        converged=stop == "gap", iterations=steps, feasible=report.ok,
+        violations=report.violations, max_violation=report.max_violation,
+        f_value=f_val, r_tot=r_tot, p_tot=p_tot, gap=gap, stop=stop)
 
 
 @dataclass
@@ -484,14 +474,14 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
     computed at the last eta, has dual gap and |F| both within EPS_ETA *
     R_tot.  The feasible set does not depend on eta, so a problem with no
     (strictly, on the barrier) feasible point ends the loop.  `feasible` and
-    `violations` are what `check_feasibility` reports at the returned
+    `violations` are the last point's, which `verdict` judged on the
+    solve's evaluator: what `check_feasibility` reports at the returned
     powers.  `mapping` must cover every service (ValueError otherwise);
     the result's `mapping_result` holds it with no uncovered services
     and no rejections.  Raises as `delay_linearization` does when an
     active slice cannot meet its delay budget at any rate.
     """
-    ev = MappingEvaluator(sc, bf, mapping)
-    problem = PowerProblem(ev, opts)
+    problem = PowerProblem(MappingEvaluator(sc, bf, mapping), opts)
     eta = problem.eta0
     trace: list[SubgradientResult] = []
     for _ in range(I_MAX):
@@ -507,10 +497,9 @@ def solve_power(sc: Scenario, mapping: SliceMapping, ch: ChannelSet,
         if p_tot > 0:
             eta = max(eta, r_tot / p_tot)
 
-    final = verdict(ev, *ev.at(powers.p))
     return JointResult(
         mapping_result=MappingResult(mapping=mapping, uncovered_services=[],
                                      rejections=[]),
         powers=powers, eta=(r_tot / p_tot if p_tot > 0 else 0.0),
         r_tot=r_tot, p_tot=p_tot, converged=converged, trace=trace,
-        feasible=final.ok, violations=final.violations, mults=last.mults)
+        feasible=last.feasible, violations=last.violations, mults=last.mults)

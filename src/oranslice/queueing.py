@@ -58,28 +58,25 @@ def layer_delays(sc: Scenario, alpha: np.ndarray,
     return du, cu, unstable
 
 
-def slice_delays(sc: Scenario, alpha: np.ndarray, r_tot: np.ndarray,
-                 active: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                            dict[int, str]]:
-    """Mean sojourn (DU, CU, transmission) of every slice, s.
+def transmission_delays(sc: Scenario, alpha: np.ndarray, r_tot: np.ndarray,
+                        active: np.ndarray, unstable: dict[int, str],
+                        ) -> tuple[np.ndarray, dict[int, str]]:
+    """Mean sojourn of every slice's transmission stage, s, and the
+    unstable texts of every slice.
 
     `alpha` and `r_tot` are every slice's pooled packet arrivals and
     summed UE rate in bit/s (`slice_sums` of the arrival rates and of the
     rates); `active` marks the slices that serve a service.  Packet
-    arrivals are converted to bits with the configured packet size before
-    the transmission stage, which is stable only while the slice's summed
-    rate exceeds that offered load.  The dict maps each active slice
-    with an unstable stage to the UnstableQueueError text of its first
-    (DU, CU, then transmission).
+    arrivals are converted to bits with the configured packet size, and
+    the stage is stable only while the slice's summed rate exceeds that
+    offered load.  `unstable` holds the texts of the slices' two
+    `layer_delays`; the returned dict adds, for each other active slice
+    whose transmission stage is unstable, its UnstableQueueError text.
+    A slice's total delay is its two layer delays plus this one.
     """
-    du, cu, unstable = layer_delays(sc, alpha)
-    with np.errstate(over="ignore"):        # beyond range: never stable
-        offered = alpha * sc.params.packet_size_bits
-    for s in np.flatnonzero(active & (r_tot <= offered)):
-        unstable.setdefault(int(s), (
+    with np.errstate(over="ignore", divide="ignore"):
+        offered = alpha * sc.params.packet_size_bits    # inf: never stable
+        return 1.0 / (r_tot - offered), {**{int(s): (
             f"transmission stage unstable: slice rate {r_tot[s]:.6g} <= "
-            f"offered load {offered[s]:.6g}"))
-    with np.errstate(divide="ignore"):
-        tx = 1.0 / (r_tot - offered)
-    return du, cu, tx, unstable
+            f"offered load {offered[s]:.6g}")
+            for s in np.flatnonzero(active & (r_tot <= offered))}, **unstable}

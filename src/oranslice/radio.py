@@ -28,6 +28,7 @@ from itertools import chain
 
 import numpy as np
 
+from .queueing import layer_delays, slice_sums
 from .scenario import Scenario
 
 # Beyond this condition number the normal equations of the zero-forcing
@@ -315,8 +316,9 @@ class MappingEvaluator:
     serving it; `quant` and `leak` are the quantization-noise and the
     per-unit-power PRB-sharing leakage parts of the interference bound
     (`interference`, which charges every interfering stream the per-RU
-    cap).  `a` is the mapping matrix and `incidence` its
-    `SliceMapping.incidence`.  `blocks` holds (slot rows, UE columns,
+    cap).  `a` is the mapping matrix, `incidence` its
+    `SliceMapping.incidence` and `delay_terms` its power-free delay
+    terms.  `blocks` holds (slot rows, UE columns,
     |w|^2) of each mapped pair with a precoder, and `full` the slot
     powers that `at` gives with every UE at p_max, updated as each pair
     is added.  `extend` adds one pair in a copy, touching only that
@@ -338,6 +340,16 @@ class MappingEvaluator:
     @functools.cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         return SliceMapping(a=self.a).incidence(self.sc)
+
+    @functools.cached_property
+    def delay_terms(self) -> tuple:
+        """(served, active, alpha, du, cu, unstable): the UEs whose
+        service is mapped, the slices serving a service, each slice's
+        pooled packet arrivals, and `layer_delays` of those arrivals."""
+        sc, a = self.sc, self.a
+        alpha = slice_sums(sc.arrival_rates, self.incidence, sc.n_slices)
+        return (a.any(axis=1)[sc.ue_service], a.any(axis=0), alpha,
+                *layer_delays(sc, alpha))
 
     @functools.cached_property
     def interference(self) -> np.ndarray:

@@ -13,20 +13,20 @@ slice, and a sweep over V services makes about V checks.
 Every check is `verdict` on a `MappingEvaluator`: the sweep extends the
 accepted mapping's evaluator by the candidate pair, and
 `check_feasibility` builds one from the whole mapping, so both judge the
-same operating point through the same code.
+same operating point through the same code.  The power step judges each
+point of its path with `verdict` too, on its mapping's evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from .scenario import Scenario
 from .radio import (BeamformerSet, ChannelSet, MappingEvaluator,
                     PowerAllocation, SliceMapping, fronthaul_rates_all)
-from .queueing import slice_delays, slice_sums
+from .queueing import slice_sums, transmission_delays
 
 # Relative slack applied to every feasibility comparison so boundary
 # cases (a rate exactly at the minimum, a RU exactly at its cap) are not
@@ -56,49 +56,61 @@ def rank_slices(sc: Scenario) -> list[int]:
 
 @dataclass
 class FeasibilityReport:
-    """Outcome of checking one mapping at full power."""
+    """Outcome of judging one operating point of a mapping."""
 
     ok: bool
     violations: list[str] = field(default_factory=list)
-
-
-def _violations(ev: MappingEvaluator, rates: np.ndarray,
-                p_bar: np.ndarray) -> Iterator[str]:
-    """Violation messages of the evaluator's mapped system at UE rates
-    `rates` and slot powers `p_bar`, lazily and in report order: per-slot
-    RU power cap, minimum rate of each UE whose service is mapped,
-    per-slot fronthaul cap, then the delay budget of each active slice."""
-    sc, bf, a, params = ev.sc, ev.bf, ev.a, ev.sc.params
-    checked, active = a.any(axis=1)[sc.ue_service], a.any(axis=0)
-    alpha, r_tot = (slice_sums(x, ev.incidence, sc.n_slices)
-                    for x in (sc.arrival_rates, rates))
-    for k in np.flatnonzero(p_bar > params.p_max * (1.0 + CHECK_RTOL)):
-        yield (f"RU power cap: slice {bf.slot_slice[k]} RU {bf.slot_ru[k]} "
-               f"at {p_bar[k]:.6g} W > {params.p_max:.6g} W")
-    low = np.flatnonzero(checked & (rates < params.r_min * (1.0 - CHECK_RTOL)))
-    keys = sc.ue_keys() if low.size else []
-    for u in low:
-        yield (f"minimum rate: service {keys[u][0]} UE {keys[u][1]} at "
-               f"{rates[u]:.6g} bit/s < {params.r_min:.6g} bit/s")
-    fh = fronthaul_rates_all(bf, p_bar)
-    for k in np.flatnonzero(fh > params.c_max * (1.0 + CHECK_RTOL)):
-        yield (f"fronthaul cap: slice {bf.slot_slice[k]} RU {bf.slot_ru[k]} "
-               f"at {fh[k]:.6g} bit/s/Hz > {params.c_max:.6g} bit/s/Hz")
-    du, cu, tx, unstable = slice_delays(sc, alpha, r_tot, active)
-    total = du + cu + tx
-    late = np.flatnonzero(active & (total > params.d_max * (1.0 + CHECK_RTOL)))
-    for s in sorted(unstable.keys() | set(late.tolist())):
-        yield (f"delay: {unstable[s]}" if s in unstable else
-               f"delay budget: slice {s} at {total[s]:.6g} s > "
-               f"{params.d_max:.6g} s")
+    max_violation: float = 0.0    # largest relative excess over a limit
 
 
 def verdict(ev: MappingEvaluator, rates: np.ndarray,
             p_bar: np.ndarray) -> FeasibilityReport:
     """Every violation of the evaluator's mapped system at UE rates
-    `rates` and slot powers `p_bar`, in `_violations` order."""
-    violations = list(_violations(ev, rates, p_bar))
-    return FeasibilityReport(ok=not violations, violations=violations)
+    `rates` and slot powers `p_bar`, in report order: per-slot RU power
+    cap, minimum rate of each UE whose service is mapped, per-slot
+    fronthaul cap, then the delay budget of each active slice.  Its
+    `max_violation` is the largest relative excess over those limits:
+    value/limit - 1 for the two caps, 1 - rate/r_min, delay/d_max - 1,
+    inf for an unstable stage, and 0 when none is positive."""
+    sc, bf, params = ev.sc, ev.bf, ev.sc.params
+    served, active, alpha, du, cu, unstable = ev.delay_terms
+    fh = fronthaul_rates_all(bf, p_bar)
+    tx, unstable = transmission_delays(sc, alpha, slice_sums(
+        rates, ev.incidence, sc.n_slices), active, unstable)
+    total = du + cu + tx
+    # each family's largest excess, NaN skipped as the comparisons skip
+    # it; only a family whose excess is positive can have an entry past
+    # its limit's CHECK_RTOL slack, so only its entries are compared
+    with np.errstate(over="ignore"):    # tiny limits: infinite excess
+        ex_p = np.fmax.reduce(p_bar, initial=0.0) / params.p_max - 1.0
+        ex_fh = np.fmax.reduce(fh, initial=0.0) / params.c_max - 1.0
+        ex_r = 1.0 - np.fmin.reduce(rates, where=served,
+                                    initial=np.inf) / params.r_min
+        ex_d = np.inf if unstable else np.fmax.reduce(
+            total, where=active, initial=0.0) / params.d_max - 1.0
+
+    def slots(family, x, limit, unit):
+        return [f"{family}: slice {bf.slot_slice[k]} RU {bf.slot_ru[k]} at "
+                f"{x[k]:.6g} {unit} > {limit:.6g} {unit}"
+                for k in np.flatnonzero(x > limit * (1.0 + CHECK_RTOL))]
+    out = slots("RU power cap", p_bar, params.p_max, "W") if ex_p > 0 else []
+    if ex_r > 0:
+        keys = sc.ue_keys()
+        out += [f"minimum rate: service {keys[u][0]} UE {keys[u][1]} at "
+                f"{rates[u]:.6g} bit/s < {params.r_min:.6g} bit/s"
+                for u in np.flatnonzero(
+                    served & (rates < params.r_min * (1.0 - CHECK_RTOL)))]
+    if ex_fh > 0:
+        out += slots("fronthaul cap", fh, params.c_max, "bit/s/Hz")
+    if ex_d > 0:
+        late = np.flatnonzero(
+            active & (total > params.d_max * (1.0 + CHECK_RTOL)))
+        out += [f"delay: {unstable[s]}" if s in unstable else
+                f"delay budget: slice {s} at {total[s]:.6g} s > "
+                f"{params.d_max:.6g} s"
+                for s in sorted(unstable.keys() | set(late.tolist()))]
+    return FeasibilityReport(ok=not out, violations=out, max_violation=float(
+        max(0.0, ex_p, ex_r, ex_fh, ex_d)))
 
 
 def check_feasibility(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
@@ -120,7 +132,7 @@ def check_feasibility(sc: Scenario, ch: ChannelSet, bf: BeamformerSet,
         bad = {"negative": p < 0, "NaN": np.isnan(p)}
         return FeasibilityReport(ok=False, violations=[
             f"{kind} transmit power at UE index {np.flatnonzero(m).tolist()}"
-            for kind, m in bad.items() if m.any()])
+            for kind, m in bad.items() if m.any()], max_violation=np.inf)
     ev = MappingEvaluator(sc, bf, mapping)
     return verdict(ev, *ev.at(p))
 

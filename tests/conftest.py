@@ -15,7 +15,8 @@ import pytest
 from oranslice.scenario import (ChannelModel, DataCenter, PrbAssignment,
                                 RadioUnit, Scenario, Service, Slice,
                                 SystemParams, UserEquipment, VnfRequirement)
-from oranslice.radio import ChannelSet, SliceMapping
+from oranslice.radio import (ChannelSet, MappingEvaluator, SliceMapping,
+                             build_beamformers, build_channels)
 
 
 NOISE_PSD = 10.0 ** (-174.0 / 10.0) * 1e-3    # -174 dBm/Hz in W/Hz
@@ -102,6 +103,12 @@ def channels_from_matrix(sc: Scenario, gains) -> ChannelSet:
     g = np.asarray(gains, dtype=complex)
     assert g.shape == (len(sc.rus), sc.n_ues)
     return ChannelSet(gains=g)
+
+
+def evaluator(sc: Scenario, mapping: SliceMapping) -> MappingEvaluator:
+    """The mapping's evaluator under the scenario's own channels."""
+    return MappingEvaluator(sc, build_beamformers(sc, build_channels(sc)),
+                            mapping)
 
 
 def full_mapping(sc: Scenario) -> SliceMapping:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import hand_scenario, placement_config
 from oranslice import cli
 from oranslice.cli import main
-from oranslice.oracle import CertifiedMappingResult
+from oranslice.oracle import CertifiedMappingResult, OracleReport
 from oranslice.scenario import (RULES, GeneratorConfig, generate_scenario,
                                 load_scenario, save_scenario,
                                 scenario_to_dict)
@@ -652,6 +652,21 @@ def test_place_oracle_gap_row(workdir, capsys):
     _, rows = read_schema_csv(gaps)
     assert rows[0][1] == "placement_psi"
     assert abs(float(rows[0][4])) <= 1e-12   # both admit everything on DC 0
+
+
+@pytest.mark.parametrize("command, kind", [("solve", "joint_eta"),
+                                           ("place", "placement_psi")])
+def test_oracle_out_empty_file_gets_the_header(easy_scenario, workdir,
+                                               capsys, command, kind):
+    # an empty --oracle-out file is written as a new one: schema line,
+    # header, then the row
+    gaps = workdir / f"{command}.empty.csv"
+    gaps.write_text("")
+    assert main([command, str(easy_scenario), "--oracle",
+                 "--oracle-out", str(gaps)]) == 0
+    header, rows = read_schema_csv(gaps)
+    assert header == OracleReport.CSV_HEADER.split(",")
+    assert len(rows) == 1 and rows[0][1] == kind
 
 
 def test_place_oracle_infeasible_writes_strict_json(tmp_path, capsys):

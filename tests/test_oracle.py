@@ -1,5 +1,7 @@
 """Reference implementations: enumeration guards, refinement, queue sim."""
 
+import csv
+import io
 import itertools
 import math
 import tracemalloc
@@ -552,6 +554,19 @@ def test_oracle_report_gap_semantics():
     assert OracleReport("x", "ee", 0.0, 1.0, 0.0).rel_gap == math.inf
     row = rep.csv_row()
     assert len(row.split(",")) == len(OracleReport.CSV_HEADER.split(","))
+
+
+@pytest.mark.parametrize("name", ["x.json", "a,b.json", 'say "hi".json',
+                                  "two\nlines.json", 'all, "of"\r\nit'])
+def test_oracle_report_row_reads_back_with_csv(name):
+    # the instance is a file's basename, which may hold any of the
+    # characters that shift an unquoted row's columns
+    rep = OracleReport(name, "joint_eta", 100.0, 98.0, 0.5)
+    row = rep.csv_row()
+    assert list(csv.reader(io.StringIO(row))) == [
+        [name, "joint_eta", "100.0", "98.0", repr(rep.rel_gap), "0.500"]]
+    if name == "x.json":
+        assert row == f"x.json,joint_eta,100.0,98.0,{rep.rel_gap!r},0.500"
 
 
 def test_summation_oracle_unknown_id():

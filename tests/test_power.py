@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (channels_from_matrix, default_params, hand_scenario,
-                      small_joint_config)
+from conftest import (channels_from_matrix, default_params, evaluator,
+                      hand_scenario, small_joint_config)
 from oranslice import power, radio
 from oranslice.cli import _ee_config
 from oranslice.oracle import brute_force_mapping
@@ -18,9 +18,10 @@ from oranslice.power import (EPS_ETA, InfeasibleDelayError,
                              SolverOptions, T_STEP, _barrier, _central_path,
                              delay_linearization, solve_joint, solve_power,
                              subgradient_solve)
-from oranslice.queueing import layer_delays
+from oranslice.queueing import layer_delays, slice_sums, transmission_delays
 from oranslice.radio import (MappingEvaluator, SliceMapping,
-                             build_beamformers, build_channels)
+                             build_beamformers, build_channels,
+                             fronthaul_rates_all)
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.slicing import check_feasibility, map_slices_to_services
 from test_slicing import ee_shared_configs, soundness_configs
@@ -43,16 +44,17 @@ def quiet_delay_scenario(d_max, mu=10.0):
 def test_delay_floor_hand_value():
     # layers cost 0.1 s each, budget 0.4 s -> floor 1/(0.4 - 0.2) = 5
     sc = quiet_delay_scenario(d_max=0.4)
-    floors = delay_linearization(sc, one_on_one())
+    floors = delay_linearization(evaluator(sc, one_on_one()))
     assert floors == {0: pytest.approx(5.0)}
 
 
 def test_delay_floor_pole():
     sc = quiet_delay_scenario(d_max=0.2 + 1e-6)
-    floors = delay_linearization(sc, one_on_one())
+    floors = delay_linearization(evaluator(sc, one_on_one()))
     assert floors[0] == pytest.approx(1e6, rel=1e-3)
     with pytest.raises(InfeasibleDelayError, match="slice 0"):
-        delay_linearization(quiet_delay_scenario(d_max=0.2), one_on_one())
+        delay_linearization(evaluator(
+            quiet_delay_scenario(d_max=0.2), one_on_one()))
 
 
 def test_delay_floor_skips_unmapped_slice():
@@ -61,7 +63,7 @@ def test_delay_floor_skips_unmapped_slice():
                        params=default_params(mu1=10.0, mu2=10.0, d_max=0.4))
     a = np.zeros((1, 2), dtype=np.int8)
     a[0, 0] = 1
-    floors = delay_linearization(sc, SliceMapping(a=a))
+    floors = delay_linearization(evaluator(sc, SliceMapping(a=a)))
     assert set(floors) == {0}
 
 
@@ -71,7 +73,7 @@ def test_delay_floor_includes_offered_load():
                        params=default_params(mu1=10.0, mu2=10.0, d_max=0.5))
     du, cu, _unstable = layer_delays(sc, np.array([3.0]))
     want = 1.0 / (0.5 - du[0] - cu[0]) + 3.0 * sc.params.packet_size_bits
-    floors = delay_linearization(sc, one_on_one())
+    floors = delay_linearization(evaluator(sc, one_on_one()))
     assert floors[0] == pytest.approx(want)
 
 
@@ -204,15 +206,25 @@ def test_subgradient_eta_zero_rides_the_ru_cap():
     assert r_sub == pytest.approx(rates[ok].max(), rel=1e-3)
 
 
-def test_subgradient_reports_unreachable_rate_floor():
+def families(violations):
+    """The constraint families of `verdict` messages."""
+    return {text.split(":")[0] for text in violations}
+
+
+def unreachable_floor_instance():
+    """A rate floor that the UE misses even at p_max."""
     sc = hand_scenario(ue_counts=(1,), slice_rus=((0,),),
                        params=default_params(r_min=1e7))
     ch = channels_from_matrix(sc, [[math.sqrt(2.0)]])
-    bf = build_beamformers(sc, ch)
+    return sc, ch, build_beamformers(sc, ch)
+
+
+def test_subgradient_reports_unreachable_rate_floor():
+    sc, ch, bf = unreachable_floor_instance()
     res = inner_solve(sc, one_on_one(), ch, bf, eta=0.0, max_iters=300)
     assert not res.feasible
     assert not res.converged
-    assert "minimum rate" in res.violated
+    assert "minimum rate" in families(res.violations)
     assert res.max_violation > 0
 
 
@@ -239,7 +251,7 @@ def test_subgradient_phase1_reports_cap_blocked_floor():
     res = inner_solve(sc, one_on_one(), ch, bf, eta=0.0)
     assert res.stop == "infeasible"
     assert not res.feasible and not res.converged
-    assert res.violated == ["RU power cap"]
+    assert families(res.violations) == {"RU power cap"}
     assert res.iterations < 200
 
 
@@ -253,6 +265,61 @@ def test_solve_power_verdict_is_check_feasibility_on_its_powers():
     assert (res.feasible, res.violations) == (report.ok, report.violations)
 
 
+def defined_excess(sc, bf, mapping, p):
+    """The largest relative excess over a limit at powers p, entry by
+    entry: value/limit - 1 for the RU power and fronthaul caps, 1 -
+    rate/r_min for each served UE, delay/d_max - 1 for each active slice,
+    inf for an unstable stage; 0 when none is positive."""
+    params, incidence = sc.params, mapping.incidence(sc)
+    rates, p_bar = MappingEvaluator(sc, bf, mapping).at(p)
+    served, active = mapping.a.any(axis=1)[sc.ue_service], mapping.a.any(0)
+    alpha = slice_sums(sc.arrival_rates, incidence, sc.n_slices)
+    du, cu, unstable = layer_delays(sc, alpha)
+    tx, unstable = transmission_delays(
+        sc, alpha, slice_sums(rates, incidence, sc.n_slices), active,
+        unstable)
+    excess = [*(p_bar / params.p_max - 1.0),
+              *(1.0 - rates[served] / params.r_min),
+              *(fronthaul_rates_all(bf, p_bar) / params.c_max - 1.0),
+              *((du + cu + tx)[active] / params.d_max - 1.0)]
+    return math.inf if unstable else max(0.0, *excess)
+
+
+def sweep_u147():
+    """The U=147 ee_vs_mean_ues point (seed 0) and the sweep's mapping."""
+    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
+    ch = build_channels(sc)
+    bf = build_beamformers(sc, ch)
+    return sc, ch, bf, map_slices_to_services(sc, bf).mapping
+
+
+@pytest.mark.parametrize("instance", [
+    sweep_u147, lambda: coupled_u147_instance(),
+    lambda: (*cap_blocked_instance(), one_on_one()),
+    lambda: (*unreachable_floor_instance(), one_on_one()),
+], ids=["exact", "barrier", "cap-blocked", "unreachable-floor"])
+def test_each_point_is_judged_once_by_verdict(instance, monkeypatch):
+    # every trace point carries the judge's verdict on its own powers,
+    # with the defined excess; the solve judges each point once, inside
+    # subgradient_solve, and nothing after its last point
+    sc, ch, bf, mapping = instance()
+    events, judge, step = [], power.verdict, power.subgradient_solve
+    monkeypatch.setattr(power, "verdict",
+                        lambda *args: events.append("verdict") or judge(*args))
+    monkeypatch.setattr(power, "subgradient_solve",
+                        lambda *args: (step(*args), events.append("point"))[0])
+    res = solve_power(sc, mapping, ch, bf, SolverOptions(1500))
+    assert events == ["verdict", "point"] * len(res.trace)
+    for row in res.trace:
+        report = check_feasibility(sc, ch, bf, mapping, row.powers)
+        assert (row.feasible, row.violations) == (report.ok,
+                                                  report.violations)
+        assert row.max_violation == report.max_violation == defined_excess(
+            sc, bf, mapping, row.powers.p)
+    last = res.trace[-1]
+    assert (res.feasible, res.violations) == (last.feasible, last.violations)
+
+
 def test_solve_power_rejects_a_mapping_that_leaves_a_service_out():
     sc = hand_scenario(ue_counts=(1, 1), slice_rus=((0,),))
     ch = channels_from_matrix(sc, [[math.sqrt(2.0), math.sqrt(2.0)]])
@@ -263,14 +330,10 @@ def test_solve_power_rejects_a_mapping_that_leaves_a_service_out():
 
 
 def test_solve_power_builds_each_part_once(monkeypatch):
-    # the mapping's evaluator (interference bound, beam gains and |w|^2
-    # blocks) is built once per solve, however many points the path
-    # takes and although the final verdict reads rates and slot powers
-    # again
-    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
-    ch = build_channels(sc)
-    bf = build_beamformers(sc, ch)
-    mapping = map_slices_to_services(sc, bf).mapping
+    # the mapping's evaluator (interference bound, beam gains, |w|^2
+    # blocks and delay terms) is built once per solve, however many
+    # points the path takes and judges
+    sc, ch, bf, mapping = sweep_u147()
     builds = []
     init = radio.MappingEvaluator.__init__
 
@@ -395,7 +458,7 @@ def grid_search_f(sc, ch, bf, mapping, eta, n=200):
     ok = np.all(rates >= params.r_min * (1.0 - rtol), axis=1)
     ok &= np.all(slot_p <= params.p_max * (1.0 + rtol), axis=1)
     ok &= np.all(slot_p <= fh_cap * (1.0 + rtol), axis=1)
-    for s, floor in delay_linearization(sc, mapping).items():
+    for s, floor in delay_linearization(ev).items():
         rows = sorted({u for v in range(sc.n_services) if mapping.a[v, s]
                        for u in sc.service_ue_indices(v)})
         ok &= rates[:, rows].sum(axis=1) >= floor * (1.0 - rtol)
@@ -468,16 +531,18 @@ def one_path_solve(n_services, mean_ues, overrides, seed):
     return one_path(solve_joint(sc, SolverOptions(max_iters=1500)))
 
 
-def coupled_u147(max_iters=1500):
-    """solve_power on the U=147 ee_vs_mean_ues point (seed 0), on the
-    sweep's mapping with service 1 also on slice 4: its UEs sit in two
+def coupled_u147_instance():
+    """`sweep_u147` with service 1 also on slice 4: its UEs sit in two
     slice-floor rows, so the power step takes the barrier."""
-    sc = generate_scenario(_ee_config(12, 12, {}), seed=0)
-    ch = build_channels(sc)
-    bf = build_beamformers(sc, ch)
-    mapping = map_slices_to_services(sc, bf).mapping
+    sc, ch, bf, mapping = sweep_u147()
     mapping.a[1, 4] = 1
     assert mapped_problem(sc, mapping, ch).level is None
+    return sc, ch, bf, mapping
+
+
+def coupled_u147(max_iters=1500):
+    """solve_power on `coupled_u147_instance`."""
+    sc, ch, bf, mapping = coupled_u147_instance()
     return solve_power(sc, mapping, ch, bf, SolverOptions(max_iters))
 
 
@@ -599,7 +664,7 @@ def exact_agrees_with_barrier(sc, free=False):
     assert exact.eta == pytest.approx(barrier.eta, rel=1e-6)
     if free:
         assert exact.powers.p[0] == sc.params.p_max
-    floors = delay_linearization(sc, mres.mapping)
+    floors = delay_linearization(MappingEvaluator(sc, bf, mres.mapping))
     n_ues = np.bincount(mres.mapping.incidence(sc)[1],
                         minlength=sc.n_slices)
     for s, floor in floors.items():

@@ -6,10 +6,10 @@ import pytest
 from oranslice.scenario import GeneratorConfig, generate_scenario
 from oranslice.radio import SliceMapping
 from oranslice.power import delay_linearization
-from oranslice.queueing import (UnstableQueueError, layer_delays, slice_delays,
-                                slice_sums)
+from oranslice.queueing import (UnstableQueueError, layer_delays, slice_sums,
+                                transmission_delays)
 
-from conftest import default_params, full_mapping, hand_scenario
+from conftest import default_params, evaluator, full_mapping, hand_scenario
 
 
 def served_by(sc, mapping):
@@ -22,14 +22,17 @@ def slice_loads(sc, incidence):
 
 
 def one_ue_delays(arrival, rate, **params):
-    """slice_delays of one UE on one slice, at the given rate, bit/s."""
+    """(DU, CU, transmission, unstable texts) of one UE on one slice, at
+    the given rate, bit/s; a layer's text before the transmission's."""
     sc = hand_scenario(arrival_rates=[arrival],
                        params=default_params(**params))
     mapping = full_mapping(sc)
     served = served_by(sc, mapping)
-    return slice_delays(sc, slice_loads(sc, served),
-                        slice_sums(np.array([rate]), served, 1),
-                        mapping.a.any(axis=0))
+    alpha = slice_loads(sc, served)
+    du, cu, unstable = layer_delays(sc, alpha)
+    return du, cu, *transmission_delays(
+        sc, alpha, slice_sums(np.array([rate]), served, 1),
+        mapping.a.any(axis=0), unstable)
 
 
 def test_arrival_rate_unmapped_slice_is_zero():
@@ -107,7 +110,7 @@ def test_layer_delay_instability_names_layer(ratio):
     _, _, unstable = layer_delays(sc, np.array([2.0 * ratio]))
     assert "DU" in unstable[0]
     with pytest.raises(UnstableQueueError, match="DU"):
-        delay_linearization(sc, full_mapping(sc))
+        delay_linearization(evaluator(sc, full_mapping(sc)))
 
 
 def test_transmission_delay_hand_value():
