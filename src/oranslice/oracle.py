@@ -566,11 +566,15 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
     search assigns slices depth first, largest weighted demand first.
     Each node adds every row of its slice to the subset loads in one
     array step and keeps the rows whose loads stay within the limits.
-    A subtree is cut only when its psi lower bound (psi fixed so far,
-    idle power of the DCs already open, and each remaining slice's
-    cheapest row) exceeds the best psi found by more than 1e-9
-    relative, so every leaf tying the optimum is visited and ties go to
-    the lexicographically smallest assignment matrix.  psi and phi are
+    A subtree is cut when its psi lower bound (psi fixed so far, idle
+    power of the DCs already open, and each remaining slice's cheapest
+    row) exceeds the best psi found by more than 1e-9 relative, or when
+    that bound is not below the best psi and its tie-break key (bits
+    fixed so far plus each remaining slice's smallest) is not below the
+    best one's: no leaf under it can win on psi or on the tie, which goes
+    to the lexicographically smallest assignment matrix.  (The bound is
+    summed in search order, so a leaf cut by the second rule could beat
+    the best only by the bound's rounding.)  psi and phi are
     summed over slices in ascending id, independent of the search order;
     `leaves_checked` counts the feasible complete assignments visited.
     Guards: <= 10 active slices, <= 5 data centers, and nu > 0 requires
@@ -638,9 +642,13 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
         return infeasible
 
     order = sorted(active, key=lambda s: (-omega[s], s))
+    # per depth: the cheapest cost and the smallest tie-break bits of the
+    # slices from there on (the slices' bits are disjoint)
     rest = [0.0] * (len(order) + 1)
+    rest_key = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         rest[i] = rest[i + 1] + rows_of[order[i]][0][0]
+        rest_key[i] = rest_key[i + 1] + min(r[4] for r in rows_of[order[i]])
     idle_of = [sum(idle[d] for d in members[m]) for m in range(1 << n_dcs)]
     choice: dict[int, tuple] = {}
     best: list = []          # psi, tie-break key, phi, choice of the incumbent
@@ -672,7 +680,9 @@ def exhaustive_placement(sc: Scenario, mapping: SliceMapping,
         children, fits = _children(loads, adds[s], limit)
         for r, (row, ok) in enumerate(zip(rows_of[s], fits)):
             c, m = row[0], row[1]
-            if fixed + c + idle_of[opened | m] + rest[i + 1] > cut or not ok:
+            bound = fixed + c + idle_of[opened | m] + rest[i + 1]
+            if bound > cut or not ok or best and bound >= best[0] and (
+                    key + row[4] + rest_key[i + 1] >= best[1]):
                 continue
             choice[s] = row
             visit(i + 1, children[r], fixed + c, opened | m, key + row[4])
@@ -704,11 +714,12 @@ def mm1_simulate(arrival_rate: float, service_rate: float,
     the gap between their arrivals, floored at zero; sojourn is wait plus
     own service.  Customers come in slabs of MM1_SLAB = (m, w): column j
     of a slab holds m consecutive customers, so the customer order is the
-    column-major flattening, and a final partial slab is one row.  Each
-    slab draws its gaps (each the gap to the next arrival) and then its
-    services as (m, w) standard exponentials times the mean.  Within a
-    column, with C the running sum of (service - gap) from 0 and M the
-    running minimum of C, a customer entering behind a wait v waits
+    column-major flattening.  A tail of r customers is an (m, r // m)
+    slab and then a one-row slab of r % m.  Each slab draws its gaps
+    (each the gap to the next arrival) and then its services, each by
+    inversion: uniforms U in [0, 1), then -log(1 - U) times the mean.
+    Within a column, with C the running sum of (service - gap) from 0 and
+    M the running minimum of C, a customer entering behind a wait v waits
     max(v + C, C - M); both run down the rows one vector step at a time.
     A column so maps v to max(v + a, a - min M) (a its sum), and the same
     closed form one level up carries the wait across the columns.  Memory
@@ -728,16 +739,20 @@ def mm1_simulate(arrival_rate: float, service_rate: float,
         raise ValueError("need at least 1e5 arrivals")
     rng = np.random.default_rng(seed)
     m, w = MM1_SLAB
+    full, r = divmod(n_arrivals, m * w)
     slabs = np.empty((3, m * w))
     wait = total = 0.0                  # the first customer never waits
-    for lo in range(0, n_arrivals, m * w):
-        size = min(m * w, n_arrivals - lo)
-        shape = (m, w) if size == m * w else (1, size)
+    for shape in itertools.chain(itertools.repeat((m, w), full),
+                                 [(m, r // m), (1, r % m)]):
+        size = shape[0] * shape[1]
+        if not size:
+            continue
         step, service, low = (a[:size].reshape(shape) for a in slabs)
-        rng.standard_exponential(out=step)
-        step *= 1.0 / arrival_rate
-        rng.standard_exponential(out=service)
-        service *= 1.0 / service_rate
+        for out, rate in ((step, arrival_rate), (service, service_rate)):
+            rng.random(out=out)
+            np.subtract(1.0, out, out=out)
+            np.log(out, out=out)
+            out *= -1.0 / rate
         total += float(service.sum())
         np.subtract(service, step, out=step)
         # row i of step becomes C of the column's customer i + 1 (the sum

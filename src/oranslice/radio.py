@@ -234,34 +234,39 @@ def _prb_sharing_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Rows (slice, victim UE, source UE, shared PRB count) for every
     ordered pair of distinct UEs that may both use some PRB of the slice,
     found by grouping the eligibility triples on (slice, PRB); sorted by
-    slice, the source UE's service and victim.  Also the row offsets of
-    each (slice, service) pair s * n_services + v."""
+    slice, the source UE's service, victim and source.  Also the row
+    offsets of each (slice, service) pair s * n_services + v."""
     t = sc.prb_assignment.triples
+    n, n_pairs = sc.n_ues, sc.n_slices * sc.n_services
+    none = (np.zeros((0, 4), dtype=np.int64),
+            np.zeros(n_pairs + 1, dtype=np.intp))
+    # the triples ascend by UE, then PRB: when the PRB indices ascend too,
+    # rising at each new UE, every PRB index has one UE (dedicated PRBs)
+    rise = np.diff(t[:, 1])
+    if np.all((rise > 0) | (rise == 0) & (np.diff(t[:, 0]) == 0)):
+        return none
     t = t[np.lexsort((t[:, 0], t[:, 1], t[:, 2]))]   # by slice, PRB, UE
     start = np.flatnonzero(_run_starts(t[:, 2] * sc.prb_assignment.n_prbs
                                        + t[:, 1]))
     size = np.diff(np.append(start, len(t)))
     start, size = start[size > 1], size[size > 1]
-    if not size.size:             # no two UEs share a PRB: dedicated PRBs
-        return (np.zeros((0, 4), dtype=np.int64),
-                np.zeros(sc.n_slices * sc.n_services + 1, dtype=np.intp))
+    if not size.size:             # no two UEs share a PRB of one slice
+        return none
     # a group of n rows gives n * n (victim, source) offsets, n of them equal
     sq = size * size
     grp = np.repeat(np.arange(size.size), sq)
     i, k = np.divmod(np.arange(grp.size) - np.repeat(np.cumsum(sq) - sq, sq),
                      size[grp])
     first = start[grp[i != k]]
-    n = sc.n_ues
-    key = ((t[first, 2] * n + t[first + i[i != k], 0]) * n
-           + t[first + k[i != k], 0])
-    key = key[np.argsort(key, kind="stable")]
+    source = t[first + k[i != k], 0]
+    key = np.sort(((t[first, 2] * sc.n_services + sc.ue_service[source]) * n
+                   + t[first + i[i != k], 0]) * n + source)
     runs = np.flatnonzero(_run_starts(key))
     key, counts = key[runs], np.diff(np.append(runs, key.size))
-    share = np.column_stack([key // (n * n), key // n % n, key % n, counts])
-    pair = share[:, 0] * sc.n_services + sc.ue_service[share[:, 2]]
-    order = np.lexsort((share[:, 1], pair))
-    return share[order], np.searchsorted(
-        pair[order], np.arange(sc.n_slices * sc.n_services + 1))
+    pair = key // (n * n)
+    share = np.column_stack([pair // sc.n_services, key // n % n, key % n,
+                             counts])
+    return share, np.searchsorted(pair, np.arange(n_pairs + 1))
 
 
 def build_beamformers(sc: Scenario, ch: ChannelSet) -> BeamformerSet:

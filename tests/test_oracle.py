@@ -1,6 +1,7 @@
 """Reference implementations: enumeration guards, refinement, queue sim."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -8,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (channels_from_matrix, default_params, hand_scenario,
                       identity_mapping, placement_config, small_joint_config)
@@ -21,7 +23,7 @@ from oranslice.placement import PlacementWeights, cost_psi, place
 from oranslice.power import SolverOptions, solve_joint
 from oranslice.radio import (PowerAllocation, SliceMapping, build_beamformers,
                              build_channels)
-from oranslice.scenario import GeneratorConfig, generate_scenario
+from oranslice.scenario import DataCenter, GeneratorConfig, generate_scenario
 from oranslice.slicing import map_slices_to_services
 
 
@@ -353,6 +355,47 @@ def test_branch_and_bound_matches_full_product(mode):
     assert feasible >= 10
 
 
+PLACEMENT_MODES = {"admission": (1e6, True, False),
+                   "single_dc": (0.0, True, True),
+                   "split": (0.0, False, True)}
+
+
+@st.composite
+def two_cost_placements(draw):
+    """A hand-built placement instance whose DCs draw their per-unit and
+    idle power from two-value sets, so that equal and unequal DCs both
+    occur; integer demands keep every psi sum exact."""
+    n_slices = draw(st.integers(1, 4))
+    n_dcs = draw(st.integers(1, 3))
+    demand = st.tuples(st.sampled_from([40.0, 100.0, 160.0]),
+                       st.sampled_from([4.0, 10.0]),
+                       st.sampled_from([16.0, 32.0]))
+    sc = hand_scenario(ue_counts=(1,) * draw(st.integers(1, n_slices)),
+                       slice_rus=((0,),) * n_slices,
+                       vnf_demands=draw(st.lists(demand, min_size=n_slices,
+                                                 max_size=n_slices)))
+    dcs = tuple(DataCenter(id=d, memory_gb=draw(st.sampled_from([150.0,
+                                                                 300.0])),
+                           storage_tb=30.0, cpu_ghz=80.0,
+                           phi_idle=draw(st.sampled_from([0.0, 8000.0])),
+                           phi_per_unit=draw(st.sampled_from([1.0, 2.0])))
+                for d in range(n_dcs))
+    return dataclasses.replace(sc, dcs=dcs)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sc=two_cost_placements(), mode=st.sampled_from(list(PLACEMENT_MODES)))
+def test_branch_and_bound_matches_full_product_on_unequal_dcs(sc, mode):
+    nu, single_dc, require_all = PLACEMENT_MODES[mode]
+    mapping = _round_robin_mapping(sc)
+    out = exhaustive_placement(sc, mapping, nu=nu, single_dc=single_dc,
+                               require_all=require_all)
+    ref = full_product_placement(sc, mapping, nu, single_dc, require_all)
+    assert out.feasible == (ref is not None)
+    if ref is not None:
+        assert (out.psi, tuple(out.y.flatten().tolist())) == ref
+
+
 # (slices, DCs, capacity scale, seed) where the minimal-subset split
 # search reported infeasible although `place` hosts every slice, with
 # the optimum psi
@@ -387,49 +430,49 @@ PINNED_PLACEMENTS = [
     ((6, 4, 1.0), 0, "split", True, "0x1.06e3959f6d970p+12",
      "0x1.06e3959f6d970p+12", 6, "0001,0001,0001,0001,0001,0001", 4),
     ((7, 3, 0.35), 1, "admission", True, "-0x1.aaf6b92137f5cp+22",
-     "0x1.211b7b2028f40p+12", 7, "001,001,010,010,001,010,100", 672),
+     "0x1.211b7b2028f40p+12", 7, "001,001,010,010,001,010,100", 25),
     ((7, 3, 0.35), 1, "split", True, "0x1.211b7b2028f40p+12",
-     "0x1.211b7b2028f40p+12", 7, "001,001,010,010,001,010,100", 672),
+     "0x1.211b7b2028f40p+12", 7, "001,001,010,010,001,010,100", 25),
     ((8, 3, 1.0), 2, "admission", True, "-0x1.e7f4bc86b1207p+22",
      "0x1.4d0de53b7e2c0p+12", 8, "001,001,001,001,001,001,001,001", 3),
     ((8, 3, 1.0), 2, "split", True, "0x1.4d0de53b7e2c0p+12",
      "0x1.4d0de53b7e2c0p+12", 8, "001,001,001,001,001,001,001,001", 3),
     ((6, 3, 0.2), 3, "admission", True, "-0x1.e7f6499b98219p+21",
-     "0x1.46d9919f79dfep+11", 4, "000,001,001,010,100,000", 56),
+     "0x1.46d9919f79dfep+11", 4, "000,001,001,010,100,000", 22),
     ((6, 3, 0.2), 3, 'split', False, 'inf', 'inf', 0, None, 0),
     ((5, 3, 0.35), 4, "admission", True, "-0x1.30f9668875200p+22",
-     "0x1.9ccbbc5700235p+11", 5, "001,001,001,010,010", 42),
+     "0x1.9ccbbc5700235p+11", 5, "001,001,001,010,010", 5),
     ((5, 3, 0.35), 4, "split", True, "0x1.9ccbbc5700235p+11",
-     "0x1.9ccbbc5700235p+11", 5, "001,001,001,010,010", 42),
+     "0x1.9ccbbc5700235p+11", 5, "001,001,001,010,010", 5),
     ((6, 4, 1.0), 100, "admission", True, "-0x1.6df2c79139474p+22",
      "0x1.0ce1bb1ae2f4dp+12", 6, "0001,0001,0001,0001,0001,0001", 4),
     ((6, 4, 1.0), 100, "split", True, "0x1.0ce1bb1ae2f4dp+12",
      "0x1.0ce1bb1ae2f4dp+12", 6, "0001,0001,0001,0001,0001,0001", 4),
     ((7, 3, 0.35), 101, "admission", True, "-0x1.aaf91455ad46ep+22",
-     "0x1.17aea94ae49a0p+12", 7, "001,001,001,010,010,100,100", 354),
+     "0x1.17aea94ae49a0p+12", 7, "001,001,001,010,010,100,100", 9),
     ((7, 3, 0.35), 101, "split", True, "0x1.17aea94ae49a0p+12",
-     "0x1.17aea94ae49a0p+12", 7, "001,001,001,010,010,100,100", 354),
+     "0x1.17aea94ae49a0p+12", 7, "001,001,001,010,010,100,100", 9),
     ((8, 3, 1.0), 102, "admission", True, "-0x1.e808c18a04995p+22",
      "0x1.f9f3afdb358cbp+11", 8, "001,001,001,001,001,001,001,001", 3),
     ((8, 3, 1.0), 102, "split", True, "0x1.f9f3afdb358cbp+11",
      "0x1.f9f3afdb358cbp+11", 8, "001,001,001,001,001,001,001,001", 3),
     ((6, 3, 0.2), 103, "admission", True, "-0x1.6df9a45b9bedfp+21",
-     "0x1.e2dd232090630p+10", 3, "001,010,000,100,000,000", 33),
+     "0x1.e2dd232090630p+10", 3, "001,010,000,100,000,000", 22),
     ((6, 3, 0.2), 103, 'split', False, 'inf', 'inf', 0, None, 0),
     ((5, 3, 0.35), 104, "admission", True, "-0x1.3102c1760f4b8p+22",
-     "0x1.51f44f85a43eap+11", 5, "001,001,001,010,010", 54),
+     "0x1.51f44f85a43eap+11", 5, "001,001,001,010,010", 12),
     ((5, 3, 0.35), 104, "split", True, "0x1.51f44f85a43eap+11",
-     "0x1.51f44f85a43eap+11", 5, "001,001,001,010,010", 54),
+     "0x1.51f44f85a43eap+11", 5, "001,001,001,010,010", 12),
     ((5, 2, 0.35), 0, "split", True, "0x1.1e237830e69cap+12",
-     "0x1.1e237830e69cap+12", 5, "11,01,01,10,10", 6),
+     "0x1.1e237830e69cap+12", 5, "11,01,01,10,10", 3),
     ((6, 3, 0.2), 5, "split", True, "0x1.182f4b298e986p+12",
-     "0x1.182f4b298e986p+12", 6, "001,011,001,100,100,010", 14),
+     "0x1.182f4b298e986p+12", 6, "001,011,001,100,100,010", 9),
     ((6, 3, 0.2), 8, "split", True, "0x1.12489e5696d5fp+12",
-     "0x1.12489e5696d5fp+12", 6, "001,010,001,101,100,010", 12),
+     "0x1.12489e5696d5fp+12", 6, "001,010,001,101,100,010", 4),
     ((6, 3, 0.2), 17, "split", True, "0x1.104474e497938p+12",
-     "0x1.104474e497938p+12", 6, "001,001,010,100,101,110", 36),
+     "0x1.104474e497938p+12", 6, "001,001,010,100,101,110", 2),
     ((6, 3, 0.2), 20, "split", True, "0x1.110c4fba79288p+12",
-     "0x1.110c4fba79288p+12", 6, "001,011,101,010,010,100", 24),
+     "0x1.110c4fba79288p+12", 6, "001,011,101,010,010,100", 4),
 ]
 PIN_MODES = {"admission": dict(nu=1e6, single_dc=True, require_all=False),
              "split": dict(nu=0.0)}
@@ -480,29 +523,32 @@ def mm1_peak(n_arrivals):
 
 def test_mm1_holds_no_n_sized_array():
     # one 1M-float array alone would take 8 MB; three (32, 2048) slabs
-    # take 1.6 MB, and a peak of 2.1 MB was measured at 1M arrivals.  A
+    # take 1.6 MB, and a peak of 1.7 MB was measured at 1e5, 1M and 4M
+    # arrivals.  A tail slab is no wider than a full one, so 1e5 arrivals
+    # (one full slab and a tail of 34,464) peak no higher than 1M.  A
     # first call imports numpy.random, which is not the simulator's memory.
     mm1_simulate(0.5, 1.0, 100_000, seed=0)
     peak = mm1_peak(1_000_000)
     assert peak < 3e6
+    assert mm1_peak(100_000) <= peak
     assert mm1_peak(4_000_000) <= 1.1 * peak
 
 
 def mm1_loop(arrival_rate, service_rate, n_arrivals, seed):
     """The waiting-time recursion one customer at a time, as reference.
 
-    It replays the simulator's draws: slab by slab, the gaps and then the
-    services, each slab's columns flattened in customer order."""
+    It replays the simulator's draws: slab by slab (full slabs, then a
+    tail of r customers as an (m, r // m) slab and a row of r % m), the
+    gaps and then the services, each drawn by inversion from uniforms and
+    each slab's columns flattened in customer order."""
     rng = np.random.default_rng(seed)
     m, w = MM1_SLAB
+    full, r = divmod(n_arrivals, m * w)
     gaps, services = [], []
-    for lo in range(0, n_arrivals, m * w):
-        size = min(m * w, n_arrivals - lo)
-        shape = (m, w) if size == m * w else (1, size)
-        for out, scale in ((gaps, 1.0 / arrival_rate),
-                           (services, 1.0 / service_rate)):
-            out.extend((rng.standard_exponential(shape) * scale)
-                       .ravel(order="F").tolist())
+    for shape in [(m, w)] * full + [(m, r // m), (1, r % m)]:
+        for out, rate in ((gaps, arrival_rate), (services, service_rate)):
+            out.extend([-math.log(1.0 - u) / rate
+                        for u in rng.random(shape).ravel(order="F").tolist()])
     wait = 0.0
     total = 0.0
     for k in range(n_arrivals):
@@ -520,7 +566,10 @@ MM1_EDGE = -(-100_000 // MM1_L) * MM1_L    # whole slabs past the 1e5 minimum
     (0.3, 200_000), (0.5, 200_000), (0.8, 200_000), (0.95, 200_000),
     (0.8, 106_497), (0.95, 106_498),
     (0.95, MM1_EDGE), (0.8, MM1_EDGE + 1), (0.5, MM1_EDGE + 2),
-    (0.95, MM1_EDGE + MM1_L - 1)])
+    (0.95, MM1_EDGE + MM1_L - 1),
+    # tails with no (32, r // 32) slab, and with no r % 32 row
+    (0.8, MM1_EDGE + MM1_SLAB[0] - 1), (0.5, MM1_EDGE + MM1_SLAB[0]),
+    (0.95, MM1_EDGE + 5 * MM1_SLAB[0])])
 def test_mm1_blocked_recursion_matches_loop(rho, n_arrivals):
     sim = mm1_simulate(rho, 1.0, n_arrivals, seed=4)
     assert type(sim) is float

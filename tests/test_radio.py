@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oranslice import radio
 from oranslice.scenario import GeneratorConfig, generate_scenario
@@ -151,6 +152,80 @@ def test_dedicated_prbs_have_no_sharing_rows():
     rows, at = radio._prb_sharing_pairs(sc)
     assert rows.shape == (0, 4) and rows.dtype == np.int64
     assert at.tolist() == [0] * (sc.n_slices * sc.n_services + 1)
+
+
+def prb_sharing_pairs_reference(sc):
+    """The reference for `radio._prb_sharing_pairs`, sorting twice: the
+    triples lexsorted by (slice, PRB, UE) and grouped, every group's
+    (victim, source) offsets enumerated, the keys argsorted and counted,
+    then the rows lexsorted by (slice, source service) and victim."""
+    t = sc.prb_assignment.triples
+    t = t[np.lexsort((t[:, 0], t[:, 1], t[:, 2]))]   # by slice, PRB, UE
+    group = t[:, 2] * sc.prb_assignment.n_prbs + t[:, 1]
+    start = np.flatnonzero(np.append(True, group[1:] != group[:-1]))
+    size = np.diff(np.append(start, len(t)))
+    start, size = start[size > 1], size[size > 1]
+    if not size.size:             # no two UEs share a PRB: dedicated PRBs
+        return (np.zeros((0, 4), dtype=np.int64),
+                np.zeros(sc.n_slices * sc.n_services + 1, dtype=np.intp))
+    # a group of n rows gives n * n (victim, source) offsets, n of them equal
+    sq = size * size
+    grp = np.repeat(np.arange(size.size), sq)
+    i, k = np.divmod(np.arange(grp.size) - np.repeat(np.cumsum(sq) - sq, sq),
+                     size[grp])
+    first = start[grp[i != k]]
+    n = sc.n_ues
+    key = ((t[first, 2] * n + t[first + i[i != k], 0]) * n
+           + t[first + k[i != k], 0])
+    key = key[np.argsort(key, kind="stable")]
+    runs = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    key, counts = key[runs], np.diff(np.append(runs, key.size))
+    share = np.column_stack([key // (n * n), key // n % n, key % n, counts])
+    pair = share[:, 0] * sc.n_services + sc.ue_service[share[:, 2]]
+    order = np.lexsort((share[:, 1], pair))
+    return share[order], np.searchsorted(
+        pair[order], np.arange(sc.n_slices * sc.n_services + 1))
+
+
+@st.composite
+def eligibility_scenarios(draw):
+    """A hand-built scenario with any set of (UE, PRB, slice) triples:
+    UEs alone on their PRBs, PRB indices held by several UEs in one slice
+    or across slices, and UEs listed on no PRB all occur."""
+    ue_counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1,
+                                    max_size=3)))
+    n_ues, n_slices = sum(ue_counts), draw(st.integers(1, 3))
+    prbs = tuple(range(draw(st.integers(1, 4))))
+    every = [(u, k, s) for u in range(n_ues) for k in prbs
+             for s in range(n_slices)]
+    triples = draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    return hand_scenario(ue_counts=ue_counts,
+                         slice_rus=((0,),) * n_slices,
+                         slice_prbs=(prbs,) * n_slices, triples=triples)
+
+
+def assert_same_table(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(sc=eligibility_scenarios())
+def test_prb_sharing_pairs_match_the_reference(sc):
+    assert_same_table(radio._prb_sharing_pairs(sc),
+                      prb_sharing_pairs_reference(sc))
+
+
+@pytest.mark.parametrize("prb_mode", ["dedicated", "shared"])
+def test_prb_sharing_pairs_match_the_reference_on_generated(prb_mode):
+    cfg = GeneratorConfig(n_services=3, n_slices=4, mean_ues=4.0, max_ues=8,
+                          n_rus=12, rus_per_slice=6, prb_mode=prb_mode,
+                          prbs_per_slice=6, prbs_per_ue=2)
+    for seed in range(5):
+        sc = generate_scenario(cfg, seed=seed)
+        assert_same_table(radio._prb_sharing_pairs(sc),
+                          prb_sharing_pairs_reference(sc))
 
 
 def slot_tables_from_ru_slots(sc):
